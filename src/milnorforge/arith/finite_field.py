@@ -6,19 +6,22 @@ A field context fixes, deterministically for every (p, f):
   encoding c0 + c1*p + ... is smallest,
 * the generator: the primitive element with smallest encoding.
 
-Elements are stored as ZERO or as an exponent e of the generator.  Internally
-nonzero elements also have an "encoding", the integer c0 + c1*p + ... of the
-coefficient vector of the representing polynomial; addition works on
-encodings, multiplication on exponents.  For p^f <= 2^16 full exp/log tables
-are built once; larger fields fall back to square-and-multiply and
-baby-step/giant-step discrete logs.
+Elements are stored as ZERO or as an exponent e of the generator.  Nonzero
+elements also have an "encoding", the integer c0 + c1*p + ... of the
+coefficient vector of the representing polynomial.  Multiplication and
+negation work on exponents (-1 = g^((q-1)/2) for odd p, -1 = 1 in
+characteristic 2).  For p^f <= 2^16 exp/log tables and a Zech table
+zech[k] = log(1 + g^k) are built once, so addition works on exponents too:
+g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
+IEEE Trans. IT 36(4), 1990).  Larger fields add encodings and fall back to
+square-and-multiply and baby-step/giant-step discrete logs.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..errors import FieldTooLarge, NotAUnit, NotPrime, ZeroElement
+from ..errors import FieldTooLarge, NotAUnit, NotPrime, SelfCheckFailed, ZeroElement
 
 TABLE_BOUND = 1 << 16
 DEFAULT_FIELD_BOUND = 1 << 20
@@ -86,8 +89,11 @@ class FiniteFieldCtx:
         self.q = q
         self.modulus = self._find_modulus()
         self._mod_top = self.modulus[:-1]  # reduction data, X^f = -(lower part)
+        # exponent of -1: (q-1)/2 for odd p, 0 in characteristic 2
+        self.half = (q - 1) // 2 if p != 2 else 0
         self.exp: list[int] | None = None
         self.log: dict[int, int] | None = None
+        self.zech: list[int | None] | None = None
         self.generator_enc = self._find_generator()
         if self.q <= TABLE_BOUND:
             self._build_tables()
@@ -242,10 +248,24 @@ class FiniteFieldCtx:
         for e in range(n):
             exp[e] = cur
             cur = self.mul_enc(cur, g)
-        assert cur == 1, "generator order mismatch"
         self.exp = exp
-        self.log = {enc: e for e, enc in enumerate(exp)}
-        assert len(self.log) == n
+        log = self.log = {enc: e for e, enc in enumerate(exp)}
+        # 1 + x changes only digit 0 of x's encoding; log.get(0) is None
+        p = self.p
+        self.zech = [log.get(enc - enc % p + (enc + 1) % p) for enc in exp]
+        self._check_tables()
+
+    def _check_tables(self) -> None:
+        """Raise SelfCheckFailed unless exp/log/zech describe a cyclic group
+        of order q-1 in which 1 + g^k = 0 exactly for g^k = -1."""
+        n = self.q - 1
+        if self.mul_enc(self.exp[-1], self.generator_enc) != 1:
+            raise SelfCheckFailed("generator order mismatch")
+        if len(self.log) != n:
+            raise SelfCheckFailed("exp table repeats an element")
+        zech = self.zech
+        if len(zech) != n or zech.count(None) != 1 or zech[self.half] is not None:
+            raise SelfCheckFailed("Zech table has 1 + g^k = 0 away from g^k = -1")
 
     # --- encoding <-> exponent ------------------------------------------
 
@@ -277,6 +297,18 @@ class FiniteFieldCtx:
             cur = self.mul_enc(cur, gm_inv)
         raise AssertionError("dlog failed")
 
+    def add_exp(self, a: int | None, b: int | None) -> "FFElement":
+        """g^a + g^b for exponents in [0, q-2], None standing for zero."""
+        if a is None:
+            return FFElement(self, b)
+        if b is None:
+            return FFElement(self, a)
+        zech = self.zech
+        if zech is None:
+            return self.from_enc(self.add_enc(self.enc_of_exp(a), self.enc_of_exp(b)))
+        z = zech[b - a]  # b - a in (-(q-1), q-1): a negative index wraps mod q-1
+        return FFElement(self, None if z is None else a + z)
+
     # --- element factories ----------------------------------------------
 
     def zero(self) -> "FFElement":
@@ -289,9 +321,7 @@ class FiniteFieldCtx:
         return FFElement(self, 1 % (self.q - 1))
 
     def minus_one(self) -> "FFElement":
-        if self.p == 2:
-            return self.one()
-        return self.from_enc(self.neg_enc(1))
+        return FFElement(self, self.half)
 
     def from_enc(self, enc: int) -> "FFElement":
         if enc == 0:
@@ -339,6 +369,8 @@ def ff_ctx(p: int, f: int = 1, bound: int = DEFAULT_FIELD_BOUND) -> FiniteFieldC
     if ctx is None:
         ctx = FiniteFieldCtx(p, f, bound=bound)
         _ctx_cache[key] = ctx
+    elif ctx.q > bound:
+        raise FieldTooLarge(f"p^f = {ctx.q} exceeds bound {bound}")
     return ctx
 
 
@@ -381,7 +413,8 @@ def ff_embedding(small: FiniteFieldCtx, big: FiniteFieldCtx):
             if acc.is_zero():
                 h = cand
                 break
-        assert h is not None, "modulus has no root in the big field"
+        if h is None:
+            raise SelfCheckFailed("modulus has no root in the big field")
         powers = [big.one()]
         for _ in range(small.f - 1):
             powers.append(powers[-1] * h)
@@ -421,15 +454,18 @@ class FFElement:
 
     # arithmetic
     def __add__(self, other: "FFElement") -> "FFElement":
-        ctx = self.ctx
-        return ctx.from_enc(ctx.add_enc(self.enc, other.enc))
+        return self.ctx.add_exp(self.e, other.e)
 
     def __sub__(self, other: "FFElement") -> "FFElement":
         ctx = self.ctx
-        return ctx.from_enc(ctx.add_enc(self.enc, ctx.neg_enc(other.enc)))
+        b = other.e
+        if b is not None:
+            b = (b + ctx.half) % (ctx.q - 1)
+        return ctx.add_exp(self.e, b)
 
     def __neg__(self) -> "FFElement":
-        return self.ctx.from_enc(self.ctx.neg_enc(self.enc))
+        e = self.e
+        return FFElement(self.ctx, None if e is None else e + self.ctx.half)
 
     def __mul__(self, other: "FFElement") -> "FFElement":
         if self.e is None or other.e is None:

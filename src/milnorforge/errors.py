@@ -5,6 +5,10 @@ class MilnorForgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class SelfCheckFailed(MilnorForgeError):
+    """An internal consistency check failed; it runs under python -O too."""
+
+
 # --- arithmetic substrate ---
 
 class NotPrime(MilnorForgeError):

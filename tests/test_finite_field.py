@@ -1,10 +1,17 @@
 """Finite field contexts: table construction, arithmetic, discrete logs."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, strategies as st
 
-from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q, ff_embedding
-from milnorforge.errors import MilnorForgeError, NotAUnit
+import milnorforge
+from milnorforge.arith.finite_field import TABLE_BOUND, ff_ctx, ff_ctx_q, ff_embedding
+from milnorforge.errors import FieldTooLarge, MilnorForgeError, NotAUnit
 
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -83,3 +90,94 @@ def test_f16_commutative_multiplication(a, b):
     x, y = k.from_enc(a), k.from_enc(b)
     assert x * y == y * x
     assert x + y == y + x
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES + [25, 27, 32, 81, 256])
+def test_zech_arithmetic_matches_encoding_arithmetic(q):
+    k = ff_ctx_q(q)
+    assert k.zech is not None
+    elems = list(k.elements())
+    encs = [x.enc for x in elems]
+    negs = [k.neg_enc(a) for a in encs]
+    assert k.minus_one() == k.from_enc(k.neg_enc(1))
+    for x, a, na in zip(elems, encs, negs):
+        assert -x == k.from_enc(na)
+        for y, b, nb in zip(elems, encs, negs):
+            assert x + y == k.from_enc(k.add_enc(a, b))
+            assert x - y == k.from_enc(k.add_enc(a, nb))
+
+
+@pytest.mark.parametrize("q", [65537, 3 ** 11])
+def test_untabled_field_arithmetic_on_sample_pairs(q):
+    k = ff_ctx_q(q)
+    assert k.q > TABLE_BOUND and k.zech is None
+    rng = random.Random(q)
+    assert k.minus_one() == k.from_enc(k.neg_enc(1))
+    pairs = [(0, 0), (1, 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(12)]
+    for a, b in pairs:
+        x, y = k.from_enc(a), k.from_enc(b)
+        assert x + y == k.from_enc(k.add_enc(a, b))
+        assert x - y == k.from_enc(k.add_enc(a, k.neg_enc(b)))
+        assert -x == k.from_enc(k.neg_enc(a))
+        assert (x - x).is_zero()
+        if k.f == 1:
+            assert (x + y).as_int() == (a + b) % q
+            assert (x - y).as_int() == (a - b) % q
+
+
+def test_ff_ctx_enforces_bound_on_cache_hit():
+    assert ff_ctx(2, 10).q == 1024
+    with pytest.raises(FieldTooLarge):
+        ff_ctx(2, 10, bound=16)
+    assert ff_ctx(2, 10, bound=1024).q == 1024
+
+
+_CORRUPT_TABLES = """
+import copy
+from milnorforge.arith.finite_field import ff_ctx, ff_embedding
+from milnorforge.errors import SelfCheckFailed
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+
+
+def expect_failure(label, check):
+    try:
+        check()
+    except SelfCheckFailed:
+        return
+    raise SystemExit(f"self-check missed: {label}")
+
+
+for p, f in [(3, 2), (2, 3), (7, 1)]:
+    k = ff_ctx(p, f)
+    n = k.q - 1
+
+    def corrupt(name, change):
+        bad = copy.copy(k)
+        table = copy.copy(getattr(k, name))
+        change(table)
+        setattr(bad, name, table)
+        expect_failure(f"{name} of F_{k.q}", bad._check_tables)
+
+    corrupt("exp", lambda t: t.__setitem__(-1, t[0]))
+    corrupt("log", lambda t: t.pop(k.exp[1]))
+    corrupt("zech", lambda t: t.__setitem__(k.half, 1))
+    corrupt("zech", lambda t: t.__setitem__((k.half + 1) % n, None))
+
+small = copy.copy(ff_ctx(3, 2))
+small.modulus = (0, 0, 1)
+expect_failure("embedding root", lambda: ff_embedding(small, ff_ctx(3, 4)))
+print("ok")
+"""
+
+
+def test_table_self_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_TABLES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip() == "ok"
