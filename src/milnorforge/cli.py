@@ -80,7 +80,11 @@ def read_bounds() -> dict:
         key, _, val = piece.partition("=")
         if key not in out:
             raise BadInput(f"unknown bound {key!r} in MILNOR_FORGE_BOUNDS")
-        out[key] = int(val)
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise BadInput(
+                f"bound {key!r} needs an integer, got {val!r}") from None
     return out
 
 
@@ -352,8 +356,12 @@ def cmd_divide(args, rep: Report):
 
 
 def cmd_verify_cert(args, rep: Report):
-    with open(args.file) as f:
-        cert = parse_certificate(f.read())
+    try:
+        with open(args.file) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise BadInput(f"cannot read certificate {args.file!r}: {e}") from None
+    cert = parse_certificate(text)
     result = verify_certificate(cert)
     fields = {"op": "verify_certificate", "file": args.file,
               "ell": cert.ell, "steps": len(cert.steps)}
@@ -911,10 +919,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    bounds = read_bounds()
     rng = random.Random(args.seed)
     rep = Report(args.verb, args.seed)
     try:
+        bounds = read_bounds()
         if args.verb == "ff-kgroup":
             cmd_ff_kgroup(args, rep)
         elif args.verb == "tame":

@@ -95,6 +95,10 @@ class PrecisionTooLow(MilnorForgeError):
     pass
 
 
+class SweepTooLarge(MilnorForgeError):
+    """The quadratic-form oracle's sweep would exceed its size bound."""
+
+
 # --- function fields / norms ---
 
 class ReciprocityFails(MilnorForgeError):

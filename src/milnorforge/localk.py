@@ -25,10 +25,13 @@ from .arith.local import (
 from .errors import (
     BadModulus,
     BadPrime,
+    ContextMismatch,
     NonUnitEntry,
     PatternMismatch,
     PiEntryPresent,
     PrecisionTooLow,
+    SelfCheckFailed,
+    SweepTooLarge,
     ZeroInput,
 )
 from .snf import NOT_IN_SUBGROUP
@@ -404,8 +407,9 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     if v_total:
         kg = ff_kgroup(q, n)
         combo = kg.presentation.express_in_relators([v_total])
-        assert combo is not NOT_IN_SUBGROUP, \
-            "residual class not in the relator span (K_n kappa should vanish)"
+        if combo is NOT_IN_SUBGROUP:
+            raise SelfCheckFailed("residual class not in the relator span "
+                                  "(K_n kappa should vanish)")
         for c_r, meta in zip(combo, kg.relator_meta):
             if c_r == 0:
                 continue
@@ -439,17 +443,21 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
                     ent1 = (ctx.one(),) + gens[1:]
                     b.kill_one_entry(-c_r * extra, ent1, 0)
                     v_total += c_r * extra * (q - 1)
-    assert v_total == 0, f"relator bookkeeping left {v_total}"
+    if v_total != 0:
+        raise SelfCheckFailed(f"relator bookkeeping left {v_total}")
 
     # 4) whatever remains must be an exact multiple of ell: that is beta
     beta_terms = []
     for c, ent in b.acc.items():
-        assert c % ell == 0, f"residual coefficient {c} not divisible by {ell}"
+        if c % ell != 0:
+            raise SelfCheckFailed(
+                f"residual coefficient {c} not divisible by {ell}")
         beta_terms.append(SymbolTerm(c // ell, ent))
     beta = MilnorClass(ctx, n, beta_terms)
     cert = DivisibilityCertificate(ctx, ell, a, beta, b.steps)
     res = verify_certificate(cert)
-    assert res, f"freshly built certificate failed: {res.failure}"
+    if not res:
+        raise SelfCheckFailed(f"freshly built certificate failed: {res.failure}")
     return cert
 
 
@@ -570,7 +578,8 @@ def hilbert(ctx: LocalFieldCtx, a, b):
     """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("hilbert symbol needs nonzero arguments")
-    assert ctx.model == PADIC
+    if ctx.model != PADIC:
+        raise ContextMismatch("the Hilbert symbol needs a p-adic field")
     p = ctx.p
     if p == 2:
         if min(a.prec + a.val, b.prec + b.val) < 3 or min(a.prec, b.prec) < 3:
@@ -588,26 +597,52 @@ def hilbert(ctx: LocalFieldCtx, a, b):
 
 
 DEFAULT_ORACLE_PRECISION = 6
+# largest p^B the oracle sweeps: p^B + p^(B-1) values take about a second
+MAX_ORACLE_SWEEP = 1 << 20
 
 
 def qf_oracle(ctx: LocalFieldCtx, a, b, search_precision: int | None = None
               ) -> bool:
     """Independent ground truth: is z^2 = a x^2 + b y^2 solvable over Q_p?
 
-    Exhaustive sweep of primitive (x, y) modulo p^B.  A value that is a
-    p-adic square at a valuation comfortably below the search modulus
-    certifies solvability (Hensel lifts the square root); a completed
-    sweep with no such value certifies insolvability, because a primitive
-    solution would already show up modulo p^B.
-    """
-    import numpy as np
+    Sweep of primitive (x, y) modulo p^B, B the search precision.  A value
+    w = a x^2 + b y^2 that is a p-adic square at a valuation comfortably
+    below the search modulus certifies solvability (Hensel lifts the
+    square root); a completed sweep with no such value certifies
+    insolvability, because a primitive solution would already show up
+    modulo p^B.  Multiplying a or b by p^2 changes nothing about
+    solvability, so each coefficient is first brought to valuation 0 or 1.
 
+    The sweep visits p^B + p^(B-1) pairs, not all p^(2B).  Scaling (x, y)
+    by a unit u multiplies w by u^2, which keeps v(w) and the square class
+    of w's unit part: u^2 = 1 mod 8 when p = 2, and u^2 is a quadratic
+    residue when p is odd.  A primitive pair has x or y a unit.  If x is a
+    unit, scale the pair to (1, y) with y over all residues mod p^B;
+    otherwise scale it to (x, 1) with x over the multiples of p.  So the
+    short sweep meets a certified square exactly when the full one does.
+
+    Raises PrecisionTooLow when B leaves fewer than two digits above the
+    `head` unit digits a certified square needs, and SweepTooLarge when
+    p^B exceeds MAX_ORACLE_SWEEP.
+    """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("oracle needs nonzero coefficients")
-    assert ctx.model == PADIC
+    if ctx.model != PADIC:
+        raise ContextMismatch("the oracle needs a p-adic field")
     p = ctx.p
     B = search_precision if search_precision is not None \
         else DEFAULT_ORACLE_PRECISION
+    # a value w != 0 mod p^B is a certified square when its valuation is
+    # even with `head` unit digits to spare (Hensel lifts the root)
+    head = 3 if p == 2 else 1
+    if B < head + 2:
+        raise PrecisionTooLow(
+            f"the sweep needs search precision >= {head + 2} at p = {p}")
+    # p >= 2, so p^B > MAX_ORACLE_SWEEP once B reaches its bit length:
+    # capping the exponent keeps a huge B from building a huge power
+    if p ** min(B, MAX_ORACLE_SWEEP.bit_length()) > MAX_ORACLE_SWEEP:
+        raise SweepTooLarge(
+            f"p^B = {p}^{B} exceeds the sweep bound {MAX_ORACLE_SWEEP}")
     va, ua = unit_decompose(a)
     vb, ub = unit_decompose(b)
     if min(ua.prec, ub.prec) < B:
@@ -620,40 +655,22 @@ def qf_oracle(ctx: LocalFieldCtx, a, b, search_precision: int | None = None
         if (p == 2 and r_unit % 8 == 1) or \
                 (p != 2 and pow(r_unit, (p - 1) // 2, p) == 1):
             return True
-    # clear negative valuations: multiplying the form by p^(2s) replaces
-    # z by p^s z and changes nothing about solvability
-    shift = max(0, -va, -vb)
     mod = p ** B
-    A = ua.unit * p ** (va + 2 * shift) % mod
-    Bb = ub.unit * p ** (vb + 2 * shift) % mod
+    A = ua.unit * p ** (va % 2) % mod
+    Bb = ub.unit * p ** (vb % 2) % mod
+    # unit parts are squares exactly when they lie in `squares` mod m
+    m = 8 if p == 2 else p
+    squares = {r * r % m for r in range(m) if r % p}
 
-    # a value w != 0 mod p^B is a certified square when its valuation is
-    # even with `head` unit digits to spare (Hensel lifts the root), so
-    # insolvability follows once the sweep exhausts all primitive (x, y)
-    head = 3 if p == 2 else 1
-    qr = np.zeros(p, dtype=bool)
-    for r in range(1, p):
-        qr[r * r % p] = True
-    xs = np.arange(mod, dtype=np.int64)
-    unit_y = (xs % p) != 0
-    for x in range(mod):
-        w = (A * x * x + Bb * xs * xs) % mod
-        if x % p == 0:
-            w = w[unit_y]
-        v2 = np.zeros(len(w), dtype=np.int64)
-        ww = w.copy()
-        alive = ww != 0
-        for _ in range(B):
-            div = alive & (ww % p == 0)
-            if not div.any():
-                break
-            ww[div] //= p
-            v2[div] += 1
-        good = alive & (v2 % 2 == 0) & (v2 <= B - head)
-        if p == 2:
-            good &= (ww % 8) == 1
-        else:
-            good &= qr[ww % p]
-        if good.any():
-            return True
-    return False
+    def certified_square(w):
+        w %= mod
+        if w == 0:
+            return False
+        v = 0
+        while w % p == 0:
+            w //= p
+            v += 1
+        return v % 2 == 0 and v <= B - head and w % m in squares
+
+    return any(certified_square(A + Bb * y * y) for y in range(mod)) or \
+        any(certified_square(A * x * x + Bb) for x in range(0, mod, p))

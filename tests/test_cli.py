@@ -1,7 +1,12 @@
 """Command-line driver: verbs, report formats, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import milnorforge
 from milnorforge.cli import main, make_field, read_bounds
 from milnorforge.errors import BadInput
 
@@ -184,3 +189,65 @@ def test_bad_input_exits_nonzero_with_error_record(capsys):
     rc, out = run(capsys, ["--field", "padic:5", "tame", "deg:2 {0,2}"])
     assert rc == 1
     assert "error=" in out or "FAIL" in out
+
+
+# --- trust boundaries: bad input ends in a FAIL record --------------------
+
+def test_oracle_sweep_above_bound_fails_fast(capsys):
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:101",
+                           "qf-oracle", "3", "5"])
+    assert rc == 1
+    assert "error=SweepTooLarge" in out and "ok=false" in out
+
+
+@pytest.mark.parametrize("verb", ["hilbert", "qf-oracle"])
+def test_pairing_verbs_reject_laurent_fields(capsys, verb):
+    rc, out = run(capsys, ["--format", "records", "--field", "laurent:3",
+                           verb, "1", "2"])
+    assert rc == 1
+    assert "error=ContextMismatch" in out and "ok=false" in out
+
+
+def test_oracle_precision_below_head_fails(capsys, monkeypatch):
+    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", "oracleprec=2")
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
+                           "qf-oracle", "1", "1"])
+    assert rc == 1
+    assert "error=PrecisionTooLow" in out and "ok=false" in out
+
+
+@pytest.mark.parametrize("raw", ["oracleprec=x", "bogus=1"])
+def test_bad_bounds_give_fail_record(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", raw)
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
+                           "hilbert", "3", "5"])
+    assert rc == 1
+    assert "error=BadInput" in out and "ok=false" in out
+
+
+def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
+    rc, out = run(capsys, ["--format", "records", "verify-cert",
+                           str(tmp_path / "missing.txt")])
+    assert rc == 1
+    assert "error=BadInput" in out and "ok=false" in out
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from milnorforge.cli import main
+for argv in (["suite", "HILBERT_TABLE"],
+             ["--field", "padic:5", "qf-oracle", "5", "2"]):
+    if main(argv) != 0:
+        raise SystemExit(f"failed: {argv}")
+"""
+
+
+def test_runs_without_numpy():
+    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

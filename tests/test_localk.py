@@ -4,13 +4,19 @@ import random
 
 import pytest
 
+from milnorforge import localk
 from milnorforge.arith.local import laurent_ctx, padic_ctx
+from milnorforge.arith.padic import PadicNumber
 from milnorforge.errors import (
     BadModulus,
     PiEntryPresent,
+    PrecisionTooLow,
+    SelfCheckFailed,
+    SweepTooLarge,
     ZeroInput,
 )
 from milnorforge.localk import (
+    VerifyResult,
     divisibility_witness,
     generator_form,
     hilbert,
@@ -159,6 +165,18 @@ def test_tampered_step_multiplicity_is_rejected():
         assert not verify_certificate(cert).ok
 
 
+def test_witness_self_check_raises_under_python_O(monkeypatch):
+    # the final replay of a fresh certificate is a raise, not an assert
+    ctx = padic_ctx(5, 8)
+    rng = random.Random(37)
+    a = symbol(ctx, [ctx.random_unit(rng), ctx.random_unit(rng)])
+    back = lift_mod_m(ctx, reduce_mod_m(ctx, a, 3), 3)
+    monkeypatch.setattr(localk, "verify_certificate",
+                        lambda cert: VerifyResult(False, "forced"))
+    with pytest.raises(SelfCheckFailed):
+        divisibility_witness(ctx, a - back, 3)
+
+
 # --- Hilbert symbol over Q_2 ----------------------------------------------
 
 REPS = (1, -1, 2, -2, 5, -5, 10, -10)
@@ -228,3 +246,97 @@ def test_hilbert_rejects_zero_input():
     ctx = padic_ctx(2, 8)
     with pytest.raises(ZeroInput):
         hilbert(ctx, ctx.zero(), ctx.one())
+
+
+# --- quadratic-form oracle ------------------------------------------------
+
+def _unit(rng, p, prec):
+    u = rng.randrange(1, p ** prec)
+    return u if u % p else u + 1
+
+
+def brute_force_solvable(p, B, va, ua, vb, ub):
+    """Reference sweep over every primitive (x, y) mod p^B, no unit scaling.
+
+    Same certificate rule as qf_oracle: z = 0 when -b/a is a square,
+    else some w = a x^2 + b y^2 that is nonzero mod p^B, of even valuation
+    at most B - head, with a square unit part.
+    """
+    head = 3 if p == 2 else 1
+    mod = p ** B
+
+    def square_unit(u):
+        return u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
+
+    if (vb - va) % 2 == 0 and square_unit(-ub * pow(ua, -1, mod)):
+        return True
+    good = []
+    for w in range(mod):
+        v = 0
+        while w and w % p == 0:
+            w //= p
+            v += 1
+        good.append(w != 0 and v % 2 == 0 and v <= B - head
+                    and square_unit(w))
+    A = ua * p ** (va % 2) % mod
+    Bc = ub * p ** (vb % 2) % mod
+    sq = [x * x % mod for x in range(mod)]
+    units = [y for y in range(mod) if y % p]
+    for x in range(mod):
+        ys = range(mod) if x % p else units
+        if any(good[(A * sq[x] + Bc * sq[y]) % mod] for y in ys):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, B", [(2, 5), (2, 6), (2, 8), (2, 10), (3, 3),
+                                  (3, 4), (3, 6), (5, 3), (5, 4), (7, 3)])
+def test_qf_oracle_matches_brute_force_sweep(p, B):
+    prec = B + 2
+    ctx = padic_ctx(p, prec)
+    rng = random.Random(100 * p + B)
+    seen = set()
+    for _ in range(16):
+        va, vb = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        ua, ub = _unit(rng, p, prec), _unit(rng, p, prec)
+        a, b = PadicNumber(p, prec, va, ua), PadicNumber(p, prec, vb, ub)
+        want = brute_force_solvable(p, B, va, ua, vb, ub)
+        assert qf_oracle(ctx, a, b, B) == want, (va, ua, vb, ub)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p, B", [(2, 5), (2, 8), (3, 3), (5, 4), (7, 3)])
+def test_qf_oracle_matches_hilbert_at_high_valuations(p, B):
+    # Serre's formula: solvable exactly when the Hilbert symbol is trivial;
+    # for odd p that is when the tame residue is a square in F_p
+    ctx = padic_ctx(p, 16)
+    rng = random.Random(7 * p + B)
+    for _ in range(150):
+        a = PadicNumber(p, 16, rng.randrange(-2, 8), _unit(rng, p, 16))
+        b = PadicNumber(p, 16, rng.randrange(-2, 8), _unit(rng, p, 16))
+        h = hilbert(ctx, a, b)
+        trivial = h == 0 if p == 2 else (h ** ((p - 1) // 2)).is_one()
+        assert qf_oracle(ctx, a, b, B) == trivial, (a, b)
+
+
+def test_qf_oracle_solves_high_valuation_coefficients():
+    # z^2 = 128 x^2 + 128 y^2 has the solution (1, 1, 16)
+    ctx = padic_ctx(2, 16)
+    a = ctx.from_int(128)
+    assert hilbert(ctx, a, a) == 0
+    assert qf_oracle(ctx, a, a, 8)
+
+
+@pytest.mark.parametrize("p, B", [(2, 2), (2, 4), (3, 2)])
+def test_qf_oracle_rejects_search_precision_below_head(p, B):
+    ctx = padic_ctx(p, 8)
+    with pytest.raises(PrecisionTooLow):
+        qf_oracle(ctx, ctx.one(), ctx.one(), B)
+
+
+@pytest.mark.parametrize("p, B", [(101, 8), (2, 21), (2, 10 ** 9)])
+def test_qf_oracle_rejects_sweeps_above_bound(p, B):
+    ctx = padic_ctx(p, 8)
+    with pytest.raises(SweepTooLarge):
+        qf_oracle(ctx, ctx.from_int(3), ctx.from_int(5), B)
