@@ -344,8 +344,7 @@ def cmd_divide(args, rep: Report):
     result = verify_certificate(cert)
     text = serialize_certificate(cert)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        write_out(args.out, text)
         rep.add(result.ok, op="divisibility_witness", ell=args.ell,
                 cert=args.out, verified=str(result.ok).lower())
     else:
@@ -353,6 +352,15 @@ def cmd_divide(args, rep: Report):
                 steps=len(cert.steps), verified=str(result.ok).lower())
         if args.format == "text":
             sys.stdout.write(text)
+
+
+def write_out(path: str, text: str):
+    """Write an --out file; a path that cannot be written is BadInput."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise BadInput(f"cannot write {path!r}: {e}") from None
 
 
 def cmd_verify_cert(args, rep: Report):
@@ -917,6 +925,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _add_failure(rep: Report, verb: str, e: MilnorForgeError):
+    rep.add(False, op=verb, error=type(e).__name__,
+            counterexample=repr(str(e)))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     rng = random.Random(args.seed)
@@ -966,12 +979,14 @@ def main(argv=None) -> int:
         elif args.verb == "suite":
             cmd_suite(args, rep, rng, bounds)
     except MilnorForgeError as e:
-        rep.add(False, op=args.verb, error=type(e).__name__,
-                counterexample=repr(str(e)))
+        _add_failure(rep, args.verb, e)
     text = rep.render(args.format)
     if args.out and args.verb != "divide":
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            write_out(args.out, text)
+        except BadInput as e:
+            _add_failure(rep, args.verb, e)
+            text = rep.render(args.format)
     sys.stdout.write(text)
     return 0 if rep.ok else 1
 

@@ -23,6 +23,7 @@ from .arith.local import (
     unit_decompose,
 )
 from .errors import (
+    BadInput,
     BadModulus,
     BadPrime,
     ContextMismatch,
@@ -346,10 +347,11 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     class against the finite-field Steinberg relators, each lifted to O
     by u^{-1}-scaling.
     """
+    n = a.degree
+    if n < 2:
+        raise BadInput(f"certificates need degree >= 2, got degree {n}")
     if ell < 2 or math.gcd(ell, ctx.p) != 1:
         raise BadPrime(f"divisor {ell} must be >= 2 and coprime to p = {ctx.p}")
-    n = a.degree
-    assert n >= 2, "certificates need degree >= 2"
     for t in a.terms:
         for e in t.entries:
             if e.val != 0:

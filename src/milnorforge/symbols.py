@@ -278,6 +278,8 @@ def ff_kgroup(q: int, n: int) -> FFKGroup:
         seen = {0}
         g = field.gen()
         for i in range(1, m):
+            if len(seen) == m:
+                break  # every residue has its row: later pairs add none
             s = field.one() - g ** i
             if s.is_zero():
                 continue
@@ -291,25 +293,14 @@ def ff_kgroup(q: int, n: int) -> FFKGroup:
                     rows.append([base])
                     meta.append(("steinberg", i, j, ()))
                 continue
-            # pad with every choice of the remaining n-2 exponents,
-            # keeping one representative per residue mod q-1
-            pads = [()]
-            for _ in range(n - 2):
-                pads = [ks + (k,) for ks in pads for k in range(1, m + 1)]
-                # residues repeat quickly; prune by partial product
-                pruned = {}
-                for ks in pads:
-                    r = base
-                    for k in ks:
-                        r = (r * k) % m
-                    pruned.setdefault(r, ks)
-                pads = list(pruned.values())
-            for ks in pads:
-                r = base
-                for k in ks:
-                    r = (r * k) % m
+            # pad with the remaining n-2 exponents, one representative per
+            # residue mod q-1: every product base*k_3*...*k_n is already
+            # base*k for some k in 1..m, first reached at pads (1,...,1,k)
+            ones = (1,) * (n - 3)
+            for k in range(1, m + 1):
+                r = (base * k) % m
                 if r not in seen:
                     seen.add(r)
                     rows.append([r])
-                    meta.append(("steinberg", i, j, ks))
+                    meta.append(("steinberg", i, j, ones + (k,)))
     return FFKGroup(q, n, field, AbGroupPresentation(1, rows), meta)

@@ -75,6 +75,43 @@ def test_divide_writes_verifiable_certificate(capsys, tmp_path):
     assert rc == 0 and "verify_certificate" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "laurent:3", "tame", "deg:2 {pi,2}"],
+    ["--field", "padic:5", "divide", "--ell", "3", "{8,7}"],
+])
+def test_unwritable_out_gives_fail_record(capsys, tmp_path, argv):
+    path = tmp_path / "missing-dir" / "x"
+    rc, out = run(capsys, ["--format", "records", "--out", str(path)] + argv)
+    assert rc == 1
+    assert "error=BadInput" in out and "ok=false" in out
+
+
+def _cli_subprocess(args, timeout, optimize=False):
+    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "milnorforge.cli", *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_divide_rejects_degree_one_class_under_python_O():
+    out = _cli_subprocess(["--format", "records", "--field", "padic:5",
+                           "divide", "--ell", "3", "deg:1 {2}"],
+                          timeout=60, optimize=True)
+    assert out.returncode == 1, out.stderr
+    assert "error=BadInput" in out.stdout and "Traceback" not in out.stderr
+
+
+def test_ff_kgroup_at_its_bound():
+    # q = FF_KGROUP_BOUND at the largest degree finishes in seconds
+    out = _cli_subprocess(["--format", "records", "ff-kgroup",
+                           "--q", "1024", "--n", "4"], timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "invariants=[]" in out.stdout
+
+
 def test_hilbert_and_oracle_agree(capsys):
     rc, h_out = run(capsys, ["--field", "padic:2", "hilbert", "-1", "-1"])
     assert rc == 0 and "1" in h_out

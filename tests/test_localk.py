@@ -8,6 +8,7 @@ from milnorforge import localk
 from milnorforge.arith.local import laurent_ctx, padic_ctx
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.errors import (
+    BadInput,
     BadModulus,
     PiEntryPresent,
     PrecisionTooLow,
@@ -28,7 +29,7 @@ from milnorforge.localk import (
     tame,
     verify_certificate,
 )
-from milnorforge.symbols import symbol
+from milnorforge.symbols import MilnorClass, symbol
 
 
 CONTEXTS = [padic_ctx(5, 8), padic_ctx(2, 8), laurent_ctx(3, 8)]
@@ -108,6 +109,14 @@ def test_witness_requires_unit_entries():
     a = symbol(ctx, [ctx.uniformizer(), ctx.from_int(2)])
     with pytest.raises(PiEntryPresent):
         divisibility_witness(ctx, a, 3)
+
+
+def test_witness_rejects_degree_below_two():
+    # a typed error before any work, also under python -O
+    ctx = padic_ctx(5, 8)
+    for a in (symbol(ctx, [ctx.from_int(2)]), MilnorClass.unit(ctx)):
+        with pytest.raises(BadInput):
+            divisibility_witness(ctx, a, 3)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS)

@@ -10,6 +10,7 @@ from milnorforge.errors import (
     PatternMismatch,
     ZeroEntry,
 )
+from milnorforge.snf import AbGroupPresentation
 from milnorforge.symbols import (
     MINUS_SELF,
     SELF_TO_MINUS_ONE,
@@ -138,3 +139,54 @@ def test_serialize_parseable_shape():
     s = a.serialize()
     assert s.startswith("deg:2 ")
     assert "{" in s and "}" in s
+
+
+# --- the Steinberg pad sweep against the nested pad loop it replaced --------
+
+def nested_pad_presentation(q, n):
+    """Test-only copy of the relations built by padding every slot in turn."""
+    field = ff_ctx_q(q)
+    m = q - 1
+    rows, meta, seen = [[m]], [("order",)], {0}
+    g = field.gen()
+    for i in range(1, m):
+        s = field.one() - g ** i
+        if s.is_zero():
+            continue
+        j = s.dlog()
+        if j == 0:
+            continue
+        base = (i * j) % m
+        pads = [()]
+        for _ in range(n - 2):
+            pads = [ks + (k,) for ks in pads for k in range(1, m + 1)]
+            pruned = {}
+            for ks in pads:
+                r = base
+                for k in ks:
+                    r = (r * k) % m
+                pruned.setdefault(r, ks)
+            pads = list(pruned.values())
+        for ks in pads:
+            r = base
+            for k in ks:
+                r = (r * k) % m
+            if r not in seen:
+                seen.add(r)
+                rows.append([r])
+                meta.append(("steinberg", i, j, ks))
+    return rows, meta
+
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
+                      31, 32]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+@pytest.mark.parametrize("n", [3, 4])
+def test_pad_sweep_matches_nested_pad_loop(q, n):
+    rows, meta = nested_pad_presentation(q, n)
+    G = ff_kgroup(q, n)
+    assert G.presentation.relations == rows
+    assert G.relator_meta == meta
+    assert G.presentation.u == AbGroupPresentation(1, rows).u
