@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from ..errors import ZeroPolynomial
+from ..errors import SelfCheckFailed, ZeroPolynomial
 from .finite_field import FiniteFieldCtx
 from .poly import Poly
 
@@ -121,7 +121,8 @@ def poly_factor(f: Poly, seed: int = DEFAULT_FACTOR_SEED) -> list[tuple[Poly, in
     check = Poly.const(f.ctx, f.lc)
     for irr, m in out:
         check = check * irr ** m
-    assert check == f, "factorization failed to re-multiply"
+    if check != f:
+        raise SelfCheckFailed("factorization failed to re-multiply")
     return out
 
 

@@ -195,14 +195,76 @@ class FiniteFieldCtx:
         for i, ai in enumerate(da):
             if ai:
                 for j, bj in enumerate(db):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        for i in range(len(res) - 1, f - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
+                    res[i + j] += ai * bj
+        return self._reduce_enc(res)
+
+    def _reduce_enc(self, res: list[int]) -> int:
+        """Encoding of sum res[i] X^i mod p and the modulus, for any integers
+        res[i] (the list is rewritten): X^f = -(m_0 + ... + m_{f-1} X^(f-1))
+        folds each X^i with i >= f down, top first."""
+        p, f, mod = self.p, self.f, self.modulus
+        enc = 0
+        for i in range(len(res) - 1, -1, -1):
+            c = res[i] % p
+            if i < f:
+                enc = enc * p + c
+            elif c:
                 for j in range(f):
-                    res[i - f + j] = (res[i - f + j] - c * self.modulus[j]) % p
-        return _digits_enc(res[:f], p)
+                    res[i - f + j] -= c * mod[j]
+        return enc
+
+    def mul_trunc(self, a, b, n: int) -> list["FFElement"]:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for lists
+        of elements a and b, by Kronecker substitution.
+
+        Each coefficient of t^i is written as its F_p digit vector
+        d_0 + d_1 X + ... + d_{f-1} X^(f-1), digits in [0, p).  Digit k goes
+        into the w-bit slot i*(2f-1) + k of one integer, so a t-degree takes
+        2f-1 slots: room for the X-degrees 0..2f-2 of a digit product.  One
+        integer product then leaves in slot m*(2f-1) + s the sum of
+        d_k(a_i) d_l(b_j) over i + j = m and k + l = s, as long as no slot
+        overflows into the next.  Only i, j < n matter, so the operands are
+        cut to n terms first; then at most min(len a, len b) pairs (i, j)
+        and at most f pairs (k, l) meet in a slot, each at most (p-1)^2,
+        and w = bit length of min(len a, len b) * f * (p-1)^2 holds the sum.
+        The 2f-1 slots of each t-degree below n are read off and reduced mod
+        p and mod the field modulus into one encoding.
+        """
+        a, b = a[:n], b[:n]
+        p, f = self.p, self.f
+        w = (min(len(a), len(b)) * f * (p - 1) ** 2).bit_length()
+        slots = 2 * f - 1
+        prod = self._pack(a, w, slots) * self._pack(b, w, slots)
+        mask = (1 << w) - 1
+        if f == 1:  # one slot per t-degree and no X-power to fold
+            encs = [(prod >> i * w & mask) % p for i in range(n)]
+        else:
+            vals = [prod >> i * w & mask for i in range(n * slots)]
+            encs = [self._reduce_enc(vals[i:i + slots])
+                    for i in range(0, n * slots, slots)]
+        log = self.log  # from_enc and enc_of_exp, inlined for the tables
+        if log is None:
+            return [self.from_enc(e) for e in encs]
+        zero = FFElement(self, None)
+        return [FFElement(self, log[e]) if e else zero for e in encs]
+
+    def _pack(self, xs, w: int, slots: int) -> int:
+        """sum over i, k of digit k of xs[i] shifted to bit (i*slots + k)*w."""
+        p, step = self.p, slots * w
+        exp = self.exp
+        acc = 0
+        for c in reversed(xs):
+            acc <<= step
+            e = c.e
+            if e is not None:
+                enc = exp[e] if exp is not None else self.enc_of_exp(e)
+                shift = 0
+                while enc >= p:
+                    enc, d = divmod(enc, p)
+                    acc |= d << shift
+                    shift += w
+                acc |= enc << shift
+        return acc
 
     def add_enc(self, a: int, b: int) -> int:
         p, f = self.p, self.f

@@ -6,6 +6,18 @@ that cancels below the available absolute precision becomes an *approximate*
 zero remembering the order up to which coefficients are known to vanish
 (``zero_prec``, with None meaning exact), so that later additions cannot
 claim coefficients the cancelled sum never knew.
+
+Products and inverses go through one kernel, ``FiniteFieldCtx.mul_trunc``
+(Kronecker substitution; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).  It writes
+the F_p digits of each coefficient of t^i into w-bit slots i*(2f-1) .. of
+one integer, multiplies two such integers once, and reads the product's
+slots back.  2f-1 slots per t-degree leave room for every X-degree of a
+product of two digit vectors, and w is the bit length of
+min(len a, len b, n) * f * (p-1)^2: a slot of the product is a sum of at
+most that many nonnegative digit products, so it never carries into the
+next.  Each slot is then reduced mod p and each t-coefficient mod the field
+modulus.  ``inverse`` is a Newton iteration on the same kernel.
 """
 
 from __future__ import annotations
@@ -106,33 +118,27 @@ class LaurentSeries:
             else:
                 bound = z.zero_prec + x.val
             return LaurentSeries.zero(self.base, prec, bound)
-        zero = self.base.zero()
-        out = [zero] * prec
-        a = self.coeffs[:prec]
-        b = other.coeffs[:prec]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if i + j >= prec:
-                    break
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+        out = self.base.mul_trunc(self.coeffs, other.coeffs, prec)
         return LaurentSeries(self.base, prec, self.val + other.val, out)
 
     def inverse(self) -> "LaurentSeries":
+        """Newton iteration x <- x + x(1 - a x), doubling the correct terms.
+
+        If a x = 1 + t^k r then x + x(1 - a x) = x - t^k x r agrees with x
+        below t^k, so each step only appends the next terms, those of -x r.
+        """
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
-        prec = self.prec
-        c0inv = self.coeffs[0].inverse()
-        out = [c0inv] + [self.base.zero()] * (prec - 1)
-        for n in range(1, min(prec, len(self.coeffs) + prec)):
-            acc = self.base.zero()
-            for k in range(1, n + 1):
-                ck = self.coeffs[k] if k < len(self.coeffs) else self.base.zero()
-                acc = acc + ck * out[n - k]
-            out[n] = -(c0inv * acc)
-        return LaurentSeries(self.base, prec, -self.val, out)
+        prec, base = self.prec, self.base
+        a = self.coeff_window(prec)
+        x = [self.coeffs[0].inverse()]
+        k = 1
+        while k < prec:
+            k2 = min(2 * k, prec)
+            r = base.mul_trunc(a, x, k2)[k:]
+            x.extend(-c for c in base.mul_trunc(x, r, k2 - k))
+            k = k2
+        return LaurentSeries(base, prec, -self.val, x)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self * other.inverse()

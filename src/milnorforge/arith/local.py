@@ -19,6 +19,7 @@ from ..errors import (
     NotAUnit,
     PatternMismatch,
     PrecisionExhausted,
+    PrecisionTooLow,
     ZeroElement,
 )
 from .finite_field import FFElement, FiniteFieldCtx, ff_ctx, ff_ctx_q, is_prime
@@ -42,7 +43,8 @@ class LocalFieldCtx:
 
     def __init__(self, model: str, residue_field: FiniteFieldCtx, prec: int):
         assert model in (PADIC, LAURENT)
-        assert prec >= 1
+        if prec < 1:
+            raise PrecisionTooLow(f"precision must be at least 1, got {prec}")
         if model == PADIC and residue_field.f != 1:
             raise BadPrime("p-adic model needs a prime residue field")
         self.model = model
@@ -150,7 +152,8 @@ class LocalFieldCtx:
         return x.serialize()
 
     _PADIC_RE = re.compile(r"^padic\((\d+),(\d+)\):(?:0|(\d+)\*p\^(-?\d+))$")
-    _LAURENT_RE = re.compile(r"^laurent\((\d+),(\d+)\):(?:0|t\^(-?\d+)\*\(([\d,]+)\))$")
+    _LAURENT_RE = re.compile(
+        r"^laurent\((\d+),(\d+)\):(?:0|t\^(-?\d+)\*\((\d+(?:,\d+)*)\))$")
 
     def parse(self, s: str):
         s = s.strip()
@@ -159,19 +162,29 @@ class LocalFieldCtx:
             p, prec = int(m.group(1)), int(m.group(2))
             if self.model != PADIC or p != self.p:
                 raise PatternMismatch(f"element {s!r} does not live in {self!r}")
+            if prec < 1:
+                raise PatternMismatch(f"element {s!r} has no digits")
             if m.group(3) is None:
                 return PadicNumber.zero(p, min(prec, self.prec))
-            return PadicNumber(p, min(prec, self.prec), int(m.group(4)), int(m.group(3)))
+            unit = int(m.group(3))
+            if unit % p == 0:
+                raise PatternMismatch(f"unit part of {s!r} is divisible by {p}")
+            return PadicNumber(p, min(prec, self.prec), int(m.group(4)), unit)
         m = self._LAURENT_RE.match(s)
         if m:
             q, prec = int(m.group(1)), int(m.group(2))
             if self.model != LAURENT or q != self.q:
                 raise PatternMismatch(f"element {s!r} does not live in {self!r}")
+            if prec < 1:
+                raise PatternMismatch(f"element {s!r} has no coefficients")
             prec = min(prec, self.prec)
             if m.group(3) is None:
                 return LaurentSeries.zero(self.residue_field, prec)
+            encs = [int(d) for d in m.group(4).split(",")]
+            if max(encs) >= q:
+                raise PatternMismatch(f"a coefficient of {s!r} is {q} or more")
             base = self.residue_field
-            coeffs = [base.from_enc(int(d)) for d in m.group(4).split(",")]
+            coeffs = [base.from_enc(e) for e in encs]
             return LaurentSeries.make(base, prec, int(m.group(3)), coeffs[:prec])
         raise PatternMismatch(f"cannot parse local element {s!r}")
 

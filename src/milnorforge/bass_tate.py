@@ -26,6 +26,7 @@ from .errors import (
     NotIrreducible,
     NotMonic,
     PrecisionExhausted,
+    SelfCheckFailed,
 )
 from .ratfunc import (
     Place,
@@ -280,7 +281,8 @@ def norm(xi: MilnorClass) -> MilnorClass:
                            [_lift_term(KX, place.poly, t) for t in r.terms])
         beta = beta - corr
     back = tame_at(place_pi, beta)
-    assert (back - xi).is_zero(), "pi-residue drifted during corrections"
+    if not (back - xi).is_zero():
+        raise SelfCheckFailed("pi-residue drifted during corrections")
     return tame_at(Place.infinity(KX), beta).scale(NORM_SIGN)
 
 

@@ -93,15 +93,25 @@ def read_bounds() -> dict:
 # --------------------------------------------------------------------------
 
 
+def parse_int(s: str, what: str) -> int:
+    """int(s), with a BadInput naming `what` instead of a ValueError."""
+    try:
+        return int(s)
+    except ValueError:
+        raise BadInput(f"{what} needs an integer, got {s!r}") from None
+
+
 def make_field(spec: str, precision: int):
     """`padic:P`, `laurent:Q`, `ff:Q` or `ratfunc:Q`."""
     kind, _, arg = spec.partition(":")
     if not arg:
         raise BadInput(f"field spec {spec!r} needs `kind:q`")
-    q = int(arg)
-    if kind == "padic":
+    q = parse_int(arg, f"field spec {spec!r}")
+    if kind in (PADIC, LAURENT) and precision < 1:
+        raise BadInput(f"--precision must be at least 1, got {precision}")
+    if kind == PADIC:
         return padic_ctx(q, precision)
-    if kind == "laurent":
+    if kind == LAURENT:
         return laurent_ctx(q, precision)
     if kind == "ff":
         return ff_ctx_q(q)
@@ -147,7 +157,7 @@ def parse_class(ctx, s: str, parse_entry) -> MilnorClass:
     sign = 1
     for tok in tokens:
         if tok.startswith("deg:"):
-            degree = int(tok[4:])
+            degree = parse_int(tok[4:], "class degree")
             continue
         if tok == "+":
             sign = 1
@@ -164,7 +174,7 @@ def parse_class(ctx, s: str, parse_entry) -> MilnorClass:
         body = tok
         if "*{" in tok:
             head, _, body = tok.partition("*")
-            coeff *= int(head)
+            coeff *= parse_int(head, f"symbol term {tok!r}")
         if not (body.startswith("{") and body.endswith("}")):
             raise BadInput(f"cannot parse symbol term {tok!r}")
         entries = [parse_entry(e) for e in _split_commas(body[1:-1])]
@@ -192,9 +202,10 @@ def parse_sparse_poly(from_int, s: str, names) -> dict:
             factor = factor.strip()
             var, _, exp = factor.partition("^")
             if var in names:
-                exps[names.index(var)] += int(exp) if exp else 1
+                exps[names.index(var)] += \
+                    parse_int(exp, f"exponent in {term!r}") if exp else 1
             else:
-                coeff *= int(factor)
+                coeff *= parse_int(factor, f"coefficient in {term!r}")
         key = tuple(exps)
         c = from_int(coeff)
         out[key] = out[key] + c if key in out else c
@@ -333,7 +344,7 @@ def _parse_ff(kappa, s: str):
         tail = s.split(":", 1)[1]
         if tail == "0":
             return kappa.zero()
-        return kappa.from_exp(int(tail[2:]))
+        return kappa.from_exp(parse_int(tail[2:], f"element {s!r}"))
     raise BadInput(f"cannot parse residue-field element {s!r}")
 
 

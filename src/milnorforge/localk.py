@@ -13,6 +13,7 @@ final formal-sum identity.
 from __future__ import annotations
 
 import math
+import re
 
 from .arith.local import (
     LAURENT,
@@ -522,43 +523,95 @@ def serialize_certificate(cert: DivisibilityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CTX_RE = re.compile(r"^(padic|laurent)\((\d+),(\d+)\)$")
+
+# step kind -> (pos is a pair i,j, number of aux entries, entries the
+# relator reads after pos)
+_STEP_SHAPES = {
+    BILINEAR_EXPAND: (False, 2, 0),
+    SWAP: (True, 0, 0),
+    STEINBERG_ZERO: (True, 0, 0),
+    MINUS_SELF: (False, 0, 1),
+    SELF_TO_MINUS_ONE: (False, 0, 1),
+    HENSEL_ROOT: (False, 1, 0),
+}
+
+
 def parse_certificate(text: str) -> DivisibilityCertificate:
+    """Read serialize_certificate's text.  Any line that does not fit the
+    format, or the shape its step kind needs, raises PatternMismatch naming
+    the line, so the verifier only ever sees well-formed steps."""
     from .arith.local import laurent_ctx, padic_ctx
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "divcert v1":
         raise PatternMismatch("not a certificate file")
-    ctx = None
-    ell = degree = None
+    ctx = ell = degree = None
     alpha_terms, beta_terms, steps = [], [], []
     for ln in lines[1:]:
         kind, _, rest = ln.partition(" ")
-        if kind == "ctx":
-            m = rest.strip()
-            inner = m[m.index("(") + 1:m.index(")")]
-            a_, b_ = (int(x) for x in inner.split(","))
-            ctx = padic_ctx(a_, b_) if m.startswith("padic") \
-                else laurent_ctx(a_, b_)
-        elif kind == "ell":
-            ell = int(rest)
-        elif kind == "degree":
-            degree = int(rest)
-        elif kind in ("alpha", "beta"):
+        rest = rest.strip()
+
+        def bad(why):
+            return PatternMismatch(f"certificate line {ln!r}: {why}")
+
+        def num(field):
+            try:
+                return int(field)
+            except ValueError:
+                raise bad(f"{field.strip()!r} is not an integer") from None
+
+        def entries(field, count):
+            parts = field.split("|")
+            if len(parts) != count:
+                raise bad(f"{len(parts)} entries where {count} belong")
+            try:
+                return [ctx.parse(e) for e in parts]
+            except PatternMismatch as e:
+                raise bad(str(e)) from None
+
+        if kind in ("ctx", "ell", "degree"):
+            if {"ctx": ctx, "ell": ell, "degree": degree}[kind] is not None:
+                raise bad(f"a second {kind} line")
+            if kind == "ctx":
+                m = _CTX_RE.match(rest)
+                if not m:
+                    raise bad("needs padic(p,prec) or laurent(q,prec)")
+                make = padic_ctx if m.group(1) == PADIC else laurent_ctx
+                ctx = make(int(m.group(2)), int(m.group(3)))
+            elif kind == "ell":
+                ell = num(rest)
+            else:
+                degree = num(rest)
+            continue
+        if ctx is None or ell is None or degree is None:
+            raise bad("the ctx, ell and degree lines must come first")
+        if kind in ("alpha", "beta"):
             coeff_s, _, ents = rest.partition(";")
-            entries = [ctx.parse(e) for e in ents.split("|")]
-            term = SymbolTerm(int(coeff_s), entries)
+            term = SymbolTerm(num(coeff_s), entries(ents, degree))
             (alpha_terms if kind == "alpha" else beta_terms).append(term)
         elif kind == "step":
-            parts = [p.strip() for p in rest.split(";")]
-            skind, mult_s, pos_s = parts[0].split()
-            entries = [ctx.parse(e) for e in parts[1].split("|")]
-            aux = [ctx.parse(e) for e in parts[2].split("|")] \
-                if len(parts) > 2 else []
-            pos = tuple(int(x) for x in pos_s.split(",")) \
-                if "," in pos_s else int(pos_s)
-            steps.append(CertStep(skind, int(mult_s), entries, pos, aux))
+            parts = rest.split(";")
+            head = parts[0].split()
+            if len(head) != 3 or head[0] not in _STEP_SHAPES:
+                raise bad("needs `step KIND mult pos ; entries [; aux]`")
+            skind, mult_s, pos_s = head
+            pair, n_aux, after = _STEP_SHAPES[skind]
+            if len(parts) != (3 if n_aux else 2):
+                raise bad(f"a {skind} step needs {1 + bool(n_aux)} entry lists")
+            pos = tuple(num(x) for x in pos_s.split(",")) if pair \
+                else (num(pos_s),)
+            if len(pos) != 1 + pair or \
+                    not all(0 <= i < degree - after for i in pos):
+                raise bad(f"position {pos_s!r} does not fit a {skind} step "
+                          f"of degree {degree}")
+            aux = entries(parts[2], n_aux) if n_aux else []
+            steps.append(CertStep(skind, num(mult_s), entries(parts[1], degree),
+                                  pos if pair else pos[0], aux))
         else:
-            raise PatternMismatch(f"bad certificate line: {ln!r}")
+            raise bad("unknown line kind")
+    if ctx is None or ell is None or degree is None:
+        raise PatternMismatch("certificate needs ctx, ell and degree lines")
     alpha = MilnorClass(ctx, degree, alpha_terms)
     beta = MilnorClass(ctx, degree, beta_terms)
     return DivisibilityCertificate(ctx, ell, alpha, beta, steps)

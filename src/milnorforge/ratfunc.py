@@ -18,6 +18,7 @@ from .errors import (
     NotAUnit,
     NotIrreducible,
     NotMonic,
+    SelfCheckFailed,
     ZeroElement,
 )
 from .symbols import MilnorClass, SymbolTerm
@@ -470,7 +471,8 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
     check = Poly.one(ctx)
     for irr, m in res:
         check = check * irr ** m
-    assert check == f.monic(), "factorization failed to re-multiply"
+    if check != f.monic():
+        raise SelfCheckFailed("factorization failed to re-multiply")
     return res
 
 

@@ -76,7 +76,9 @@ class MilnorClass:
     def __init__(self, ctx, degree: int, terms):
         merged: dict[tuple, tuple[int, tuple]] = {}
         for t in terms:
-            assert t.degree == degree, "mixed degrees in one class"
+            if t.degree != degree:
+                raise PatternMismatch(
+                    f"a degree-{t.degree} term in a degree-{degree} class")
             k = t.entries_key()
             if k in merged:
                 c, ent = merged[k]

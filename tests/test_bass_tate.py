@@ -136,3 +136,37 @@ def test_functoriality_along_quadratic_tower(q):
         if g.degree < 1:
             continue
         assert functoriality_check(pi1, pi2, g)
+
+
+_DRIFTING_RESIDUE = """
+import traceback
+from milnorforge import bass_tate
+from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.errors import SelfCheckFailed
+from milnorforge.ratfunc import QuotCtx, RatFuncCtx
+from milnorforge.symbols import symbol
+F = RatFuncCtx(ff_ctx(3))
+t = F.gen()
+B = QuotCtx(F, Poly(F, [-t, F.zero(), F.one()]))  # X^2 - t
+xi = symbol(B, [B.theta(), B.from_base(t + F.one())])
+real = bass_tate.tame_at
+
+
+def drifting(place, beta):  # doubles the residue at pi, which norm keeps
+    r = real(place, beta)
+    return r.scale(2) if place.poly is not None and place.poly == B.pi else r
+
+
+bass_tate.tame_at = drifting
+try:
+    bass_tate.norm(xi)
+except SelfCheckFailed as e:
+    print("raised in", traceback.extract_tb(e.__traceback__)[-1].name, e)
+"""
+
+
+def test_norm_residue_drift_check_runs_under_python_O(run_python_O):
+    out = run_python_O(_DRIFTING_RESIDUE)
+    assert out.returncode == 0, out.stderr
+    assert "raised in norm pi-residue drifted" in out.stdout

@@ -1,6 +1,8 @@
 """Command-line driver: verbs, report formats, determinism, exit codes."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -288,3 +290,101 @@ def test_runs_without_numpy():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+# --- malformed arguments end in BadInput records ----------------------------
+
+_BAD_ARGUMENTS = [
+    ["--field", "padic:x", "tame", "{2,3}"],
+    ["--precision", "0", "--field", "padic:5", "tame", "{2,3}"],
+    ["--precision", "-3", "--field", "laurent:3", "tame", "deg:2 {pi,2}"],
+    ["--field", "padic:3", "s-member", "1*t^x"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGUMENTS)
+def test_bad_argument_gives_fail_record(capsys, argv):
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert rc == 1
+    assert "error=BadInput" in out and "ok=false" in out
+
+
+_BAD_ARGUMENTS_SCRIPT = """
+import contextlib, io, sys
+from milnorforge.cli import main
+for argv in {cases!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["--format", "records"] + argv)
+    if rc != 1 or "error=BadInput" not in buf.getvalue():
+        raise SystemExit(f"{{argv}}: exit {{rc}}, {{buf.getvalue()!r}}")
+"""
+
+
+def test_bad_arguments_give_fail_records_under_python_O(run_python_O):
+    out = run_python_O(_BAD_ARGUMENTS_SCRIPT.format(cases=_BAD_ARGUMENTS))
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+# --- one-field mutations of a valid certificate ------------------------------
+
+_ELEMENT = re.compile(r"(?:padic|laurent)\(\d+,\d+\):\S+")
+_REPLACEMENTS = ("+1", "-1", "0", "-1!", "x", "*10")
+
+
+def _replace(token: str, how: str) -> str:
+    v = int(token)
+    return {"+1": str(v + 1), "-1": str(v - 1), "0": "0", "-1!": "-1",
+            "x": token + "x", "*10": str(10 * v + 7)}[how]
+
+
+def _one_field_mutations(text: str, rng):
+    """Every integer field outside the elements with every replacement,
+    a seeded sample of the integer fields inside the elements, and every
+    line dropped in turn (the header line is kept)."""
+    lines = text.splitlines()
+    for i, ln in enumerate(lines[1:], start=1):
+        inside = [m.span() for m in _ELEMENT.finditer(ln)]
+        for m in re.finditer(r"\d+", ln):
+            in_element = any(a <= m.start() < b for a, b in inside)
+            if in_element and rng.random() > 0.05:
+                continue
+            hows = [rng.choice(_REPLACEMENTS)] if in_element else _REPLACEMENTS
+            for how in hows:
+                new = _replace(m.group(), how)
+                if new != m.group():
+                    yield lines[:i] + [ln[:m.start()] + new + ln[m.end():]] \
+                        + lines[i + 1:]
+        yield lines[:i] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("field,cls", [
+    ("padic:5", "{8,7}"),
+    ("padic:5", "{2,3,7}"),
+    ("laurent:9", "{laurent(9,8):t^0*(3,1),2}"),
+    ("laurent:9", "{laurent(9,8):t^0*(3,1),2,laurent(9,8):t^0*(5,0,2)}"),
+])
+def test_mutated_certificate_fails_with_reason_or_verifies(
+        capsys, tmp_path, field, cls):
+    ell = "3" if field.startswith("padic") else "2"
+    path = tmp_path / "c.cert"
+    rc, _ = run(capsys, ["--field", field, "--out", str(path),
+                         "divide", "--ell", ell, cls])
+    assert rc == 0
+    text = path.read_text()
+    rng = random.Random(field + cls)
+    count = failed = 0
+    for lines in _one_field_mutations(text, rng):
+        path.write_text("\n".join(lines) + "\n")
+        rc, out = run(capsys, ["--format", "records", "verify-cert",
+                               str(path)])
+        count += 1
+        if rc == 0:
+            assert "ok=true" in out
+            continue
+        failed += 1
+        (record,) = [ln for ln in out.splitlines()
+                     if ln.startswith("record ")]
+        assert "ok=false" in record
+        assert "error=" in record or "counterexample=" in record
+    assert count > 100 and failed > count // 2

@@ -5,9 +5,12 @@ working precision; sums that cancel below the available absolute precision
 become approximate zeros that remember how far they are known to vanish.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milnorforge.arith.finite_field import ff_ctx_q
 from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import (
     hensel_lift,
@@ -19,7 +22,7 @@ from milnorforge.arith.local import (
 )
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.arith.poly import Poly
-from milnorforge.errors import MilnorForgeError, NotAUnit
+from milnorforge.errors import MilnorForgeError, NotAUnit, PatternMismatch
 
 
 # --- p-adic ring structure ------------------------------------------------
@@ -129,6 +132,112 @@ def test_laurent_unit_times_inverse_is_one():
     assert (x * x.inverse()).is_one()
 
 
+# --- the Kronecker kernel against schoolbook references --------------------
+
+
+def schoolbook_mul(base, a, b, n):
+    """Schoolbook truncated product: the reference for mul_trunc."""
+    out = [base.zero()] * n
+    for i, ai in enumerate(a[:n]):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b[:n]):
+            if i + j >= n:
+                break
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def recurrence_inverse(base, coeffs, prec):
+    """Coefficient recurrence for 1/a: the reference for the Newton inverse."""
+    c0inv = coeffs[0].inverse()
+    out = [c0inv] + [base.zero()] * (prec - 1)
+    for n in range(1, prec):
+        acc = base.zero()
+        for k in range(1, n + 1):
+            ck = coeffs[k] if k < len(coeffs) else base.zero()
+            acc = acc + ck * out[n - k]
+        out[n] = -(c0inv * acc)
+    return out
+
+
+TABLED_Q = (2, 3, 4, 8, 9, 25, 27, 243, 256)
+UNTABLED_Q = (3 ** 11, 65537)  # above TABLE_BOUND: no exp/log/Zech tables
+
+
+def _random_coeffs(base, rng, length, zero_share):
+    return [base.zero() if rng.random() < zero_share
+            else base.random_nonzero(rng) for _ in range(length)]
+
+
+def _length_cases(rng, max_len, count):
+    """(len a, len b, n) triples: n = 1, operands longer than n, products
+    shorter than n, and random lengths up to max_len."""
+    fixed = [(1, 1, 1), (max_len, max_len, 1), (max_len, 3, 2), (2, 3, max_len),
+             (1, max_len, max_len), (max_len, max_len, max_len)]
+    return fixed + [(rng.randint(1, max_len), rng.randint(1, max_len),
+                     rng.randint(1, max_len)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
+def test_mul_trunc_matches_schoolbook(q):
+    base = ff_ctx_q(q)
+    rng = random.Random(q)
+    tabled = q in TABLED_Q
+    for la, lb, n in _length_cases(rng, 40 if tabled else 5,
+                                   30 if tabled else 4):
+        for zero_share in (0.0, 0.5, 1.0):
+            a = _random_coeffs(base, rng, la, zero_share)
+            b = _random_coeffs(base, rng, lb, zero_share)
+            assert base.mul_trunc(a, b, n) == schoolbook_mul(base, a, b, n), \
+                (q, la, lb, n, zero_share)
+
+
+@pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
+def test_laurent_mul_and_inverse_match_schoolbook(q):
+    base = ff_ctx_q(q)
+    rng = random.Random(1000 + q)
+    tabled = q in TABLED_Q
+    for _ in range(12 if tabled else 2):
+        pa, pb = (rng.randint(1, 40 if tabled else 6) for _ in range(2))
+        ca = [base.random_nonzero(rng)] + _random_coeffs(base, rng, pa - 1, 0.3)
+        cb = [base.random_nonzero(rng)] + _random_coeffs(base, rng, pb - 1, 0.3)
+        x = LaurentSeries(base, pa, rng.randint(-3, 3), ca)
+        y = LaurentSeries(base, pb, rng.randint(-3, 3), cb)
+        prod = x * y
+        n = min(pa, pb)
+        assert prod.prec == n and prod.val == x.val + y.val
+        assert list(prod.coeffs) == schoolbook_mul(base, ca, cb, n)
+        inv = x.inverse()
+        assert inv.prec == pa and inv.val == -x.val
+        assert list(inv.coeffs) == recurrence_inverse(base, ca, pa)
+
+
+def test_laurent_mul_by_approximate_zero_keeps_its_bound():
+    base = ff_ctx_q(9)
+    x = LaurentSeries(base, 8, 2, [base.gen()] * 8)
+    z = LaurentSeries.zero(base, 8, 5)  # known to vanish below t^5 only
+    for prod in (x * z, z * x):
+        assert prod.is_zero() and prod.zero_prec == 7 and prod.prec == 8
+    zz = z * LaurentSeries.zero(base, 6, 3)
+    assert zz.is_zero() and zz.zero_prec == 8 and zz.prec == 6
+    assert (x * LaurentSeries.zero(base, 8)).zero_prec is None
+
+
+@pytest.mark.parametrize("prec", [1, 8, 35])  # 35: Hensel work at prec 16
+@pytest.mark.parametrize("q", [2, 3, 9, 256, 65537])
+def test_laurent_unit_times_inverse_is_one_at_precision(q, prec):
+    base = ff_ctx_q(q)
+    rng = random.Random(prec * q)
+    for _ in range(3):
+        coeffs = [base.random_nonzero(rng)] + \
+            _random_coeffs(base, rng, prec - 1, 0.3)
+        x = LaurentSeries(base, prec, rng.randint(-2, 2), coeffs)
+        one = x * x.inverse()
+        assert one.is_one() and one.prec == prec
+
+
 def test_laurent_residue_of_unit():
     L = laurent_ctx(9, 6)
     x = L.from_int(2) + L.uniformizer()
@@ -148,6 +257,18 @@ def test_padic_parse_serialize_round_trip():
     x = p.from_int(3 * 49)
     assert p.parse(x.serialize()) == x
     assert p.parse(p.zero().serialize()).is_zero()
+
+
+@pytest.mark.parametrize("ctx,text", [
+    (laurent_ctx(9, 8), "laurent(9,8):t^0*(1,,2)"),
+    (laurent_ctx(9, 8), "laurent(9,8):t^0*(9)"),
+    (laurent_ctx(9, 8), "laurent(9,0):t^0*(1)"),
+    (padic_ctx(5, 8), "padic(5,8):10*p^0"),
+    (padic_ctx(5, 8), "padic(5,0):3*p^0"),
+])
+def test_malformed_element_text_is_a_pattern_mismatch(ctx, text):
+    with pytest.raises(PatternMismatch):
+        ctx.parse(text)
 
 
 # --- Hensel, Teichmuller, principal-unit roots ----------------------------

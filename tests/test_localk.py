@@ -10,6 +10,7 @@ from milnorforge.arith.padic import PadicNumber
 from milnorforge.errors import (
     BadInput,
     BadModulus,
+    PatternMismatch,
     PiEntryPresent,
     PrecisionTooLow,
     SelfCheckFailed,
@@ -144,6 +145,47 @@ def test_certificate_serialization_round_trip():
     cert2 = parse_certificate(text)
     assert verify_certificate(cert2).ok
     assert serialize_certificate(cert2) == text
+
+
+def _cert_text(seed=23):
+    ctx = padic_ctx(5, 8)
+    a = symbol(ctx, [ctx.random_unit(random.Random(seed)) for _ in range(2)])
+    back = lift_mod_m(ctx, reduce_mod_m(ctx, a, 3), 3)
+    return serialize_certificate(divisibility_witness(ctx, a - back, 3))
+
+
+def _edit_line(text, kind, edit):
+    """Apply edit to the first line starting with `kind `."""
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+    lines[i] = edit(lines[i])
+    return "\n".join(lines) + "\n", lines[i]
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("ell", lambda ln: "ell 3x"),
+    ("degree", lambda ln: "degree two"),
+    ("alpha", lambda ln: "alpha 1.5 ;" + ln.split(";", 1)[1]),
+    ("step", lambda ln: ln.replace(" 1 0 ;", " 1 0a ;", 1)),
+    ("step", lambda ln: ln.replace(" 1 0 ;", " one 0 ;", 1)),
+    ("step", lambda ln: ln.replace(" 1 0 ;", " 1 5 ;", 1)),
+    ("step", lambda ln: ln.replace("BILINEAR_EXPAND", "SWAP", 1)),
+    ("ctx", lambda ln: "ctx padic(5,8"),
+])
+def test_malformed_certificate_line_is_named(kind, edit):
+    text, line = _edit_line(_cert_text(), kind, edit)
+    with pytest.raises(PatternMismatch) as info:
+        parse_certificate(text)
+    assert repr(line) in str(info.value)
+
+
+def test_certificate_without_ctx_line_is_rejected():
+    text = "".join(ln for ln in _cert_text().splitlines(keepends=True)
+                   if not ln.startswith("ctx "))
+    with pytest.raises(PatternMismatch, match="ctx"):
+        parse_certificate(text)
+    with pytest.raises(PatternMismatch, match="ctx"):
+        parse_certificate("divcert v1\nell 3\ndegree 2\n")
 
 
 def test_tampered_certificate_is_rejected():

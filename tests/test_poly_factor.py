@@ -126,3 +126,24 @@ def test_eval_and_compose_agree():
     for n in range(7):
         x = k.from_int(n)
         assert h.eval(x) == f.eval(g.eval(x))
+
+
+_LOSE_A_FACTOR = """
+import traceback
+from milnorforge.arith import factor
+from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.errors import SelfCheckFailed
+real = factor._factor_squarefree
+factor._factor_squarefree = lambda f, rng: real(f, rng)[:-1]
+try:
+    factor.poly_factor(Poly.from_ints(ff_ctx(3), [0, 1, 1]))  # X (X + 1)
+except SelfCheckFailed as e:
+    print("raised in", traceback.extract_tb(e.__traceback__)[-1].name, e)
+"""
+
+
+def test_factorization_remultiply_check_runs_under_python_O(run_python_O):
+    out = run_python_O(_LOSE_A_FACTOR)
+    assert out.returncode == 0, out.stderr
+    assert "raised in poly_factor factorization failed" in out.stdout

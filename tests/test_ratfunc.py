@@ -146,3 +146,26 @@ def test_square_roots():
     r = ratfunc_sqrt(t * t)
     assert r * r == t * t
     assert ratfunc_sqrt(t) is None
+
+
+_WRONG_POWERS = """
+import traceback
+from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.errors import SelfCheckFailed
+from milnorforge.ratfunc import RatFuncCtx, monic_irreducible_factors
+f = Poly.from_ints(RatFuncCtx(ff_ctx(3)), [1, -2, 1])  # (X - 1)^2 over F_3(t)
+real = Poly.__pow__
+Poly.__pow__ = lambda self, k: real(self, min(k, 1))  # squares come out wrong
+try:
+    monic_irreducible_factors(f)
+except SelfCheckFailed as e:
+    print("raised in", traceback.extract_tb(e.__traceback__)[-1].name, e)
+"""
+
+
+def test_factorization_remultiply_check_runs_under_python_O(run_python_O):
+    out = run_python_O(_WRONG_POWERS)
+    assert out.returncode == 0, out.stderr
+    assert ("raised in monic_irreducible_factors factorization failed"
+            in out.stdout)
