@@ -272,10 +272,6 @@ class FiniteFieldCtx:
         db = _enc_digits(b, p, f)
         return _digits_enc([(x + y) % p for x, y in zip(da, db)], p)
 
-    def neg_enc(self, a: int) -> int:
-        p, f = self.p, self.f
-        return _digits_enc([(-x) % p for x in _enc_digits(a, p, f)], p)
-
     def pow_enc(self, a: int, k: int) -> int:
         res = 1
         base = a

@@ -142,6 +142,13 @@ class LocalFieldCtx:
             return PadicNumber(self.p, self.prec, 0, c.as_int())
         return LaurentSeries.constant(c, self.prec)
 
+    def valuation(self, x) -> int:
+        return x.val
+
+    def unit_part(self, x):
+        """u with x = u * pi^v(x)."""
+        return unit_decompose(x)[1]
+
     def is_principal_unit(self, x) -> bool:
         """Unit congruent to 1 mod the maximal ideal (the subgroup U_1)."""
         return (not x.is_zero()) and x.val == 0 and self.residue(x).is_one()

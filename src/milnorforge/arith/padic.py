@@ -58,12 +58,6 @@ class PadicNumber:
             val += 1
         return cls(p, prec, val, n)
 
-    @classmethod
-    def from_rational(cls, p: int, prec: int, num: int, den: int) -> "PadicNumber":
-        a = cls.from_int(p, prec, num)
-        b = cls.from_int(p, prec, den)
-        return a / b
-
     # --- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -78,12 +72,6 @@ class PadicNumber:
     @property
     def modulus(self) -> int:
         return self.p ** self.prec
-
-    def residue_int(self) -> int:
-        """Unit residue mod p; requires valuation 0."""
-        if self.val != 0:
-            raise NotAUnit("residue of a non-unit")
-        return self.unit % self.p
 
     # --- arithmetic -------------------------------------------------------
 

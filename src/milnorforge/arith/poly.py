@@ -149,9 +149,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     def __pow__(self, k: int) -> "Poly":
         res = Poly.one(self.ctx)
         base = self
@@ -186,12 +183,6 @@ class Poly:
         acc = self.ctx.zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, other: "Poly") -> "Poly":
-        acc = Poly.zero(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(self.ctx, c)
         return acc
 
     def map_coeffs(self, fn, new_ctx=None) -> "Poly":

@@ -20,6 +20,7 @@ from .arith.factor import is_irreducible
 from .arith.finite_field import FiniteFieldCtx
 from .arith.poly import Poly
 from .errors import (
+    BadInput,
     ContextMismatch,
     DegreeTooLarge,
     EliminationFailed,
@@ -55,15 +56,11 @@ def class_to_unit(a: MilnorClass):
 
     K_1 of a field is the unit group itself, so this loses nothing.
     """
-    assert a.degree == 1
+    if a.degree != 1:
+        raise BadInput(f"a unit needs a degree-1 class, got degree {a.degree}")
     out = a.ctx.one()
     for t in a.terms:
-        e = t.entries[0]
-        c = t.coeff
-        if c < 0:
-            e, c = e.inverse(), -c
-        for _ in range(c):
-            out = out * e
+        out = out * t.entries[0] ** t.coeff
     return out
 
 
@@ -100,9 +97,6 @@ class ResidueVector:
 
     def places(self) -> list[Place]:
         return [p for p, _ in self.finite.values()]
-
-    def finite_is_zero(self) -> bool:
-        return not self.finite
 
     def same_finite(self, other: "ResidueVector") -> bool:
         keys = set(self.finite) | set(other.finite)
@@ -163,7 +157,8 @@ def residue_vector(a: MilnorClass, with_infinity: bool = True) -> ResidueVector:
 def reciprocity_check(a: MilnorClass) -> bool:
     """Weil reciprocity for a degree-2 class: the product over all places
     of N_{kappa(P)/k}(residue) is 1 in k^x."""
-    assert a.degree == 2
+    if a.degree != 2:
+        raise BadInput(f"reciprocity is checked in degree 2, got {a.degree}")
     rv = residue_vector(a, with_infinity=True)
     k_ctx = a.ctx.base
     prod = k_ctx.one()
@@ -189,7 +184,9 @@ def bt_section(v: ResidueVector) -> MilnorClass:
     new residues it introduces live at places of strictly smaller degree.
     """
     F = v.F
-    assert v.degree == 1, "section implemented for unit-valued vectors"
+    if v.degree != 1:
+        raise BadInput("the section is implemented for unit-valued residue "
+                       f"vectors (degree 1), got degree {v.degree}")
     target = {k: (p, class_to_unit(c)) for k, (p, c) in v.finite.items()}
     out = MilnorClass.zero(F, 2)
     budget = BT_CORRECTION_BUDGET

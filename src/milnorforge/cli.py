@@ -22,13 +22,10 @@ from .arith.local import (
     LocalFieldCtx,
     laurent_ctx,
     padic_ctx,
-    principal_unit_root,
-    teichmuller,
 )
 from .arith.poly import Poly
 from .bass_tate import (
     bt_section,
-    class_to_unit,
     functoriality_check,
     k_equal,
     norm,
@@ -37,10 +34,10 @@ from .bass_tate import (
     residue_vector,
     tower_is_primitive,
 )
-from .errors import BadInput, MilnorForgeError, MixedCharRejected, UnknownSuite
+from .errors import BadInput, MilnorForgeError
 from .localk import (
     divisibility_witness,
-    generator_form,
+    gersten_check,
     hilbert,
     lift_mod_m,
     parse_certificate,
@@ -57,20 +54,17 @@ from .rational_ring import (
     base_change_roundtrip,
     delta_kernel_check,
     is_unit,
-    random_ratring_elem,
     residue_map,
     s_member,
 )
 from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
 
 DEFAULT_PRECISION = 8
-DEFAULT_BOUNDS = {"maxq": 16, "maxdeg": 3, "oracleprec": 8}
-SUITE_NAMES = ("STEINBERG", "HILBERT_TABLE", "RECIPROCITY",
-               "CERTIFICATES", "FF_KGROUPS")
+DEFAULT_BOUNDS = {"maxq": 16, "oracleprec": 8}
 
 
 def read_bounds() -> dict:
-    """Bounds from MILNOR_FORGE_BOUNDS (`maxq=...,maxdeg=...,oracleprec=...`)."""
+    """Bounds from MILNOR_FORGE_BOUNDS (`maxq=...,oracleprec=...`)."""
     out = dict(DEFAULT_BOUNDS)
     raw = os.environ.get("MILNOR_FORGE_BOUNDS", "")
     for piece in raw.split(","):
@@ -397,11 +391,11 @@ def cmd_hilbert(args, rep: Report):
             value=hilbert(ctx, a, b))
 
 
-def cmd_qf_oracle(args, rep: Report, bounds):
+def cmd_qf_oracle(args, rep: Report):
     ctx = _local_ctx(args)
     a = parse_local_element(ctx, args.a)
     b = parse_local_element(ctx, args.b)
-    solvable = qf_oracle(ctx, a, b, search_precision=bounds["oracleprec"])
+    solvable = qf_oracle(ctx, a, b, search_precision=args.bounds["oracleprec"])
     rep.add(True, op="qf_oracle", a=args.a, b=args.b,
             solvable=str(solvable).lower())
 
@@ -460,10 +454,10 @@ def _sample_irreducible(F: RatFuncCtx, rng, degree: int) -> Poly:
                 continue
 
 
-def cmd_check_reciprocity(args, rep: Report, rng):
+def cmd_check_reciprocity(args, rep: Report):
     F = _ratfunc_ctx(args)
     for i in range(args.samples):
-        ents = [F.random_nonzero(rng, 2) for _ in range(2)]
+        ents = [F.random_nonzero(args.rng, 2) for _ in range(2)]
         a = symbol(F, ents)
         ok1 = reciprocity_check(a)
         v = residue_vector(a)
@@ -475,7 +469,8 @@ def cmd_check_reciprocity(args, rep: Report, rng):
                 section_round_trip=str(ok2).lower(), **fields)
 
 
-def cmd_check_projection(args, rep: Report, rng):
+def cmd_check_projection(args, rep: Report):
+    rng = args.rng
     F = _ratfunc_ctx(args)
     for i in range(args.samples):
         pi = _sample_irreducible(F, rng, 2)
@@ -490,7 +485,8 @@ def cmd_check_projection(args, rep: Report, rng):
         rep.add(ok, **fields)
 
 
-def cmd_check_tower(args, rep: Report, rng):
+def cmd_check_tower(args, rep: Report):
+    rng = args.rng
     F = _ratfunc_ctx(args)
     base = F.base
     done, tries = 0, 0
@@ -556,7 +552,8 @@ def cmd_delta_check(args, rep: Report):
             in_kernel=str(delta_kernel_check(a)).lower())
 
 
-def cmd_base_change_check(args, rep: Report, rng):
+def cmd_base_change_check(args, rep: Report):
+    rng = args.rng
     A = _local_ctx(args)
     if args.pi:
         pi = Poly(A, [A.from_int(int(c)) for c in args.pi.split(";")])
@@ -589,143 +586,9 @@ def cmd_base_change_check(args, rep: Report, rng):
 # --------------------------------------------------------------------------
 
 
-def _kappa_vector(kappa, a: MilnorClass):
-    """Coordinates of a kappa-class in K^M_deg(kappa) (degree 0 = Z)."""
-    if a.degree == 0:
-        return [sum(t.coeff for t in a.terms)]
-    return ff_kgroup(kappa.q, a.degree).vector_of(a)
-
-
-def _kappa_congruent(kappa, a: MilnorClass, b: MilnorClass, m: int) -> bool:
-    """a = b in K^M_deg(kappa) / m."""
-    va, vb = _kappa_vector(kappa, a), _kappa_vector(kappa, b)
-    if a.degree == 0:
-        return (va[0] - vb[0]) % m == 0
-    if a.degree >= 2:
-        return True  # the group itself is trivial
-    modulus = __import__("math").gcd(m, kappa.q - 1)
-    return (va[0] - vb[0]) % max(modulus, 1) == 0
-
-
-def _random_kappa_class(kappa, degree: int, rng) -> MilnorClass:
-    if degree == 0:
-        return MilnorClass(kappa, 0, [SymbolTerm(rng.randrange(1, 5), ())])
-    ents = [kappa.from_exp(rng.randrange(max(kappa.q - 1, 1)))
-            for _ in range(degree)]
-    return MilnorClass(kappa, degree, [SymbolTerm(1, ents)])
-
-
-def _section_class(ctx: LocalFieldCtx, c: MilnorClass) -> MilnorClass:
-    """s(c) = {pi} * Teichmuller lifts; a section of the tame symbol."""
-    pi = ctx.uniformizer()
-    terms = []
-    for t in c.terms:
-        lifts = [teichmuller(ctx, ctx.lift_residue(e)) for e in t.entries]
-        terms.append(SymbolTerm(t.coeff, [pi] + lifts))
-    return MilnorClass(ctx, c.degree + 1, terms)
-
-
-def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
-                  rng) -> list:
-    """Exactness legs of 0 -> K_n(O)/m -> K_n(F)/m -> K_{n-1}(kappa)/m -> 0
-    on sampled classes: tame kills unit symbols, the section hits every
-    sampled kappa-class, and constructed tame-kernel classes are exhibited
-    in pure-unit form modulo m.
-    """
-    if ctx.model != LAURENT:
-        raise MixedCharRejected(
-            "gersten-check is equicharacteristic only: the Q_p statement in "
-            "degree >= 3 is theory-backed, not desk-checked")
-    if m < 2 or m % ctx.p == 0:
-        raise BadInput(f"modulus {m} must be >= 2 and coprime to p")
-    kappa = ctx.residue_field
-    out = []
-    for i in range(samples):
-        # leg 1: tame o iota = 0 on unit symbols
-        b = symbol(ctx, [ctx.random_unit(rng) for _ in range(n)]) \
-            if n >= 1 else MilnorClass.unit(ctx)
-        leg1 = tame(ctx, b).is_zero() if n >= 1 else True
-
-        # leg 2: the section hits the sampled kappa-class
-        c = _random_kappa_class(kappa, n - 1, rng) if n >= 1 else None
-        if n >= 1:
-            sc = _section_class(ctx, c)
-            leg2 = _kappa_congruent(kappa, tame(ctx, sc), c, m)
-        else:
-            leg2 = True
-
-        # leg 3: a constructed tame-kernel class has pure-unit form mod m
-        leg3, kernel_kind = _kernel_leg(ctx, n, m, rng)
-        out.append((i, leg1, leg2, leg3, kernel_kind,
-                    b.serialize() if n >= 1 else "1"))
-    return out
-
-
-def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
-    """Build a class with tame image 0 mod m and exhibit its pure-unit
-    form: the pi-carrying part is m-divisible (Teichmuller order, Hensel
-    roots of principal units) or a Steinberg relator."""
-    kappa = ctx.residue_field
-    pi = ctx.uniformizer()
-    if n == 1:
-        # a = u * pi^(m*j): residue of tame is m*j = 0 mod m, and
-        # a = {u} + m*j*{pi} splits off the unit part exactly
-        j = rng.randrange(1, 3)
-        u = ctx.random_unit(rng)
-        a = symbol(ctx, [u * pi ** (m * j)])
-        g = generator_form(ctx, a)
-        unit_part = [t for t in g.terms if t.entries[0] != pi]
-        pi_part = [t for t in g.terms if t.entries[0] == pi]
-        if u.is_one():
-            # {1} is the trivial symbol, so no unit term survives
-            unit_ok = not unit_part
-        else:
-            unit_ok = len(unit_part) == 1 and unit_part[0].entries[0] == u
-        ok = (_kappa_congruent(kappa, tame(ctx, a),
-                               MilnorClass(kappa, 0, []), m)
-              and unit_ok
-              and sum(t.coeff for t in pi_part) == m * j)
-        return ok, "valuation"
-    if n == 2:
-        # a = iota(b) + m*alpha*{pi, w} + {pi, principal unit}
-        alpha = rng.randrange(1, 3)
-        w = teichmuller(ctx, ctx.lift_residue(
-            kappa.from_exp(rng.randrange(max(kappa.q - 1, 1)))))
-        pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
-        root = principal_unit_root(ctx, pu, m)
-        a = symbol(ctx, [pi, w]).scale(m * alpha) + symbol(ctx, [pi, pu])
-        kernel = _kappa_congruent(kappa, tame(ctx, a),
-                                  MilnorClass(kappa, 1, []), m)
-        ok = kernel and (root ** m) == pu
-        return ok, "hensel"
-    # n == 3: {pi, x, 1-x} with exact Steinberg entries via Teichmuller;
-    # over F_2 no such pair exists in kappa, so use a Hensel root of a
-    # principal unit instead: {pi, u, pu} = m * {pi, u, pu^(1/m)}
-    if kappa.q == 2:
-        u = ctx.random_unit(rng)
-        pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
-        root = principal_unit_root(ctx, pu, m)
-        a = symbol(ctx, [pi, u, pu])
-        kernel = _kappa_congruent(kappa, tame(ctx, a),
-                                  MilnorClass(kappa, 2, []), m)
-        return kernel and (root ** m) == pu, "hensel"
-    while True:
-        xbar = kappa.from_exp(rng.randrange(kappa.q - 1))
-        if not (ctx.one() - teichmuller(
-                ctx, ctx.lift_residue(xbar))).is_zero():
-            break
-    x = teichmuller(ctx, ctx.lift_residue(xbar))
-    y = ctx.one() - x
-    a = symbol(ctx, [pi, x, y])
-    kernel = tame(ctx, a).is_zero() or _kappa_congruent(
-        kappa, tame(ctx, a), MilnorClass(kappa, 2, []), m)
-    steinberg = (x + y).is_one() and not y.is_zero()
-    return kernel and steinberg, "steinberg"
-
-
-def cmd_gersten_check(args, rep: Report, rng):
+def cmd_gersten_check(args, rep: Report):
     ctx = _local_ctx(args)
-    results = gersten_check(ctx, args.n, args.m, args.samples, rng)
+    results = gersten_check(ctx, args.n, args.m, args.samples, args.rng)
     for i, leg1, leg2, leg3, kind, sample in results:
         ok = leg1 and leg2 and leg3
         fields = {"op": "gersten_check", "index": i, "n": args.n,
@@ -847,10 +710,8 @@ SUITES = {
 }
 
 
-def cmd_suite(args, rep: Report, rng, bounds):
-    if args.name not in SUITES:
-        raise UnknownSuite(f"suite {args.name!r}; known: {SUITE_NAMES}")
-    SUITES[args.name](rep, rng, bounds)
+def cmd_suite(args, rep: Report):
+    SUITES[args.name](rep, args.rng, args.bounds)
 
 
 # --------------------------------------------------------------------------
@@ -872,67 +733,78 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the report (or certificate) to this file")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    sp = sub.add_parser("ff-kgroup", help="invariant factors of K^M_n(F_q)")
+    def verb(name, func, **kw):
+        sp = sub.add_parser(name, **kw)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = verb("ff-kgroup", cmd_ff_kgroup, help="invariant factors of K^M_n(F_q)")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    for verb, hlp in (("tame", "tame symbol of a class"),
-                      ("reduce", "entrywise residue of a unit class mod m"),
-                      ("lift", "Teichmuller lift of a residue class mod m"),
-                      ("divide", "divisibility witness for ell | class"),
-                      ("delta-check", "delta-kernel membership over A(t)")):
-        sp = sub.add_parser(verb, help=hlp)
+    for name, func, hlp in (
+            ("tame", cmd_tame, "tame symbol of a class"),
+            ("reduce", cmd_reduce, "entrywise residue of a unit class mod m"),
+            ("lift", cmd_lift, "Teichmuller lift of a residue class mod m"),
+            ("divide", cmd_divide, "divisibility witness for ell | class"),
+            ("delta-check", cmd_delta_check,
+             "delta-kernel membership over A(t)")):
+        sp = verb(name, func, help=hlp)
         sp.add_argument("symbol", help="e.g. '{2,3}' or 'deg:2 {pi,2}'")
-        if verb == "reduce" or verb == "lift":
+        if name == "reduce" or name == "lift":
             sp.add_argument("--m", type=int, required=True)
-        if verb == "divide":
+        if name == "divide":
             sp.add_argument("--ell", type=int, required=True)
 
-    sp = sub.add_parser("verify-cert", help="replay a certificate file")
+    sp = verb("verify-cert", cmd_verify_cert, help="replay a certificate file")
     sp.add_argument("file")
 
-    for verb in ("hilbert", "qf-oracle"):
-        sp = sub.add_parser(verb)
+    for name, func in (("hilbert", cmd_hilbert), ("qf-oracle", cmd_qf_oracle)):
+        sp = verb(name, func)
         sp.add_argument("a")
         sp.add_argument("b")
 
-    for verb, hlp in (("residues", "residue vector of a K_2 class"),
-                      ("section", "Bass-Tate section of the residue vector")):
-        sp = sub.add_parser(verb, help=hlp)
+    for name, func, hlp in (
+            ("residues", cmd_residues, "residue vector of a K_2 class"),
+            ("section", cmd_section, "Bass-Tate section of the residue vector")):
+        sp = verb(name, func, help=hlp)
         sp.add_argument("symbol", help="e.g. '{t,t+-1}' over ratfunc:q")
 
-    sp = sub.add_parser("norm", help="norm along a simple extension")
+    sp = verb("norm", cmd_norm, help="norm along a simple extension")
     sp.add_argument("--pi", required=True,
                     help="monic poly in X: `;`-separated coefficients, "
                          "low first, e.g. '-1*t;0;1' for X^2 - t")
     sp.add_argument("symbol",
                     help="entries are X-polys: '{0;1}' is {theta}")
 
-    for verb in ("check-reciprocity", "check-projection", "check-tower"):
-        sp = sub.add_parser(verb)
+    for name, func in (("check-reciprocity", cmd_check_reciprocity),
+                       ("check-projection", cmd_check_projection),
+                       ("check-tower", cmd_check_tower)):
+        sp = verb(name, func)
         sp.add_argument("--samples", type=int, default=20)
 
-    sp = sub.add_parser("s-member", help="S-membership of a polynomial")
+    sp = verb("s-member", cmd_s_member, help="S-membership of a polynomial")
     sp.add_argument("poly")
     sp.add_argument("--vars", type=int, default=1, choices=(1, 2))
-    sp = sub.add_parser("ratring-unit", help="unit test in A(t...)")
+    sp = verb("ratring-unit", cmd_ratring_unit, help="unit test in A(t...)")
     sp.add_argument("elem")
     sp.add_argument("--vars", type=int, default=1, choices=(1, 2))
-    sp = sub.add_parser("ratring-residue", help="residue map A(t) -> kappa(t)")
+    sp = verb("ratring-residue", cmd_ratring_residue,
+              help="residue map A(t) -> kappa(t)")
     sp.add_argument("elem")
 
-    sp = sub.add_parser("base-change-check")
+    sp = verb("base-change-check", cmd_base_change_check)
     sp.add_argument("--pi", default="",
                     help="`;`-separated integer coefficients, low first")
     sp.add_argument("--samples", type=int, default=5)
 
-    sp = sub.add_parser("gersten-check")
+    sp = verb("gersten-check", cmd_gersten_check)
     sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = sub.add_parser("suite")
-    sp.add_argument("name", choices=SUITE_NAMES)
+    sp = verb("suite", cmd_suite)
+    sp.add_argument("name", choices=list(SUITES))
     return p
 
 
@@ -943,52 +815,11 @@ def _add_failure(rep: Report, verb: str, e: MilnorForgeError):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    rng = random.Random(args.seed)
     rep = Report(args.verb, args.seed)
+    args.rng = random.Random(args.seed)
     try:
-        bounds = read_bounds()
-        if args.verb == "ff-kgroup":
-            cmd_ff_kgroup(args, rep)
-        elif args.verb == "tame":
-            cmd_tame(args, rep)
-        elif args.verb == "reduce":
-            cmd_reduce(args, rep)
-        elif args.verb == "lift":
-            cmd_lift(args, rep)
-        elif args.verb == "divide":
-            cmd_divide(args, rep)
-        elif args.verb == "verify-cert":
-            cmd_verify_cert(args, rep)
-        elif args.verb == "hilbert":
-            cmd_hilbert(args, rep)
-        elif args.verb == "qf-oracle":
-            cmd_qf_oracle(args, rep, bounds)
-        elif args.verb == "residues":
-            cmd_residues(args, rep)
-        elif args.verb == "section":
-            cmd_section(args, rep)
-        elif args.verb == "norm":
-            cmd_norm(args, rep)
-        elif args.verb == "check-reciprocity":
-            cmd_check_reciprocity(args, rep, rng)
-        elif args.verb == "check-projection":
-            cmd_check_projection(args, rep, rng)
-        elif args.verb == "check-tower":
-            cmd_check_tower(args, rep, rng)
-        elif args.verb == "s-member":
-            cmd_s_member(args, rep)
-        elif args.verb == "ratring-unit":
-            cmd_ratring_unit(args, rep)
-        elif args.verb == "ratring-residue":
-            cmd_ratring_residue(args, rep)
-        elif args.verb == "delta-check":
-            cmd_delta_check(args, rep)
-        elif args.verb == "base-change-check":
-            cmd_base_change_check(args, rep, rng)
-        elif args.verb == "gersten-check":
-            cmd_gersten_check(args, rep, rng)
-        elif args.verb == "suite":
-            cmd_suite(args, rep, rng, bounds)
+        args.bounds = read_bounds()
+        args.func(args, rep)
     except MilnorForgeError as e:
         _add_failure(rep, args.verb, e)
     text = rep.render(args.format)

@@ -53,14 +53,6 @@ class ContextMismatch(MilnorForgeError):
     pass
 
 
-class FactorizationMismatch(MilnorForgeError):
-    pass
-
-
-class BadPosition(MilnorForgeError):
-    pass
-
-
 class PatternMismatch(MilnorForgeError):
     pass
 
@@ -127,15 +119,12 @@ class ResidueReducible(MilnorForgeError):
     pass
 
 
-# --- cli ---
+# --- input at the trust boundaries ---
 
 class MixedCharRejected(MilnorForgeError):
     pass
 
 
-class UnknownSuite(MilnorForgeError):
-    pass
-
-
 class BadInput(MilnorForgeError):
-    """Command-line input that cannot be parsed or is out of contract."""
+    """Input that cannot be parsed or is out of contract, such as a class
+    whose degree an operation does not accept."""

@@ -1,5 +1,6 @@
 """Milnor K-theory of local fields: tame symbol, mod-m reduction and
-lifting, machine-checkable divisibility certificates, Hilbert symbols.
+lifting, the sampled exactness check of the tame sequence,
+machine-checkable divisibility certificates, Hilbert symbols.
 
 The divisibility certificates are the heart of the module.  A certificate
 claims alpha = ell*beta + sum of relator applications inside the free
@@ -28,6 +29,7 @@ from .errors import (
     BadModulus,
     BadPrime,
     ContextMismatch,
+    MixedCharRejected,
     NonUnitEntry,
     PatternMismatch,
     PiEntryPresent,
@@ -37,7 +39,7 @@ from .errors import (
     ZeroInput,
 )
 from .snf import NOT_IN_SUBGROUP
-from .symbols import MilnorClass, SymbolTerm, ff_kgroup
+from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol, tame_rewrite
 
 # --------------------------------------------------------------------------
 # generator form and the tame symbol
@@ -45,68 +47,28 @@ from .symbols import MilnorClass, SymbolTerm, ff_kgroup
 
 
 def generator_form(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
-    """Rewrite a class so every term is {pi,u_2,...,u_n} or all units.
-
-    Each entry x splits as u*pi^k by multilinearity; repeated pi's are
-    merged with {pi,pi} = {pi,-1}; a single remaining pi is swapped to the
-    front (each transposition flips the sign).  Terms acquiring an entry 1
-    are dropped: {1,...} = 0.
-    """
-    pi = ctx.uniformizer()
-    done: list[SymbolTerm] = []
-    work = [(t.coeff, t.entries) for t in a.terms]
-    while work:
-        c, ent = work.pop()
-        if c == 0:
-            continue
-        if any(e.is_one() for e in ent):
-            continue
-        # split one non-unit, non-pi entry
-        split_at = None
-        for i, e in enumerate(ent):
-            if e.val != 0 and e != pi:
-                split_at = i
-                break
-        if split_at is not None:
-            k, u = unit_decompose(ent[split_at])
-            if not u.is_one():
-                work.append((c, ent[:split_at] + (u,) + ent[split_at + 1:]))
-            if k != 0:
-                work.append((c * k, ent[:split_at] + (pi,) + ent[split_at + 1:]))
-            continue
-        pis = [i for i, e in enumerate(ent) if e == pi]
-        if len(pis) >= 2:
-            i, j = pis[0], pis[1]
-            # drag position j next to i, then {pi,pi} -> {pi,-1}
-            moved = list(ent)
-            for k2 in range(j, i + 1, -1):
-                moved[k2], moved[k2 - 1] = moved[k2 - 1], moved[k2]
-            sign = -1 if (j - i - 1) % 2 else 1
-            moved[i + 1] = ctx.minus_one()
-            work.append((c * sign, tuple(moved)))
-            continue
-        if len(pis) == 1 and pis[0] != 0:
-            i = pis[0]
-            moved = (pi,) + ent[:i] + ent[i + 1:]
-            sign = -1 if i % 2 else 1
-            done.append(SymbolTerm(c * sign, moved))
-            continue
-        done.append(SymbolTerm(c, ent))
-    return MilnorClass(ctx, a.degree, done)
+    """Rewrite a class so every term is {pi,u_2,...,u_n} or all units
+    (symbols.tame_rewrite)."""
+    pi_terms, unit_terms = tame_rewrite(ctx, a)
+    return MilnorClass(ctx, a.degree, [SymbolTerm(c, ent)
+                                       for c, ent in pi_terms + unit_terms])
 
 
 def tame(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
-    """Tame symbol: {pi,u_2,...,u_n} -> {u_2 bar,...,u_n bar}, V_n -> 0."""
-    assert a.degree >= 1, "tame symbol needs degree >= 1"
+    """Tame symbol: {pi,u_2,...,u_n} -> {u_2 bar,...,u_n bar}, V_n -> 0.
+
+    A residue tail containing 1 is kept as written: {pi,6} over Q_5 gives
+    {1} in K_1(F_5), a zero class that still shows its term.
+    """
+    g = generator_form(ctx, a)
     pi = ctx.uniformizer()
-    kappa = ctx.residue_field
     out = []
-    for t in generator_form(ctx, a).terms:
+    for t in g.terms:
         if t.entries[0] == pi:
             out.append(SymbolTerm(t.coeff,
                                   [ctx.residue(e) for e in t.entries[1:]]))
         # pure-unit terms die
-    return MilnorClass(kappa, a.degree - 1, out)
+    return MilnorClass(ctx.residue_field, a.degree - 1, out)
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +96,145 @@ def lift_mod_m(ctx: LocalFieldCtx, b: MilnorClass, m: int) -> MilnorClass:
     _check_modulus(ctx, m)
     return b.map_entries(
         lambda e: teichmuller(ctx, ctx.lift_residue(e)), new_ctx=ctx)
+
+
+# --------------------------------------------------------------------------
+# exactness of 0 -> K_n(O)/m -> K_n(F)/m -> K_{n-1}(kappa)/m -> 0 on samples
+# --------------------------------------------------------------------------
+
+
+def _kappa_vector(kappa, a: MilnorClass):
+    """Coordinates of a kappa-class in K^M_deg(kappa) (degree 0 = Z)."""
+    if a.degree == 0:
+        return [sum(t.coeff for t in a.terms)]
+    return ff_kgroup(kappa.q, a.degree).vector_of(a)
+
+
+def _kappa_congruent(kappa, a: MilnorClass, b: MilnorClass, m: int) -> bool:
+    """a = b in K^M_deg(kappa) / m."""
+    va, vb = _kappa_vector(kappa, a), _kappa_vector(kappa, b)
+    if a.degree == 0:
+        return (va[0] - vb[0]) % m == 0
+    if a.degree >= 2:
+        return True  # the group itself is trivial
+    modulus = math.gcd(m, kappa.q - 1)
+    return (va[0] - vb[0]) % max(modulus, 1) == 0
+
+
+def _random_kappa_class(kappa, degree: int, rng) -> MilnorClass:
+    if degree == 0:
+        return MilnorClass(kappa, 0, [SymbolTerm(rng.randrange(1, 5), ())])
+    ents = [kappa.from_exp(rng.randrange(max(kappa.q - 1, 1)))
+            for _ in range(degree)]
+    return MilnorClass(kappa, degree, [SymbolTerm(1, ents)])
+
+
+def _section_class(ctx: LocalFieldCtx, c: MilnorClass) -> MilnorClass:
+    """s(c) = {pi} * Teichmuller lifts; a section of the tame symbol."""
+    pi = ctx.uniformizer()
+    terms = []
+    for t in c.terms:
+        lifts = [teichmuller(ctx, ctx.lift_residue(e)) for e in t.entries]
+        terms.append(SymbolTerm(t.coeff, [pi] + lifts))
+    return MilnorClass(ctx, c.degree + 1, terms)
+
+
+def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
+                  rng) -> list:
+    """Exactness legs of 0 -> K_n(O)/m -> K_n(F)/m -> K_{n-1}(kappa)/m -> 0
+    on sampled classes: tame kills unit symbols, the section hits every
+    sampled kappa-class, and constructed tame-kernel classes are exhibited
+    in pure-unit form modulo m.
+    """
+    if ctx.model != LAURENT:
+        raise MixedCharRejected(
+            "gersten-check is equicharacteristic only: the Q_p statement in "
+            "degree >= 3 is theory-backed, not desk-checked")
+    if m < 2 or m % ctx.p == 0:
+        raise BadInput(f"modulus {m} must be >= 2 and coprime to p")
+    kappa = ctx.residue_field
+    out = []
+    for i in range(samples):
+        # leg 1: tame o iota = 0 on unit symbols
+        b = symbol(ctx, [ctx.random_unit(rng) for _ in range(n)]) \
+            if n >= 1 else MilnorClass.unit(ctx)
+        leg1 = tame(ctx, b).is_zero() if n >= 1 else True
+
+        # leg 2: the section hits the sampled kappa-class
+        c = _random_kappa_class(kappa, n - 1, rng) if n >= 1 else None
+        if n >= 1:
+            sc = _section_class(ctx, c)
+            leg2 = _kappa_congruent(kappa, tame(ctx, sc), c, m)
+        else:
+            leg2 = True
+
+        # leg 3: a constructed tame-kernel class has pure-unit form mod m
+        leg3, kernel_kind = _kernel_leg(ctx, n, m, rng)
+        out.append((i, leg1, leg2, leg3, kernel_kind,
+                    b.serialize() if n >= 1 else "1"))
+    return out
+
+
+def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
+    """Build a class with tame image 0 mod m and exhibit its pure-unit
+    form: the pi-carrying part is m-divisible (Teichmuller order, Hensel
+    roots of principal units) or a Steinberg relator."""
+    kappa = ctx.residue_field
+    pi = ctx.uniformizer()
+    if n == 1:
+        # a = u * pi^(m*j): residue of tame is m*j = 0 mod m, and
+        # a = {u} + m*j*{pi} splits off the unit part exactly
+        j = rng.randrange(1, 3)
+        u = ctx.random_unit(rng)
+        a = symbol(ctx, [u * pi ** (m * j)])
+        g = generator_form(ctx, a)
+        unit_part = [t for t in g.terms if t.entries[0] != pi]
+        pi_part = [t for t in g.terms if t.entries[0] == pi]
+        if u.is_one():
+            # {1} is the trivial symbol, so no unit term survives
+            unit_ok = not unit_part
+        else:
+            unit_ok = len(unit_part) == 1 and unit_part[0].entries[0] == u
+        ok = (_kappa_congruent(kappa, tame(ctx, a),
+                               MilnorClass(kappa, 0, []), m)
+              and unit_ok
+              and sum(t.coeff for t in pi_part) == m * j)
+        return ok, "valuation"
+    if n == 2:
+        # a = iota(b) + m*alpha*{pi, w} + {pi, principal unit}
+        alpha = rng.randrange(1, 3)
+        w = teichmuller(ctx, ctx.lift_residue(
+            kappa.from_exp(rng.randrange(max(kappa.q - 1, 1)))))
+        pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
+        root = principal_unit_root(ctx, pu, m)
+        a = symbol(ctx, [pi, w]).scale(m * alpha) + symbol(ctx, [pi, pu])
+        kernel = _kappa_congruent(kappa, tame(ctx, a),
+                                  MilnorClass(kappa, 1, []), m)
+        ok = kernel and (root ** m) == pu
+        return ok, "hensel"
+    # n == 3: {pi, x, 1-x} with exact Steinberg entries via Teichmuller;
+    # over F_2 no such pair exists in kappa, so use a Hensel root of a
+    # principal unit instead: {pi, u, pu} = m * {pi, u, pu^(1/m)}
+    if kappa.q == 2:
+        u = ctx.random_unit(rng)
+        pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
+        root = principal_unit_root(ctx, pu, m)
+        a = symbol(ctx, [pi, u, pu])
+        kernel = _kappa_congruent(kappa, tame(ctx, a),
+                                  MilnorClass(kappa, 2, []), m)
+        return kernel and (root ** m) == pu, "hensel"
+    while True:
+        xbar = kappa.from_exp(rng.randrange(kappa.q - 1))
+        if not (ctx.one() - teichmuller(
+                ctx, ctx.lift_residue(xbar))).is_zero():
+            break
+    x = teichmuller(ctx, ctx.lift_residue(xbar))
+    y = ctx.one() - x
+    a = symbol(ctx, [pi, x, y])
+    kernel = tame(ctx, a).is_zero() or _kappa_congruent(
+        kappa, tame(ctx, a), MilnorClass(kappa, 2, []), m)
+    steinberg = (x + y).is_one() and not y.is_zero()
+    return kernel and steinberg, "steinberg"
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,9 @@ RatFuncCtx is the field of fractions of Poly over any exact coefficient
 field, so the same class gives F_q(t) and, one level up, F(X) for
 F = F_q(t).  QuotCtx is the quotient field F[X]/(pi).  Places of a
 rational function field (monic irreducibles plus infinity) come with
-valuations, residue maps, and a per-place tame symbol engine on Milnor
-classes, which is everything the Bass-Tate constructions consume.
+valuations, residue maps, and the tame symbol at each place (through the
+shared symbols.tame_rewrite), which is everything the Bass-Tate
+constructions consume.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroElement,
 )
-from .symbols import MilnorClass, SymbolTerm
+from .symbols import MilnorClass, SymbolTerm, tame_rewrite
 
 # --------------------------------------------------------------------------
 # field of fractions of a polynomial ring
@@ -112,9 +113,6 @@ class RatFuncElem:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     def __add__(self, o):
         return RatFuncElem(self.ctx, self.num * o.den + o.num * self.den,
@@ -266,13 +264,14 @@ class QuotElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        res = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                res = res * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return self.ctx.one()
+        # left-to-right square and multiply: x ** 1 costs no product
+        res = self
+        for bit in bin(k)[3:]:
+            res = res * res
+            if bit == "1":
+                res = res * self
         return res
 
     def norm_to_base(self):
@@ -597,6 +596,8 @@ class Place:
             raise ZeroElement("zero has no valuation")
         if self.is_infinite:
             return x.den.degree - x.num.degree
+        if x.den.is_one() and x.num == self.poly:
+            return 1  # the uniformizer itself: no division needed
         return self._poly_val(x.num) - self._poly_val(x.den)
 
     def uniformizer(self) -> RatFuncElem:
@@ -613,6 +614,9 @@ class Place:
             return x.num.lc * x.den.lc.inverse()
         k = self.residue_ctx()
         return k.from_poly(x.num) * k.from_poly(x.den).inverse()
+
+    def minus_one(self) -> RatFuncElem:
+        return self.F.minus_one()
 
     def unit_part(self, x: RatFuncElem) -> RatFuncElem:
         """u with x = u * pi^v(x)."""
@@ -634,49 +638,15 @@ def support(x: RatFuncElem) -> list[Place]:
 def tame_at(place: Place, a: MilnorClass) -> MilnorClass:
     """Tame symbol of a class over F at one place: degree drops by one.
 
-    Same rewriting as the local-field case: split entries along
-    x = u*pi^k, merge repeated pi's with {pi,pi} = {pi,-1}, swap the
-    surviving pi to the front, take residues of the tail.
+    The rewrite is symbols.tame_rewrite, shared with localk.tame; the
+    residues of each {pi,u_2,...,u_n} tail form the image.  A tail with a
+    residue 1 is dropped, since the symbol is then trivial.
     """
-    F = place.F
-    pi = place.uniformizer()
     kctx = place.residue_ctx()
+    pi_terms, _ = tame_rewrite(place, a)
     out = []
-    work = [(t.coeff, t.entries) for t in a.terms]
-    while work:
-        c, ent = work.pop()
-        if c == 0 or any(e.is_one() for e in ent):
-            continue
-        split_at = None
-        for i, e in enumerate(ent):
-            if e != pi and place.valuation(e) != 0:
-                split_at = i
-                break
-        if split_at is not None:
-            k = place.valuation(ent[split_at])
-            u = place.unit_part(ent[split_at])
-            if not u.is_one():
-                work.append((c, ent[:split_at] + (u,) + ent[split_at + 1:]))
-            if k != 0:
-                work.append((c * k, ent[:split_at] + (pi,) + ent[split_at + 1:]))
-            continue
-        pis = [i for i, e in enumerate(ent) if e == pi]
-        if len(pis) >= 2:
-            i, j = pis[0], pis[1]
-            moved = list(ent)
-            for k2 in range(j, i + 1, -1):
-                moved[k2], moved[k2 - 1] = moved[k2 - 1], moved[k2]
-            sign = -1 if (j - i - 1) % 2 else 1
-            moved[i + 1] = F.minus_one()
-            work.append((c * sign, tuple(moved)))
-            continue
-        if len(pis) == 1:
-            i = pis[0]
-            sign = -1 if i % 2 else 1
-            tail = ent[:i] + ent[i + 1:]
-            res = [place.residue(e) for e in tail]
-            if any(r.is_one() for r in res):
-                continue  # a 1-entry makes the symbol trivial
-            out.append(SymbolTerm(c * sign, res))
-        # all-unit terms vanish under the tame symbol
+    for c, ent in pi_terms:
+        res = [place.residue(e) for e in ent[1:]]
+        if not any(r.is_one() for r in res):
+            out.append(SymbolTerm(c, res))
     return MilnorClass(kctx, a.degree - 1, out)

@@ -3,10 +3,13 @@
 A MilnorClass is a finite integer combination of symbols {x_1,...,x_n}
 with nonzero entries from one field context.  No general equality test is
 offered: classes are only compared through homomorphic images (finite
-field coordinates, residue vectors, pairings).  The rewriting moves here
-(bilinear expansion, swaps, the {x,-x} and {x,x} identities) all preserve
-the class and are exactly the step vocabulary of divisibility
-certificates.
+field coordinates, residue vectors, pairings).  The moves that rewrite a
+class and preserve it (bilinear expansion, swaps, the {x,-x} and {x,x}
+identities) are the step vocabulary of divisibility certificates; they
+live in localk.CertStep.
+
+tame_rewrite brings a class into generator form at one discrete
+valuation.  It is the one engine behind localk.tame and ratfunc.tame_at.
 
 ff_kgroup computes K^M_n of a finite field as an abelian-group
 presentation: T_n(F_q^x) is cyclic of order q-1 generated by g x...x g,
@@ -20,18 +23,14 @@ from functools import lru_cache
 
 from .arith.finite_field import ff_ctx_q
 from .errors import (
-    BadPosition,
+    BadInput,
     ContextMismatch,
     DegreeTooLarge,
-    FactorizationMismatch,
     FieldTooLarge,
     PatternMismatch,
     ZeroEntry,
 )
 from .snf import AbGroupPresentation
-
-MINUS_SELF = "MINUS_SELF"
-SELF_TO_MINUS_ONE = "SELF_TO_MINUS_ONE"
 
 FF_KGROUP_BOUND = 1 << 10
 FF_KGROUP_MAX_DEGREE = 4
@@ -169,61 +168,58 @@ def symbol(ctx, entries) -> MilnorClass:
     return MilnorClass(ctx, len(entries), (SymbolTerm(1, entries),))
 
 
-def product(a: MilnorClass, b: MilnorClass) -> MilnorClass:
-    return a * b
+def tame_rewrite(place, a: MilnorClass):
+    """The generator form of a class at one discrete valuation.
 
+    `place` answers uniformizer(), valuation(x), unit_part(x) and
+    minus_one(): a local field context or a place of a rational function
+    field.  Each entry x splits as u*pi^k by multilinearity; repeated pi's
+    are merged with {pi,pi} = {pi,-1}; a single remaining pi is swapped to
+    the front (each transposition flips the sign).  Terms acquiring an
+    entry 1 are dropped: {1,...} = 0.
 
-def expand_entry(a: MilnorClass, position: int, factorization) -> MilnorClass:
-    """Split entry at `position` of a single-term class along y*z = entry."""
-    t = a.single_term()
-    if not 0 <= position < t.degree:
-        raise BadPosition(f"position {position} out of range")
-    y, z = factorization
-    if not (y * z) == t.entries[position]:
-        raise FactorizationMismatch("y*z does not equal the entry")
-    e1 = t.entries[:position] + (y,) + t.entries[position + 1:]
-    e2 = t.entries[:position] + (z,) + t.entries[position + 1:]
-    return MilnorClass(a.ctx, a.degree,
-                       (SymbolTerm(t.coeff, e1), SymbolTerm(t.coeff, e2)))
-
-
-def swap(a: MilnorClass, i: int, j: int) -> MilnorClass:
-    """Transpose two entries; any transposition flips the sign."""
-    t = a.single_term()
-    if i == j or not (0 <= i < t.degree and 0 <= j < t.degree):
-        raise BadPosition(f"bad swap positions ({i}, {j})")
-    ent = list(t.entries)
-    ent[i], ent[j] = ent[j], ent[i]
-    return MilnorClass(a.ctx, a.degree, (SymbolTerm(-t.coeff, ent),))
-
-
-def is_steinberg_relator(t: SymbolTerm) -> bool:
-    """True iff two distinct entries sum to 1 (the defining relator)."""
-    n = t.degree
-    for i in range(n):
-        for j in range(n):
-            if i != j and (t.entries[i] + t.entries[j]).is_one():
-                return True
-    return False
-
-
-def apply_identity(a: MilnorClass, rule: str, position: int) -> MilnorClass:
-    """Adjacent-pair identities {x,-x} = 0 and {x,x} = {x,-1}."""
-    t = a.single_term()
-    if not 0 <= position < t.degree - 1:
-        raise BadPosition(f"no adjacent pair at position {position}")
-    x, y = t.entries[position], t.entries[position + 1]
-    if rule == MINUS_SELF:
-        if not (x + y).is_zero():
-            raise PatternMismatch("entries are not (x, -x)")
-        return MilnorClass.zero(a.ctx, a.degree)
-    if rule == SELF_TO_MINUS_ONE:
-        if not (x - y).is_zero():
-            raise PatternMismatch("entries are not (x, x)")
-        ent = t.entries[:position + 1] + (a.ctx.minus_one(),) \
-            + t.entries[position + 2:]
-        return MilnorClass(a.ctx, a.degree, (SymbolTerm(t.coeff, ent),))
-    raise PatternMismatch(f"unknown rule {rule!r}")
+    Returns (pi_terms, unit_terms): (coeff, entries) pairs, unmerged, in
+    the order the rewrite finishes them; pi_terms have pi in front.
+    """
+    if a.degree < 1:
+        raise BadInput(f"the tame symbol needs degree >= 1, got {a.degree}")
+    pi = place.uniformizer()
+    pi_terms, unit_terms = [], []
+    work = [(t.coeff, t.entries) for t in a.terms]
+    while work:
+        c, ent = work.pop()
+        if c == 0 or any(e.is_one() for e in ent):
+            continue
+        # split one non-unit, non-pi entry; the valuation is asked first
+        # because a local element stores it while comparing with pi
+        # subtracts (a Place answers its own pi without dividing)
+        split_at = next((i for i, e in enumerate(ent)
+                         if place.valuation(e) != 0 and e != pi), None)
+        if split_at is not None:
+            x = ent[split_at]
+            k, u = place.valuation(x), place.unit_part(x)
+            if not u.is_one():
+                work.append((c, ent[:split_at] + (u,) + ent[split_at + 1:]))
+            if k != 0:
+                work.append((c * k, ent[:split_at] + (pi,) + ent[split_at + 1:]))
+            continue
+        pis = [i for i, e in enumerate(ent) if e == pi]
+        if len(pis) >= 2:
+            i, j = pis[0], pis[1]
+            # drag position j next to i, then {pi,pi} -> {pi,-1}
+            moved = list(ent)
+            for k2 in range(j, i + 1, -1):
+                moved[k2], moved[k2 - 1] = moved[k2 - 1], moved[k2]
+            sign = -1 if (j - i - 1) % 2 else 1
+            moved[i + 1] = place.minus_one()
+            work.append((c * sign, tuple(moved)))
+        elif pis:
+            i = pis[0]
+            sign = -1 if i % 2 else 1
+            pi_terms.append((c * sign, (pi,) + ent[:i] + ent[i + 1:]))
+        else:
+            unit_terms.append((c, ent))
+    return pi_terms, unit_terms
 
 
 class FFKGroup:

@@ -22,10 +22,10 @@ from milnorforge.bass_tate import (
     reciprocity_check,
     residue_vector,
 )
-from milnorforge.cli import gersten_check
 from milnorforge.errors import ResidueReducible
 from milnorforge.localk import (
     divisibility_witness,
+    gersten_check,
     hilbert,
     lift_mod_m,
     qf_oracle,

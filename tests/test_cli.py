@@ -36,10 +36,11 @@ def test_make_field_kinds():
 def test_bounds_env_override(monkeypatch):
     monkeypatch.setenv("MILNOR_FORGE_BOUNDS", "maxq=8, oracleprec=6")
     b = read_bounds()
-    assert b["maxq"] == 8 and b["oracleprec"] == 6 and b["maxdeg"] == 3
-    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", "nope=1")
-    with pytest.raises(BadInput):
-        read_bounds()
+    assert b == {"maxq": 8, "oracleprec": 6}
+    for raw in ("nope=1", "maxdeg=3"):
+        monkeypatch.setenv("MILNOR_FORGE_BOUNDS", raw)
+        with pytest.raises(BadInput):
+            read_bounds()
 
 
 # --- individual verbs -----------------------------------------------------
@@ -299,6 +300,10 @@ _BAD_ARGUMENTS = [
     ["--precision", "0", "--field", "padic:5", "tame", "{2,3}"],
     ["--precision", "-3", "--field", "laurent:3", "tame", "deg:2 {pi,2}"],
     ["--field", "padic:3", "s-member", "1*t^x"],
+    # classes of a degree the operation does not accept
+    ["--field", "padic:5", "tame", "deg:0 0"],
+    ["--field", "ratfunc:3", "residues", "deg:0 0"],
+    ["--field", "ratfunc:3", "section", "deg:1 {t}"],
 ]
 
 
@@ -324,6 +329,22 @@ for argv in {cases!r}:
 def test_bad_arguments_give_fail_records_under_python_O(run_python_O):
     out = run_python_O(_BAD_ARGUMENTS_SCRIPT.format(cases=_BAD_ARGUMENTS))
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("big,small", [(10 ** 9, 2), (10 ** 9 + 1, 1)])
+def test_section_cost_does_not_grow_with_the_coefficient(capsys, big, small):
+    """Residues over F_3 only see the coefficient's parity, and a huge
+    coefficient costs a few squarings, not one product per unit."""
+    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
+    argv = ["--format", "records", "--field", "ratfunc:3", "section"]
+    out = subprocess.run(
+        [sys.executable, "-m", "milnorforge.cli"] + argv + [f"{big}*{{t,t+1}}"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30,
+    )
+    rc, expect = run(capsys, argv + [f"{small}*{{t,t+1}}"])
+    assert rc == 0 and out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout == expect
 
 
 # --- one-field mutations of a valid certificate ------------------------------

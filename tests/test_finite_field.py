@@ -17,6 +17,16 @@ from milnorforge.errors import FieldTooLarge, MilnorForgeError, NotAUnit
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
+def neg_enc(k, a: int) -> int:
+    """Reference negation on encodings: negate each base-p digit mod p."""
+    out, scale = 0, 1
+    for _ in range(k.f):
+        a, d = divmod(a, k.p)
+        out += (-d) % k.p * scale
+        scale *= k.p
+    return out
+
+
 @pytest.mark.parametrize("q", FIELD_SIZES)
 def test_multiplicative_group_is_cyclic_of_order_q_minus_1(q):
     k = ff_ctx_q(q)
@@ -98,8 +108,8 @@ def test_zech_arithmetic_matches_encoding_arithmetic(q):
     assert k.zech is not None
     elems = list(k.elements())
     encs = [x.enc for x in elems]
-    negs = [k.neg_enc(a) for a in encs]
-    assert k.minus_one() == k.from_enc(k.neg_enc(1))
+    negs = [neg_enc(k, a) for a in encs]
+    assert k.minus_one() == k.from_enc(neg_enc(k, 1))
     for x, a, na in zip(elems, encs, negs):
         assert -x == k.from_enc(na)
         for y, b, nb in zip(elems, encs, negs):
@@ -112,13 +122,13 @@ def test_untabled_field_arithmetic_on_sample_pairs(q):
     k = ff_ctx_q(q)
     assert k.q > TABLE_BOUND and k.zech is None
     rng = random.Random(q)
-    assert k.minus_one() == k.from_enc(k.neg_enc(1))
+    assert k.minus_one() == k.from_enc(neg_enc(k, 1))
     pairs = [(0, 0), (1, 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(12)]
     for a, b in pairs:
         x, y = k.from_enc(a), k.from_enc(b)
         assert x + y == k.from_enc(k.add_enc(a, b))
-        assert x - y == k.from_enc(k.add_enc(a, k.neg_enc(b)))
-        assert -x == k.from_enc(k.neg_enc(a))
+        assert x - y == k.from_enc(k.add_enc(a, neg_enc(k, b)))
+        assert -x == k.from_enc(neg_enc(k, a))
         assert (x - x).is_zero()
         if k.f == 1:
             assert (x + y).as_int() == (a + b) % q

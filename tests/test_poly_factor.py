@@ -36,8 +36,8 @@ def test_gcd_of_products_contains_common_factor():
     a = f * P(k, [2, 0, 1])
     b = f * P(k, [3, 1])
     g = a.gcd(b)
-    assert g.divides(a) and g.divides(b)
-    assert f.monic().divides(g)
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert (g % f.monic()).is_zero()
 
 
 def test_xgcd_bezout_identity():
@@ -122,7 +122,9 @@ def test_eval_and_compose_agree():
     k = ff_ctx(7)
     f = P(k, [1, 2, 3])
     g = P(k, [4, 5])
-    h = f.compose(g)
+    h = Poly.zero(k)  # f(g) by Horner's rule on polynomials
+    for c in reversed(f.coeffs):
+        h = h * g + Poly.const(k, c)
     for n in range(7):
         x = k.from_int(n)
         assert h.eval(x) == f.eval(g.eval(x))
