@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from ..errors import SelfCheckFailed, ZeroPolynomial
-from .finite_field import FiniteFieldCtx
 from .poly import Poly
 
 DEFAULT_FACTOR_SEED = 0x5EED
@@ -18,7 +17,7 @@ DEFAULT_FACTOR_SEED = 0x5EED
 
 def _pth_root_poly(f: Poly) -> Poly:
     """For f with zero derivative over F_q, the g with g^p = f."""
-    ctx: FiniteFieldCtx = f.ctx
+    ctx = f.ctx
     p = ctx.p
     root_exp = p ** (ctx.f - 1)  # a -> a^(q/p) is the inverse Frobenius
     coeffs = []
@@ -42,7 +41,7 @@ def _distinct_part(f: Poly) -> Poly:
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Split a squarefree product of degree-d irreducibles."""
-    ctx: FiniteFieldCtx = f.ctx
+    ctx = f.ctx
     if f.degree == d:
         return [f]
     q = ctx.q
@@ -68,7 +67,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
 
 def _factor_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
     """Irreducible factors of a squarefree monic polynomial."""
-    ctx: FiniteFieldCtx = f.ctx
+    ctx = f.ctx
     q = ctx.q
     out: list[Poly] = []
     x = Poly.x(ctx)

@@ -3,7 +3,11 @@
 A field context fixes, deterministically for every (p, f):
 
 * the modulus: the monic irreducible of degree f over F_p whose coefficient
-  encoding c0 + c1*p + ... is smallest,
+  encoding c0 + c1*p + ... is smallest.  Candidates are tried in order of
+  encoding with factor.is_irreducible over F_p, the prime field's own
+  context (distinct-degree then equal-degree factorization, von zur Gathen
+  and Gerhard, "Modern Computer Algebra", ch. 14); the field keeps no
+  polynomial arithmetic of its own beyond encodings,
 * the generator: the primitive element with smallest encoding.
 
 Elements are stored as ZERO or as an exponent e of the generator.  Nonzero
@@ -22,6 +26,8 @@ from __future__ import annotations
 import math
 
 from ..errors import FieldTooLarge, NotAUnit, NotPrime, SelfCheckFailed, ZeroElement
+from .factor import is_irreducible
+from .poly import Poly
 
 TABLE_BOUND = 1 << 16
 DEFAULT_FIELD_BOUND = 1 << 20
@@ -77,18 +83,17 @@ class FiniteFieldCtx:
     """Deterministic context for F_{p^f}; construct via ff_ctx()."""
 
     def __init__(self, p: int, f: int, bound: int = DEFAULT_FIELD_BOUND):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if f < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** f
-        if q > bound:
+        if q > bound:  # before the trial divisions, which are slow past it
             raise FieldTooLarge(f"p^f = {q} exceeds bound {bound}")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.f = f
         self.q = q
         self.modulus = self._find_modulus()
-        self._mod_top = self.modulus[:-1]  # reduction data, X^f = -(lower part)
         # exponent of -1: (q-1)/2 for odd p, 0 in characteristic 2
         self.half = (q - 1) // 2 if p != 2 else 0
         self.exp: list[int] | None = None
@@ -104,85 +109,14 @@ class FiniteFieldCtx:
         p, f = self.p, self.f
         if f == 1:
             return (0, 1)  # the polynomial X
-        for low in range(p ** f):
+        prime_field = ff_ctx(p, 1)
+        for low in range(1, p ** f):
+            if low % p == 0:
+                continue  # constant term 0: X divides
             coeffs = _enc_digits(low, p, f) + [1]
-            if self._is_irreducible(coeffs):
+            if is_irreducible(Poly.from_ints(prime_field, coeffs)):
                 return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, coeffs: list[int]) -> bool:
-        # coeffs monic of degree f over F_p; check x^{p^f} == x mod m and
-        # gcd(x^{p^{f/l}} - x, m) == 1 for primes l | f
-        p, f = self.p, len(coeffs) - 1
-        if coeffs[0] == 0:
-            return False  # divisible by X
-        def polymulmod(a, b):
-            res = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        res[i + j] = (res[i + j] + ai * bj) % p
-            # reduce mod coeffs
-            for i in range(len(res) - 1, f - 1, -1):
-                c = res[i]
-                if c:
-                    res[i] = 0
-                    for j in range(f):
-                        res[i - f + j] = (res[i - f + j] - c * coeffs[j]) % p
-            del res[f:]
-            while len(res) < f:
-                res.append(0)
-            return res
-
-        def frob_pow(a, e):
-            # a^(p^e) via repeated p-th power
-            for _ in range(e):
-                b = [1] + [0] * (f - 1)
-                base = a
-                k = p
-                while k:
-                    if k & 1:
-                        b = polymulmod(b, base)
-                    base = polymulmod(base, base)
-                    k >>= 1
-                a = b
-            return a
-
-        x = [0, 1] + [0] * (f - 2) if f >= 2 else [0]
-        if frob_pow(list(x), f) != list(x):
-            return False
-        for ell in factorize(f):
-            y = frob_pow(list(x), f // ell)
-            diff = [(yi - xi) % p for yi, xi in zip(y, x)]
-            if self._polygcd_is_one(diff, coeffs):
-                continue
-            return False
-        return True
-
-    def _polygcd_is_one(self, a: list[int], b: list[int]) -> bool:
-        p = self.p
-
-        def deg(c):
-            for i in range(len(c) - 1, -1, -1):
-                if c[i]:
-                    return i
-            return -1
-
-        a, b = list(a), list(b)
-        while True:
-            da, db = deg(a), deg(b)
-            if da < 0:
-                return db == 0
-            if db < 0:
-                return da == 0
-            if da < db:
-                a, b = b, a
-                da, db = db, da
-            inv = pow(b[db], -1, p)
-            c = (a[da] * inv) % p
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-            # loop continues; a's degree dropped
+        raise SelfCheckFailed(f"no irreducible polynomial of degree {f} over F_{p}")
 
     def mul_enc(self, a: int, b: int) -> int:
         """Multiply two encodings."""
@@ -434,6 +368,8 @@ def ff_ctx(p: int, f: int = 1, bound: int = DEFAULT_FIELD_BOUND) -> FiniteFieldC
 
 def ff_ctx_q(q: int, bound: int = DEFAULT_FIELD_BOUND) -> FiniteFieldCtx:
     """Context from a prime power q."""
+    if q > bound:  # the message FiniteFieldCtx gives for a prime power
+        raise FieldTooLarge(f"p^f = {q} exceeds bound {bound}")
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")

@@ -1,11 +1,9 @@
 """Truncated Laurent series over a finite field.
 
 A nonzero element is t^val * (c0 + c1 t + ... + c_{N-1} t^{N-1}) with
-c0 != 0 and N the relative precision.  Zero is a distinguished marker; a sum
-that cancels below the available absolute precision becomes an *approximate*
-zero remembering the order up to which coefficients are known to vanish
-(``zero_prec``, with None meaning exact), so that later additions cannot
-claim coefficients the cancelled sum never knew.
+c0 != 0 and N the relative precision.  Zeros and precision follow the
+model shared with p-adic numbers (localnum.LocalNumber); this class keeps
+the digit arithmetic on coefficient vectors.
 
 Products and inverses go through one kernel, ``FiniteFieldCtx.mul_trunc``
 (Kronecker substitution; Harvey, "Faster polynomial multiplication via
@@ -22,11 +20,12 @@ modulus.  ``inverse`` is a Newton iteration on the same kernel.
 
 from __future__ import annotations
 
-from ..errors import NotAUnit, ZeroElement
+from ..errors import BadInput, NotAUnit
 from .finite_field import FFElement, FiniteFieldCtx
+from .localnum import LocalNumber
 
 
-class LaurentSeries:
+class LaurentSeries(LocalNumber):
     __slots__ = ("base", "prec", "val", "coeffs", "zero_prec")
 
     def __init__(self, base: FiniteFieldCtx, prec: int, val: int | None, coeffs,
@@ -40,22 +39,17 @@ class LaurentSeries:
         else:
             self.zero_prec = None
             coeffs = tuple(coeffs)
-            assert coeffs and not coeffs[0].is_zero(), "leading coefficient must be nonzero"
+            if not coeffs or coeffs[0].e is None:
+                raise BadInput("leading coefficient must be nonzero")
             self.val = val
             self.coeffs = coeffs[:prec]
 
-    # --- constructors ----------------------------------------------------
+    # --- constructors and hooks -------------------------------------------
 
     @classmethod
     def zero(cls, base: FiniteFieldCtx, prec: int,
              zero_prec: int | None = None) -> "LaurentSeries":
         return cls(base, prec, None, (), zero_prec)
-
-    def abs_prec(self) -> int | None:
-        """Absolute precision: orders >= abs_prec are unknown (None = exact)."""
-        if self.val is None:
-            return self.zero_prec
-        return self.val + self.prec
 
     @classmethod
     def make(cls, base: FiniteFieldCtx, prec: int, val: int, coeffs) -> "LaurentSeries":
@@ -80,6 +74,15 @@ class LaurentSeries:
     def from_int(cls, base: FiniteFieldCtx, prec: int, n: int) -> "LaurentSeries":
         return cls.constant(base.from_int(n), prec)
 
+    def ring(self):
+        return self.base
+
+    def zero_like(self, prec: int, zero_prec: int | None) -> "LaurentSeries":
+        return LaurentSeries(self.base, prec, None, (), zero_prec)
+
+    def truncate(self, prec: int) -> "LaurentSeries":
+        return LaurentSeries(self.base, prec, self.val, self.coeffs)
+
     def coeff_window(self, length: int):
         """Coefficients of t^val .. t^(val+length-1), padded with zeros."""
         zero = self.base.zero()
@@ -88,12 +91,6 @@ class LaurentSeries:
         return out
 
     # --- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.val is None
-
-    def is_unit(self) -> bool:
-        return self.val == 0
 
     def is_one(self) -> bool:
         return (self.val == 0 and self.coeffs[0].is_one()
@@ -107,17 +104,9 @@ class LaurentSeries:
     # --- arithmetic -------------------------------------------------------
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if self.val is None or other.val is None:
+            return self._zero_product(other)
         prec = min(self.prec, other.prec)
-        if self.is_zero() or other.is_zero():
-            if (self.is_zero() and self.zero_prec is None) or \
-               (other.is_zero() and other.zero_prec is None):
-                return LaurentSeries.zero(self.base, prec)
-            z, x = (self, other) if self.is_zero() else (other, self)
-            if x.is_zero():
-                bound = (self.zero_prec or 0) + (other.zero_prec or 0)
-            else:
-                bound = z.zero_prec + x.val
-            return LaurentSeries.zero(self.base, prec, bound)
         out = self.base.mul_trunc(self.coeffs, other.coeffs, prec)
         return LaurentSeries(self.base, prec, self.val + other.val, out)
 
@@ -140,9 +129,6 @@ class LaurentSeries:
             k = k2
         return LaurentSeries(base, prec, -self.val, x)
 
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self * other.inverse()
-
     def __neg__(self) -> "LaurentSeries":
         if self.is_zero():
             return self
@@ -150,26 +136,14 @@ class LaurentSeries:
                              [-c for c in self.coeffs])
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if self.val is None or other.val is None:
+            return self._zero_sum(other)
         prec = min(self.prec, other.prec)
-        if self.is_zero() or other.is_zero():
-            if self.is_zero() and other.is_zero():
-                a, b = self.zero_prec, other.zero_prec
-                bound = None if a is None and b is None else \
-                    min(x for x in (a, b) if x is not None)
-                return LaurentSeries.zero(self.base, prec, bound)
-            z, x = (self, other) if self.is_zero() else (other, self)
-            if z.zero_prec is None:
-                return LaurentSeries(self.base, prec, x.val, x.coeff_window(prec))
-            # z is only known to vanish up to order zero_prec: clip x there.
-            if x.val >= z.zero_prec:
-                return LaurentSeries.zero(self.base, prec, z.zero_prec)
-            rel = min(z.zero_prec - x.val, prec)
-            return LaurentSeries(self.base, rel, x.val, x.coeff_window(rel))
         abs_prec = min(self.val + self.prec, other.val + other.prec)
         base_val = min(self.val, other.val)
         length = abs_prec - base_val
         if length <= 0:
-            return LaurentSeries.zero(self.base, prec, abs_prec)
+            return self.zero_like(prec, abs_prec)
         zero = self.base.zero()
         out = [zero] * length
         for src in (self, other):
@@ -181,19 +155,9 @@ class LaurentSeries:
         # precision, not from min(operand precs): valuations may differ
         summed = LaurentSeries.make(self.base, length, base_val, out)
         if summed.is_zero():
-            return LaurentSeries.zero(self.base, prec, abs_prec)
-        return summed._clip_abs(abs_prec)
-
-    def _clip_abs(self, abs_prec: int) -> "LaurentSeries":
-        # relative precision cannot exceed abs_prec - val
-        if self.is_zero():
-            return self
-        rel = abs_prec - self.val
-        if rel <= 0:
-            return LaurentSeries.zero(self.base, self.prec, abs_prec)
-        if rel >= self.prec:
-            return self
-        return LaurentSeries(self.base, rel, self.val, self.coeffs[:rel])
+            return self.zero_like(prec, abs_prec)
+        rel = abs_prec - summed.val
+        return summed if rel >= summed.prec else summed.truncate(rel)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -210,39 +174,9 @@ class LaurentSeries:
             k >>= 1
         return res
 
-    # --- comparisons ------------------------------------------------------
-
-    def eq(self, other: "LaurentSeries") -> bool:
-        """Indistinguishable at the shared working precision."""
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentSeries) and self.base == other.base and self.eq(other)
-
-    def key(self):
-        if self.is_zero():
-            return ("laurent", self.base.q, None)
-        return ("laurent", self.base.q, self.val,
-                tuple(c.enc for c in self.coeff_window(self.prec)), self.prec)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def at_precision(self, prec: int) -> "LaurentSeries":
-        if self.is_zero():
-            bound = self.zero_prec if self.zero_prec is None \
-                else min(self.zero_prec, prec)
-            return LaurentSeries.zero(self.base, prec, bound)
-        if prec > self.prec:
-            raise ZeroElement(f"cannot raise precision {self.prec} -> {prec}")
-        return LaurentSeries(self.base, prec, self.val, self.coeffs[:prec])
-
     def serialize(self) -> str:
         q = self.base.q
         if self.is_zero():
             return f"laurent({q},{self.prec}):0"
         digits = ",".join(str(c.enc) for c in self.coeff_window(self.prec))
         return f"laurent({q},{self.prec}):t^{self.val}*({digits})"
-
-    def __repr__(self):
-        return self.serialize()

@@ -14,6 +14,7 @@ import re
 from functools import lru_cache
 
 from ..errors import (
+    BadInput,
     BadPrime,
     NewtonConditionFails,
     NotAUnit,
@@ -22,13 +23,32 @@ from ..errors import (
     PrecisionTooLow,
     ZeroElement,
 )
-from .finite_field import FFElement, FiniteFieldCtx, ff_ctx, ff_ctx_q, is_prime
+from .finite_field import (DEFAULT_FIELD_BOUND, FFElement, FiniteFieldCtx,
+                           ff_ctx, ff_ctx_q, is_prime)
 from .laurent import LaurentSeries
 from .padic import PadicNumber
 from .poly import Poly
 
 PADIC = "padic"
 LAURENT = "laurent"
+
+# Largest unit size a context may promise, in bits: prec times the bit
+# length of q.  It keeps p^prec well inside Python's 4300-digit int/str
+# conversion limit for every prime p (4096 bits are 1234 decimal digits),
+# so every element serializes and parses back, and it bounds the cost of
+# each digit operation (README, "Precision model", has measured times).
+MAX_UNIT_BITS = 4096
+
+
+def unit_decompose(x):
+    """Split nonzero x as (k, u) with x = u * pi^k and u a unit."""
+    if x.is_zero():
+        raise ZeroElement("zero has no unit decomposition")
+    if x.val == 0:
+        return 0, x
+    if isinstance(x, PadicNumber):
+        return x.val, PadicNumber(x.p, x.prec, 0, x.unit)
+    return x.val, LaurentSeries(x.base, x.prec, 0, x.coeffs)
 
 
 class LocalFieldCtx:
@@ -45,6 +65,11 @@ class LocalFieldCtx:
         assert model in (PADIC, LAURENT)
         if prec < 1:
             raise PrecisionTooLow(f"precision must be at least 1, got {prec}")
+        if prec * residue_field.q.bit_length() > MAX_UNIT_BITS:
+            raise BadInput(
+                f"precision {prec} over F_{residue_field.q} needs units of "
+                f"{prec * residue_field.q.bit_length()} bits, above the "
+                f"bound of {MAX_UNIT_BITS}")
         if model == PADIC and residue_field.f != 1:
             raise BadPrime("p-adic model needs a prime residue field")
         self.model = model
@@ -74,9 +99,7 @@ class LocalFieldCtx:
     # --- element factories ------------------------------------------------
 
     def zero(self):
-        if self.model == PADIC:
-            return PadicNumber.zero(self.p, self.prec)
-        return LaurentSeries.zero(self.residue_field, self.prec)
+        return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
@@ -96,18 +119,15 @@ class LocalFieldCtx:
                              [self.residue_field.one()]
                              + [self.residue_field.zero()] * (self.prec - 1))
 
-    def extend(self, x, prec: int):
+    @staticmethod
+    def extend(x, prec: int):
         """Reinterpret x at a (possibly higher) relative precision.
 
-        The new digits are zero; only internal iteration (Newton) should
-        use this, and results must be re-verified at the claimed precision.
+        The new digits are zero, and a zero becomes exact; only internal
+        iteration (Newton) should use this, and results must be
+        re-verified at the claimed precision.
         """
-        if x.is_zero():
-            return (PadicNumber.zero(self.p, prec) if self.model == PADIC
-                    else LaurentSeries.zero(self.residue_field, prec))
-        if self.model == PADIC:
-            return PadicNumber(self.p, prec, x.val, x.unit)
-        return LaurentSeries(self.residue_field, prec, x.val, x.coeffs)
+        return x.zero_like(prec, None) if x.is_zero() else x.truncate(prec)
 
     def random_unit(self, rng):
         if self.model == PADIC:
@@ -119,10 +139,6 @@ class LocalFieldCtx:
         coeffs = [base.random_nonzero(rng)]
         coeffs += [base.random_element(rng) for _ in range(self.prec - 1)]
         return LaurentSeries(base, self.prec, 0, coeffs)
-
-    def random_nonzero(self, rng, max_val: int = 3):
-        k = rng.randrange(-max_val, max_val + 1)
-        return self.random_unit(rng) * self.uniformizer() ** k
 
     # --- residue maps -----------------------------------------------------
 
@@ -142,28 +158,25 @@ class LocalFieldCtx:
             return PadicNumber(self.p, self.prec, 0, c.as_int())
         return LaurentSeries.constant(c, self.prec)
 
-    def valuation(self, x) -> int:
-        return x.val
-
-    def unit_part(self, x):
-        """u with x = u * pi^v(x)."""
-        return unit_decompose(x)[1]
+    split = staticmethod(unit_decompose)  # (v(x), u), x = u * pi^v(x)
 
     def is_principal_unit(self, x) -> bool:
         """Unit congruent to 1 mod the maximal ideal (the subgroup U_1)."""
         return (not x.is_zero()) and x.val == 0 and self.residue(x).is_one()
 
-    # --- serialization ----------------------------------------------------
-
-    def serialize(self, x) -> str:
-        return x.serialize()
+    # --- parsing ----------------------------------------------------------
 
     _PADIC_RE = re.compile(r"^padic\((\d+),(\d+)\):(?:0|(\d+)\*p\^(-?\d+))$")
     _LAURENT_RE = re.compile(
         r"^laurent\((\d+),(\d+)\):(?:0|t\^(-?\d+)\*\((\d+(?:,\d+)*)\))$")
 
     def parse(self, s: str):
-        s = s.strip()
+        try:
+            return self._parse(s.strip())
+        except ValueError as e:  # an integer past Python's digit limit
+            raise PatternMismatch(f"cannot parse local element: {e}") from None
+
+    def _parse(self, s: str):
         m = self._PADIC_RE.match(s)
         if m:
             p, prec = int(m.group(1)), int(m.group(2))
@@ -198,7 +211,8 @@ class LocalFieldCtx:
 
 @lru_cache(maxsize=None)
 def padic_ctx(p: int, prec: int) -> LocalFieldCtx:
-    if not is_prime(p):
+    # above the field bound ff_ctx refuses p before any trial division
+    if p <= DEFAULT_FIELD_BOUND and not is_prime(p):
         raise BadPrime(f"{p} is not prime")
     return LocalFieldCtx(PADIC, ff_ctx(p, 1), prec)
 
@@ -268,15 +282,6 @@ def teichmuller(ctx: LocalFieldCtx, x):
     for _ in range(x.prec):
         y = y ** ctx.p
     return y
-
-
-def unit_decompose(x):
-    """Split nonzero x as (k, u) with x = u * pi^k and u a unit."""
-    if x.is_zero():
-        raise ZeroElement("zero has no unit decomposition")
-    if isinstance(x, PadicNumber):
-        return x.val, PadicNumber(x.p, x.prec, 0, x.unit)
-    return x.val, LaurentSeries(x.base, x.prec, 0, x.coeffs)
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):

@@ -1,0 +1,96 @@
+"""The precision model shared by p-adic numbers and Laurent series.
+
+Z_p and F_q[[t]] are complete discrete valuation rings whose elements are
+known to finitely many uniformizer-adic digits.  A nonzero value is
+u * pi^val with the unit u known to ``prec`` digits: digits at positions
+>= val + prec (the absolute precision) are unknown.  Zero is a marker,
+never a (valuation, unit) pair.  A sum that cancels below the available
+absolute precision is an *approximate* zero that remembers up to which
+absolute precision its digits are known to vanish (``zero_prec``; None for
+an exact zero), so that adding it to another number cannot claim digits
+the sum never knew (Caruso, "Computations with p-adic numbers",
+arXiv:1701.06794).
+
+LocalNumber owns these rules: products and sums with an exact or
+approximate zero, equality and hashing.  A subclass keeps its digit
+arithmetic (the nonzero branches of +, * and the inverse, negation and
+powers, the hot paths) and three hooks: ring(), a hashable name of the
+ring; zero_like(prec, zero_prec), a zero of the same ring; truncate(prec),
+the same nonzero value cut (or padded with zero digits) to prec digits.
+"""
+
+from __future__ import annotations
+
+
+class LocalNumber:
+    """Base class; subclasses define the slots prec, val and zero_prec."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return self.val is None
+
+    def is_unit(self) -> bool:
+        return self.val == 0
+
+    def abs_prec(self) -> int | None:
+        """Absolute precision: digits at positions >= abs_prec are unknown.
+
+        None means exact (all digits known).
+        """
+        if self.val is None:
+            return self.zero_prec
+        return self.val + self.prec
+
+    def _zero_product(self, other):
+        """self * other when a factor is zero.  An exact zero annihilates;
+        an approximate zero (valuation >= zero_prec) shifts its bound by
+        the other factor's valuation, or by the other bound."""
+        prec = min(self.prec, other.prec)
+        if (self.val is None and self.zero_prec is None) or \
+           (other.val is None and other.zero_prec is None):
+            return self.zero_like(prec, None)
+        if self.val is None and other.val is None:
+            return self.zero_like(prec, self.zero_prec + other.zero_prec)
+        z, x = (self, other) if self.val is None else (other, self)
+        return self.zero_like(prec, z.zero_prec + x.val)
+
+    def _zero_sum(self, other):
+        """self + other when a summand is zero.  Two zeros keep the smaller
+        bound; an approximate zero known to vanish below pi^zero_prec
+        clips the other summand to that absolute precision."""
+        prec = min(self.prec, other.prec)
+        if self.val is None and other.val is None:
+            a, b = self.zero_prec, other.zero_prec
+            return self.zero_like(prec, b if a is None else
+                                  a if b is None else min(a, b))
+        z, x = (self, other) if self.val is None else (other, self)
+        if z.zero_prec is None:
+            return x.truncate(prec)
+        if x.val >= z.zero_prec:
+            return self.zero_like(prec, z.zero_prec)
+        return x.truncate(min(z.zero_prec - x.val, prec))
+
+    def _zero_power(self, k: int):
+        """self ** k for a zero self and k >= 1: the bound scales by k."""
+        return self.zero_like(self.prec, None if self.zero_prec is None
+                              else self.zero_prec * k)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        """Indistinguishable at the shared working precision.
+
+        This is not transitive, and an approximate zero equals every
+        number of valuation at least its bound, so the only hash that
+        agrees with it is one value per ring.
+        """
+        return (type(other) is type(self) and self.ring() == other.ring()
+                and (self - other).is_zero())
+
+    def __hash__(self):
+        return hash(self.ring())
+
+    def __repr__(self):
+        return self.serialize()

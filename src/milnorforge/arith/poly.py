@@ -1,9 +1,10 @@
 """Univariate polynomials over an arbitrary exact coefficient field.
 
 The coefficient context only needs zero()/one() factories and elements with
-+, -, *, inverse(), is_zero(), is_one() and key().  This single class serves
-polynomials over finite fields, over rational function fields and over
-quotient fields, which keeps gcds and resultants uniform across the package.
++, -, *, inverse(), is_zero(), is_one() and a hash that agrees with their
+==.  This single class serves polynomials over finite fields, over rational
+function fields and over quotient fields, and the Hensel path over Z_p and
+F_q[[t]], which keeps gcds and resultants uniform across the package.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.lc.inverse())
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero() or k == 0:
-            return self
-        return Poly(self.ctx, (self.ctx.zero(),) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -250,13 +245,16 @@ class Poly:
     # --- identity ---------------------------------------------------------
 
     def key(self):
+        """An exact dict key, for coefficients that have key() (finite and
+        rational function fields)."""
         return ("poly", tuple(c.key() for c in self.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.key())
+        # from the coefficients' own hashes, which agree with their ==
+        return hash(self.coeffs)
 
     def serialize(self, var: str = "t") -> str:
         if self.is_zero():

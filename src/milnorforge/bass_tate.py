@@ -132,16 +132,21 @@ def _kappa_class_equal(a: MilnorClass, b: MilnorClass) -> bool:
     raise DegreeTooLarge("no exact comparison above degree 1 here")
 
 
-def residue_vector(a: MilnorClass, with_infinity: bool = True) -> ResidueVector:
-    """Tame residues of a class over k(X) at every place of its support."""
-    F: RatFuncCtx = a.ctx
+def _finite_places_of(beta: MilnorClass) -> dict[str, Place]:
+    """The finite places in the support of any entry of beta, by key."""
     places: dict[str, Place] = {}
-    for t in a.terms:
+    for t in beta.terms:
         for e in t.entries:
             for p in support(e):
                 places[p.key()] = p
+    return places
+
+
+def residue_vector(a: MilnorClass, with_infinity: bool = True) -> ResidueVector:
+    """Tame residues of a class over k(X) at every place of its support."""
+    F: RatFuncCtx = a.ctx
     finite = {}
-    for k, p in places.items():
+    for k, p in _finite_places_of(a).items():
         r = tame_at(p, a)
         if not r.is_zero():
             finite[k] = (p, r)
@@ -219,15 +224,6 @@ def bt_section(v: ResidueVector) -> MilnorClass:
 # --------------------------------------------------------------------------
 # norms via the residue construction
 # --------------------------------------------------------------------------
-
-
-def _finite_places_of(beta: MilnorClass) -> dict[str, Place]:
-    places: dict[str, Place] = {}
-    for t in beta.terms:
-        for e in t.entries:
-            for p in support(e):
-                places[p.key()] = p
-    return places
 
 
 def _lift_term(KX: RatFuncCtx, place_poly: Poly, t: SymbolTerm) -> SymbolTerm:

@@ -58,17 +58,14 @@ def tame(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
     """Tame symbol: {pi,u_2,...,u_n} -> {u_2 bar,...,u_n bar}, V_n -> 0.
 
     A residue tail containing 1 is kept as written: {pi,6} over Q_5 gives
-    {1} in K_1(F_5), a zero class that still shows its term.
+    {1} in K_1(F_5), a zero class that still shows its term.  The map is
+    linear, so the residues of the unmerged pi-terms of tame_rewrite give
+    the same class as those of the merged generator form.
     """
-    g = generator_form(ctx, a)
-    pi = ctx.uniformizer()
-    out = []
-    for t in g.terms:
-        if t.entries[0] == pi:
-            out.append(SymbolTerm(t.coeff,
-                                  [ctx.residue(e) for e in t.entries[1:]]))
-        # pure-unit terms die
-    return MilnorClass(ctx.residue_field, a.degree - 1, out)
+    pi_terms, _ = tame_rewrite(ctx, a)  # pure-unit terms die
+    return MilnorClass(ctx.residue_field, a.degree - 1,
+                       [SymbolTerm(c, [ctx.residue(e) for e in ent[1:]])
+                        for c, ent in pi_terms])
 
 
 # --------------------------------------------------------------------------
@@ -248,8 +245,6 @@ MINUS_SELF = "MINUS_SELF"
 SELF_TO_MINUS_ONE = "SELF_TO_MINUS_ONE"
 HENSEL_ROOT = "HENSEL_ROOT"
 
-DEFAULT_CERT_PRECISION = 8
-
 
 class CertStep:
     """One relator application: `mult` times a relator that is 0 in K^M.
@@ -403,7 +398,9 @@ class _WitnessBuilder:
     def apply(self, step: CertStep):
         """Record the step and subtract mult*relator from the residual."""
         rel, why = step.relator(self.ctx, self.ell)
-        assert rel is not None, why
+        if rel is None:
+            raise SelfCheckFailed(f"witness builder emitted a bad {step.kind} "
+                                  f"step: {why}")
         self.steps.append(step)
         for c, ent in rel:
             self.acc.add(-step.mult * c, ent)
@@ -416,7 +413,8 @@ class _WitnessBuilder:
     def kill_one_entry(self, mult, entries, pos):
         """Remove mult*[..,1,..]: the relator [e]-2[e] = -[e] (1 = 1*1)."""
         one = self.ctx.one()
-        assert entries[pos].is_one()
+        if not entries[pos].is_one():
+            raise SelfCheckFailed(f"entry {pos} to kill is not 1")
         self.apply(CertStep(BILINEAR_EXPAND, -mult, entries, pos, (one, one)))
 
     def hensel_step(self, mult, entries, pos, root):
@@ -580,7 +578,8 @@ def _discharge_steinberg_pair(b: _WitnessBuilder, ent):
         return
     x1, x2, rest = ent[0], ent[1], ent[2:]
     u = x1 + x2
-    assert ctx.is_principal_unit(u), "entries do not reduce to a Steinberg pair"
+    if not ctx.is_principal_unit(u):
+        raise SelfCheckFailed("entries do not reduce to a Steinberg pair")
     w = u.inverse()
     wa, wb = w * x1, w * x2
     st = (wa, wb) + rest
@@ -659,7 +658,7 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
         def num(field):
             try:
                 return int(field)
-            except ValueError:
+            except ValueError:  # not digits, or past Python's digit limit
                 raise bad(f"{field.strip()!r} is not an integer") from None
 
         def entries(field, count):
@@ -679,7 +678,7 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
                 if not m:
                     raise bad("needs padic(p,prec) or laurent(q,prec)")
                 make = padic_ctx if m.group(1) == PADIC else laurent_ctx
-                ctx = make(int(m.group(2)), int(m.group(3)))
+                ctx = make(num(m.group(2)), num(m.group(3)))
             elif kind == "ell":
                 ell = num(rest)
             else:

@@ -15,6 +15,7 @@ from .arith.factor import is_irreducible, poly_factor
 from .arith.finite_field import FiniteFieldCtx
 from .arith.poly import Poly
 from .errors import (
+    BadInput,
     DegreeTooLarge,
     NotAUnit,
     NotIrreducible,
@@ -148,7 +149,7 @@ class RatFuncElem:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.num, self.den))
 
     def serialize(self) -> str:
         v = self.ctx.var
@@ -220,7 +221,7 @@ class QuotCtx:
                 and self.pi == other.pi)
 
     def __hash__(self):
-        return hash(("quot", self.pi.key()))
+        return hash(("quot", self.pi))
 
     def __repr__(self):
         return f"QuotCtx({self.pi.serialize('X')})"
@@ -255,7 +256,8 @@ class QuotElem:
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
         g, s, _ = self.rep.xgcd(self.ctx.pi)
-        assert g.is_one(), "defining polynomial is not irreducible"
+        if not g.is_one():
+            raise BadInput("defining polynomial is not irreducible")
         return QuotElem(self.ctx, s % self.ctx.pi)
 
     def __truediv__(self, o):
@@ -286,7 +288,7 @@ class QuotElem:
                 and self.rep == other.rep)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.ctx, self.rep))
 
     def serialize(self) -> str:
         return self.rep.serialize("X")
@@ -335,7 +337,8 @@ def ratfunc_sqrt(x: RatFuncElem):
             return None
         den_r = den_r * irr ** (m // 2)
     root = RatFuncElem(F, num_r, den_r)
-    assert root * root == x
+    if root * root != x:
+        raise SelfCheckFailed("square root failed to re-multiply")
     return root
 
 
@@ -582,23 +585,27 @@ class Place:
 
     # -- valuation / residue ----------------------------------------------
 
-    def _poly_val(self, p: Poly) -> int:
+    def _strip(self, p: Poly):
+        """(v, p / P^v) for the largest power P^v dividing p."""
         v = 0
         while True:
             q, r = divmod(p, self.poly)
             if not r.is_zero():
-                return v
+                return v, p
             p = q
             v += 1
+
+    def _is_pi(self, x: RatFuncElem) -> bool:
+        return x.den.is_one() and x.num == self.poly
 
     def valuation(self, x: RatFuncElem) -> int:
         if x.is_zero():
             raise ZeroElement("zero has no valuation")
         if self.is_infinite:
             return x.den.degree - x.num.degree
-        if x.den.is_one() and x.num == self.poly:
+        if self._is_pi(x):
             return 1  # the uniformizer itself: no division needed
-        return self._poly_val(x.num) - self._poly_val(x.den)
+        return self._strip(x.num)[0] - self._strip(x.den)[0]
 
     def uniformizer(self) -> RatFuncElem:
         F = self.F
@@ -618,9 +625,23 @@ class Place:
     def minus_one(self) -> RatFuncElem:
         return self.F.minus_one()
 
-    def unit_part(self, x: RatFuncElem) -> RatFuncElem:
-        """u with x = u * pi^v(x)."""
-        return x * self.uniformizer() ** (-self.valuation(x))
+    def split(self, x: RatFuncElem):
+        """(v(x), u) with x = u * pi^v(x) and u a unit at this place.  At a
+        finite place the powers of pi come off num and den in the
+        valuation's own division chain."""
+        if x.is_zero():
+            raise ZeroElement("zero has no valuation")
+        if self._is_pi(x):
+            return 1, self.F.one()
+        if self.is_infinite:  # pi = 1/X: X^|k| moves across the fraction
+            k = self.valuation(x)
+            shift = Poly.x(self.F.base) ** abs(k)
+            num, den = (x.num * shift, x.den) if k > 0 else (x.num, x.den * shift)
+        else:
+            a, num = self._strip(x.num)
+            b, den = self._strip(x.den)
+            k = a - b
+        return (0, x) if k == 0 else (k, RatFuncElem(self.F, num, den))
 
 
 def support(x: RatFuncElem) -> list[Place]:
@@ -632,7 +653,8 @@ def support(x: RatFuncElem) -> list[Place]:
         for irr, _ in monic_irreducible_factors(p):
             pl = Place.finite(x.ctx, irr)
             places[pl.key()] = pl
-    return [pl for pl in places.values() if pl.valuation(x) != 0]
+    # num and den are coprime, so every factor has nonzero valuation
+    return list(places.values())
 
 
 def tame_at(place: Place, a: MilnorClass) -> MilnorClass:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .arith.factor import is_irreducible
 from .arith.finite_field import ff_ctx, ff_embedding
 from .arith.local import LocalFieldCtx
-from .arith.poly import Poly
+from .arith.poly import Poly, _exact_zero
 from .errors import (
     ContextMismatch,
     EliminationFailed,
@@ -51,13 +51,6 @@ def _coeff_is_integral(c) -> bool:
     if isinstance(c, QuotElem):
         return all(_coeff_is_integral(a) for a in c.rep.coeffs)
     return c.is_zero() or c.val >= 0
-
-
-def _coeff_exact_zero(c) -> bool:
-    """True only for exact zeros, not for approximate ones (finite
-    ``zero_prec``): those must survive normalization to keep precision
-    bookkeeping sound."""
-    return c.is_zero() and getattr(c, "zero_prec", None) is None
 
 
 def _coeff_negligible(c, floor: int) -> bool:
@@ -102,7 +95,7 @@ class MultiPoly:
         for exps, c in dict(coeffs).items():
             exps = tuple(exps)
             assert len(exps) == k
-            if not _coeff_exact_zero(c):
+            if not _exact_zero(c):
                 clean[exps] = c
         self.ctx = ctx
         self.k = k
@@ -130,9 +123,6 @@ class MultiPoly:
 
     def is_const(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.coeffs)
-
-    def const_coeff(self):
-        return self.coeffs.get((0,) * self.k, self.ctx.zero())
 
     def __add__(self, o: "MultiPoly") -> "MultiPoly":
         out = dict(self.coeffs)
@@ -461,7 +451,7 @@ def _split_bpoly(A, B: QuotCtx, f: MultiPoly):
     for exps, c in f.coeffs.items():
         for i in range(min(len(c.rep.coeffs), d)):
             a = c.rep.coeffs[i]
-            if not _coeff_exact_zero(a):
+            if not _exact_zero(a):
                 comps[i][exps] = a
     return [RationalRingElem.from_poly(A, MultiPoly(A, 1, comp))
             for comp in comps]

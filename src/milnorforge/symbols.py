@@ -171,11 +171,12 @@ def symbol(ctx, entries) -> MilnorClass:
 def tame_rewrite(place, a: MilnorClass):
     """The generator form of a class at one discrete valuation.
 
-    `place` answers uniformizer(), valuation(x), unit_part(x) and
-    minus_one(): a local field context or a place of a rational function
-    field.  Each entry x splits as u*pi^k by multilinearity; repeated pi's
-    are merged with {pi,pi} = {pi,-1}; a single remaining pi is swapped to
-    the front (each transposition flips the sign).  Terms acquiring an
+    `place` answers uniformizer(), split(x) = (v(x), u) with
+    x = u*pi^v(x), and minus_one(): a local field context or a place of a
+    rational function field.  Each entry x splits as u*pi^k by
+    multilinearity; repeated pi's are merged with {pi,pi} = {pi,-1}; a
+    single remaining pi is swapped to the front (each transposition flips
+    the sign).  Terms acquiring an
     entry 1 are dropped: {1,...} = 0.
 
     Returns (pi_terms, unit_terms): (coeff, entries) pairs, unmerged, in
@@ -190,18 +191,21 @@ def tame_rewrite(place, a: MilnorClass):
         c, ent = work.pop()
         if c == 0 or any(e.is_one() for e in ent):
             continue
-        # split one non-unit, non-pi entry; the valuation is asked first
-        # because a local element stores it while comparing with pi
+        # split one non-unit, non-pi entry.  The rewrite's own pi is
+        # skipped by identity; otherwise the valuation is asked first,
+        # once, because a local element stores it while comparing with pi
         # subtracts (a Place answers its own pi without dividing)
-        split_at = next((i for i, e in enumerate(ent)
-                         if place.valuation(e) != 0 and e != pi), None)
+        split_at = None
+        for i, e in enumerate(ent):
+            if e is not pi:
+                k, u = place.split(e)
+                if k != 0 and e != pi:
+                    split_at = i
+                    break
         if split_at is not None:
-            x = ent[split_at]
-            k, u = place.valuation(x), place.unit_part(x)
             if not u.is_one():
                 work.append((c, ent[:split_at] + (u,) + ent[split_at + 1:]))
-            if k != 0:
-                work.append((c * k, ent[:split_at] + (pi,) + ent[split_at + 1:]))
+            work.append((c * k, ent[:split_at] + (pi,) + ent[split_at + 1:]))
             continue
         pis = [i for i, e in enumerate(ent) if e == pi]
         if len(pis) >= 2:

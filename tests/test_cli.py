@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,56 @@ def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
                            str(tmp_path / "missing.txt")])
     assert rc == 1
     assert "error=BadInput" in out and "ok=false" in out
+
+
+# --- the precision bound and oversized integers -----------------------------
+
+_DIGITS = "7" * 5000  # past Python's 4300-digit int/str conversion limit
+
+_OVERSIZED = {
+    # a 4,893-digit unit would not serialize
+    "padic_precision_7000": (
+        ["--precision", "7000", "--field", "padic:5", "lift", "--m", "2",
+         "{ff(5,1):g^1}"], None, "BadInput"),
+    # once a stall: LaurentSeries.constant padded 10^6 coefficients
+    "laurent_precision_10^6": (
+        ["--precision", "1000000", "--field", "laurent:3", "tame",
+         "deg:2 {pi,2}"], None, "BadInput"),
+    "oracleprec_5000": (["suite", "HILBERT_TABLE"], None, "BadInput"),
+    # a 31-digit prime or prime power once meant trial division to 10^15
+    "padic_prime_above_field_bound": (
+        ["--field", "padic:1000000000000000000000000000057", "tame",
+         "{2,3}"], None, "FieldTooLarge"),
+    "laurent_q_above_field_bound": (
+        ["--field", "laurent:1000000000000000000000000000057", "tame",
+         "{2,3}"], None, "FieldTooLarge"),
+    "certificate_ctx_digits": (
+        ["verify-cert"], f"divcert v1\nctx padic(5,{_DIGITS})\nell 3\n"
+        "degree 2\n", "PatternMismatch"),
+    "certificate_ctx_precision": (
+        ["verify-cert"], "divcert v1\nctx laurent(9,1000000)\nell 2\n"
+        "degree 2\n", "BadInput"),
+    "certificate_unit_digits": (
+        ["verify-cert"], "divcert v1\nctx padic(5,8)\nell 3\ndegree 2\n"
+        f"alpha 1 ; padic(5,8):{_DIGITS}*p^0 | padic(5,8):2*p^0\n",
+        "PatternMismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_oversized_precision_or_integer_fails_fast(capsys, monkeypatch,
+                                                   tmp_path, case):
+    argv, cert, error = _OVERSIZED[case]
+    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", "oracleprec=5000")
+    if cert is not None:
+        path = tmp_path / "c.cert"
+        path.write_text(cert)
+        argv = argv + [str(path)]
+    start = time.perf_counter()
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert f"error={error}" in out and "ok=false" in out
 
 
 _WITHOUT_NUMPY = """

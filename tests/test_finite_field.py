@@ -142,6 +142,30 @@ def test_ff_ctx_enforces_bound_on_cache_hit():
     assert ff_ctx(2, 10, bound=1024).q == 1024
 
 
+# (p, f) -> (modulus, generator_enc) as first published; every ff(p,f):g^e
+# in a record names an element through them, so they must never move
+PINNED_FIELDS = {
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 1, 0, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (2, 4): ((1, 1, 0, 0, 1), 2),
+    (5, 2): ((2, 0, 1), 6),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (5, 3): ((1, 1, 0, 1), 9),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (2, 10): ((1, 0, 0, 1) + (0,) * 6 + (1,), 2),
+    (3, 11): ((2, 0, 1) + (0,) * 8 + (1,), 5),
+    (2, 16): ((1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3),
+}
+
+
+@pytest.mark.parametrize("p,f", sorted(PINNED_FIELDS))
+def test_modulus_and_generator_are_pinned(p, f):
+    k = ff_ctx(p, f)
+    assert (k.modulus, k.generator_enc) == PINNED_FIELDS[p, f]
+
+
 _CORRUPT_TABLES = """
 import copy
 from milnorforge.arith.finite_field import ff_ctx, ff_embedding

@@ -22,6 +22,7 @@ from milnorforge.arith.local import (
 )
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.arith.poly import Poly
+from milnorforge.ratfunc import QuotCtx
 from milnorforge.errors import MilnorForgeError, NotAUnit, PatternMismatch
 
 
@@ -56,53 +57,82 @@ def test_padic_inverse_of_unit():
 
 
 # --- precision soundness --------------------------------------------------
+#
+# Z_5 and F_5[[t]] share one precision model (localnum.LocalNumber), so each
+# check runs in both rings with pi in place of 5.  The test names stay those
+# of the p-adic originals.
+
+def _rings():
+    """(ctx, pi) for Z_5 and F_5[[t]] at precision 4."""
+    return [(ctx, ctx.uniformizer())
+            for ctx in (padic_ctx(5, 4), laurent_ctx(5, 4))]
+
 
 def test_cancellation_produces_bounded_zero():
-    p = padic_ctx(5, 4)
-    x = p.from_int(1 + 5 ** 4)  # indistinguishable from 1 at precision 4
-    d = x - p.one()
-    assert d.is_zero()
-    assert d.zero_prec == 4  # known to vanish only below 5^4
+    for p, pi in _rings():
+        x = p.one() + pi ** 4  # indistinguishable from 1 at precision 4
+        d = x - p.one()
+        assert d.is_zero()
+        assert d.zero_prec == 4  # known to vanish only below pi^4
 
 
 def test_bounded_zero_does_not_claim_unknown_digits():
-    # (x - 1) + 5^6 must not resurrect digits the cancellation never knew.
-    p = padic_ctx(5, 4)
-    d = p.from_int(1 + 5 ** 4) - p.one()
-    s = d + p.from_int(5 ** 6)
-    assert s.is_zero()
-    assert s.zero_prec == 4
+    # (x - 1) + pi^6 must not resurrect digits the cancellation never knew.
+    for p, pi in _rings():
+        d = (p.one() + pi ** 4) - p.one()
+        s = d + pi ** 6
+        assert s.is_zero()
+        assert s.zero_prec == 4
 
 
 def test_bounded_zero_clips_smaller_valuation_summand():
-    p = padic_ctx(5, 4)
-    d = p.from_int(1 + 5 ** 4) - p.one()  # zero up to 5^4
-    s = d + p.from_int(5)
-    assert not s.is_zero()
-    assert s.val == 1
-    assert s.prec == 3  # absolute precision stays capped at 5^4
+    for p, pi in _rings():
+        d = (p.one() + pi ** 4) - p.one()  # zero up to pi^4
+        for s in (d + pi, pi + d):
+            assert not s.is_zero()
+            assert s.val == 1
+            assert s.prec == 3  # absolute precision stays capped at pi^4
 
 
 def test_bounded_zero_scales_under_multiplication():
-    p = padic_ctx(5, 4)
-    d = p.from_int(1 + 5 ** 4) - p.one()
-    prod = d * p.from_int(25)
-    assert prod.is_zero() and prod.zero_prec == 6
-    sq = d ** 2
-    assert sq.is_zero() and sq.zero_prec == 8
+    for p, pi in _rings():
+        d = (p.one() + pi ** 4) - p.one()
+        prod = d * pi ** 2
+        assert prod.is_zero() and prod.zero_prec == 6
+        sq = d ** 2
+        assert sq.is_zero() and sq.zero_prec == 8
 
 
 def test_exact_zero_annihilates():
-    p = padic_ctx(5, 4)
-    z = p.zero()
-    assert (z * p.from_int(7)).zero_prec is None
-    assert (z + p.from_int(7)) == p.from_int(7)
+    for p, _ in _rings():
+        z = p.zero()
+        assert (z * p.from_int(7)).zero_prec is None
+        assert (z + p.from_int(7)) == p.from_int(7)
 
 
 def test_equality_is_indistinguishability_at_working_precision():
-    p = padic_ctx(5, 4)
-    assert p.from_int(1 + 5 ** 4) == p.one()
-    assert p.from_int(1 + 5 ** 3) != p.one()
+    for p, pi in _rings():
+        assert p.one() + pi ** 4 == p.one()
+        assert p.one() + pi ** 3 != p.one()
+
+
+def test_hash_agrees_with_equality():
+    # each pair compares equal at the shared precision, so a set keeps one
+    base = ff_ctx_q(5)
+    t = laurent_ctx(5, 8).uniformizer()
+    one_plus_t5 = laurent_ctx(5, 8).one() + t ** 5
+    z8, z4 = padic_ctx(5, 8), padic_ctx(5, 4)
+    pairs = [
+        (PadicNumber(5, 8, 0, 7), PadicNumber(5, 4, 0, 7)),
+        (one_plus_t5, LaurentSeries.from_int(base, 4, 1)),
+        (Poly(z8, [z8.from_int(7), z8.one()]),
+         Poly(z8, [z4.from_int(7), z8.one()])),
+        (QuotCtx(z8, Poly(z8, [z8.from_int(-7), z8.zero(), z8.one()])),
+         QuotCtx(z8, Poly(z8, [z4.from_int(-7), z8.zero(), z8.one()]))),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert len({x, y}) == 1
 
 
 def test_laurent_cancellation_tracks_absolute_precision():

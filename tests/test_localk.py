@@ -228,6 +228,62 @@ def test_witness_self_check_raises_under_python_O(monkeypatch):
         divisibility_witness(ctx, a - back, 3)
 
 
+_SELF_CHECKS = """
+from milnorforge import ratfunc
+from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.laurent import LaurentSeries
+from milnorforge.arith.local import padic_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.errors import BadInput, SelfCheckFailed
+from milnorforge.localk import (
+    BILINEAR_EXPAND, CertStep, _WitnessBuilder, _discharge_steinberg_pair)
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+
+
+def expect(label, error, check):
+    try:
+        check()
+    except error:
+        return
+    raise SystemExit(f"check missed: {label}")
+
+
+k = ff_ctx(3)
+expect("Laurent leading coefficient", BadInput,
+       lambda: LaurentSeries(k, 4, 0, [k.zero(), k.one()]))
+# X^2 - 1 = (X - 1)(X + 1) over F_3, so X - 1 has no inverse
+Q = ratfunc.QuotCtx(k, Poly.from_ints(k, [-1, 0, 1]))
+expect("quotient inverse", BadInput,
+       lambda: Q.from_poly(Poly.from_ints(k, [-1, 1])).inverse())
+t = ratfunc.RatFuncCtx(k).gen()
+real = ratfunc.poly_factor
+ratfunc.poly_factor = lambda f: [(irr, m + 2) for irr, m in real(f)]
+expect("square root re-multiply", SelfCheckFailed,
+       lambda: ratfunc.ratfunc_sqrt(t * t))
+ratfunc.poly_factor = real
+
+ctx = padic_ctx(5, 8)
+two, three = ctx.from_int(2), ctx.from_int(3)
+b = _WitnessBuilder(ctx, 3)
+expect("builder step", SelfCheckFailed, lambda: b.apply(
+    CertStep(BILINEAR_EXPAND, 1, (two, three), 0, (three, three))))
+expect("builder 1-entry", SelfCheckFailed,
+       lambda: b.kill_one_entry(1, (two, three), 0))
+b.acc.add(1, (two, two))  # 2 + 2 = 4 is no principal unit
+expect("builder Steinberg pair", SelfCheckFailed,
+       lambda: _discharge_steinberg_pair(b, (two, two)))
+print("ok")
+"""
+
+
+def test_former_asserts_raise_under_python_O(run_python_O):
+    out = run_python_O(_SELF_CHECKS)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip() == "ok"
+
+
 # --- Hilbert symbol over Q_2 ----------------------------------------------
 
 REPS = (1, -1, 2, -2, 5, -5, 10, -10)
