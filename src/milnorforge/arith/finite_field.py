@@ -230,7 +230,7 @@ class FiniteFieldCtx:
         for enc in range(1, self.q):
             if self._order_is_full(enc, factors):
                 return enc
-        raise AssertionError("no generator found")
+        raise SelfCheckFailed(f"no generator of F_{self.q}^x found")
 
     def _build_tables(self) -> None:
         n = self.q - 1
@@ -287,7 +287,7 @@ class FiniteFieldCtx:
             if cur in baby:
                 return (i * m + baby[cur]) % n
             cur = self.mul_enc(cur, gm_inv)
-        raise AssertionError("dlog failed")
+        raise SelfCheckFailed(f"no discrete log of {enc} in F_{self.q}^x")
 
     def add_exp(self, a: int | None, b: int | None) -> "FFElement":
         """g^a + g^b for exponents in [0, q-2], None standing for zero."""
@@ -490,9 +490,6 @@ class FFElement:
         return self.e
 
     # identity / hashing
-    def key(self):
-        return ("ff", self.ctx.p, self.ctx.f, self.e)
-
     def __eq__(self, other):
         return (
             isinstance(other, FFElement)
@@ -501,7 +498,7 @@ class FFElement:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(("ff", self.ctx.p, self.ctx.f, self.e))
 
     def serialize(self) -> str:
         ctx = self.ctx

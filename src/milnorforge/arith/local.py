@@ -62,7 +62,8 @@ class LocalFieldCtx:
     __slots__ = ("model", "prec", "residue_field")
 
     def __init__(self, model: str, residue_field: FiniteFieldCtx, prec: int):
-        assert model in (PADIC, LAURENT)
+        if model not in (PADIC, LAURENT):
+            raise BadInput(f"unknown local field model {model!r}")
         if prec < 1:
             raise PrecisionTooLow(f"precision must be at least 1, got {prec}")
         if prec * residue_field.q.bit_length() > MAX_UNIT_BITS:

@@ -244,11 +244,6 @@ class Poly:
 
     # --- identity ---------------------------------------------------------
 
-    def key(self):
-        """An exact dict key, for coefficients that have key() (finite and
-        rational function fields)."""
-        return ("poly", tuple(c.key() for c in self.coeffs))
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

@@ -426,7 +426,9 @@ def functoriality_check(pi1: Poly, pi2: Poly, g: Poly) -> bool:
     """
     k_ctx = pi1.ctx
     mu = composite_minimal_poly(pi1, pi2)
-    assert 0 < g.degree < mu.degree, "sample must generate a nonzero unit"
+    if not 0 < g.degree < mu.degree:
+        raise BadInput("sample must generate a nonzero unit: need "
+                       f"0 < deg g = {g.degree} < {mu.degree}")
     Fp = QuotCtx(k_ctx, pi1)
     g_up = g.map_coeffs(Fp.from_base, Fp)  # g(Y) over F'
     inner = pi2.resultant(g_up)  # element of F'

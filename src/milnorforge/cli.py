@@ -206,15 +206,19 @@ def parse_sparse_poly(from_int, s: str, names) -> dict:
     return out
 
 
-def parse_ratfunc(F: RatFuncCtx, s: str):
-    """`num/den` with sparse `c*t^k` polynomials (den optional)."""
+def _split_fraction(s: str) -> tuple[str, str]:
+    """`(num)/(den)`, `num/den` or `num` -> (num, den); den defaults to 1."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        num_s, den_s = s[1:-1].split(")/(", 1)
-    elif "/" in s:
-        num_s, den_s = s.split("/", 1)
-    else:
-        num_s, den_s = s, "1"
+        return tuple(s[1:-1].split(")/(", 1))
+    if "/" in s:
+        return tuple(s.split("/", 1))
+    return s, "1"
+
+
+def parse_ratfunc(F: RatFuncCtx, s: str):
+    """`num/den` with sparse `c*t^k` polynomials (den optional)."""
+    num_s, den_s = _split_fraction(s)
 
     def to_poly(text):
         d = parse_sparse_poly(F.base.from_int, text, [F.var])
@@ -232,13 +236,7 @@ def parse_multipoly(A, k: int, s: str) -> MultiPoly:
 
 
 def parse_ratring(A, k: int, s: str) -> RationalRingElem:
-    s = s.strip()
-    if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        num_s, den_s = s[1:-1].split(")/(", 1)
-    elif "/" in s:
-        num_s, den_s = s.split("/", 1)
-    else:
-        num_s, den_s = s, "1"
+    num_s, den_s = _split_fraction(s)
     return RationalRingElem(A, k, parse_multipoly(A, k, num_s),
                             parse_multipoly(A, k, den_s))
 

@@ -93,14 +93,6 @@ class SweepTooLarge(MilnorForgeError):
 
 # --- function fields / norms ---
 
-class ReciprocityFails(MilnorForgeError):
-    pass
-
-
-class InfinityEntryNonzero(MilnorForgeError):
-    pass
-
-
 class NotMonic(MilnorForgeError):
     pass
 

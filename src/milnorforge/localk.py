@@ -100,22 +100,18 @@ def lift_mod_m(ctx: LocalFieldCtx, b: MilnorClass, m: int) -> MilnorClass:
 # --------------------------------------------------------------------------
 
 
-def _kappa_vector(kappa, a: MilnorClass):
-    """Coordinates of a kappa-class in K^M_deg(kappa) (degree 0 = Z)."""
-    if a.degree == 0:
-        return [sum(t.coeff for t in a.terms)]
-    return ff_kgroup(kappa.q, a.degree).vector_of(a)
-
-
 def _kappa_congruent(kappa, a: MilnorClass, b: MilnorClass, m: int) -> bool:
-    """a = b in K^M_deg(kappa) / m."""
-    va, vb = _kappa_vector(kappa, a), _kappa_vector(kappa, b)
+    """a = b in K^M_deg(kappa) / m: the group is cyclic, so compare the
+    exponents mod gcd(m, order).  Degree 0 is Z, read off the coefficients
+    without a presentation."""
     if a.degree == 0:
-        return (va[0] - vb[0]) % m == 0
-    if a.degree >= 2:
-        return True  # the group itself is trivial
-    modulus = math.gcd(m, kappa.q - 1)
-    return (va[0] - vb[0]) % max(modulus, 1) == 0
+        va, vb = (sum(t.coeff for t in c.terms) for c in (a, b))
+        order = 0
+    else:
+        kg = ff_kgroup(kappa.q, a.degree)
+        (va,), (vb,) = kg.vector_of(a), kg.vector_of(b)
+        order = kg.order
+    return (va - vb) % math.gcd(m, order) == 0
 
 
 def _random_kappa_class(kappa, degree: int, rng) -> MilnorClass:

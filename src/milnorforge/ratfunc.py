@@ -141,9 +141,6 @@ class RatFuncElem:
             return self.inverse() ** (-k)
         return RatFuncElem(self.ctx, self.num ** k, self.den ** k)
 
-    def key(self):
-        return ("ratfunc", self.num.key(), self.den.key())
-
     def __eq__(self, other):
         return (isinstance(other, RatFuncElem)
                 and self.num == other.num and self.den == other.den)
@@ -280,9 +277,6 @@ class QuotElem:
         """Field norm down to the coefficient field: Res(pi, rep)."""
         return self.ctx.pi.resultant(self.rep)
 
-    def key(self):
-        return ("quot", self.ctx.pi.key(), self.rep.key())
-
     def __eq__(self, other):
         return (isinstance(other, QuotElem) and self.ctx == other.ctx
                 and self.rep == other.rep)
@@ -416,10 +410,9 @@ def _ratfunc_roots(f: Poly) -> list:
         for s in monic_divisors(cd):
             for lam in units:
                 cand = RatFuncElem(F, r.scale(lam), s)
-                k = cand.key()
-                if k in seen:
+                if cand in seen:
                     continue
-                seen.add(k)
+                seen.add(cand)
                 if f.eval(cand).is_zero():
                     roots.append(cand)
     return roots
@@ -436,7 +429,7 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
     out: dict = {}
 
     def record(irr: Poly, mult: int):
-        out[irr.key()] = (irr, out.get(irr.key(), (None, 0))[1] + mult)
+        out[irr] = out.get(irr, 0) + mult
 
     def run(g: Poly):
         while g.degree >= 1:
@@ -468,7 +461,7 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
         record(g, 1)
 
     run(f.monic())
-    res = sorted(out.values(), key=lambda pm: (pm[0].degree,
+    res = sorted(out.items(), key=lambda pm: (pm[0].degree,
                                                pm[0].serialize(ctx.var)))
     check = Poly.one(ctx)
     for irr, m in res:

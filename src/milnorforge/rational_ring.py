@@ -18,6 +18,7 @@ from .arith.finite_field import ff_ctx, ff_embedding
 from .arith.local import LocalFieldCtx
 from .arith.poly import Poly, _exact_zero
 from .errors import (
+    BadInput,
     ContextMismatch,
     EliminationFailed,
     NotAUnit,
@@ -90,11 +91,13 @@ class MultiPoly:
     __slots__ = ("ctx", "k", "coeffs")
 
     def __init__(self, ctx, k: int, coeffs):
-        assert 1 <= k <= MAX_VARIABLES
+        if not 1 <= k <= MAX_VARIABLES:
+            raise BadInput(f"{k} variables; 1 to {MAX_VARIABLES} supported")
         clean = {}
         for exps, c in dict(coeffs).items():
             exps = tuple(exps)
-            assert len(exps) == k
+            if len(exps) != k:
+                raise BadInput(f"exponent {exps} in a {k}-variable polynomial")
             if not _exact_zero(c):
                 clean[exps] = c
         self.ctx = ctx
@@ -169,7 +172,8 @@ class MultiPoly:
 
     def to_poly(self):
         """One-variable view as a Poly over the coefficient ring."""
-        assert self.k == 1
+        if self.k != 1:
+            raise BadInput(f"a {self.k}-variable polynomial has no Poly view")
         deg = max((e[0] for e in self.coeffs), default=-1)
         return Poly(self.ctx, [self.coeffs.get((i,), self.ctx.zero())
                                for i in range(deg + 1)])
@@ -268,9 +272,6 @@ class RationalRingElem:
 
     def __hash__(self):
         return hash(("ratring", self.k))
-
-    def key(self):
-        return ("ratring", self.serialize())
 
     def serialize(self) -> str:
         if self.den.same_as(MultiPoly.one(self.den.ctx, self.k)):

@@ -11,10 +11,11 @@ live in localk.CertStep.
 tame_rewrite brings a class into generator form at one discrete
 valuation.  It is the one engine behind localk.tame and ratfunc.tame_at.
 
-ff_kgroup computes K^M_n of a finite field as an abelian-group
-presentation: T_n(F_q^x) is cyclic of order q-1 generated by g x...x g,
-and each Steinberg pair g^i + g^j = 1 contributes the relation
-i*j*k_3*...*k_n once the remaining slots run over all exponents.
+ff_kgroup presents K^M_n of a finite field on one generator: T_n(F_q^x)
+is cyclic of order q-1 generated by g x...x g, and each Steinberg pair
+g^i + g^j = 1 contributes the relation i*j*k_3*...*k_n once the remaining
+slots run over all exponents.  The group is cyclic, so the gcd of the
+relations is its order (snf.AbGroupPresentation).
 """
 
 from __future__ import annotations
@@ -104,16 +105,14 @@ class MilnorClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def single_term(self) -> SymbolTerm:
-        if len(self.terms) != 1:
-            raise PatternMismatch("operation needs a single-term class")
-        return self.terms[0]
-
     # --- linear structure -------------------------------------------------
 
     def __add__(self, other: "MilnorClass") -> "MilnorClass":
         self._check_ctx(other)
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise PatternMismatch(
+                f"adding a degree-{other.degree} class to a "
+                f"degree-{self.degree} class")
         return MilnorClass(self.ctx, self.degree, self.terms + other.terms)
 
     def __neg__(self) -> "MilnorClass":
@@ -229,19 +228,23 @@ def tame_rewrite(place, a: MilnorClass):
 class FFKGroup:
     """K^M_n(F_q) presented on the single generator {g,...,g}.
 
-    relator_meta[i] describes row i of the presentation:
+    relator_meta[i] describes relation i of the presentation:
     ("order",) for the group order q-1, or ("steinberg", i, j, ks) for the
     relation coming from g^i + g^j = 1 padded with exponents ks.
     """
 
-    __slots__ = ("q", "n", "field", "presentation", "relator_meta")
+    __slots__ = ("q", "n", "presentation", "relator_meta")
 
-    def __init__(self, q: int, n: int, field, presentation, relator_meta):
+    def __init__(self, q: int, n: int, presentation, relator_meta):
         self.q = q
         self.n = n
-        self.field = field
         self.presentation = presentation
         self.relator_meta = relator_meta
+
+    @property
+    def order(self) -> int:
+        """The order of the cyclic group, 0 for K_0 = Z."""
+        return self.presentation.gcd
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -249,7 +252,9 @@ class FFKGroup:
 
     def vector_of(self, a: MilnorClass) -> list[int]:
         """Exponent of the class on the generator of T_n = Z/(q-1)."""
-        assert a.degree == self.n
+        if a.degree != self.n:
+            raise PatternMismatch(
+                f"a degree-{a.degree} class in K_{self.n}(F_{self.q})")
         total = 0
         for t in a.terms:
             prod = t.coeff
@@ -273,8 +278,8 @@ def ff_kgroup(q: int, n: int) -> FFKGroup:
     m = q - 1
     if n == 0:
         # K_0 = Z: one free generator
-        return FFKGroup(q, n, field, AbGroupPresentation(1, []), [])
-    rows = [[m]]
+        return FFKGroup(q, n, AbGroupPresentation([]), [])
+    rows = [m]
     meta = [("order",)]
     if n >= 2 and m > 1:
         seen = {0}
@@ -292,7 +297,7 @@ def ff_kgroup(q: int, n: int) -> FFKGroup:
             if n == 2:
                 if base not in seen:
                     seen.add(base)
-                    rows.append([base])
+                    rows.append(base)
                     meta.append(("steinberg", i, j, ()))
                 continue
             # pad with the remaining n-2 exponents, one representative per
@@ -303,6 +308,6 @@ def ff_kgroup(q: int, n: int) -> FFKGroup:
                 r = (base * k) % m
                 if r not in seen:
                     seen.add(r)
-                    rows.append([r])
+                    rows.append(r)
                     meta.append(("steinberg", i, j, ones + (k,)))
-    return FFKGroup(q, n, field, AbGroupPresentation(1, rows), meta)
+    return FFKGroup(q, n, AbGroupPresentation(rows), meta)

@@ -1,217 +1,116 @@
-"""Smith normal form and abelian group presentations."""
+"""Cyclic group presentations: a relation column's gcd and Bezout row."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from fractions import Fraction
 
 import pytest
 
-import milnorforge
+import milnorforge.snf as snf_module
 from milnorforge.errors import SelfCheckFailed
-from milnorforge.snf import (
-    NOT_IN_SUBGROUP,
-    AbGroupPresentation,
-    mat_det,
-    mat_mul,
-    snf,
-)
-
-# the package re-exports the function snf, which hides the module of that name
-snf_module = sys.modules["milnorforge.snf"]
+from milnorforge.snf import NOT_IN_SUBGROUP, AbGroupPresentation
 
 
-def is_diagonal(d):
-    return all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+def bezout_list(g):
+    return [g.bezout.get(i, 0) for i in range(len(g.relations))]
 
 
-def test_frozen_snf_example():
-    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    u, d, v = snf(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert is_diagonal(d)
-    assert [d[i][i] for i in range(3)] == [2, 2, 156]
-
-
-def test_snf_divisibility_chain_random():
-    rng = random.Random(5)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = snf(m)
-        assert mat_mul(mat_mul(u, m), v) == d
-        assert is_diagonal(d)
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
+def test_frozen_column_example():
+    # the expected row is row 0 of U from a general Smith normal form
+    # U*A*V = D of this column, computed independently
+    g = AbGroupPresentation([40, 0, 0, 36, 36, -15])
+    assert g.gcd == 1
+    assert bezout_list(g) == [-2, 0, 0, -9, 0, -27]
 
 
 def test_presentation_invariant_factors():
-    # Z^2 / <(2,0),(0,12)> = Z/2 x Z/12
-    g = AbGroupPresentation(2, [[2, 0], [0, 12]])
-    assert g.invariant_factors == [2, 12]
+    assert AbGroupPresentation([4, 6]).invariant_factors == [2]
+    assert AbGroupPresentation([12, -18, 30]).invariant_factors == [6]
 
 
 def test_presentation_of_trivial_group():
-    g = AbGroupPresentation(2, [[1, 0], [0, 1]])
-    assert g.invariant_factors == []
+    assert AbGroupPresentation([1]).invariant_factors == []
+    assert AbGroupPresentation([6, 10, 15]).invariant_factors == []
 
 
 def test_presentation_with_free_part():
-    # Z^2 / <(2,4)> = Z/2 x Z  (factor 0 denotes a free summand)
-    g = AbGroupPresentation(2, [[2, 4]])
-    assert 0 in g.invariant_factors
+    # no relation, or only zero relations: the group is Z (factor 0)
+    for rels in ([], [0, 0]):
+        g = AbGroupPresentation(rels)
+        assert g.gcd == 0 and g.invariant_factors == [0]
+        assert g.coordinates([5]) == [5]
+        assert g.express_in_relators([0]) == [0] * len(rels)
+        assert g.express_in_relators([5]) is NOT_IN_SUBGROUP
+
+
+def test_invariant_factor_is_gcd_of_random_columns():
+    rng = random.Random(5)
+    for _ in range(300):
+        col = [rng.choice((0, 0, 6, -6, rng.randint(-40, 40),
+                           rng.randint(-10 ** 6, 10 ** 6)))
+               for _ in range(rng.randint(0, 15))]
+        g = AbGroupPresentation(col)
+        d = math.gcd(*col)
+        assert g.invariant_factors == ([] if d == 1 else [d]), col
+        assert sum(u * r for u, r in zip(bezout_list(g), col)) == d
+        combo = g.express_in_relators([3 * d])
+        assert sum(c * r for c, r in zip(combo, col)) == 3 * d
+        if d != 1:
+            assert g.express_in_relators([3 * d + 1]) is NOT_IN_SUBGROUP
 
 
 def test_coordinates_kill_relations():
-    g = AbGroupPresentation(2, [[3, 0], [0, 5]])
-    assert g.coordinates([3, 0]) == [0] * len(g.coordinates([3, 0]))
-    assert g.coordinates([0, 5]) == [0] * len(g.coordinates([0, 5]))
-    a = g.coordinates([1, 2])
-    b = g.coordinates([4, 7])  # differs by the relation lattice
-    assert a == b
+    g = AbGroupPresentation([6, 10])
+    assert g.coordinates([6]) == [0]
+    assert g.coordinates([10]) == [0]
+    assert g.coordinates([1]) == g.coordinates([7])  # differs by a relation
+    assert g.coordinates([1]) != g.coordinates([2])
+    assert g.is_trivial_element([-4]) and not g.is_trivial_element([3])
 
 
-# --- the Bareiss determinant against exact rational elimination -----------
+# --- the gcd certificate raises, also under python -O ---------------------
 
-def fraction_det(a):
-    """Test-only determinant by Gaussian elimination over Q."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    assert det.denominator == 1
-    return int(det)
+def test_gcd_certificate_check_raises(monkeypatch):
+    real = snf_module._column_gcd
+    for wrong in (
+            lambda g, u: (2 * g, {i: 2 * c for i, c in u.items()}),  # 2g
+            lambda g, u: (-g, {i: -c for i, c in u.items()}),  # negative
+            lambda g, u: (g, {**u, 0: u.get(0, 0) + 1})):  # bad row
+        monkeypatch.setattr(snf_module, "_column_gcd",
+                            lambda col: wrong(*real(col)))
+        with pytest.raises(SelfCheckFailed):
+            AbGroupPresentation([4, 6, 9])
 
 
-def random_unimodular(rng, n):
-    """A product of elementary row operations, like the U that snf builds."""
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(0, 2 * n)):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        kind = rng.randint(0, 2)
-        if kind == 0 and i != j:
-            u[i] = [x + rng.randint(-3, 3) * y for x, y in zip(u[i], u[j])]
-        elif kind == 1:
-            u[i], u[j] = u[j], u[i]
-        else:
-            u[i] = [-x for x in u[i]]
-    return u
+def test_express_in_relators_remultiply_check_raises():
+    g = AbGroupPresentation([4, 6])
+    assert g.express_in_relators([2]) is not NOT_IN_SUBGROUP
+    g.bezout = {i: c + 1 for i, c in g.bezout.items()}  # corrupt the row
+    with pytest.raises(SelfCheckFailed):
+        g.express_in_relators([2])
 
 
-def random_sparse(rng, n):
-    rows = []
-    for _ in range(n):
-        row = [0] * n
-        for j in rng.sample(range(n), min(n, rng.randint(0, 3))):
-            row[j] = rng.randint(-5, 5)
-        rows.append(row)
-    return rows
-
-
-FIXED_DET_CASES = [
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],        # every update is skipped
-    [[2, 0, 0], [0, 3, 0], [0, 0, 5]],        # zero below the pivot, pivot != prev
-    [[2, 1, 0], [0, 3, 1], [0, 0, 5]],
-    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],       # a row swap
-    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],        # singular
-    [[0, 0], [0, 0]],
-    [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-    [[7]],
-]
-
-
-@pytest.mark.parametrize("a", FIXED_DET_CASES)
-def test_mat_det_fixed_cases(a):
-    assert mat_det(a) == fraction_det(a)
-
-
-def test_mat_det_matches_rational_elimination():
-    rng = random.Random(11)
-    for _ in range(400):
-        n = rng.randint(1, 12)
-        kind = rng.randrange(4)
-        if kind == 0:  # dense
-            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        elif kind == 1:  # at most 3 nonzeros per row
-            a = random_sparse(rng, n)
-        elif kind == 2:  # singular: one row is a combination of two others
-            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if n >= 3:
-                i, j, k = rng.sample(range(n), 3)
-                a[k] = [2 * x - y for x, y in zip(a[i], a[j])]
-            else:
-                a[0] = [0] * n
-        else:  # unimodular, or a unimodular matrix with one row scaled
-            a = random_unimodular(rng, n)
-            if rng.random() < 0.5:
-                i = rng.randrange(n)
-                a[i] = [rng.choice((2, 3, -5)) * x for x in a[i]]
-        assert mat_det(a) == fraction_det(a), a
-
-
-def test_snf_transform_of_kgroup_shape_is_unimodular():
-    # one column, many rows: the shape of an ff_kgroup presentation
-    rng = random.Random(2)
-    col = [[rng.randint(1, 200)] for _ in range(40)]
-    u, d, v = snf(col)
-    assert mat_det(u) == fraction_det(u) and abs(mat_det(u)) == 1
-    assert d[0][0] == math.gcd(*(r[0] for r in col))
-
-
-# --- self-checks raise, also under python -O ------------------------------
-
-_CORRUPT_DET = """
-import sys
-import milnorforge
+_CORRUPT_BEZOUT = """
+import milnorforge.snf as snf_module
 from milnorforge.errors import SelfCheckFailed
-snf_module = sys.modules["milnorforge.snf"]
-snf_module.mat_det = lambda a: 2  # every transform now looks non-unimodular
+if __debug__:
+    raise SystemExit("not running under python -O")
+g = snf_module.AbGroupPresentation([4, 6])
+g.bezout = {0: 1}
 try:
-    snf_module.snf([[2, 4], [6, 8]])
+    g.express_in_relators([2])
+except SelfCheckFailed as e:
+    print("raised:", e)
+snf_module._column_gcd = lambda col: (4, {0: 1})  # 4 does not divide 6
+try:
+    snf_module.AbGroupPresentation([4, 6])
 except SelfCheckFailed as e:
     print("raised:", e)
 """
 
 
-def test_snf_unimodularity_check_runs_under_python_O():
-    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_DET],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
-    )
+def test_bezout_certificate_runs_under_python_O(run_python_O):
+    out = run_python_O(_CORRUPT_BEZOUT)
     assert out.returncode == 0, out.stderr
-    assert "raised: SNF transforms not unimodular" in out.stdout
-
-
-def test_snf_transform_check_raises(monkeypatch):
-    monkeypatch.setattr(snf_module, "mat_mul", lambda a, b: [[0]])
-    with pytest.raises(SelfCheckFailed):
-        snf([[2, 4], [6, 8]])
-
-
-def test_express_in_relators_remultiply_check_raises():
-    g = AbGroupPresentation(1, [[4], [6]])
-    assert g.express_in_relators([2]) is not NOT_IN_SUBGROUP
-    g.u = [[x + 1 for x in row] for row in g.u]  # corrupt the transform
-    with pytest.raises(SelfCheckFailed):
-        g.express_in_relators([2])
+    assert out.stdout.splitlines() == [
+        "raised: relator combination failed to re-multiply",
+        "raised: Bezout row does not certify the gcd"]

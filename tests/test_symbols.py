@@ -1,5 +1,6 @@
 """Symbol calculus: formal classes, certificate moves, K-groups of finite fields."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from milnorforge.localk import (
     SWAP,
     CertStep,
 )
-from milnorforge.snf import AbGroupPresentation
+from milnorforge.snf import NOT_IN_SUBGROUP, AbGroupPresentation
 from milnorforge.symbols import (
     MilnorClass,
     SymbolTerm,
@@ -23,11 +24,16 @@ from milnorforge.symbols import (
 )
 
 
+def single_term(a):
+    assert len(a.terms) == 1, a
+    return a.terms[0]
+
+
 def move(a, kind, pos, aux=()):
     """Apply one certificate move to a single-term class: subtract the
     term's coefficient times the move's relator.  None when the move's
     side condition fails."""
-    t = a.single_term()
+    t = single_term(a)
     rel, _ = CertStep(kind, t.coeff, t.entries, pos, aux).relator(a.ctx, 2)
     if rel is None:
         return None
@@ -62,7 +68,7 @@ def test_product_concatenates_entries():
     b = symbol(k, [k.from_int(3), k.from_int(5)])
     ab = a * b
     assert ab.degree == 3
-    t = ab.single_term()
+    t = single_term(ab)
     assert [e.as_int() for e in t.entries] == [2, 3, 5]
 
 
@@ -79,7 +85,7 @@ def test_swap_flips_sign():
     k = ff_ctx(5)
     a = symbol(k, [k.from_int(2), k.from_int(3)])
     b = move(a, SWAP, (0, 1))
-    assert b.single_term().coeff == -1
+    assert single_term(b).coeff == -1
     assert (move(b, SWAP, (0, 1)) - a).is_zero()
 
 
@@ -95,7 +101,7 @@ def test_self_to_minus_one_identity():
     k = ff_ctx(7)
     a = symbol(k, [k.from_int(3), k.from_int(3)])
     out = move(a, SELF_TO_MINUS_ONE, 0)
-    t = out.single_term()
+    t = single_term(out)
     assert t.entries[1] == k.minus_one()
 
 
@@ -160,7 +166,7 @@ def nested_pad_presentation(q, n):
     """Test-only copy of the relations built by padding every slot in turn."""
     field = ff_ctx_q(q)
     m = q - 1
-    rows, meta, seen = [[m]], [("order",)], {0}
+    rows, meta, seen = [m], [("order",)], {0}
     g = field.gen()
     for i in range(1, m):
         s = field.one() - g ** i
@@ -186,7 +192,7 @@ def nested_pad_presentation(q, n):
                 r = (r * k) % m
             if r not in seen:
                 seen.add(r)
-                rows.append([r])
+                rows.append(r)
                 meta.append(("steinberg", i, j, ks))
     return rows, meta
 
@@ -202,4 +208,105 @@ def test_pad_sweep_matches_nested_pad_loop(q, n):
     G = ff_kgroup(q, n)
     assert G.presentation.relations == rows
     assert G.relator_meta == meta
-    assert G.presentation.u == AbGroupPresentation(1, rows).u
+    assert G.presentation.bezout == AbGroupPresentation(rows).bezout
+
+
+# --- certificate combinations and the order of K^M_n(F_q) -------------------
+
+PRIME_POWERS_TO_256 = [
+    q for q in range(2, 257)
+    if len({p for p in range(2, q + 1)
+            if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
+
+
+def test_certificate_combinations_are_pinned():
+    # the coefficient lists certificates discharge against: any change in
+    # the pivot order of the gcd would change every certificate's text
+    G = ff_kgroup(9, 3)
+    assert G.presentation.express_in_relators([1]) == [0, 0, 0, 0, 0, 1, 0, 0]
+    combos = []
+    for q in PRIME_POWERS_TO_256:
+        for n in (1, 2, 3, 4):
+            for v in (0, 1, 2, q - 1, q, 12345, -7):
+                c = ff_kgroup(q, n).presentation.express_in_relators([v])
+                combos.append((q, n, v, c if isinstance(c, list) else None))
+    assert hashlib.sha256(repr(combos).encode()).hexdigest() == (
+        "e38d97fde5b4196ca7c8d5d4f5b9ce6aeee476ff01a5f4980f471ffb6adf7d6c")
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_order_is_that_of_the_cyclic_group(q):
+    assert ff_kgroup(q, 0).order == 0
+    assert ff_kgroup(q, 1).order == q - 1
+    assert ff_kgroup(q, 2).order == ff_kgroup(q, 3).order == 1
+
+
+def test_k0_is_free_on_one_generator():
+    G = ff_kgroup(7, 0)
+    assert G.invariant_factors == [0]
+    assert G.presentation.express_in_relators([0]) == []
+    for v in (1, -3, 6):
+        assert G.presentation.express_in_relators([v]) is NOT_IN_SUBGROUP
+
+
+# --- contract checks that once were asserts --------------------------------
+
+_CONTRACT_CHECKS = """
+import copy
+from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.local import LocalFieldCtx, padic_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.bass_tate import functoriality_check
+from milnorforge.errors import BadInput, PatternMismatch, SelfCheckFailed
+from milnorforge.ratfunc import QuotCtx, RatFuncCtx
+from milnorforge.rational_ring import MultiPoly
+from milnorforge.symbols import ff_kgroup, symbol
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+
+
+def expect(label, error, check):
+    try:
+        check()
+    except error:
+        return
+    raise SystemExit(f"check missed: {label}")
+
+
+k = ff_ctx(7)
+a1, a2 = symbol(k, [k.from_int(3)]), symbol(k, [k.from_int(3), k.from_int(5)])
+expect("class degrees", PatternMismatch, lambda: a1 + a2)
+expect("k-group degree", PatternMismatch,
+       lambda: ff_kgroup(7, 1).vector_of(a2))
+
+F = RatFuncCtx(ff_ctx(3))
+t = F.gen()
+pi1 = Poly(F, [-t, F.zero(), F.one()])
+Fp = QuotCtx(F, pi1)
+pi2 = Poly(Fp, [-(Fp.theta() + Fp.one()), Fp.zero(), Fp.one()])
+expect("functoriality sample", BadInput,
+       lambda: functoriality_check(pi1, pi2, Poly(F, [F.one()])))
+
+A = padic_ctx(5, 8)
+expect("variable count", BadInput, lambda: MultiPoly(A, 3, {}))
+expect("exponent length", BadInput,
+       lambda: MultiPoly(A, 1, {(1, 2): A.one()}))
+expect("Poly view", BadInput,
+       lambda: MultiPoly(A, 2, {(1, 0): A.one()}).to_poly())
+expect("local model", BadInput, lambda: LocalFieldCtx("real", k, 8))
+
+bad = copy.copy(k)
+bad._order_is_full = lambda enc, factors: False
+expect("generator search", SelfCheckFailed, bad._find_generator)
+bad = copy.copy(k)
+bad.log, bad.generator_enc = None, 1  # 1 generates only {1}
+expect("baby-step giant-step", SelfCheckFailed, lambda: bad.dlog_enc(3))
+print("ok")
+"""
+
+
+def test_contract_checks_raise_under_python_O(run_python_O):
+    out = run_python_O(_CONTRACT_CHECKS)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip() == "ok"
