@@ -12,7 +12,8 @@ import random
 from ..errors import SelfCheckFailed, ZeroPolynomial
 from .poly import Poly
 
-DEFAULT_FACTOR_SEED = 0x5EED
+# seeds the random splitting, so every factorization is reproducible
+FACTOR_SEED = 0x5EED
 
 
 def _pth_root_poly(f: Poly) -> Poly:
@@ -91,7 +92,7 @@ def _sort_key(p: Poly):
     return (p.degree, tuple(c.enc for c in p.coeffs))
 
 
-def poly_factor(f: Poly, seed: int = DEFAULT_FACTOR_SEED) -> list[tuple[Poly, int]]:
+def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor f over its finite field into monic irreducibles.
 
     Returns (factor, multiplicity) pairs sorted by (degree, coefficients);
@@ -101,7 +102,7 @@ def poly_factor(f: Poly, seed: int = DEFAULT_FACTOR_SEED) -> list[tuple[Poly, in
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(FACTOR_SEED)
     monic = f.monic()
     distinct = _factor_squarefree(_distinct_part(monic), rng)
     out = []

@@ -96,11 +96,6 @@ class LaurentSeries(LocalNumber):
         return (self.val == 0 and self.coeffs[0].is_one()
                 and all(c.is_zero() for c in self.coeffs[1:]))
 
-    def residue(self) -> FFElement:
-        if self.val != 0:
-            raise NotAUnit("residue of a non-unit")
-        return self.coeffs[0]
-
     # --- arithmetic -------------------------------------------------------
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":

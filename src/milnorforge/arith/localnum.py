@@ -30,18 +30,6 @@ class LocalNumber:
     def is_zero(self) -> bool:
         return self.val is None
 
-    def is_unit(self) -> bool:
-        return self.val == 0
-
-    def abs_prec(self) -> int | None:
-        """Absolute precision: digits at positions >= abs_prec are unknown.
-
-        None means exact (all digits known).
-        """
-        if self.val is None:
-            return self.zero_prec
-        return self.val + self.prec
-
     def _zero_product(self, other):
         """self * other when a factor is zero.  An exact zero annihilates;
         an approximate zero (valuation >= zero_prec) shifts its bound by

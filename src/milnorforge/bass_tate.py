@@ -7,8 +7,8 @@ every place.  This module packages those residues as a vector over the
 finite places, checks Weil reciprocity, splits the residue map by an
 explicit section, and computes the norm K_n(k[X]/pi) -> K_n(k) through
 the residue construction: lift through the pi-slot, clear every other
-finite residue by descending-degree corrections, read off the residue
-at infinity.
+finite residue, read off the residue at infinity.  The section and the
+norm share one descending-degree correction sweep.
 
 NORM_SIGN fixes the orientation: with N = NORM_SIGN * residue-at-infinity
 the norm along a linear pi = X - a is the identity.
@@ -32,7 +32,6 @@ from .errors import (
 from .ratfunc import (
     Place,
     QuotCtx,
-    QuotElem,
     RatFuncCtx,
     irreducible_over,
     support,
@@ -42,7 +41,7 @@ from .symbols import MilnorClass, SymbolTerm, symbol
 
 NORM_SIGN = -1
 
-# total place degree a single norm computation may spend on corrections
+# total place degree one section or norm may spend on corrections
 BT_CORRECTION_BUDGET = 64
 
 
@@ -74,84 +73,56 @@ def drop_trivial_terms(a: MilnorClass) -> MilnorClass:
 class ResidueVector:
     """Finitely supported family of residues, one per finite place.
 
-    finite maps place keys to (Place, MilnorClass over kappa(P)) with the
-    zero classes omitted; infinity holds the residue at the infinite
-    place when it was computed (None for hand-built vectors).
+    finite maps each Place to its nonzero residue, a MilnorClass over
+    kappa(P); infinity holds the residue at the infinite place.
     """
 
     __slots__ = ("F", "degree", "finite", "infinity")
 
-    def __init__(self, F: RatFuncCtx, degree: int, finite, infinity=None):
+    def __init__(self, F: RatFuncCtx, degree: int, finite: dict, infinity):
         self.F = F
         self.degree = degree
-        self.finite = {k: (p, c) for k, (p, c) in finite.items()
-                       if not c.is_zero()}
+        self.finite = finite
         self.infinity = infinity
 
-    def at(self, place: Place) -> MilnorClass:
-        if place.is_infinite:
-            return self.infinity
-        if place.key() in self.finite:
-            return self.finite[place.key()][1]
-        return MilnorClass.zero(place.residue_ctx(), self.degree)
-
-    def places(self) -> list[Place]:
-        return [p for p, _ in self.finite.values()]
-
     def same_finite(self, other: "ResidueVector") -> bool:
-        keys = set(self.finite) | set(other.finite)
-        for k in keys:
-            place = (self.finite.get(k) or other.finite[k])[0]
-            if not _kappa_class_equal(self.at(place), other.at(place)):
+        for P in self.finite.keys() | other.finite.keys():
+            zero = MilnorClass.zero(P.residue_ctx(), self.degree)
+            if not k_equal(self.finite.get(P, zero),
+                           other.finite.get(P, zero)):
                 return False
         return True
 
     def serialize(self) -> str:
-        parts = [f"{k} -> {c.serialize()}"
-                 for k, (_, c) in sorted(self.finite.items())]
-        if self.infinity is not None:
-            parts.append(f"inf -> {self.infinity.serialize()}")
-        return "; ".join(parts) if parts else "0"
+        parts = [f"{P.key()} -> {c.serialize()}"
+                 for P, c in sorted(self.finite.items(),
+                                    key=lambda pc: pc[0].key())]
+        parts.append(f"inf -> {self.infinity.serialize()}")
+        return "; ".join(parts)
 
     def __repr__(self):
         return f"ResidueVector({self.serialize()})"
 
 
-def _kappa_class_equal(a: MilnorClass, b: MilnorClass) -> bool:
-    """Equality of residues in K_{n-1}(kappa(P)) for kappa finite over F_q.
+def _finite_residues(a: MilnorClass) -> dict:
+    """The nonzero tame residues of a class over k(X), by finite Place.
 
-    Degree 0 is Z; degree 1 is the unit group.  Higher degrees vanish for
-    finite residue fields, but the bass-tate flows never compare them.
+    Only places in the support of some entry can carry a residue.
     """
-    if a.degree == 0:
-        ca = sum(t.coeff for t in a.terms)
-        cb = sum(t.coeff for t in b.terms)
-        return ca == cb
-    if a.degree == 1:
-        return class_to_unit(a) == class_to_unit(b)
-    raise DegreeTooLarge("no exact comparison above degree 1 here")
-
-
-def _finite_places_of(beta: MilnorClass) -> dict[str, Place]:
-    """The finite places in the support of any entry of beta, by key."""
-    places: dict[str, Place] = {}
-    for t in beta.terms:
+    out = {}
+    for t in a.terms:
         for e in t.entries:
-            for p in support(e):
-                places[p.key()] = p
-    return places
+            for P in support(e):
+                if P not in out:
+                    out[P] = tame_at(P, a)
+    return {P: r for P, r in out.items() if not r.is_zero()}
 
 
-def residue_vector(a: MilnorClass, with_infinity: bool = True) -> ResidueVector:
+def residue_vector(a: MilnorClass) -> ResidueVector:
     """Tame residues of a class over k(X) at every place of its support."""
     F: RatFuncCtx = a.ctx
-    finite = {}
-    for k, p in _finite_places_of(a).items():
-        r = tame_at(p, a)
-        if not r.is_zero():
-            finite[k] = (p, r)
-    inf = tame_at(Place.infinity(F), a) if with_infinity else None
-    return ResidueVector(F, a.degree - 1, finite, inf)
+    return ResidueVector(F, a.degree - 1, _finite_residues(a),
+                         tame_at(Place(F, None), a))
 
 
 # --------------------------------------------------------------------------
@@ -164,61 +135,69 @@ def reciprocity_check(a: MilnorClass) -> bool:
     of N_{kappa(P)/k}(residue) is 1 in k^x."""
     if a.degree != 2:
         raise BadInput(f"reciprocity is checked in degree 2, got {a.degree}")
-    rv = residue_vector(a, with_infinity=True)
-    k_ctx = a.ctx.base
-    prod = k_ctx.one()
-    for _, (place, cls) in rv.finite.items():
-        u = class_to_unit(cls)
-        nm = u.norm_to_base() if isinstance(u, QuotElem) else u
-        prod = prod * nm
+    rv = residue_vector(a)
+    prod = a.ctx.base.one()
+    for cls in rv.finite.values():
+        prod = prod * class_to_unit(cls).norm_to_base()
     if not rv.infinity.is_zero():
         prod = prod * class_to_unit(rv.infinity)  # kappa(inf) = k
     return prod.is_one()
 
 
 # --------------------------------------------------------------------------
-# section of the residue map
+# the correction sweep behind the section and the norm
 # --------------------------------------------------------------------------
+
+
+def _correction_sweep(out: MilnorClass, targets: dict, lift,
+                      what: str) -> MilnorClass:
+    """Add to `out` classes whose finite residues are `targets`.
+
+    targets maps finite places to residue classes.  Each step pops the
+    largest (degree, key) place P and adds lift(P, target), a class whose
+    residue at P is the target and whose other finite residues sit at
+    places of smaller degree; lift returns None when the target is
+    trivial.  Those other residues are subtracted from their targets, so
+    the places still to do only ever shrink in degree and each place is
+    decided once.  The total degree of the places corrected is bounded
+    by BT_CORRECTION_BUDGET.
+    """
+    budget = BT_CORRECTION_BUDGET
+    while targets:
+        place = max(targets, key=lambda P: (P.degree, P.key()))
+        term = lift(place, targets.pop(place))
+        if term is None:
+            continue
+        budget -= place.degree
+        if budget <= 0:
+            raise PrecisionExhausted(f"{what} correction budget exhausted")
+        out = out + term
+        for P, r in _finite_residues(term).items():
+            if P != place:
+                targets[P] = targets[P] - r if P in targets else -r
+    return out
 
 
 def bt_section(v: ResidueVector) -> MilnorClass:
     """A degree-(v.degree+1) class over k(X) whose finite residues are v.
 
-    Greedy descending-degree sweep: at the largest unmatched place P,
-    add {P, lift} whose residue there is exactly the target unit; the
-    new residues it introduces live at places of strictly smaller degree.
+    At each place P the sweep adds {P, u} with u the target unit written
+    as a polynomial of degree < deg P: its residue at P is exactly u, and
+    the new residues it introduces live at the factors of u.
     """
     F = v.F
     if v.degree != 1:
         raise BadInput("the section is implemented for unit-valued residue "
                        f"vectors (degree 1), got degree {v.degree}")
-    target = {k: (p, class_to_unit(c)) for k, (p, c) in v.finite.items()}
-    out = MilnorClass.zero(F, 2)
-    budget = BT_CORRECTION_BUDGET
-    while target:
-        key = max(target, key=lambda k: (target[k][0].degree, k))
-        place, u = target.pop(key)
+
+    def unit_lift(place: Place, target: MilnorClass):
+        u = class_to_unit(target)
         if u.is_one():
-            continue
-        budget -= place.degree
-        if budget <= 0:
-            raise PrecisionExhausted("section correction budget exhausted")
-        lift = F.from_poly(u.rep)  # deg < deg P, a place-unit everywhere above
-        term = symbol(F, [F.from_poly(place.poly), lift])
-        out = out + term
-        rv = residue_vector(term, with_infinity=False)
-        for k2, (p2, c2) in rv.finite.items():
-            if k2 == key:
-                continue  # already matched by construction
-            u2 = class_to_unit(c2)
-            if k2 in target:
-                target[k2] = (p2, target[k2][1] * u2.inverse())
-            else:
-                target[k2] = (p2, u2.inverse())
-        # drop places that became trivial
-        target = {k2: (p2, u2) for k2, (p2, u2) in target.items()
-                  if not u2.is_one()}
-    return out
+            return None
+        return symbol(F, [F.from_poly(place.poly), F.from_poly(u.rep)])
+
+    return _correction_sweep(MilnorClass.zero(F, 2), dict(v.finite),
+                             unit_lift, "section")
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +215,10 @@ def norm(xi: MilnorClass) -> MilnorClass:
     """Bass-Tate norm K_n(k[X]/pi) -> K_n(k), n <= 2.
 
     The input lives over a QuotCtx; pi and the base field are read from
-    its context.  Degree 0 is multiplication by [kappa : k].
+    its context.  Degree 0 is multiplication by [kappa : k].  Otherwise
+    beta = {pi, lifts of xi} has residue xi at pi; the sweep clears its
+    residues at the other finite places, all of degree < deg pi, with the
+    same formal lifts, and the norm is read off the residue at infinity.
     """
     kappa: QuotCtx = xi.ctx
     if not isinstance(kappa, QuotCtx):
@@ -251,32 +233,25 @@ def norm(xi: MilnorClass) -> MilnorClass:
         raise DegreeTooLarge("norm implemented for degrees 0, 1, 2")
     xi = drop_trivial_terms(xi)
     KX = RatFuncCtx(k_ctx, "X")
-    place_pi = Place.finite(KX, pi)
+    if not irreducible_over(pi):
+        raise NotIrreducible(pi.serialize(KX.var))
+    place_pi = Place(KX, pi)
     beta = MilnorClass(KX, n + 1, [_lift_term(KX, pi, t) for t in xi.terms])
-    # clear every finite residue away from pi, largest places first
-    budget = BT_CORRECTION_BUDGET
-    while True:
-        bad = []
-        for key, p in _finite_places_of(beta).items():
-            if key == place_pi.key():
-                continue
-            r = tame_at(p, beta)
-            if not r.is_zero():
-                bad.append((p, r))
-        if not bad:
-            break
-        bad.sort(key=lambda pr: (pr[0].degree, pr[0].key()))
-        place, r = bad[-1]
-        budget -= place.degree
-        if budget <= 0:
-            raise PrecisionExhausted("norm correction budget exhausted")
-        corr = MilnorClass(KX, n + 1,
-                           [_lift_term(KX, place.poly, t) for t in r.terms])
-        beta = beta - corr
+
+    def formal_lift(place: Place, target: MilnorClass):
+        if target.is_zero():
+            return None
+        return MilnorClass(KX, n + 1,
+                           [_lift_term(KX, place.poly, t)
+                            for t in target.terms])
+
+    targets = {P: -r for P, r in _finite_residues(beta).items()
+               if P != place_pi}
+    beta = _correction_sweep(beta, targets, formal_lift, "norm")
     back = tame_at(place_pi, beta)
     if not (back - xi).is_zero():
         raise SelfCheckFailed("pi-residue drifted during corrections")
-    return tame_at(Place.infinity(KX), beta).scale(NORM_SIGN)
+    return tame_at(Place(KX, None), beta).scale(NORM_SIGN)
 
 
 # --------------------------------------------------------------------------
@@ -285,10 +260,11 @@ def norm(xi: MilnorClass) -> MilnorClass:
 
 
 def k_equal(a: MilnorClass, b: MilnorClass) -> bool:
-    """Decide a = b in K_n of a finite field or of F_q(t), n <= 2.
+    """Decide a = b in K_n of a finite field, of F_q(t) or of a residue
+    field F_q[t]/(P), n <= 2.
 
-    Over F_q this is the finite presentation; over F_q(t) degree 1 is
-    the unit group and degree 2 injects into its finite residues.
+    Over F_q this is the finite presentation; degree 1 is the unit group;
+    K_2(F_q(t)) injects into its finite residues.
     """
     if a.ctx != b.ctx or a.degree != b.degree:
         raise ContextMismatch("comparison needs one context and degree")
@@ -299,15 +275,13 @@ def k_equal(a: MilnorClass, b: MilnorClass) -> bool:
     if isinstance(ctx, FiniteFieldCtx):
         from .symbols import ff_kgroup
         return ff_kgroup(ctx.q, a.degree).image_is_zero(diff)
-    if isinstance(ctx, RatFuncCtx):
-        if a.degree == 1:
-            return class_to_unit(diff).is_one()
-        if a.degree == 2:
-            # K_2(k(t)) injects into the finite residues (K_2 of the
-            # constants vanishes); each residue is trivial iff its unit is 1
-            rv = residue_vector(diff, with_infinity=False)
-            return all(class_to_unit(c).is_one()
-                       for _, c in rv.finite.values())
+    if a.degree == 1 and isinstance(ctx, (RatFuncCtx, QuotCtx)):
+        return class_to_unit(diff).is_one()
+    if a.degree == 2 and isinstance(ctx, RatFuncCtx):
+        # K_2 of the constants vanishes, so a class is zero iff each of
+        # its finite residues is
+        return all(class_to_unit(r).is_one()
+                   for r in _finite_residues(diff).values())
     raise DegreeTooLarge("no equality test for this context/degree")
 
 
@@ -325,70 +299,20 @@ def projection_formula_check(x: MilnorClass, y: MilnorClass) -> bool:
     return k_equal(lhs, rhs)
 
 
-def _flatten(elem, d1: int, d2: int):
-    """Coordinates of an element of k[X]/pi1 [Y]/pi2 over k."""
-    out = []
-    for j in range(d2):
-        cj = elem.rep.coeff(j)  # QuotElem over k
-        for i in range(d1):
-            out.append(cj.rep.coeff(i))
-    return out
-
-
-def _rank(vectors) -> int:
-    """Rank of row vectors over an exact field, by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def tower_is_primitive(pi1: Poly, pi2: Poly) -> bool:
-    """True iff theta2 generates the whole tower k -> k[X]/pi1 -> .../pi2.
-
-    Checked as linear independence of 1, theta2, ..., theta2^(d-1) over k,
-    which also certifies that pi2 is irreducible over the middle field.
-    """
-    Fp = QuotCtx(pi1.ctx, pi1)
-    Fpp = QuotCtx(Fp, pi2)
-    d1, d2 = pi1.degree, pi2.degree
-    d = d1 * d2
-    th = Fpp.theta()
-    vecs = []
-    acc = Fpp.one()
-    for _ in range(d):
-        vecs.append(_flatten(acc, d1, d2))
-        acc = acc * th
-    return _rank(vecs) == d
-
-
 def composite_minimal_poly(pi1: Poly, pi2: Poly) -> Poly:
     """Minimal polynomial over k of theta2 in the tower, by resultant
-    elimination: Res_X(pi1(X), pi2 with theta1 -> X, Y -> Z).
+    elimination: mu = Res_X(pi1(X), pi2 with theta1 -> X, Y -> Z).
 
-    Raises EliminationFailed when theta2 is not primitive.
+    mu is monic of degree d1*d2 and vanishes at theta2.  Once mu is
+    certified irreducible, k[theta2] is a field of degree d1*d2 inside
+    the tower k -> k[X]/pi1 -> .../pi2, which has that degree too: theta2
+    generates the whole tower, and pi2 is irreducible over the middle
+    field.  A degenerate tower (pi2 = Y^2 - theta1^2, say) therefore ends
+    in NotIrreducible.
     """
     k_ctx = pi1.ctx
     if not (pi1.is_monic() and pi2.is_monic()):
         raise NotMonic("tower polynomials must be monic")
-    if not tower_is_primitive(pi1, pi2):
-        raise EliminationFailed("theta2 does not generate the composite")
     KZ = RatFuncCtx(k_ctx, "Z")
     d1 = pi1.degree
     p1 = pi1.map_coeffs(KZ.from_const, KZ)

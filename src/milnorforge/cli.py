@@ -32,7 +32,6 @@ from .bass_tate import (
     projection_formula_check,
     reciprocity_check,
     residue_vector,
-    tower_is_primitive,
 )
 from .errors import BadInput, MilnorForgeError
 from .localk import (
@@ -96,7 +95,7 @@ def parse_int(s: str, what: str) -> int:
 
 
 def make_field(spec: str, precision: int):
-    """`padic:P`, `laurent:Q`, `ff:Q` or `ratfunc:Q`."""
+    """`padic:P`, `laurent:Q` or `ratfunc:Q`."""
     kind, _, arg = spec.partition(":")
     if not arg:
         raise BadInput(f"field spec {spec!r} needs `kind:q`")
@@ -107,8 +106,6 @@ def make_field(spec: str, precision: int):
         return padic_ctx(q, precision)
     if kind == LAURENT:
         return laurent_ctx(q, precision)
-    if kind == "ff":
-        return ff_ctx_q(q)
     if kind == "ratfunc":
         return RatFuncCtx(ff_ctx_q(q), "t")
     raise BadInput(f"unknown field kind {kind!r}")
@@ -500,8 +497,6 @@ def cmd_check_tower(args, rep: Report):
             shift = QuotElem(Fp, Poly.const(
                 F, F.from_const(base.from_exp(rng.randrange(base.q - 1)))))
             pi2 = Poly(Fp, [-(th + shift), Fp.zero(), Fp.one()])
-            if not tower_is_primitive(pi1, pi2):
-                continue
             g = Poly(F, [F.one(),
                          F.from_const(base.from_exp(rng.randrange(base.q - 1)))])
             ok = functoriality_check(pi1, pi2, g)
@@ -723,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Milnor K-theory calculators for local and "
                     "global function fields at desk scale.")
     p.add_argument("--field", default="padic:5",
-                   help="padic:P | laurent:Q | ff:Q | ratfunc:Q")
+                   help="padic:P | laurent:Q | ratfunc:Q")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "records"), default="text")

@@ -145,26 +145,23 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
             "degree >= 3 is theory-backed, not desk-checked")
     if m < 2 or m % ctx.p == 0:
         raise BadInput(f"modulus {m} must be >= 2 and coprime to p")
+    if n not in (1, 2, 3):
+        raise BadInput(f"gersten-check covers degrees 1, 2 and 3, got {n}")
     kappa = ctx.residue_field
     out = []
     for i in range(samples):
         # leg 1: tame o iota = 0 on unit symbols
-        b = symbol(ctx, [ctx.random_unit(rng) for _ in range(n)]) \
-            if n >= 1 else MilnorClass.unit(ctx)
-        leg1 = tame(ctx, b).is_zero() if n >= 1 else True
+        b = symbol(ctx, [ctx.random_unit(rng) for _ in range(n)])
+        leg1 = tame(ctx, b).is_zero()
 
         # leg 2: the section hits the sampled kappa-class
-        c = _random_kappa_class(kappa, n - 1, rng) if n >= 1 else None
-        if n >= 1:
-            sc = _section_class(ctx, c)
-            leg2 = _kappa_congruent(kappa, tame(ctx, sc), c, m)
-        else:
-            leg2 = True
+        c = _random_kappa_class(kappa, n - 1, rng)
+        sc = _section_class(ctx, c)
+        leg2 = _kappa_congruent(kappa, tame(ctx, sc), c, m)
 
         # leg 3: a constructed tame-kernel class has pure-unit form mod m
         leg3, kernel_kind = _kernel_leg(ctx, n, m, rng)
-        out.append((i, leg1, leg2, leg3, kernel_kind,
-                    b.serialize() if n >= 1 else "1"))
+        out.append((i, leg1, leg2, leg3, kernel_kind, b.serialize()))
     return out
 
 

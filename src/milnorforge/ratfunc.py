@@ -18,7 +18,6 @@ from .errors import (
     BadInput,
     DegreeTooLarge,
     NotAUnit,
-    NotIrreducible,
     NotMonic,
     SelfCheckFailed,
     ZeroElement,
@@ -524,30 +523,22 @@ def irreducible_over(f: Poly) -> bool:
 # places and the per-place tame symbol
 # --------------------------------------------------------------------------
 
-INFINITY = "INFINITY"
-
 
 class Place:
-    """A finite place (monic irreducible) or the place at infinity."""
+    """A finite place of F = k(X) or, for poly None, the place at infinity.
+
+    A finite place is a monic irreducible polynomial over k.  Irreducibility
+    is decided once, where the polynomial enters: support() builds places
+    from the factors it has just computed, and norm() tests its pi.
+    """
 
     __slots__ = ("F", "poly")
 
     def __init__(self, F: RatFuncCtx, poly: Poly | None):
-        if poly is not None:
-            if not poly.is_monic():
-                raise NotMonic("finite places need monic polynomials")
-            if not irreducible_over(poly):
-                raise NotIrreducible(poly.serialize(F.var))
+        if poly is not None and not poly.is_monic():
+            raise NotMonic("finite places need monic polynomials")
         self.F = F
         self.poly = poly
-
-    @classmethod
-    def finite(cls, F, poly):
-        return cls(F, poly)
-
-    @classmethod
-    def infinity(cls, F):
-        return cls(F, None)
 
     @property
     def is_infinite(self) -> bool:
@@ -638,16 +629,13 @@ class Place:
 
 
 def support(x: RatFuncElem) -> list[Place]:
-    """All finite places where x has nonzero valuation."""
-    places = {}
-    for p in (x.num, x.den):
-        if p.is_const():
-            continue
-        for irr, _ in monic_irreducible_factors(p):
-            pl = Place.finite(x.ctx, irr)
-            places[pl.key()] = pl
-    # num and den are coprime, so every factor has nonzero valuation
-    return list(places.values())
+    """All finite places where x has nonzero valuation.
+
+    num and den are coprime, so their monic irreducible factors are
+    distinct and each has nonzero valuation.
+    """
+    return [Place(x.ctx, irr) for p in (x.num, x.den) if not p.is_const()
+            for irr, _ in monic_irreducible_factors(p)]
 
 
 def tame_at(place: Place, a: MilnorClass) -> MilnorClass:

@@ -116,11 +116,6 @@ class MultiPoly:
     def one(cls, ctx, k: int) -> "MultiPoly":
         return cls.const(ctx, k, ctx.one())
 
-    @classmethod
-    def var(cls, ctx, k: int, i: int) -> "MultiPoly":
-        exps = tuple(1 if j == i else 0 for j in range(k))
-        return cls(ctx, k, {exps: ctx.one()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -178,10 +173,6 @@ class MultiPoly:
         return Poly(self.ctx, [self.coeffs.get((i,), self.ctx.zero())
                                for i in range(deg + 1)])
 
-    @classmethod
-    def from_poly(cls, ctx, p: Poly) -> "MultiPoly":
-        return cls(ctx, 1, {(i,): c for i, c in enumerate(p.coeffs)})
-
     def serialize(self) -> str:
         if not self.coeffs:
             return "0"
@@ -230,9 +221,8 @@ class RationalRingElem:
         return cls(A, f.k, f, MultiPoly.one(f.ctx, f.k))
 
     @classmethod
-    def const(cls, A, k: int, c, coeff_ctx=None) -> "RationalRingElem":
-        ctx = coeff_ctx if coeff_ctx is not None else A
-        return cls.from_poly(A, MultiPoly.const(ctx, k, c))
+    def const(cls, A, k: int, c) -> "RationalRingElem":
+        return cls.from_poly(A, MultiPoly.const(A, k, c))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -324,8 +314,7 @@ def _specialization_points(kappa, count: int):
     return out
 
 
-def delta_kernel_check(s: MilnorClass,
-                       points: int = DELTA_SAMPLE_POINTS) -> bool:
+def delta_kernel_check(s: MilnorClass) -> bool:
     """Sampled test of delta(s) = s(t1) - s(t2) = 0 over A(t1, t2).
 
     Sound necessary condition: reduce entries to kappa(t), specialize
@@ -352,7 +341,7 @@ def delta_kernel_check(s: MilnorClass,
         return True
     from .bass_tate import k_equal
     kappa = s.terms[0].entries[0].A.residue_field
-    for big, emb, c in _specialization_points(kappa, points):
+    for big, emb, c in _specialization_points(kappa, DELTA_SAMPLE_POINTS):
         F = RatFuncCtx(big, "t")
         terms_t = []
         terms_c = []
@@ -501,9 +490,10 @@ def rep1_same(x, y) -> bool:
     return all(a.same_as(b) for a, b in zip(x, y))
 
 
-def random_integral(A, rng, max_val: int = 2):
-    k = rng.randrange(max_val + 2)
-    if k > max_val:
+def random_integral(A, rng):
+    """Zero or a unit times pi^k, k = 0, 1, 2, each with chance 1/4."""
+    k = rng.randrange(4)
+    if k == 3:
         return A.zero()
     return A.random_unit(rng) * A.uniformizer() ** k
 
@@ -523,8 +513,8 @@ def random_multipoly(A, k: int, rng, max_deg: int = 2,
     return f
 
 
-def random_ratring_elem(A, k: int, rng, unit: bool = False):
-    num = random_multipoly(A, k, rng, ensure_s=unit)
+def random_ratring_elem(A, k: int, rng):
+    num = random_multipoly(A, k, rng)
     den = random_multipoly(A, k, rng, ensure_s=True)
     return RationalRingElem(A, k, num, den)
 

@@ -8,6 +8,7 @@ from milnorforge.arith.finite_field import ff_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.bass_tate import (
     bt_section,
+    composite_minimal_poly,
     functoriality_check,
     k_equal,
     norm,
@@ -15,6 +16,7 @@ from milnorforge.bass_tate import (
     reciprocity_check,
     residue_vector,
 )
+from milnorforge.errors import NotIrreducible
 from milnorforge.ratfunc import QuotCtx, RatFuncCtx
 from milnorforge.symbols import symbol
 
@@ -136,6 +138,21 @@ def test_functoriality_along_quadratic_tower(q):
         if g.degree < 1:
             continue
         assert functoriality_check(pi1, pi2, g)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_composite_minimal_poly_rejects_degenerate_towers(q):
+    # theta2 = +-theta1 and theta2 = +-1 generate a proper subfield of the
+    # degree-4 tower, so mu is a square and has no irreducibility
+    # certificate
+    F = RatFuncCtx(ff_ctx(q))
+    t = F.gen()
+    pi1 = Poly(F, [-t, F.zero(), F.one()])
+    Fp = QuotCtx(F, pi1)
+    for c in (Fp.theta() * Fp.theta(), Fp.one()):
+        pi2 = Poly(Fp, [-c, Fp.zero(), Fp.one()])
+        with pytest.raises(NotIrreducible):
+            composite_minimal_poly(pi1, pi2)
 
 
 _DRIFTING_RESIDUE = """

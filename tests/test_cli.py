@@ -1,5 +1,6 @@
 """Command-line driver: verbs, report formats, determinism, exit codes."""
 
+import hashlib
 import os
 import random
 import re
@@ -32,6 +33,8 @@ def test_make_field_kinds():
         make_field("padic", 8)
     with pytest.raises(BadInput):
         make_field("weird:5", 8)
+    with pytest.raises(BadInput):  # no verb takes a bare finite field
+        make_field("ff:5", 8)
 
 
 def test_bounds_env_override(monkeypatch):
@@ -216,6 +219,42 @@ def test_records_are_byte_identical_across_runs(capsys):
     assert first == second
     _, other_seed = run(capsys, argv[:8] + ["41"] + argv[9:])
     assert other_seed != first
+
+
+FUNCTION_FIELD_RUNS = [
+    ["--field", f"ratfunc:{q}", "--seed", str(seed)] + verb
+    for q in (3, 5) for seed in (0, 7)
+    for verb in (
+        ["residues", "{1*t^1+1,1*t^2+2} - 2*{t,(1*t^2+1)/(1*t^1+1)}"],
+        ["section", "{1*t^1+1,1*t^2+2} - 2*{t,(1*t^2+1)/(1*t^1+1)}"],
+        ["norm", "--pi=-1*t;0;1", "{0;1,1*t^1+1;1}"],
+        ["norm", "--pi=-1*t;0;0;1", "{1*t^1;0;1,1*t^0+1*t^1;1}"],
+        ["norm", "--pi=-1*t^2;0;1", "{1;1}"],  # reducible: a FAIL record
+        ["check-reciprocity", "--samples", "3"],
+        ["check-projection", "--samples", "2"],
+        ["check-tower", "--samples", "2"],
+    )]
+
+
+def test_function_field_records_are_pinned(capsys):
+    # the residue, section and norm records over F_3(t) and F_5(t): any
+    # change to the correction sweep, the places it visits or the
+    # samplers changes this digest
+    h = hashlib.sha256()
+    for argv in FUNCTION_FIELD_RUNS:
+        _, out = run(capsys, ["--format", "records"] + argv)
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "1d4f07b2a5903b5800f919a2943f3b3cbb1cd21deeecc5adc1d8d7eb6f46cf8a")
+
+
+def test_norm_along_reducible_pi_fails(capsys):
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "norm", "--pi=-1*t^2;0;1", "{1;1}"])
+    assert rc == 1
+    assert out.splitlines()[0].endswith(
+        "error=NotIrreducible "
+        "counterexample='ff(3,1):g^1*t^2 + ff(3,1):g^0*X^2' ok=false")
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

@@ -150,7 +150,7 @@ def test_mixed_valuation_sum_limits_absolute_precision():
     x = PadicNumber(5, 4, 2, 3)
     y = PadicNumber(5, 6, 0, 1)
     s = x + y
-    assert s.val == 0 and s.abs_prec() == 6
+    assert s.val == 0 and s.val + s.prec == 6
 
 
 # --- Laurent series -------------------------------------------------------
@@ -271,9 +271,9 @@ def test_laurent_unit_times_inverse_is_one_at_precision(q, prec):
 def test_laurent_residue_of_unit():
     L = laurent_ctx(9, 6)
     x = L.from_int(2) + L.uniformizer()
-    assert x.residue() == L.residue_field.from_int(2)
+    assert L.residue(x) == L.residue_field.from_int(2)
     with pytest.raises(NotAUnit):
-        L.uniformizer().residue()
+        L.residue(L.uniformizer())
 
 
 def test_laurent_parse_serialize_round_trip():
@@ -332,7 +332,7 @@ def test_unit_decompose_splits_valuation_and_unit():
     x = p.from_int(7 * 25)
     k, u = unit_decompose(x)
     assert k == 2
-    assert u.is_unit()
+    assert u.val == 0
     assert u * p.uniformizer() ** 2 == x
 
 

@@ -120,6 +120,14 @@ def test_witness_rejects_degree_below_two():
             divisibility_witness(ctx, a, 3)
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_gersten_check_rejects_degrees_outside_one_to_three(n):
+    # the kernel leg has cases for n = 1, 2, 3 only; no other degree may
+    # fall through to one of them
+    with pytest.raises(BadInput):
+        localk.gersten_check(laurent_ctx(3, 8), n, 2, 2, random.Random(0))
+
+
 @pytest.mark.parametrize("ctx", CONTEXTS)
 @pytest.mark.parametrize("ell", [3, 7])
 def test_witness_verifies_on_random_classes(ctx, ell):

@@ -6,7 +6,7 @@ import pytest
 
 from milnorforge.arith.finite_field import ff_ctx
 from milnorforge.arith.poly import Poly
-from milnorforge.errors import NotAUnit, NotIrreducible
+from milnorforge.errors import NotAUnit, NotMonic
 from milnorforge.ratfunc import (
     Place,
     QuotCtx,
@@ -56,7 +56,7 @@ def test_support_lists_zeros_and_poles():
 def test_place_valuations_and_unit_part():
     F = F3t()
     t = F.gen()
-    at_t = Place.finite(F, Poly.from_ints(F.base, [0, 1]))
+    at_t = Place(F, Poly.from_ints(F.base, [0, 1]))
     x = (t * t - F.one()) / t
     assert at_t.valuation(x) == -1
     k, u = at_t.split(x)
@@ -66,10 +66,16 @@ def test_place_valuations_and_unit_part():
         at_t.residue(x)
 
 
+def test_place_needs_a_monic_polynomial():
+    F = F3t()
+    with pytest.raises(NotMonic):
+        Place(F, Poly.from_ints(F.base, [0, 2]))  # 2t
+
+
 def test_infinity_place_valuation_is_minus_degree():
     F = F3t()
     t = F.gen()
-    inf = Place.infinity(F)
+    inf = Place(F, None)
     assert inf.valuation(t) == -1
     assert inf.valuation((t ** 3 + F.one()) / t) == -2
     assert inf.valuation(F.from_int(2)) == 0
@@ -79,7 +85,7 @@ def test_sum_of_valuations_times_degree_is_zero():
     # deg of a principal divisor vanishes: sum_v deg(v) * v(x) = 0
     F = RatFuncCtx(ff_ctx(5))
     rng = random.Random(13)
-    inf = Place.infinity(F)
+    inf = Place(F, None)
     for _ in range(20):
         x = F.random_nonzero(rng, max_deg=3)
         total = sum(p.degree * p.valuation(x) for p in support(x))
@@ -90,7 +96,7 @@ def test_sum_of_valuations_times_degree_is_zero():
 def test_tame_at_frozen_example():
     F = F3t()
     t = F.gen()
-    at_t = Place.finite(F, Poly.from_ints(F.base, [0, 1]))
+    at_t = Place(F, Poly.from_ints(F.base, [0, 1]))
     a = symbol(F, [t, t - F.one()])
     assert tame_at(at_t, a).serialize() == "deg:1 {ff(3,1):g^1}"
 
@@ -98,7 +104,7 @@ def test_tame_at_frozen_example():
 def test_tame_at_place_away_from_support_is_zero():
     F = F3t()
     t = F.gen()
-    away = Place.finite(F, Poly.from_ints(F.base, [1, 0, 1]))
+    away = Place(F, Poly.from_ints(F.base, [1, 0, 1]))
     a = symbol(F, [t, t - F.one()])
     assert tame_at(away, a).is_zero()
 

@@ -1,0 +1,126 @@
+"""Differential tests of F_p polynomial arithmetic against sympy.
+
+sympy is an independent implementation, so factorizations, the
+irreducibility test, gcds and resultants over F_p must agree with it on
+seeded random polynomials (resultants with sympy's determinant of the
+Sylvester matrix, see sylvester_resultant).  Places of F_q(t) trust
+poly_factor's factors without testing them again; this is the check on
+those factors.  sympy prints GF(p) coefficients in the symmetric range,
+so every coefficient is compared mod p.
+"""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from milnorforge.arith.factor import is_irreducible, poly_factor  # noqa: E402
+from milnorforge.arith.finite_field import ff_ctx  # noqa: E402
+from milnorforge.arith.poly import Poly  # noqa: E402
+
+X = sympy.Symbol("x")
+PRIMES = (2, 3, 5, 7)
+MAX_DEGREE = 8
+
+
+def to_sympy(f: Poly, p: int):
+    return sympy.Poly([c.as_int() for c in reversed(f.coeffs)], X,
+                      modulus=p)
+
+
+def ints(f: Poly) -> list:
+    return [c.as_int() for c in f.coeffs]
+
+
+def sympy_ints(g, p: int) -> list:
+    """Coefficients of a sympy GF(p) polynomial, low first, in 0..p-1."""
+    return [int(c) % p for c in reversed(g.all_coeffs())]
+
+
+def sympy_monic(g, p: int) -> list:
+    cs = sympy_ints(g, p)
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
+
+
+def random_poly(k, rng, degree: int) -> Poly:
+    return Poly.from_ints(k, [rng.randrange(k.p) for _ in range(degree)]
+                          + [rng.randrange(1, k.p)])
+
+
+def samples(p: int, count: int = 30):
+    """Random polynomials of degree 1..8, half of them a*b^2 so that
+    repeated factors occur."""
+    k = ff_ctx(p)
+    rng = random.Random(1000 + p)
+    out = []
+    for i in range(count):
+        if i % 2:
+            a = random_poly(k, rng, rng.randrange(0, 4))
+            b = random_poly(k, rng, rng.randrange(1, 3))
+            out.append(a * b * b)
+        else:
+            out.append(random_poly(k, rng, rng.randrange(1, MAX_DEGREE + 1)))
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_factor_agrees_with_sympy(p):
+    for f in samples(p):
+        lc, facs = to_sympy(f, p).factor_list()
+        want = sorted((tuple(sympy_ints(g, p)), m) for g, m in facs)
+        got = sorted((tuple(ints(g)), m) for g, m in poly_factor(f))
+        assert got == want, f
+        assert int(lc) % p == f.lc.as_int()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_is_irreducible_agrees_with_sympy(p):
+    for f in samples(p, 60):
+        assert is_irreducible(f) == to_sympy(f, p).is_irreducible, f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gcd_agrees_with_sympy(p):
+    k = ff_ctx(p)
+    rng = random.Random(2000 + p)
+    for i in range(30):
+        # every other pair shares a random factor
+        c = random_poly(k, rng, rng.randrange(1, 4)) if i % 2 \
+            else Poly.one(k)
+        a = random_poly(k, rng, rng.randrange(1, 6)) * c
+        b = random_poly(k, rng, rng.randrange(1, 6)) * c
+        want = sympy_monic(to_sympy(a, p).gcd(to_sympy(b, p)), p)
+        assert ints(a.gcd(b)) == want, (a, b)
+
+
+def sylvester_resultant(a: Poly, b: Poly, p: int) -> int:
+    """Res(a, b) mod p as the determinant of the Sylvester matrix.
+
+    This is the definition itself.  sympy 1.14's own resultant flips the
+    sign when deg a < deg b and deg a * deg b is odd (it gives
+    Res(x + 3, x^3 + 1) = 26, where the determinant is -26), so it is not
+    used as the oracle.
+    """
+    m, n = a.degree, b.degree
+    if m + n == 0:
+        return 1
+    fa, fb = ints(a)[::-1], ints(b)[::-1]
+    rows = [[0] * i + fa + [0] * (n - 1 - i) for i in range(n)] \
+        + [[0] * i + fb + [0] * (m - 1 - i) for i in range(m)]
+    return int(sympy.Matrix(rows).det()) % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_resultant_agrees_with_sylvester_determinant(p):
+    k = ff_ctx(p)
+    rng = random.Random(3000 + p)
+    for i in range(30):
+        # every third pair shares a linear factor: resultant 0
+        c = random_poly(k, rng, 1) if i % 3 == 0 else Poly.one(k)
+        a = random_poly(k, rng, rng.randrange(0, MAX_DEGREE)) * c
+        b = random_poly(k, rng, rng.randrange(0, MAX_DEGREE)) * c
+        got = a.resultant(b)
+        assert (0 if got.is_zero() else got.as_int()) == \
+            sylvester_resultant(a, b, p), (a, b)
