@@ -104,8 +104,9 @@ class ResidueVector:
         return f"ResidueVector({self.serialize()})"
 
 
-def _finite_residues(a: MilnorClass) -> dict:
-    """The nonzero tame residues of a class over k(X), by finite Place.
+def _finite_residues(a: MilnorClass, skip: Place | None = None) -> dict:
+    """The nonzero tame residues of a class over k(X), by finite Place,
+    leaving out the place skip.
 
     Only places in the support of some entry can carry a residue.
     """
@@ -113,7 +114,7 @@ def _finite_residues(a: MilnorClass) -> dict:
     for t in a.terms:
         for e in t.entries:
             for P in support(e):
-                if P not in out:
+                if P not in out and P != skip:
                     out[P] = tame_at(P, a)
     return {P: r for P, r in out.items() if not r.is_zero()}
 
@@ -172,9 +173,8 @@ def _correction_sweep(out: MilnorClass, targets: dict, lift,
         if budget <= 0:
             raise PrecisionExhausted(f"{what} correction budget exhausted")
         out = out + term
-        for P, r in _finite_residues(term).items():
-            if P != place:
-                targets[P] = targets[P] - r if P in targets else -r
+        for P, r in _finite_residues(term, skip=place).items():
+            targets[P] = targets[P] - r if P in targets else -r
     return out
 
 
@@ -233,7 +233,7 @@ def norm(xi: MilnorClass) -> MilnorClass:
         raise DegreeTooLarge("norm implemented for degrees 0, 1, 2")
     xi = drop_trivial_terms(xi)
     KX = RatFuncCtx(k_ctx, "X")
-    if not irreducible_over(pi):
+    if not kappa.pi_is_irreducible():
         raise NotIrreducible(pi.serialize(KX.var))
     place_pi = Place(KX, pi)
     beta = MilnorClass(KX, n + 1, [_lift_term(KX, pi, t) for t in xi.terms])
@@ -353,7 +353,9 @@ def functoriality_check(pi1: Poly, pi2: Poly, g: Poly) -> bool:
     if not 0 < g.degree < mu.degree:
         raise BadInput("sample must generate a nonzero unit: need "
                        f"0 < deg g = {g.degree} < {mu.degree}")
-    Fp = QuotCtx(k_ctx, pi1)
+    # mu is certified irreducible, so the tower is a field; so is its
+    # middle k[X]/pi1, and pi1 is irreducible
+    Fp = QuotCtx(k_ctx, pi1, irreducible=True)
     g_up = g.map_coeffs(Fp.from_base, Fp)  # g(Y) over F'
     inner = pi2.resultant(g_up)  # element of F'
     outer = norm(symbol(Fp, [inner]))

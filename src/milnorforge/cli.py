@@ -48,6 +48,7 @@ from .localk import (
 )
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, irreducible_over
 from .rational_ring import (
+    BASE_CHANGE_MAX_DEGREE,
     MultiPoly,
     RationalRingElem,
     base_change_roundtrip,
@@ -469,7 +470,7 @@ def cmd_check_projection(args, rep: Report):
     F = _ratfunc_ctx(args)
     for i in range(args.samples):
         pi = _sample_irreducible(F, rng, 2)
-        B = QuotCtx(F, pi)
+        B = QuotCtx(F, pi, irreducible=True)
         x = symbol(F, [F.random_nonzero(rng, 1)])
         y = symbol(B, [B.theta() if rng.random() < 0.5
                        else QuotElem(B, Poly.const(F, F.random_nonzero(rng, 1)))])
@@ -549,7 +550,11 @@ def cmd_base_change_check(args, rep: Report):
     rng = args.rng
     A = _local_ctx(args)
     if args.pi:
-        pi = Poly(A, [A.from_int(int(c)) for c in args.pi.split(";")])
+        parts = args.pi.split(";")
+        if len(parts) - 1 > BASE_CHANGE_MAX_DEGREE:
+            raise BadInput(f"--pi of degree {len(parts) - 1} above the bound "
+                           f"{BASE_CHANGE_MAX_DEGREE}")
+        pi = Poly(A, [A.from_int(parse_int(c, "--pi")) for c in parts])
         ok = base_change_roundtrip(A, pi, rng)
         fields = {"op": "base_change_roundtrip", "index": 0}
         if not ok:

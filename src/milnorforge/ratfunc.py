@@ -163,15 +163,26 @@ class RatFuncElem:
 
 
 class QuotCtx:
-    """Field base_field[X] / (pi), pi monic irreducible."""
+    """Field base_field[X] / (pi), pi monic irreducible.
 
-    __slots__ = ("field", "pi")
+    Whether pi is irreducible is decided at most once per context: pass
+    irreducible=True when the caller has already decided it, otherwise
+    pi_is_irreducible() decides it on first use and remembers the answer.
+    """
 
-    def __init__(self, field, pi: Poly):
+    __slots__ = ("field", "pi", "_irreducible")
+
+    def __init__(self, field, pi: Poly, irreducible: bool | None = None):
         if not pi.is_monic():
             raise NotMonic("defining polynomial must be monic")
         self.field = field  # the coefficient field context of pi
         self.pi = pi
+        self._irreducible = irreducible
+
+    def pi_is_irreducible(self) -> bool:
+        if self._irreducible is None:
+            self._irreducible = irreducible_over(self.pi)
+        return self._irreducible
 
     @property
     def degree(self) -> int:
@@ -529,7 +540,8 @@ class Place:
 
     A finite place is a monic irreducible polynomial over k.  Irreducibility
     is decided once, where the polynomial enters: support() builds places
-    from the factors it has just computed, and norm() tests its pi.
+    from the factors it has just computed, and norm() asks the QuotCtx of
+    its pi, which decides once.
     """
 
     __slots__ = ("F", "poly")

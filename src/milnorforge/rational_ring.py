@@ -8,6 +8,15 @@ soundness test for membership in the delta-kernel (the improved Milnor
 K-group), and round-trip checks for the base-change isomorphism
 B (x)_A A(t) = B(t) with B = A[X]/(pi).
 
+B(t) has two models.  Representation 1 is the free A(t)-module on
+1, X, ..., X^(d-1): numerators N_0, ..., N_(d-1) in A[t] over one shared
+denominator in S, so sums and products multiply denominators once per
+element, not once per coordinate.  Representation 2 is a fraction with
+B-coefficients; its denominator D is inverted through its norm,
+D^-1 = adj(M) e_0 / det M for M the matrix of multiplication by D, with
+det M and the adjugate column from Berkowitz's division-free algorithm,
+so no pivot is ever chosen or divided by.
+
 k <= 2 only: one variable for A(t), two for the delta test's target.
 """
 
@@ -26,6 +35,7 @@ from .errors import (
     NotMonic,
     PrecisionTooLowToReduce,
     ResidueReducible,
+    SelfCheckFailed,
     ZeroElement,
 )
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
@@ -34,6 +44,8 @@ from .symbols import MilnorClass, SymbolTerm
 MAX_VARIABLES = 2
 DELTA_SAMPLE_POINTS = 16
 DELTA_MAX_EXT = 3
+# largest degree of pi that base-change-check accepts
+BASE_CHANGE_MAX_DEGREE = 6
 
 
 # --------------------------------------------------------------------------
@@ -383,55 +395,84 @@ def _check_residue_irreducible(A: LocalFieldCtx, pi: Poly):
         raise ResidueReducible("pi is reducible over the residue field")
 
 
-def _rep1_reduce(A, pi: Poly, vec):
-    """Reduce a long coefficient vector modulo monic pi (as constants)."""
+class Rep1:
+    """An element sum_i nums[i] X^i / den of B(t) in representation 1.
+
+    The numerators nums[0..d-1] lie in A[t] and share one denominator
+    den in S, so a sum or product multiplies denominators once.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den: MultiPoly):
+        self.nums = nums
+        self.den = den
+
+    @classmethod
+    def from_fractions(cls, A, vec) -> "Rep1":
+        """d fractions of A(t), put over the product of their denominators."""
+        den = MultiPoly.one(A, 1)
+        for x in vec:
+            den = den * x.den
+        nums = []
+        for i, x in enumerate(vec):
+            num = x.num
+            for j, y in enumerate(vec):
+                if j != i:
+                    num = num * y.den
+            nums.append(num)
+        return cls(nums, den)
+
+
+def _rep1_reduce(A, pi: Poly, nums):
+    """Reduce a long list of X-coefficients modulo monic pi."""
     d = pi.degree
-    vec = list(vec)
-    zero = RationalRingElem.from_poly(A, MultiPoly.zero(A, 1))
-    while len(vec) > d:
-        top = vec.pop()
-        i = len(vec) - d
+    nums = list(nums)
+    while len(nums) > d:
+        top = nums.pop()
+        i = len(nums) - d
         for j in range(d):
-            cj = RationalRingElem.const(A, 1, pi.coeffs[j])
-            vec[i + j] = vec[i + j] - top * cj
-    while len(vec) < d:
-        vec.append(zero)
-    return vec
+            if not _exact_zero(pi.coeffs[j]):
+                nums[i + j] = nums[i + j] - top.scale(pi.coeffs[j])
+    while len(nums) < d:
+        nums.append(MultiPoly.zero(A, 1))
+    return nums
 
 
-def rep1_mul(A, pi: Poly, x, y):
-    """Product in the A(t)-module representation of B(t)."""
+def rep1_mul(A, pi: Poly, x: Rep1, y: Rep1) -> Rep1:
+    """Product in the A(t)-module representation of B(t): the numerators
+    multiply as X-polynomials over A[t] and are reduced modulo pi."""
     d = pi.degree
-    zero = RationalRingElem.from_poly(A, MultiPoly.zero(A, 1))
-    out = [zero] * (2 * d - 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
+    out = [MultiPoly.zero(A, 1)] * (2 * d - 1)
+    for i, a in enumerate(x.nums):
+        for j, b in enumerate(y.nums):
             out[i + j] = out[i + j] + a * b
-    return _rep1_reduce(A, pi, out)
+    return Rep1(_rep1_reduce(A, pi, out), x.den * y.den)
 
 
-def rep1_add(x, y):
-    return [a + b for a, b in zip(x, y)]
+def rep1_add(x: Rep1, y: Rep1) -> Rep1:
+    return Rep1([a * y.den + b * x.den for a, b in zip(x.nums, y.nums)],
+                x.den * y.den)
 
 
-def conv_to_brep(A, B: QuotCtx, vec) -> RationalRingElem:
-    """X-polynomial with A(t) coefficients -> rational function over B."""
-    k = 1
-    den = MultiPoly.one(A, k)
-    for x in vec:
-        den = den * x.den
-    num = MultiPoly.zero(B, k)
-    for i, x in enumerate(vec):
-        other = MultiPoly.one(A, k)
-        for j, y in enumerate(vec):
-            if j != i:
-                other = other * y.den
-        part = (x.num * other).map_coeffs(
-            lambda c: QuotElem(B, Poly.const(A, c)), B)
-        xi = MultiPoly.const(B, k, QuotElem(B, Poly.x(A) ** i))
-        num = num + part * xi
-    den_b = den.map_coeffs(lambda c: QuotElem(B, Poly.const(A, c)), B)
-    return RationalRingElem(A, k, num, den_b)
+def rep1_same(A, x: Rep1, y: Rep1) -> bool:
+    """Equality by cross-multiplication at working precision."""
+    return all((a * y.den).same_as(b * x.den, floor=A.prec)
+               for a, b in zip(x.nums, y.nums))
+
+
+def _const_bpoly(B: QuotCtx, f: MultiPoly) -> MultiPoly:
+    """A[t] -> B[t] along the inclusion A -> B."""
+    return f.map_coeffs(B.from_base, B)
+
+
+def _join_bpoly(A, B: QuotCtx, nums) -> MultiPoly:
+    """sum_i nums[i] X^i as a polynomial over B (inverse of _split_bpoly)."""
+    zero = A.zero()
+    exps = set().union(*(n.coeffs for n in nums))
+    return MultiPoly(B, 1, {e: QuotElem(B, Poly(A, [n.coeffs.get(e, zero)
+                                                    for n in nums]))
+                            for e in exps})
 
 
 def _split_bpoly(A, B: QuotCtx, f: MultiPoly):
@@ -443,51 +484,98 @@ def _split_bpoly(A, B: QuotCtx, f: MultiPoly):
             a = c.rep.coeffs[i]
             if not _exact_zero(a):
                 comps[i][exps] = a
-    return [RationalRingElem.from_poly(A, MultiPoly(A, 1, comp))
-            for comp in comps]
+    return [MultiPoly(A, 1, comp) for comp in comps]
 
 
-def _invert_brep_den(A, B: QuotCtx, den: MultiPoly):
-    """Inverse of a unit D of B(t) as a vector over A(t): solve D y = 1."""
+def conv_to_brep(A, B: QuotCtx, v: Rep1) -> RationalRingElem:
+    """Representation 1 -> rational function over B: sum N_i X^i / D."""
+    return RationalRingElem(A, 1, _join_bpoly(A, B, v.nums),
+                            _const_bpoly(B, v.den))
+
+
+def _dot(xs, ys):
+    out = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out = out + x * y
+    return out
+
+
+def _charpoly(M):
+    """[c_1, ..., c_n] with det(lambda - M) = lambda^n + c_1 lambda^(n-1)
+    + ... + c_n, by Berkowitz's division-free algorithm (Inf. Process.
+    Lett. 18, 1984): ring operations only, so approximate zeros of a
+    precision ring are never divided by.
+
+    Going up the trailing principal submatrices, the characteristic
+    polynomial of [[a, R], [C, M1]] is a Toeplitz matrix with first
+    column (1, -a, -R C, -R M1 C, -R M1^2 C, ...) times that of M1.
+    """
+    n = len(M)
+    c = []  # monic characteristic polynomial of M[r+1:, r+1:], lead dropped
+    for r in range(n - 1, -1, -1):
+        m = n - r
+        row = M[r][r + 1:]
+        sub = [line[r + 1:] for line in M[r + 1:]]
+        v = [M[i][r] for i in range(r + 1, n)]
+        col = [-M[r][r]]
+        for k in range(m - 1):
+            col.append(-_dot(row, v))
+            if k < m - 2:
+                v = [_dot(line, v) for line in sub]
+        new = []
+        for k in range(m):
+            acc = col[k] + c[k] if k < len(c) else col[k]
+            for j in range(k):
+                acc = acc + col[k - 1 - j] * c[j]
+            new.append(acc)
+        c = new
+    return c
+
+
+def _adj_column(A, M):
+    """(adj(M) e_0, det M) without division.
+
+    Cayley-Hamilton gives M Q = -c_n I for Q = M^(n-1) + c_1 M^(n-2) +
+    ... + c_(n-1) I, so adj(M) = (-1)^(n+1) Q and det M = (-1)^n c_n.
+    Q e_0 is summed over the Krylov vectors M^k e_0 by Horner's rule.
+    """
+    n = len(M)
+    c = _charpoly(M)
+    q = [MultiPoly.one(A, 1)] + [MultiPoly.zero(A, 1)] * (n - 1)
+    for k in range(n - 1):
+        q = [_dot(line, q) for line in M]
+        q[0] = q[0] + c[k]
+    if n % 2 == 0:
+        return [-a for a in q], c[-1]
+    return q, -c[-1]
+
+
+def conv_to_arep(A, B: QuotCtx, x: RationalRingElem) -> Rep1:
+    """Rational function over B -> representation 1, inverting the
+    denominator through its norm.
+
+    M, the matrix of multiplication by the denominator D on 1, X, ...,
+    X^(d-1), has det M = N_{B(t)/A(t)}(D), which lies in S exactly when
+    D is a unit, and D^-1 = D* / det M with D* = sum_i (adj(M) e_0)_i X^i.
+    The numerator times D* is split into coordinates over det M.
+    """
     d = B.degree
     cols = []
-    xi = MultiPoly.one(B, 1)
-    x_mono = MultiPoly.const(B, 1, B.theta())
+    col = x.den
+    theta = B.theta()
     for _ in range(d):
-        cols.append(_split_bpoly(A, B, den * xi))
-        xi = xi * x_mono
-    # Gaussian elimination on [M | e0] over the local ring A(t)
-    zero = RationalRingElem.from_poly(A, MultiPoly.zero(A, 1))
-    one = RationalRingElem.from_poly(A, MultiPoly.one(A, 1))
-    rows = [[cols[j][i] for j in range(d)]
-            + [one if i == 0 else zero] for i in range(d)]
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if is_unit(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise EliminationFailed("no unit pivot: denominator not a unit")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(d):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][d] for i in range(d)]
-
-
-def conv_to_arep(A, B: QuotCtx, x: RationalRingElem):
-    """Rational function over B -> X-polynomial with A(t) coefficients."""
-    inv_den = _invert_brep_den(A, B, x.den)
-    num_vec = _split_bpoly(A, B, x.num)
-    return rep1_mul(A, B.pi, num_vec, inv_den)
-
-
-def rep1_same(x, y) -> bool:
-    return all(a.same_as(b) for a, b in zip(x, y))
+        cols.append(_split_bpoly(A, B, col))
+        col = col.scale(theta)
+    M = [[cols[j][i] for j in range(d)] for i in range(d)]
+    adj, det = _adj_column(A, M)
+    if not s_member(det):
+        raise EliminationFailed("norm of the denominator is not in S: "
+                                "denominator not a unit")
+    dstar = _join_bpoly(A, B, adj)
+    if not (x.den * dstar).same_as(_const_bpoly(B, det), floor=A.prec):
+        raise SelfCheckFailed("denominator times its adjugate is not "
+                              "its norm")
+    return Rep1(_split_bpoly(A, B, x.num * dstar), det)
 
 
 def random_integral(A, rng):
@@ -523,20 +611,24 @@ def base_change_roundtrip(A: LocalFieldCtx, pi: Poly, rng,
                           samples: int = 5) -> bool:
     """Round-trip and homomorphism checks across the two models of B(t).
 
-    Representation 1: X-polynomials of degree < deg pi with A(t)
-    coefficients.  Representation 2: rational functions with B
-    coefficients.  Raises ResidueReducible when B would not be local.
+    Representation 1 (Rep1): X-polynomials of degree < deg pi with A(t)
+    coefficients over one shared denominator.  Representation 2:
+    rational functions with B coefficients.  The sampled fractions of
+    representation 1 are put over their common denominator first.
+    Raises ResidueReducible when B would not be local.
     """
     _check_residue_irreducible(A, pi)
     B = QuotCtx(A, pi)
     d = pi.degree
     for _ in range(samples):
-        vec = [random_ratring_elem(A, 1, rng) for _ in range(d)]
-        wec = [random_ratring_elem(A, 1, rng) for _ in range(d)]
+        vec = Rep1.from_fractions(
+            A, [random_ratring_elem(A, 1, rng) for _ in range(d)])
+        wec = Rep1.from_fractions(
+            A, [random_ratring_elem(A, 1, rng) for _ in range(d)])
         x2 = conv_to_brep(A, B, vec)
         y2 = conv_to_brep(A, B, wec)
         # round trip 1 -> 2 -> 1
-        if not rep1_same(conv_to_arep(A, B, x2), vec):
+        if not rep1_same(A, conv_to_arep(A, B, x2), vec):
             return False
         # ring-operation compatibility
         if not conv_to_brep(A, B, rep1_add(vec, wec)).same_as(x2 + y2):
@@ -544,11 +636,10 @@ def base_change_roundtrip(A: LocalFieldCtx, pi: Poly, rng,
         if not conv_to_brep(A, B, rep1_mul(A, pi, vec, wec)).same_as(x2 * y2):
             return False
         # round trip 2 -> 1 -> 2 on an element with a genuine B-denominator
-        num = random_multipoly(A, 1, rng).map_coeffs(
-            lambda c: QuotElem(B, Poly.const(A, c)), B)
+        num = _const_bpoly(B, random_multipoly(A, 1, rng))
         theta_t = MultiPoly(B, 1, {(1,): B.theta()})
-        den = (random_multipoly(A, 1, rng, ensure_s=True).map_coeffs(
-            lambda c: QuotElem(B, Poly.const(A, c)), B)) + theta_t
+        den = _const_bpoly(B, random_multipoly(A, 1, rng, ensure_s=True)) \
+            + theta_t
         try:
             z2 = RationalRingElem(A, 1, num, den)
         except NotAUnit:

@@ -6,7 +6,9 @@ import pytest
 
 from milnorforge.arith.finite_field import ff_ctx
 from milnorforge.arith.poly import Poly
+from milnorforge import ratfunc
 from milnorforge.bass_tate import (
+    _finite_residues,
     bt_section,
     composite_minimal_poly,
     functoriality_check,
@@ -17,7 +19,7 @@ from milnorforge.bass_tate import (
     residue_vector,
 )
 from milnorforge.errors import NotIrreducible
-from milnorforge.ratfunc import QuotCtx, RatFuncCtx
+from milnorforge.ratfunc import Place, QuotCtx, RatFuncCtx
 from milnorforge.symbols import symbol
 
 
@@ -153,6 +155,35 @@ def test_composite_minimal_poly_rejects_degenerate_towers(q):
         pi2 = Poly(Fp, [-c, Fp.zero(), Fp.one()])
         with pytest.raises(NotIrreducible):
             composite_minimal_poly(pi1, pi2)
+
+
+def test_quotient_field_decides_its_pi_once(monkeypatch):
+    F = RatFuncCtx(ff_ctx(3))
+    t = F.gen()
+    B = QuotCtx(F, Poly(F, [-t, F.zero(), F.one()]))
+    calls = []
+    real = ratfunc.irreducible_over
+    monkeypatch.setattr(ratfunc, "irreducible_over",
+                        lambda f: calls.append(f) or real(f))
+    # two norms over B, one irreducibility test
+    assert projection_formula_check(symbol(F, [t + F.one()]),
+                                    symbol(B, [B.theta()]))
+    assert len(calls) == 1
+    known = QuotCtx(F, B.pi, irreducible=True)
+    norm(symbol(known, [known.theta()]))
+    assert len(calls) == 1
+
+
+def test_finite_residues_skip_one_place():
+    F = RatFuncCtx(ff_ctx(5))
+    t = F.gen()
+    a = symbol(F, [t, t + F.from_int(2)])  # residues 1/2 at t, 3 at t + 2
+    P = Place(F, t.num)
+    full = _finite_residues(a)
+    rest = _finite_residues(a, skip=P)
+    assert P in full and len(full) == 2
+    assert {Q: r.serialize() for Q, r in rest.items()} == \
+        {Q: r.serialize() for Q, r in full.items() if Q != P}
 
 
 _DRIFTING_RESIDUE = """

@@ -13,6 +13,7 @@ import pytest
 import milnorforge
 from milnorforge.cli import main, make_field, read_bounds
 from milnorforge.errors import BadInput
+from milnorforge.rational_ring import BASE_CHANGE_MAX_DEGREE
 
 
 def run(capsys, argv):
@@ -172,6 +173,25 @@ def test_base_change_check_verb(capsys):
                            "base-change-check", "--pi", "2;0;1",
                            "--samples", "2"])
     assert rc == 0, out
+
+
+def test_base_change_check_degree_five_pi():
+    # X^5 - X - 1 is irreducible over F_5; inverting by Gaussian
+    # elimination took minutes on this pi, the norm inverse well under 60 s
+    out = _cli_subprocess(["--format", "records", "--field", "padic:5",
+                           "base-change-check", "--pi=-1;-1;0;0;0;1"],
+                          timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "ok=true" in out.stdout
+
+
+@pytest.mark.parametrize("pi", [";".join(["1"] * (BASE_CHANGE_MAX_DEGREE + 2)),
+                                ";".join(["1"] * 100_000), "1;x;1"])
+def test_base_change_check_rejects_pi_past_bound_or_unparsable(capsys, pi):
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                           "base-change-check", f"--pi={pi}"])
+    assert rc == 1
+    assert "error=BadInput" in out and "ok=false" in out
 
 
 def test_gersten_check_verb(capsys):

@@ -6,15 +6,29 @@ import pytest
 
 from milnorforge.arith.local import laurent_ctx, padic_ctx
 from milnorforge.arith.poly import Poly
-from milnorforge.errors import NonUnitEntry, NotAUnit, ResidueReducible
+from milnorforge.errors import (
+    EliminationFailed,
+    NonUnitEntry,
+    NotAUnit,
+    ResidueReducible,
+)
+from milnorforge.ratfunc import QuotCtx
+from milnorforge import rational_ring
 from milnorforge.rational_ring import (
     MultiPoly,
     RationalRingElem,
+    Rep1,
+    _join_bpoly,
+    _split_bpoly,
     base_change_roundtrip,
+    conv_to_arep,
+    conv_to_brep,
     delta_kernel_check,
     is_unit,
     random_multipoly,
     random_ratring_elem,
+    rep1_mul,
+    rep1_same,
     residue_map,
     s_member,
 )
@@ -129,8 +143,8 @@ def test_base_change_quadratic_over_z5():
 
 
 def test_base_change_cubic_over_z3():
-    # regression: cubic towers exercise cancellation in the Gaussian
-    # elimination that inverts denominators of the B-representation
+    # regression: cubic towers stress the inversion of denominators of
+    # representation 2
     A = padic_ctx(3, 5)
     pi = Poly.from_ints(A, [1, 0, 2, 1])  # X^3 + 2X^2 + 1 irreducible mod 3
     assert base_change_roundtrip(A, pi, random.Random(2), samples=3)
@@ -140,3 +154,158 @@ def test_base_change_over_laurent_base():
     A = laurent_ctx(3, 8)
     pi = Poly.from_ints(A, [1, 0, 1])  # X^2 + 1 irreducible over F_3
     assert base_change_roundtrip(A, pi, random.Random(3), samples=3)
+
+
+# --- the norm inverse against the elimination it replaced ---------------
+#
+# Test-only references: the library used to hold representation 1 as d
+# independent fractions of A(t), multiply them coordinate by coordinate,
+# and invert a denominator D of B(t) by Gaussian elimination on D y = 1.
+
+
+def _fractions(A, polys):
+    return [RationalRingElem.from_poly(A, f) for f in polys]
+
+
+def ref_rep1_mul(A, pi, x, y):
+    """Coordinatewise product of two lists of d fractions, reduced mod pi."""
+    d = pi.degree
+    zero = RationalRingElem.from_poly(A, MultiPoly.zero(A, 1))
+    out = [zero] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = out[i + j] + a * b
+    while len(out) > d:
+        top = out.pop()
+        i = len(out) - d
+        for j in range(d):
+            out[i + j] = out[i + j] - top * RationalRingElem.const(
+                A, 1, pi.coeffs[j])
+    return out
+
+
+def ref_invert(A, B, den):
+    """D^-1 as d fractions: Gaussian elimination with unit pivots."""
+    d = B.degree
+    cols, col = [], den
+    for _ in range(d):
+        cols.append(_fractions(A, _split_bpoly(A, B, col)))
+        col = col.scale(B.theta())
+    zero = RationalRingElem.from_poly(A, MultiPoly.zero(A, 1))
+    one = RationalRingElem.from_poly(A, MultiPoly.one(A, 1))
+    rows = [[cols[j][i] for j in range(d)] + [one if i == 0 else zero]
+            for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if is_unit(rows[r][c]))
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = rows[c][c].inverse()
+        rows[c] = [x * inv for x in rows[c]]
+        for r in range(d):
+            if r != c and not rows[r][c].is_zero():
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][d] for i in range(d)]
+
+
+def _random_bpoly(A, B, rng):
+    """A polynomial over B in S, with every X-coordinate drawn."""
+    return _join_bpoly(A, B, [random_multipoly(A, 1, rng, ensure_s=i == 0)
+                              for i in range(B.degree)])
+
+
+# pi residue-irreducible of degree 2 and 3 over F_3 and over F_5
+NORM_CASES = [(ctx(q, 6), pi) for ctx in (padic_ctx, laurent_ctx)
+              for q, pis in ((3, ([1, 0, 1], [1, -1, 0, 1])),
+                             (5, ([2, 0, 1], [1, 1, 0, 1])))
+              for pi in pis]
+
+
+NORM_IDS = [f"{A.model}:{A.q}-d{len(pi) - 1}" for A, pi in NORM_CASES]
+
+
+@pytest.mark.parametrize("A,pi", NORM_CASES, ids=NORM_IDS)
+def test_norm_inverse_agrees_with_elimination(A, pi):
+    pi = Poly.from_ints(A, pi)
+    B = QuotCtx(A, pi)
+    rng = random.Random(A.q * 10 + pi.degree)
+    for _ in range(3):
+        num, den = _random_bpoly(A, B, rng), _random_bpoly(A, B, rng)
+        new = conv_to_arep(A, B, RationalRingElem(A, 1, num, den))
+        old = ref_rep1_mul(A, pi, _fractions(A, _split_bpoly(A, B, num)),
+                           ref_invert(A, B, den))
+        assert all(RationalRingElem(A, 1, n, new.den).same_as(o)
+                   for n, o in zip(new.nums, old))
+
+
+@pytest.mark.parametrize("A,pi", NORM_CASES[:2] + NORM_CASES[4:6],
+                         ids=NORM_IDS[:2] + NORM_IDS[4:6])
+def test_module_product_agrees_with_coordinatewise_product(A, pi):
+    pi = Poly.from_ints(A, pi)
+    rng = random.Random(A.q + pi.degree)
+    for _ in range(3):
+        x = [random_ratring_elem(A, 1, rng) for _ in range(pi.degree)]
+        y = [random_ratring_elem(A, 1, rng) for _ in range(pi.degree)]
+        new = rep1_mul(A, pi, Rep1.from_fractions(A, x),
+                       Rep1.from_fractions(A, y))
+        old = ref_rep1_mul(A, pi, x, y)
+        assert all(RationalRingElem(A, 1, n, new.den).same_as(o)
+                   for n, o in zip(new.nums, old))
+
+
+def test_representation_round_trip_keeps_the_shared_denominator():
+    A = padic_ctx(5, 8)
+    B = QuotCtx(A, Poly.from_ints(A, [2, 0, 1]))
+    v = Rep1.from_fractions(A, [random_ratring_elem(A, 1, random.Random(4))
+                                for _ in range(2)])
+    assert rep1_same(A, conv_to_arep(A, B, conv_to_brep(A, B, v)), v)
+
+
+def test_denominator_with_norm_outside_s_is_rejected(monkeypatch):
+    A = padic_ctx(5, 8)
+    B = QuotCtx(A, Poly.from_ints(A, [2, 0, 1]))
+    real = rational_ring._adj_column
+
+    def norm_times_p(A_, M):
+        adj, det = real(A_, M)
+        return adj, det.scale(A_.uniformizer())
+
+    monkeypatch.setattr(rational_ring, "_adj_column", norm_times_p)
+    z = RationalRingElem(A, 1, _random_bpoly(A, B, random.Random(1)),
+                         _random_bpoly(A, B, random.Random(2)))
+    with pytest.raises(EliminationFailed):
+        conv_to_arep(A, B, z)
+
+
+_WRONG_ADJUGATE = """
+import random
+import traceback
+from milnorforge import rational_ring as rr
+from milnorforge.arith.local import padic_ctx
+from milnorforge.arith.poly import Poly
+from milnorforge.errors import SelfCheckFailed
+from milnorforge.ratfunc import QuotCtx
+A = padic_ctx(5, 8)
+B = QuotCtx(A, Poly.from_ints(A, [2, 0, 1]))
+rng = random.Random(5)
+num, den = (rr._join_bpoly(A, B, [rr.random_multipoly(A, 1, rng, ensure_s=True)
+                                  for _ in range(2)]) for _ in range(2))
+real = rr._adj_column
+
+
+def wrong(A_, M):  # adds 1 to the first coordinate of adj(M) e_0
+    adj, det = real(A_, M)
+    return [adj[0] + rr.MultiPoly.one(A_, 1)] + adj[1:], det
+
+
+rr._adj_column = wrong
+try:
+    rr.conv_to_arep(A, B, rr.RationalRingElem(A, 1, num, den))
+except SelfCheckFailed as e:
+    print("raised in", traceback.extract_tb(e.__traceback__)[-1].name, e)
+"""
+
+
+def test_adjugate_self_check_runs_under_python_O(run_python_O):
+    out = run_python_O(_WRONG_ADJUGATE)
+    assert out.returncode == 0, out.stderr
+    assert "raised in conv_to_arep" in out.stdout
