@@ -348,14 +348,13 @@ def functoriality_check(pi1: Poly, pi2: Poly, g: Poly) -> bool:
     the residue construction; the single-step norm along the composite
     minimal polynomial mu is Res_Z(mu, g).
     """
-    k_ctx = pi1.ctx
+    Fp = pi2.ctx  # F' = k[X]/pi1; norm decides pi1 there at most once
+    if not (isinstance(Fp, QuotCtx) and Fp.pi == pi1):
+        raise ContextMismatch("pi2 must have coefficients in k[X]/pi1")
     mu = composite_minimal_poly(pi1, pi2)
     if not 0 < g.degree < mu.degree:
         raise BadInput("sample must generate a nonzero unit: need "
                        f"0 < deg g = {g.degree} < {mu.degree}")
-    # mu is certified irreducible, so the tower is a field; so is its
-    # middle k[X]/pi1, and pi1 is irreducible
-    Fp = QuotCtx(k_ctx, pi1, irreducible=True)
     g_up = g.map_coeffs(Fp.from_base, Fp)  # g(Y) over F'
     inner = pi2.resultant(g_up)  # element of F'
     outer = norm(symbol(Fp, [inner]))

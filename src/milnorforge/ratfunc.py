@@ -165,19 +165,18 @@ class RatFuncElem:
 class QuotCtx:
     """Field base_field[X] / (pi), pi monic irreducible.
 
-    Whether pi is irreducible is decided at most once per context: pass
-    irreducible=True when the caller has already decided it, otherwise
+    Whether pi is irreducible is decided at most once per context:
     pi_is_irreducible() decides it on first use and remembers the answer.
     """
 
     __slots__ = ("field", "pi", "_irreducible")
 
-    def __init__(self, field, pi: Poly, irreducible: bool | None = None):
+    def __init__(self, field, pi: Poly):
         if not pi.is_monic():
             raise NotMonic("defining polynomial must be monic")
         self.field = field  # the coefficient field context of pi
         self.pi = pi
-        self._irreducible = irreducible
+        self._irreducible = None
 
     def pi_is_irreducible(self) -> bool:
         if self._irreducible is None:

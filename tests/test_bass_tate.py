@@ -18,7 +18,7 @@ from milnorforge.bass_tate import (
     reciprocity_check,
     residue_vector,
 )
-from milnorforge.errors import NotIrreducible
+from milnorforge.errors import ContextMismatch, NotIrreducible
 from milnorforge.ratfunc import Place, QuotCtx, RatFuncCtx
 from milnorforge.symbols import symbol
 
@@ -169,9 +169,22 @@ def test_quotient_field_decides_its_pi_once(monkeypatch):
     assert projection_formula_check(symbol(F, [t + F.one()]),
                                     symbol(B, [B.theta()]))
     assert len(calls) == 1
-    known = QuotCtx(F, B.pi, irreducible=True)
-    norm(symbol(known, [known.theta()]))
-    assert len(calls) == 1
+    # a tower whose middle field has decided pi1 does not test it again
+    Fp = QuotCtx(F, B.pi)
+    assert Fp.pi_is_irreducible() and len(calls) == 2
+    pi2 = Poly(Fp, [-(Fp.theta() + Fp.one()), Fp.zero(), Fp.one()])
+    assert functoriality_check(B.pi, pi2, Poly(F, [F.one(), F.one()]))
+    assert B.pi not in calls[2:]
+
+
+def test_functoriality_check_rejects_pi2_over_another_field():
+    F = RatFuncCtx(ff_ctx(3))
+    t = F.gen()
+    pi1 = Poly(F, [-t, F.zero(), F.one()])
+    other = QuotCtx(F, Poly(F, [t, F.zero(), F.one()]))
+    pi2 = Poly(other, [-other.theta(), other.zero(), other.one()])
+    with pytest.raises(ContextMismatch):
+        functoriality_check(pi1, pi2, Poly(F, [F.one(), F.one()]))
 
 
 def test_finite_residues_skip_one_place():

@@ -11,9 +11,10 @@ import time
 import pytest
 
 import milnorforge
+from milnorforge import cli, rational_ring
 from milnorforge.cli import main, make_field, read_bounds
-from milnorforge.errors import BadInput
-from milnorforge.rational_ring import BASE_CHANGE_MAX_DEGREE
+from milnorforge.errors import BadInput, SelfCheckFailed
+from milnorforge.rational_ring import BASE_CHANGE_MAX_DEGREE, MultiPoly
 
 
 def run(capsys, argv):
@@ -173,6 +174,35 @@ def test_base_change_check_verb(capsys):
                            "base-change-check", "--pi", "2;0;1",
                            "--samples", "2"])
     assert rc == 0, out
+
+
+def test_base_change_check_sampler_reports_a_failed_self_check(capsys,
+                                                              monkeypatch):
+    # the sampler redraws pi only when B would not be local; a failed
+    # self-check of the norm inverse must end in a FAIL record
+    real = rational_ring._adj_column
+
+    def wrong(A, M):
+        adj, det = real(A, M)
+        return [adj[0] + MultiPoly.one(A, 1)] + adj[1:], det
+
+    monkeypatch.setattr(rational_ring, "_adj_column", wrong)
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                           "--seed", "7", "base-change-check",
+                           "--samples", "2"])
+    assert rc == 1
+    assert "error=SelfCheckFailed" in out and "ok=false" in out
+
+
+def test_check_tower_sampler_reports_a_failed_self_check(capsys, monkeypatch):
+    def broken(pi1, pi2, g):
+        raise SelfCheckFailed("pi-residue drifted during corrections")
+
+    monkeypatch.setattr(cli, "functoriality_check", broken)
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "check-tower", "--samples", "2"])
+    assert rc == 1
+    assert "error=SelfCheckFailed" in out and "ok=false" in out
 
 
 def test_base_change_check_degree_five_pi():
