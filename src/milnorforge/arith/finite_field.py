@@ -27,7 +27,7 @@ import math
 
 from ..errors import FieldTooLarge, NotAUnit, NotPrime, SelfCheckFailed, ZeroElement
 from .factor import is_irreducible
-from .poly import Poly
+from .poly import Poly, _power
 
 TABLE_BOUND = 1 << 16
 DEFAULT_FIELD_BOUND = 1 << 20
@@ -207,14 +207,7 @@ class FiniteFieldCtx:
         return _digits_enc([(x + y) % p for x, y in zip(da, db)], p)
 
     def pow_enc(self, a: int, k: int) -> int:
-        res = 1
-        base = a
-        while k:
-            if k & 1:
-                res = self.mul_enc(res, base)
-            base = self.mul_enc(base, base)
-            k >>= 1
-        return res
+        return _power(a, k, lambda: 1, self.mul_enc)
 
     def _order_is_full(self, enc: int, factors: dict[int, int]) -> bool:
         n = self.q - 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 from ..errors import BadInput, NotAUnit
 from .finite_field import FFElement, FiniteFieldCtx
 from .localnum import LocalNumber
+from .poly import _power
 
 
 class LaurentSeries(LocalNumber):
@@ -160,14 +161,8 @@ class LaurentSeries(LocalNumber):
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        res = LaurentSeries.constant(self.base.one(), self.prec)
-        base = self
-        while k:
-            if k & 1:
-                res = res * base
-            base = base * base
-            k >>= 1
-        return res
+        return _power(self, k, lambda: LaurentSeries.constant(
+            self.base.one(), self.prec))
 
     def serialize(self) -> str:
         q = self.base.q

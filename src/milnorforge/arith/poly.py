@@ -5,11 +5,31 @@ The coefficient context only needs zero()/one() factories and elements with
 ==.  This single class serves polynomials over finite fields, over rational
 function fields and over quotient fields, and the Hensel path over Z_p and
 F_q[[t]], which keeps gcds and resultants uniform across the package.
+
+``_power`` is the package's one square-and-multiply: the powers of
+polynomials (also mod a polynomial), of Laurent series, of quotient-field
+elements and of finite-field encodings, and the three powers inside
+``Poly.resultant``, all go through it.
 """
 
 from __future__ import annotations
 
+import operator
+
 from ..errors import ZeroPolynomial
+
+
+def _power(x, k: int, one, mul=operator.mul):
+    """x^k for k >= 0 under the product ``mul``, left to right, so x ** 1
+    costs no product; ``one()`` builds the identity, only for k = 0."""
+    if k == 0:
+        return one()
+    res = x
+    for bit in bin(k)[3:]:
+        res = mul(res, res)
+        if bit == "1":
+            res = mul(res, x)
+    return res
 
 
 def _exact_zero(c) -> bool:
@@ -145,24 +165,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, k: int) -> "Poly":
-        res = Poly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                res = res * base
-            base = base * base
-            k >>= 1
-        return res
+        return _power(self, k, lambda: Poly.one(self.ctx))
 
     def pow_mod(self, k: int, mod: "Poly") -> "Poly":
-        res = Poly.one(self.ctx)
-        base = self % mod
-        while k:
-            if k & 1:
-                res = (res * base) % mod
-            base = (base * base) % mod
-            k >>= 1
-        return res
+        return _power(self % mod, k, lambda: Poly.one(self.ctx),
+                      lambda a, b: a * b % mod)
 
     def derivative(self) -> "Poly":
         out = []
@@ -217,29 +224,16 @@ class Poly:
         while True:
             if b.degree == 0:
                 # Res(a, c) = c^deg(a)
-                c = b.coeffs[0]
-                out = ctx.one()
-                for _ in range(a.degree):
-                    out = out * c
-                return res * out
+                return res * _power(b.coeffs[0], a.degree, ctx.one)
             r = a % b
             if r.is_zero():
                 if a.degree == 0:
-                    c = a.coeffs[0]
-                    out = ctx.one()
-                    for _ in range(b.degree):
-                        out = out * c
-                    return res * out
+                    return res * _power(a.coeffs[0], b.degree, ctx.one)
                 return ctx.zero()
             # Res(a,b) = (-1)^{da db} lc(b)^{da - dr} Res(b, r)
-            da, db, dr = a.degree, b.degree, r.degree
-            sign_flip = (da * db) % 2 == 1
-            factor = ctx.one()
-            for _ in range(da - dr):
-                factor = factor * b.lc
-            res = res * factor
-            if sign_flip:
-                res = res * (-ctx.one())
+            res = res * _power(b.lc, a.degree - r.degree, ctx.one)
+            if a.degree * b.degree % 2:
+                res = -res
             a, b = b, r
 
     # --- identity ---------------------------------------------------------

@@ -35,6 +35,7 @@ from .bass_tate import (
 )
 from .errors import (
     BadInput,
+    DegreeTooLarge,
     MilnorForgeError,
     ResidueReducible,
     SelfCheckFailed,
@@ -53,7 +54,6 @@ from .localk import (
 )
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx
 from .rational_ring import (
-    BASE_CHANGE_MAX_DEGREE,
     MultiPoly,
     RationalRingElem,
     base_change_roundtrip,
@@ -266,6 +266,13 @@ class Report:
     def add(self, ok: bool, **fields):
         self.records.append((bool(ok), fields))
 
+    def check(self, ok: bool, counterexample, **fields):
+        """Add a check's record; a failed one ends with
+        counterexample=repr(counterexample()), built only then."""
+        if not ok:
+            fields["counterexample"] = repr(counterexample())
+        self.add(ok, **fields)
+
     @property
     def ok(self) -> bool:
         return all(ok for ok, _ in self.records)
@@ -377,11 +384,8 @@ def cmd_verify_cert(args, rep: Report):
         raise BadInput(f"cannot read certificate {args.file!r}: {e}") from None
     cert = parse_certificate(text)
     result = verify_certificate(cert)
-    fields = {"op": "verify_certificate", "file": args.file,
-              "ell": cert.ell, "steps": len(cert.steps)}
-    if not result.ok:
-        fields["counterexample"] = repr(result.failure)
-    rep.add(result.ok, **fields)
+    rep.check(result.ok, lambda: result.failure, op="verify_certificate",
+              file=args.file, ell=cert.ell, steps=len(cert.steps))
 
 
 def cmd_hilbert(args, rep: Report):
@@ -440,21 +444,45 @@ def cmd_norm(args, rep: Report):
             output=repr(norm(a).serialize()))
 
 
-def _sample_quot_field(F: RatFuncCtx, rng, degree: int) -> QuotCtx:
-    """F[X]/(pi) for a random pi whose irreducibility the context decided."""
+def _sampled_checks(rep: Report, op: str, samples: int, what: str, draw,
+                    redraw=()):
+    """`samples` checks, each from the next draw() that returns
+    (ok, counterexample) instead of None or one of the `redraw` errors,
+    within 50 draws per sample; a shortfall is one failed record.  A
+    failed self-check always propagates."""
+    done = 0
+    for _ in range(50 * samples):
+        if done == samples:
+            return
+        try:
+            got = draw()
+        except SelfCheckFailed:
+            raise
+        except redraw:
+            continue
+        if got is not None:
+            rep.check(*got, op=op, index=done)
+            done += 1
+    if done < samples:
+        rep.add(False, op=op,
+                counterexample=repr(f"only {done} {what} sampled"))
+
+
+def _sample_quot_field(F: RatFuncCtx, rng, degree: int) -> QuotCtx | None:
+    """F[X]/(pi) for a random pi, if the context decides pi irreducible;
+    None for a pi it rejects or cannot decide."""
     base = F.base
-    while True:
-        coeffs = [F.random_nonzero(rng, 1) if rng.random() < 0.5
-                  else F.from_const(base.from_exp(rng.randrange(base.q - 1)))
-                  for _ in range(degree)] + [F.one()]
-        pi = Poly(F, coeffs)
-        if all(c.den.is_one() and c.num.degree <= 1 for c in coeffs):
-            B = QuotCtx(F, pi)
-            try:
-                if B.pi_is_irreducible():
-                    return B
-            except MilnorForgeError:
-                continue
+    coeffs = [F.random_nonzero(rng, 1) if rng.random() < 0.5
+              else F.from_const(base.from_exp(rng.randrange(base.q - 1)))
+              for _ in range(degree)] + [F.one()]
+    if all(c.den.is_one() and c.num.degree <= 1 for c in coeffs):
+        B = QuotCtx(F, Poly(F, coeffs))
+        try:
+            if B.pi_is_irreducible():
+                return B
+        except DegreeTooLarge:
+            pass
+    return None
 
 
 def cmd_check_reciprocity(args, rep: Report):
@@ -465,60 +493,49 @@ def cmd_check_reciprocity(args, rep: Report):
         ok1 = reciprocity_check(a)
         v = residue_vector(a)
         ok2 = residue_vector(bt_section(v)).same_finite(v)
-        fields = {"op": "reciprocity_check", "index": i}
-        if not (ok1 and ok2):
-            fields["counterexample"] = repr(a.serialize())
-        rep.add(ok1 and ok2, reciprocity=str(ok1).lower(),
-                section_round_trip=str(ok2).lower(), **fields)
+        rep.check(ok1 and ok2, a.serialize, reciprocity=str(ok1).lower(),
+                  section_round_trip=str(ok2).lower(),
+                  op="reciprocity_check", index=i)
 
 
 def cmd_check_projection(args, rep: Report):
     rng = args.rng
     F = _ratfunc_ctx(args)
-    for i in range(args.samples):
+
+    def draw():
         B = _sample_quot_field(F, rng, 2)
+        if B is None:
+            return None
         x = symbol(F, [F.random_nonzero(rng, 1)])
         y = symbol(B, [B.theta() if rng.random() < 0.5
                        else QuotElem(B, Poly.const(F, F.random_nonzero(rng, 1)))])
-        ok = projection_formula_check(x, y)
-        fields = {"op": "projection_formula_check", "index": i}
-        if not ok:
-            fields["counterexample"] = repr((x.serialize(), y.serialize()))
-        rep.add(ok, **fields)
+        return (projection_formula_check(x, y),
+                lambda: (x.serialize(), y.serialize()))
+
+    _sampled_checks(rep, "projection_formula_check", args.samples,
+                    "extensions", draw)
 
 
 def cmd_check_tower(args, rep: Report):
     rng = args.rng
     F = _ratfunc_ctx(args)
     base = F.base
-    done, tries = 0, 0
-    while done < args.samples and tries < 50 * args.samples:
-        tries += 1
-        c0 = F.from_const(base.from_exp(rng.randrange(base.q - 1)))
-        pi1 = Poly(F, [c0 * F.gen(), F.zero(), F.one()])
-        try:
-            Fp = QuotCtx(F, pi1)
-            if not Fp.pi_is_irreducible():
-                continue
-            th = Fp.theta()
-            shift = QuotElem(Fp, Poly.const(
-                F, F.from_const(base.from_exp(rng.randrange(base.q - 1)))))
-            pi2 = Poly(Fp, [-(th + shift), Fp.zero(), Fp.one()])
-            g = Poly(F, [F.one(),
-                         F.from_const(base.from_exp(rng.randrange(base.q - 1)))])
-            ok = functoriality_check(pi1, pi2, g)
-        except SelfCheckFailed:
-            raise
-        except MilnorForgeError:
-            continue
-        fields = {"op": "functoriality_check", "index": done}
-        if not ok:
-            fields["counterexample"] = repr((pi1.serialize(), g.serialize()))
-        rep.add(ok, **fields)
-        done += 1
-    if done < args.samples:
-        rep.add(False, op="functoriality_check",
-                counterexample=repr(f"only {done} towers sampled"))
+
+    def unit():
+        return F.from_const(base.from_exp(rng.randrange(base.q - 1)))
+
+    def draw():
+        # X^2 + c0*t is Eisenstein at t; norm decides it once anyway
+        pi1 = Poly(F, [unit() * F.gen(), F.zero(), F.one()])
+        Fp = QuotCtx(F, pi1)
+        shift = QuotElem(Fp, Poly.const(F, unit()))
+        pi2 = Poly(Fp, [-(Fp.theta() + shift), Fp.zero(), Fp.one()])
+        g = Poly(F, [F.one(), unit()])
+        return (functoriality_check(pi1, pi2, g),
+                lambda: (pi1.serialize(), g.serialize()))
+
+    _sampled_checks(rep, "functoriality_check", args.samples, "towers",
+                    draw, MilnorForgeError)
 
 
 # --------------------------------------------------------------------------
@@ -554,37 +571,44 @@ def cmd_delta_check(args, rep: Report):
             in_kernel=str(delta_kernel_check(a)).lower())
 
 
+# One base-change round trip at degree d and precision N costs about
+# d^3 * (1 + (N / scale)^e), fitted to timed runs of dense pi (README).  The
+# precision term grows faster over Laurent series, whose digits are separate
+# coefficients, than over p-adic numbers, whose digits share one integer.
+_BASE_CHANGE_PRECISION_COST = {PADIC: (126, 1), LAURENT: (24, 1.5)}
+
+
+def _base_change_cost(model: str, degree: int, precision: int) -> float:
+    scale, e = _BASE_CHANGE_PRECISION_COST[model]
+    return degree ** 3 * (1 + (precision / scale) ** e)
+
+
 def cmd_base_change_check(args, rep: Report):
     rng = args.rng
     A = _local_ctx(args)
-    if args.pi:
-        parts = args.pi.split(";")
-        if len(parts) - 1 > BASE_CHANGE_MAX_DEGREE:
-            raise BadInput(f"--pi of degree {len(parts) - 1} above the bound "
-                           f"{BASE_CHANGE_MAX_DEGREE}")
+    parts = args.pi.split(";") if args.pi else None
+    degree = len(parts) - 1 if parts else 3  # the sampler draws degree <= 3
+    if (_base_change_cost(A.model, degree, A.prec)
+            > _base_change_cost(A.model, 6, DEFAULT_PRECISION)):
+        raise BadInput(f"base change at degree {degree} and precision "
+                       f"{A.prec} costs more than degree 6 at precision "
+                       f"{DEFAULT_PRECISION}")
+    if parts:
         pi = Poly(A, [A.from_int(parse_int(c, "--pi")) for c in parts])
-        ok = base_change_roundtrip(A, pi, rng)
-        fields = {"op": "base_change_roundtrip", "index": 0}
-        if not ok:
-            fields["counterexample"] = repr(pi.serialize("X"))
-        rep.add(ok, **fields)
+        rep.check(base_change_roundtrip(A, pi, rng),
+                  lambda: pi.serialize("X"), op="base_change_roundtrip",
+                  index=0)
         return
     from .rational_ring import random_integral
-    index, tries = 0, 0
-    while index < args.samples and tries < 50 * args.samples:
-        tries += 1
+
+    def draw():
         d = 2 + rng.randrange(2)
-        coeffs = [random_integral(A, rng) for _ in range(d)] + [A.one()]
-        pi = Poly(A, coeffs)
-        try:
-            ok = base_change_roundtrip(A, pi, rng)
-        except ResidueReducible:
-            continue  # B would not be local: draw another pi
-        fields = {"op": "base_change_roundtrip", "index": index}
-        if not ok:
-            fields["counterexample"] = repr(pi.serialize("X"))
-        rep.add(ok, **fields)
-        index += 1
+        pi = Poly(A, [random_integral(A, rng) for _ in range(d)] + [A.one()])
+        # ResidueReducible: B would not be local, so draw another pi
+        return base_change_roundtrip(A, pi, rng), lambda: pi.serialize("X")
+
+    _sampled_checks(rep, "base_change_roundtrip", args.samples,
+                    "local extensions", draw, ResidueReducible)
 
 
 # --------------------------------------------------------------------------
@@ -596,15 +620,10 @@ def cmd_gersten_check(args, rep: Report):
     ctx = _local_ctx(args)
     results = gersten_check(ctx, args.n, args.m, args.samples, args.rng)
     for i, leg1, leg2, leg3, kind, sample in results:
-        ok = leg1 and leg2 and leg3
-        fields = {"op": "gersten_check", "index": i, "n": args.n,
-                  "m": args.m, "iota_killed": str(leg1).lower(),
-                  "section_onto": str(leg2).lower(),
-                  "kernel_pure_unit": str(leg3).lower(),
-                  "kernel_witness": kind}
-        if not ok:
-            fields["counterexample"] = repr(sample)
-        rep.add(ok, **fields)
+        rep.check(leg1 and leg2 and leg3, lambda: sample, op="gersten_check",
+                  index=i, n=args.n, m=args.m, iota_killed=str(leg1).lower(),
+                  section_onto=str(leg2).lower(),
+                  kernel_pure_unit=str(leg3).lower(), kernel_witness=kind)
 
 
 # --------------------------------------------------------------------------
@@ -621,22 +640,15 @@ def _suite_steinberg(rep: Report, rng, bounds):
             if (F.one() - f).is_zero():
                 continue
             a = symbol(F, [f, F.one() - f])
-            zero = MilnorClass(F, 2, [])
-            ok = k_equal(a, zero)
-            fields = {"op": "steinberg_residues", "q": q, "index": i}
-            if not ok:
-                fields["counterexample"] = repr(a.serialize())
-            rep.add(ok, **fields)
+            rep.check(k_equal(a, MilnorClass(F, 2, [])), a.serialize,
+                      op="steinberg_residues", q=q, index=i)
     # hilbert symbol of (a, 1-a) over Q_2
     ctx = padic_ctx(2, DEFAULT_PRECISION)
     for i, a_int in enumerate((-1, 2, -2, 5, 10, -4)):
         a = ctx.from_int(a_int)
         b = ctx.one() - a
-        ok = hilbert(ctx, a, b) == 0
-        fields = {"op": "hilbert_steinberg", "a": a_int, "index": i}
-        if not ok:
-            fields["counterexample"] = repr(a_int)
-        rep.add(ok, **fields)
+        rep.check(hilbert(ctx, a, b) == 0, lambda: a_int,
+                  op="hilbert_steinberg", a=a_int, index=i)
 
 
 def _suite_hilbert_table(rep: Report, rng, bounds):
@@ -651,10 +663,8 @@ def _suite_hilbert_table(rep: Report, rng, bounds):
                           search_precision=bounds["oracleprec"])
             image.add(h)
             ok = (h == 0) == o and h == hilbert(ctx, elems[b], elems[a])
-            fields = {"op": "hilbert_vs_oracle", "a": a, "b": b, "value": h}
-            if not ok:
-                fields["counterexample"] = repr((a, b, h, o))
-            rep.add(ok, **fields)
+            rep.check(ok, lambda: (a, b, h, o), op="hilbert_vs_oracle",
+                      a=a, b=b, value=h)
     rep.add(image == {0, 1}, op="hilbert_image",
             size=len(image))
 
@@ -665,11 +675,8 @@ def _suite_reciprocity(rep: Report, rng, bounds):
         for i in range(25):
             a = symbol(F, [F.random_nonzero(rng, 2),
                            F.random_nonzero(rng, 2)])
-            ok = reciprocity_check(a)
-            fields = {"op": "reciprocity_check", "q": q, "index": i}
-            if not ok:
-                fields["counterexample"] = repr(a.serialize())
-            rep.add(ok, **fields)
+            rep.check(reciprocity_check(a), a.serialize,
+                      op="reciprocity_check", q=q, index=i)
 
 
 def _suite_certificates(rep: Report, rng, bounds):
@@ -682,11 +689,9 @@ def _suite_certificates(rep: Report, rng, bounds):
                 lifted = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
                 cert = divisibility_witness(ctx, a - lifted, ell)
                 result = verify_certificate(cert)
-                fields = {"op": "divisibility_witness", "p": ctx.p,
-                          "ell": ell, "index": i}
-                if not result.ok:
-                    fields["counterexample"] = repr(result.failure)
-                rep.add(result.ok, **fields)
+                rep.check(result.ok, lambda: result.failure,
+                          op="divisibility_witness", p=ctx.p, ell=ell,
+                          index=i)
 
 
 def _suite_ff_kgroups(rep: Report, rng, bounds):
@@ -697,14 +702,9 @@ def _suite_ff_kgroups(rep: Report, rng, bounds):
         rep.add(ok1, op="ff_kgroup", q=q, n=1,
                 invariants="[" + ",".join(map(str, g1.invariant_factors)) + "]")
         for n in (2, 3):
-            g = ff_kgroup(q, n)
-            ok = g.invariant_factors == []
-            fields = {"op": "ff_kgroup", "q": q, "n": n,
-                      "invariants": "[" + ",".join(
-                          map(str, g.invariant_factors)) + "]"}
-            if not ok:
-                fields["counterexample"] = repr(g.invariant_factors)
-            rep.add(ok, **fields)
+            inv = ff_kgroup(q, n).invariant_factors
+            rep.check(inv == [], lambda: inv, op="ff_kgroup", q=q, n=n,
+                      invariants="[" + ",".join(map(str, inv)) + "]")
 
 
 SUITES = {

@@ -498,6 +498,12 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
             mult *= exps[pos]
         v_total += mult
 
+    def pay_order(c: int) -> int:
+        # c*(q-1)*[g,..,g] = c*[g^(q-1), g,..,g] = c*[1, g,..,g] = 0
+        b.contract_power(c, gens, 0, g_lift, q - 1)
+        b.kill_one_entry(c, (ctx.one(),) + gens[1:], 0)
+        return c * (q - 1)
+
     # 3) discharge v_total*{g,..,g} against the kappa Steinberg relators
     if v_total:
         kg = ff_kgroup(q, n)
@@ -509,11 +515,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
             if c_r == 0:
                 continue
             if meta[0] == "order":
-                # (q-1)*[g,..,g] = [g^(q-1), g,..,g] = [1, g,..,g] = 0
-                b.contract_power(c_r, gens, 0, g_lift, q - 1)
-                ent1 = (ctx.one(),) + gens[1:]
-                b.kill_one_entry(c_r, ent1, 0)
-                v_total -= c_r * (q - 1)
+                v_total -= pay_order(c_r)
             else:
                 _, i, j, ks = meta
                 full = i * j
@@ -534,10 +536,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
                 # difference with extra applications of the order relator
                 extra = (full - row) // (q - 1)
                 if extra:
-                    b.contract_power(-c_r * extra, gens, 0, g_lift, q - 1)
-                    ent1 = (ctx.one(),) + gens[1:]
-                    b.kill_one_entry(-c_r * extra, ent1, 0)
-                    v_total += c_r * extra * (q - 1)
+                    v_total -= pay_order(-c_r * extra)
     if v_total != 0:
         raise SelfCheckFailed(f"relator bookkeeping left {v_total}")
 

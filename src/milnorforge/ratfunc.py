@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .arith.factor import is_irreducible, poly_factor
 from .arith.finite_field import FiniteFieldCtx
-from .arith.poly import Poly
+from .arith.poly import Poly, _power
 from .errors import (
     BadInput,
     DegreeTooLarge,
@@ -272,15 +272,7 @@ class QuotElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            return self.ctx.one()
-        # left-to-right square and multiply: x ** 1 costs no product
-        res = self
-        for bit in bin(k)[3:]:
-            res = res * res
-            if bit == "1":
-                res = res * self
-        return res
+        return _power(self, k, self.ctx.one)
 
     def norm_to_base(self):
         """Field norm down to the coefficient field: Res(pi, rep)."""
@@ -345,23 +337,8 @@ def ratfunc_sqrt(x: RatFuncElem):
     return root
 
 
-def _quadratic_roots(f: Poly) -> list:
-    """Roots of a quadratic over F_q(t), q odd, by the usual formula."""
-    F: RatFuncCtx = f.ctx
-    a, b, c = f.coeff(2), f.coeff(1), f.coeff(0)
-    disc = b * b - F.from_int(4) * a * c
-    s = ratfunc_sqrt(disc)
-    if s is None:
-        return []
-    inv2a = (F.from_int(2) * a).inverse()
-    roots = [(-b + s) * inv2a]
-    if not s.is_zero():
-        roots.append((-b - s) * inv2a)
-    return roots
-
-
-def _ratfunc_roots(f: Poly) -> list:
-    """Roots in F_q(t) of a polynomial with F_q(t) coefficients.
+def _ratfunc_root(f: Poly):
+    """A root in F_q(t) of a polynomial with F_q(t) coefficients, or None.
 
     Linear and (odd q) quadratic cases are closed-form; otherwise a
     rational root search: clear denominators to land in F_q[t][X]; any
@@ -371,31 +348,22 @@ def _ratfunc_roots(f: Poly) -> list:
     F: RatFuncCtx = f.ctx
     base = F.base
     if f.degree == 1:
-        return [-f.coeff(0) / f.coeff(1)]
-    if f.degree == 2 and base.q % 2:
-        return _quadratic_roots(f)
+        return -f.coeff(0) / f.coeff(1)
+    if f.degree == 2 and base.q % 2:  # the usual formula
+        a, b, c = f.coeff(2), f.coeff(1), f.coeff(0)
+        s = ratfunc_sqrt(b * b - F.from_int(4) * a * c)
+        return None if s is None else (-b + s) * (F.from_int(2) * a).inverse()
+    if f.coeff(0).is_zero():
+        return F.zero()
     den_lcm = Poly.one(base)
     for c in f.coeffs:
         den_lcm = (den_lcm * c.den) // den_lcm.gcd(c.den)
-    ints = []  # coefficients cleared to F_q[t]
-    for c in f.coeffs:
-        ints.append(c.num * (den_lcm // c.den))
+    ints = [c.num * (den_lcm // c.den) for c in f.coeffs]  # in F_q[t]
     content = Poly.zero(base)
     for p in ints:
         content = content.gcd(p)
     if content.degree >= 1:
         ints = [p // content for p in ints]
-    roots = []
-    work = f
-    # strip roots at 0
-    while not ints or ints[0].is_zero():
-        if not ints:
-            break
-        roots.append(F.zero())
-        ints = ints[1:]
-        work = work // Poly(F, [F.zero(), F.one()])
-    if not ints or len(ints) == 1:
-        return roots
 
     def monic_divisors(p: Poly):
         if p.is_const():
@@ -412,19 +380,19 @@ def _ratfunc_roots(f: Poly) -> list:
             divs = [d * irr ** e for d in divs for e in range(mult + 1)]
         return divs
 
-    c0, cd = ints[0], ints[-1]
+    nums, dens = monic_divisors(ints[0]), monic_divisors(ints[-1])
     units = [e for e in base.elements() if not e.is_zero()]
     seen = set()
-    for r in monic_divisors(c0):
-        for s in monic_divisors(cd):
+    for r in nums:
+        for s in dens:
             for lam in units:
                 cand = RatFuncElem(F, r.scale(lam), s)
                 if cand in seen:
                     continue
                 seen.add(cand)
                 if f.eval(cand).is_zero():
-                    roots.append(cand)
-    return roots
+                    return cand
+    return None
 
 
 def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
@@ -432,9 +400,9 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
     ctx = f.ctx
     if isinstance(ctx, FiniteFieldCtx):
         return poly_factor(f)
-    # coefficient field F_q(t): peel off linear factors from roots and
-    # repeated parts via gcd with the derivative; what remains of degree
-    # <= 3 without roots is irreducible
+    # coefficient field F_q(t): peel off linear factors from roots; what
+    # remains of degree <= 3 without a root is irreducible, and a larger
+    # remainder splits off its repeated part via gcd with the derivative
     out: dict = {}
 
     def record(irr: Poly, mult: int):
@@ -442,10 +410,9 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
 
     def run(g: Poly):
         while g.degree >= 1:
-            roots = _ratfunc_roots(g)
-            if not roots:
+            r = _ratfunc_root(g)
+            if r is None:
                 break
-            r = roots[0]
             lin = Poly(ctx, [-r, ctx.one()])
             mult = 0
             while True:
@@ -457,6 +424,9 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
             record(lin, mult)
         if g.degree < 1:
             return
+        if g.degree <= MAX_ROOT_SEARCH_DEGREE:
+            record(g, 1)
+            return
         der = g.derivative()
         if not der.is_zero():
             s = g.gcd(der)
@@ -464,10 +434,7 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
                 run(g // s)
                 run(s)
                 return
-        if g.degree > MAX_ROOT_SEARCH_DEGREE:
-            raise DegreeTooLarge(
-                f"cannot factor degree {g.degree} over {ctx!r}")
-        record(g, 1)
+        raise DegreeTooLarge(f"cannot factor degree {g.degree} over {ctx!r}")
 
     run(f.monic())
     res = sorted(out.items(), key=lambda pm: (pm[0].degree,

@@ -44,8 +44,6 @@ from .symbols import MilnorClass, SymbolTerm
 MAX_VARIABLES = 2
 DELTA_SAMPLE_POINTS = 16
 DELTA_MAX_EXT = 3
-# largest degree of pi that base-change-check accepts
-BASE_CHANGE_MAX_DEGREE = 6
 
 
 # --------------------------------------------------------------------------

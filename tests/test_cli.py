@@ -14,7 +14,7 @@ import milnorforge
 from milnorforge import cli, rational_ring
 from milnorforge.cli import main, make_field, read_bounds
 from milnorforge.errors import BadInput, SelfCheckFailed
-from milnorforge.rational_ring import BASE_CHANGE_MAX_DEGREE, MultiPoly
+from milnorforge.rational_ring import MultiPoly
 
 
 def run(capsys, argv):
@@ -82,6 +82,25 @@ def test_divide_writes_verifiable_certificate(capsys, tmp_path):
     assert cert.read_text().startswith("divcert v1")
     rc, out = run(capsys, ["verify-cert", str(cert)])
     assert rc == 0 and "verify_certificate" in out
+
+
+def test_divide_without_out_reports_the_certificate(capsys):
+    argv = ["--field", "padic:5", "divide", "--ell", "3", "{8,7}"]
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert rc == 0
+    assert "verified=true" in out and "steps=" in out
+    assert "divcert" not in out  # records mode prints records only
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out.startswith("divcert v1\n") and "[PASS]" in out
+
+
+def test_lift_accepts_residue_field_entries(capsys):
+    # g = 2 generates F_5^*, so {g^1, g^3} is {2, 3}
+    argv = ["--format", "records", "--field", "padic:5", "lift", "--m", "2"]
+    rc, out = run(capsys, argv + ["{ff(5,1):g^1,ff(5,1):g^3}"])
+    assert rc == 0
+    assert out == run(capsys, argv + ["{2,3}"])[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,6 +224,62 @@ def test_check_tower_sampler_reports_a_failed_self_check(capsys, monkeypatch):
     assert "error=SelfCheckFailed" in out and "ok=false" in out
 
 
+@pytest.mark.parametrize("field", ["padic:5", "laurent:3"])
+def test_sampled_base_change_check_passes(capsys, field):
+    rc, out = run(capsys, ["--format", "records", "--field", field, "--seed",
+                           "1", "base-change-check", "--samples", "2"])
+    assert rc == 0, out
+    assert out.count("op=base_change_roundtrip") == 2
+
+
+def test_sampled_base_change_check_reports_a_shortfall(capsys):
+    # all 50 draws of this seed have a reducible residue: no silent pass
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
+                           "--seed", "74", "base-change-check",
+                           "--samples", "1"])
+    assert rc == 1
+    assert "counterexample='only 0 local extensions sampled' ok=false" in out
+
+
+def test_check_projection_sampler_is_bounded(capsys, monkeypatch):
+    monkeypatch.setattr(cli.QuotCtx, "pi_is_irreducible", lambda self: False)
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "check-projection", "--samples", "2"])
+    assert rc == 1
+    assert "counterexample='only 0 extensions sampled' ok=false" in out
+
+
+def test_check_projection_sampler_reports_a_failed_self_check(capsys,
+                                                              monkeypatch):
+    def broken(self):
+        raise SelfCheckFailed("factorization failed to re-multiply")
+
+    monkeypatch.setattr(cli.QuotCtx, "pi_is_irreducible", broken)
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "check-projection", "--samples", "2"])
+    assert rc == 1
+    assert "error=SelfCheckFailed" in out and "ok=false" in out
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("reciprocity_check", ["--field", "ratfunc:3", "check-reciprocity",
+                           "--samples", "1"]),
+    ("projection_formula_check", ["--field", "ratfunc:3", "check-projection",
+                                  "--samples", "1"]),
+    ("base_change_roundtrip", ["--field", "padic:5", "base-change-check",
+                               "--pi", "2;0;1"]),
+    ("k_equal", ["suite", "STEINBERG"]),
+])
+def test_failed_check_shows_its_counterexample(capsys, monkeypatch, name,
+                                               argv):
+    monkeypatch.setattr(cli, name, lambda *args: False)
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert rc == 1
+    failed = [ln for ln in out.splitlines() if ln.startswith("record ")
+              and ln.endswith("ok=false")]
+    assert failed and all(" counterexample=" in ln for ln in failed)
+
+
 def test_base_change_check_degree_five_pi():
     # X^5 - X - 1 is irreducible over F_5; inverting by Gaussian
     # elimination took minutes on this pi, the norm inverse well under 60 s
@@ -215,13 +290,38 @@ def test_base_change_check_degree_five_pi():
     assert "ok=true" in out.stdout
 
 
-@pytest.mark.parametrize("pi", [";".join(["1"] * (BASE_CHANGE_MAX_DEGREE + 2)),
+@pytest.mark.parametrize("pi", [";".join(["1"] * 8),  # degree 7
                                 ";".join(["1"] * 100_000), "1;x;1"])
 def test_base_change_check_rejects_pi_past_bound_or_unparsable(capsys, pi):
     rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
                            "base-change-check", f"--pi={pi}"])
     assert rc == 1
     assert "error=BadInput" in out and "ok=false" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # degree 6 over F_13((t)) takes about 3 s at precision 8, 10 s at 64
+    ["--field", "laurent:13", "--precision", "64", "base-change-check",
+     "--pi=12;12;12;12;11;10;1"],
+    ["--field", "padic:5", "--precision", "16", "base-change-check",
+     "--pi=4;4;4;4;4;3;1"],
+    # the sampler's cubics over Laurent series at precision 256 took 11 s
+    ["--field", "laurent:3", "--precision", "256", "base-change-check"],
+    ["--field", "padic:5", "--precision", "1024", "base-change-check"],
+])
+def test_base_change_check_rejects_inputs_above_the_cost_bound(capsys, argv):
+    start = time.perf_counter()
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert "error=BadInput" in out and "costs more than degree 6" in out
+
+
+def test_sampled_base_change_check_at_precision_256(capsys):
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                           "--precision", "256", "--seed", "3",
+                           "base-change-check", "--samples", "1"])
+    assert rc == 0, out
 
 
 def test_gersten_check_verb(capsys):
@@ -296,6 +396,35 @@ def test_function_field_records_are_pinned(capsys):
         h.update(out.encode())
     assert h.hexdigest() == (
         "1d4f07b2a5903b5800f919a2943f3b3cbb1cd21deeecc5adc1d8d7eb6f46cf8a")
+
+
+RECORDS_RUNS = [
+    ["--seed", str(seed)] + argv
+    for seed in (0, 7)
+    for argv in (
+        [["suite", name] for name in sorted(cli.SUITES)]
+        + [["--field", "laurent:3", "gersten-check", "--n", str(n), "--m", "2",
+            "--samples", "5"] for n in (1, 2, 3)]
+        + [["--field", f"ratfunc:{q}"] + verb
+           for q in (2, 4)
+           for verb in (["check-reciprocity", "--samples", "2"],
+                        ["check-projection", "--samples", "2"],
+                        ["check-tower", "--samples", "1"])]
+        + [["--field", field, "base-change-check", "--samples", "2"]
+           for field in ("padic:5", "laurent:3")])]
+
+
+def test_suite_and_check_records_are_pinned(capsys):
+    # the five suites, gersten-check, the check verbs in characteristic 2
+    # (where check-tower finds no certified tower) and the sampled
+    # base-change-check; digest taken before the power routines and the
+    # root search over F_q(t) were rewritten
+    h = hashlib.sha256()
+    for argv in RECORDS_RUNS:
+        _, out = run(capsys, ["--format", "records"] + argv)
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "d5d98f61eb8ac3d4fca0b0e154e24d8869fbaec668e8315cf410d0a710359114")
 
 
 def test_norm_along_reducible_pi_fails(capsys):

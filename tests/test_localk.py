@@ -1,5 +1,6 @@
 """Local-field K-theory: tame symbol, mod-m maps, certificates, Hilbert pairing."""
 
+import hashlib
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from milnorforge.localk import (
     tame,
     verify_certificate,
 )
-from milnorforge.symbols import MilnorClass, symbol
+from milnorforge.symbols import MilnorClass, ff_kgroup, symbol
 
 
 CONTEXTS = [padic_ctx(5, 8), padic_ctx(2, 8), laurent_ctx(3, 8)]
@@ -140,6 +141,19 @@ def test_witness_verifies_on_random_classes(ctx, ell):
             back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
             cert = divisibility_witness(ctx, a - back, ell)
             assert verify_certificate(cert).ok
+
+
+def test_witness_pays_the_order_relator():
+    # over F_4 the class {g, g} is 1 * (order 3) - 1 * (Steinberg row 2)
+    # in the relators of K_2(F_4); the certificate text is pinned
+    assert ff_kgroup(4, 2).presentation.express_in_relators([1]) == [1, -1]
+    ctx = laurent_ctx(4, 8)
+    g = ctx.lift_residue(ctx.residue_field.gen())
+    cert = divisibility_witness(ctx, symbol(ctx, [g, g]), 3)
+    assert verify_certificate(cert).ok
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4def06d0825c63064536ae4422522faef67d6ac47b62b5679c70413e47fa5c68")
 
 
 def test_certificate_serialization_round_trip():

@@ -1,5 +1,6 @@
 """Univariate polynomials and factorization over finite fields."""
 
+import operator
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from milnorforge.arith.factor import is_irreducible, poly_factor
 from milnorforge.arith.finite_field import ff_ctx
-from milnorforge.arith.poly import Poly
+from milnorforge.arith.local import laurent_ctx
+from milnorforge.arith.poly import Poly, _power
 from milnorforge.errors import ZeroPolynomial
+from milnorforge.ratfunc import QuotCtx, RatFuncCtx
 
 
 def P(k, ints):
@@ -149,3 +152,49 @@ def test_factorization_remultiply_check_runs_under_python_O(run_python_O):
     out = run_python_O(_LOSE_A_FACTOR)
     assert out.returncode == 0, out.stderr
     assert "raised in poly_factor factorization failed" in out.stdout
+
+
+# --- the one square-and-multiply ---------------------------------------------
+
+def _repeated(x, k, one, mul=operator.mul):
+    out = one
+    for _ in range(k):
+        out = mul(out, x)
+    return out
+
+
+def test_power_agrees_with_repeated_products():
+    F9 = ff_ctx(3, 2)
+    A = laurent_ctx(9, 6)
+    F = RatFuncCtx(ff_ctx(3))
+    t = F.gen()
+    B = QuotCtx(F, Poly(F, [-t, F.zero(), F.one()]))  # F_3(t)(sqrt t)
+    k3 = ff_ctx(3)
+    m = P(k3, [2, 1, 0, 1])  # X^3 + X + 2
+    rng = random.Random(12)
+    x_laurent = A.random_unit(rng) * A.uniformizer()
+    x_ratfunc = (t * t + F.one()) / (t + F.from_int(2))
+    x_quot = B.theta() + B.from_base(t)
+    x_xpoly = Poly(F, [t, F.one() + t])
+    x_mod = P(k3, [1, 2, 2, 1, 1])
+    enc = F9.from_exp(5).enc
+    for k in range(21):
+        assert F9.pow_enc(enc, k) == _repeated(enc, k, 1, F9.mul_enc)
+        assert (x_laurent ** k).serialize() == \
+            _repeated(x_laurent, k, A.one()).serialize()
+        assert x_ratfunc ** k == _repeated(x_ratfunc, k, F.one())
+        assert x_quot ** k == _repeated(x_quot, k, B.one())
+        assert x_xpoly ** k == _repeated(x_xpoly, k, Poly.one(F))
+        assert x_mod.pow_mod(k, m) == _repeated(
+            x_mod, k, Poly.one(k3), lambda a, b: a * b % m)
+        products = []
+
+        def counted(a, b):
+            products.append(1)
+            return a * b
+
+        assert _power(7, k, lambda: 1, counted) == 7 ** k
+        # left to right: one square per bit after the leading one, one
+        # product per further set bit, so x ** 1 costs none
+        assert len(products) == (k.bit_length() - 1 + bin(k).count("1") - 1
+                                 if k else 0)

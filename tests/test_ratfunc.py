@@ -119,6 +119,28 @@ def test_monic_irreducible_factors_frozen():
     ]
 
 
+def test_repeated_quartic_over_function_field_splits_by_derivative():
+    # (X^2 - t)^2 (X - 1) over F_3(t): after the root 1 the rootless quartic
+    # (X^2 - t)^2 is beyond the root search; gcd with its derivative splits it
+    F = F3t()
+    t = F.gen()
+    quad = Poly(F, [-t, F.zero(), F.one()])
+    lin = Poly(F, [-F.one(), F.one()])
+    factors = monic_irreducible_factors(quad ** 2 * lin)
+    assert factors == [(lin, 1), (quad, 2)]
+
+
+def test_rootless_cubic_and_zero_root_over_function_field():
+    F = F3t()
+    t = F.gen()
+    cubic = Poly(F, [-t, F.zero(), F.zero(), F.one()])  # X^3 - t
+    assert monic_irreducible_factors(cubic) == [(cubic, 1)]
+    x = Poly.x(F)
+    # X^3 + t X = X (X^2 + t): the root 0 comes off first
+    assert monic_irreducible_factors(x * Poly(F, [t, F.zero(), F.one()])) \
+        == [(x, 1), (Poly(F, [t, F.zero(), F.one()]), 1)]
+
+
 def test_quotient_field_adjoined_root():
     F = F3t()
     # theta^2 = -1 in F_3(t)[X]/(X^2+1)
