@@ -164,6 +164,12 @@ class LaurentSeries(LocalNumber):
         return _power(self, k, lambda: LaurentSeries.constant(
             self.base.one(), self.prec))
 
+    def key(self) -> tuple:
+        """(prec, val, coefficient exponents padded with None to prec):
+        equal exactly when serialize() is."""
+        exps = tuple(c.e for c in self.coeffs)
+        return (self.prec, self.val, exps + (None,) * (self.prec - len(exps)))
+
     def serialize(self) -> str:
         q = self.base.q
         if self.is_zero():

@@ -286,17 +286,42 @@ def teichmuller(ctx: LocalFieldCtx, x):
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
-    """The ell-th root of a principal unit, for ell coprime to p.
+    """The ell-th root of a principal unit x, for ell coprime to p: the
+    unique root in U_1, at x's relative precision N.
 
-    U_1 is ell-divisible: X^ell - x has the simple root 1 mod pi, so a
-    straight Hensel lift applies.
+    U_1 is ell-divisible: X^ell - x has the simple root 1 mod pi (its
+    derivative ell is a unit), so the root exists and is unique in U_1.
+    Each model finds it exactly in closed form or by integer Newton steps;
+    ``hensel_lift`` on X^ell - x gives the same root and is their test
+    reference.
+
+    Over F_q[[t]], Frobenius is additive: (1 + y)^(p^k) = 1 + y^(p^k),
+    which is 1 mod t^N once p^k >= N.  So U_1 mod t^N has exponent p^k,
+    and m = ell^-1 mod p^k, with m * ell = 1 + j p^k, gives
+    (x^m)^ell = x * (x^(p^k))^j = x: one power, O(log pN) products.
+
+    Over Z_p, Newton's step r <- r - (r^ell - u) / (ell r^(ell-1)) on the
+    integer unit u doubles the number of correct digits, since the
+    derivative is a unit (Caruso, "Computations with p-adic numbers",
+    arXiv:1701.06794); r = 1 is correct mod p, and every step is exact
+    integer arithmetic mod p^k.
     """
     if not ctx.is_principal_unit(x):
         raise NotAUnit("ell-th roots are only guaranteed on U_1")
     if ell % ctx.p == 0:
         raise NewtonConditionFails(f"exponent {ell} not coprime to p = {ctx.p}")
-    prec = x.prec
-    coeffs = [-x] + [ctx.extend(ctx.zero(), prec)] * (ell - 1) \
-        + [ctx.extend(ctx.one(), prec)]
-    f = Poly(ctx, coeffs)
-    return hensel_lift(ctx, f, ctx.extend(ctx.one(), prec), prec)
+    prec, p = x.prec, ctx.p
+    if ctx.model == LAURENT:
+        if prec == 1:
+            return x
+        pk = p
+        while pk < prec:
+            pk *= p
+        return x ** pow(ell, -1, pk)
+    u, r, k = x.unit, 1, 1
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p ** k
+        r_lm1 = pow(r, ell - 1, mod)
+        r = (r - (r_lm1 * r - u) * pow(ell * r_lm1, -1, mod)) % mod
+    return PadicNumber(p, prec, 0, r)

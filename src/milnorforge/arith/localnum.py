@@ -14,9 +14,12 @@ arXiv:1701.06794).
 LocalNumber owns these rules: products and sums with an exact or
 approximate zero, equality and hashing.  A subclass keeps its digit
 arithmetic (the nonzero branches of +, * and the inverse, negation and
-powers, the hot paths) and three hooks: ring(), a hashable name of the
+powers, the hot paths) and four hooks: ring(), a hashable name of the
 ring; zero_like(prec, zero_prec), a zero of the same ring; truncate(prec),
-the same nonzero value cut (or padded with zero digits) to prec digits.
+the same nonzero value cut (or padded with zero digits) to prec digits;
+key(), an exact hashable digit tuple, equal for two elements of one ring
+exactly when their serialize() strings are (the certificate replay keys
+its formal sums by it, where __hash__ would put every entry in one bucket).
 """
 
 from __future__ import annotations

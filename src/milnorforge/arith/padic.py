@@ -115,6 +115,10 @@ class PadicNumber(LocalNumber):
         return PadicNumber(self.p, self.prec, self.val * k,
                            pow(self.unit, k, self.modulus))
 
+    def key(self) -> tuple:
+        """(prec, val, unit): equal exactly when serialize() is."""
+        return (self.prec, self.val, self.unit)
+
     def serialize(self) -> str:
         if self.is_zero():
             return f"padic({self.p},{self.prec}):0"

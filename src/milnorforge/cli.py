@@ -118,7 +118,11 @@ def make_field(spec: str, precision: int):
 
 
 def _split_commas(s: str):
-    """Split on commas at parenthesis depth 0."""
+    """Split on commas at parenthesis depth 0.  A blank string has no
+    parts (the degree-0 symbol {}); an empty part beside a comma is
+    BadInput, never dropped."""
+    if not s.strip():
+        return []
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch == "(":
@@ -131,7 +135,10 @@ def _split_commas(s: str):
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    parts = [p.strip() for p in parts]
+    if not all(parts):
+        raise BadInput(f"empty entry in {{{s}}}")
+    return parts
 
 
 def parse_local_element(ctx: LocalFieldCtx, s: str):

@@ -330,7 +330,8 @@ class VerifyResult:
 
 
 class _FormalSum:
-    """Free abelian group on entry tuples, keyed by serialization."""
+    """Free abelian group on entry tuples, keyed by the entries' exact
+    digit keys (``key()``, equal exactly when ``serialize()`` is)."""
 
     __slots__ = ("coeffs",)
 
@@ -340,7 +341,7 @@ class _FormalSum:
     def add(self, c: int, entries):
         if c == 0:
             return
-        k = tuple(e.serialize() for e in entries)
+        k = tuple(e.key() for e in entries)
         if k in self.coeffs:
             old, ent = self.coeffs[k]
             if old + c == 0:
@@ -354,11 +355,17 @@ class _FormalSum:
         for t in cls.terms:
             self.add(c * t.coeff, t.entries)
 
+    def coeff(self, entries) -> int:
+        """The coefficient currently on the entry tuple (0 if absent)."""
+        return self.coeffs.get(tuple(e.key() for e in entries), (0,))[0]
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def items(self):
-        return [(c, ent) for _, (c, ent) in sorted(self.coeffs.items())]
+        """The surviving terms in the order of their serialized entries."""
+        return sorted(self.coeffs.values(),
+                      key=lambda t: tuple(e.serialize() for e in t[1]))
 
 
 def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
@@ -436,9 +443,13 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     Requires unit entries, degree >= 2, and gcd(ell, p) = 1.  The
     algorithm follows the proof of the mod-m isomorphism: split each
     entry through the Teichmuller section, absorb the principal-unit
-    parts by Hensel ell-th roots, and discharge the residual Teichmuller
-    class against the finite-field Steinberg relators, each lifted to O
-    by u^{-1}-scaling.
+    parts by their ell-th roots (HENSEL_ROOT steps; principal_unit_root
+    computes each root exactly, by one power over F_q[[t]] and by integer
+    Newton steps over Z_p), and discharge the residual Teichmuller class
+    against the finite-field Steinberg relators, each lifted to O by
+    u^{-1}-scaling.  The residual formal sum is keyed by the entries'
+    digit keys; beta's terms come out in the order of their serialized
+    entries.
     """
     n = a.degree
     if n < 2:
@@ -556,16 +567,16 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
 
 
 def _discharge_steinberg_pair(b: _WitnessBuilder, ent):
-    """Kill mult... the residual [a,b,rest] with abar + bbar = 1 in kappa.
+    """Kill c*[a,b,rest], c the residual coefficient on ent (read through
+    _FormalSum.coeff), where abar + bbar = 1 in kappa.
 
     a + b = u lies in U_1, so w = u^{-1} makes (wa) + (wb) = 1 exactly:
     [wa,wb,rest] is a Steinberg relator.  Expanding it bilinearly and
-    Hensel-absorbing the two w factors leaves only multiples of ell.
+    absorbing the two w factors by w's ell-th root (two HENSEL_ROOT
+    steps) leaves only multiples of ell.
     """
     ctx, ell = b.ctx, b.ell
-    # the coefficient currently sitting on ent in the residual
-    k = tuple(e.serialize() for e in ent)
-    c = b.acc.coeffs.get(k, (0, ()))[0]
+    c = b.acc.coeff(ent)
     if c == 0:
         return
     x1, x2, rest = ent[0], ent[1], ent[2:]

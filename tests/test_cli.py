@@ -484,6 +484,30 @@ def test_bad_bounds_give_fail_record(capsys, monkeypatch, raw):
     assert "error=BadInput" in out and "ok=false" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "ratfunc:3", "residues", "{t,}"],
+    ["--field", "padic:5", "tame", "{2,,3}"],
+    ["--field", "padic:5", "tame", "{,2}"],
+    ["--field", "laurent:3", "divide", "--ell", "2", "{2,2,}"],
+])
+def test_empty_class_entry_gives_fail_record(capsys, argv):
+    # an empty part beside a comma was once dropped: {t,} ran as {t}
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert rc == 1
+    assert "error=BadInput" in out and "empty entry" in out
+    assert "ok=false" in out
+
+
+def test_empty_braces_are_the_degree_zero_symbol(capsys):
+    ctx = make_field("padic:5", 8)
+    a = cli.parse_class(ctx, "{}", lambda e: cli.parse_local_element(ctx, e))
+    assert a.degree == 0 and a.serialize() == "deg:0 {}"
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                           "lift", "--m", "2", "{}"])
+    assert rc == 0
+    assert "output='deg:0 {}' ok=true" in out
+
+
 def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
     rc, out = run(capsys, ["--format", "records", "verify-cert",
                            str(tmp_path / "missing.txt")])

@@ -23,7 +23,8 @@ from milnorforge.arith.local import (
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.arith.poly import Poly
 from milnorforge.ratfunc import QuotCtx
-from milnorforge.errors import MilnorForgeError, NotAUnit, PatternMismatch
+from milnorforge.errors import (MilnorForgeError, NewtonConditionFails, NotAUnit,
+                               PatternMismatch)
 
 
 # --- p-adic ring structure ------------------------------------------------
@@ -342,3 +343,105 @@ def test_principal_unit_root_when_ell_prime_to_p():
     r = principal_unit_root(p, pu, 3)
     assert r ** 3 == pu
     assert p.is_principal_unit(r)
+
+
+def _hensel_root(ctx, x, ell):
+    """The reference: hensel_lift on X^ell - x from 1, at x's precision."""
+    prec = x.prec
+    coeffs = [-x] + [ctx.extend(ctx.zero(), prec)] * (ell - 1) \
+        + [ctx.extend(ctx.one(), prec)]
+    return hensel_lift(ctx, Poly(ctx, coeffs), ctx.extend(ctx.one(), prec),
+                       prec)
+
+
+def _root_precisions(p):
+    """1, 2, 16, about 200, and p^k - 1, p^k, p^k + 1 for p^k <= 30: the
+    precisions where the exponent p^k of U_1 mod t^N steps up."""
+    precs = {1, 2, 16, 199}
+    pk = p
+    while pk <= 30:
+        precs |= {pk - 1, pk, pk + 1}
+        pk *= p
+    return sorted(precs)
+
+
+ROOT_CASES = [(make, q, prec)
+              for make, q in ([(padic_ctx, p) for p in (2, 3, 5, 7)]
+                              + [(laurent_ctx, q) for q in (2, 3, 4, 8, 9, 25)])
+              for prec in _root_precisions(ff_ctx_q(q).p)]
+
+
+@pytest.mark.parametrize("make,q,prec", ROOT_CASES)
+def test_principal_unit_root_matches_hensel_lift(make, q, prec):
+    ctx = make(q, prec)
+    rng = random.Random(q * 1000 + prec)
+    xs = [ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
+          for _ in range(2)]
+    if prec > 2:  # relative precision below the context's
+        xs.append(xs[0].truncate(prec - 2))
+    ells = [ell for ell in (2, 3, 5, 7, 11) if ell % ctx.p]
+    if prec > 100:  # the reference lift is slow at high precision
+        xs, ells = xs[:1], ells[:2]
+    for x in xs:
+        for ell in ells:
+            r = principal_unit_root(ctx, x, ell)
+            assert r ** ell == x
+            assert ctx.is_principal_unit(r) and r.prec == x.prec
+            assert r.serialize() == _hensel_root(ctx, x, ell).serialize()
+
+
+@pytest.mark.parametrize("ctx", [padic_ctx(5, 8), padic_ctx(2, 3),
+                                 laurent_ctx(9, 8), laurent_ctx(2, 1)])
+def test_principal_unit_root_errors(ctx):
+    for x in (ctx.zero(), ctx.uniformizer(),
+              ctx.lift_residue(ctx.residue_field.gen()) if ctx.q > 2
+              else ctx.uniformizer() + ctx.one()):
+        if ctx.q == 2 and x.val == 0:
+            continue  # over F_2 every unit is principal
+        with pytest.raises(NotAUnit,
+                           match="^ell-th roots are only guaranteed on U_1$"):
+            principal_unit_root(ctx, x, 3)
+    with pytest.raises(NewtonConditionFails,
+                       match=f"^exponent {2 * ctx.p} not coprime to p = "
+                             f"{ctx.p}$"):
+        principal_unit_root(ctx, ctx.one(), 2 * ctx.p)
+
+
+# --- exact digit keys -----------------------------------------------------
+
+KEY_RINGS = [("padic", 2), ("padic", 3), ("laurent", 2), ("laurent", 3),
+             ("laurent", 4)]
+
+
+@st.composite
+def local_elements(draw, kind, q):
+    """Small elements of one ring, so that equal texts come up often:
+    exact and approximate zeros, units past p^prec, and coefficient
+    tuples shorter than prec or with exponents past q - 1."""
+    prec = draw(st.integers(1, 3))
+    if draw(st.integers(0, 4)) == 0:
+        zero_prec = draw(st.none() | st.integers(-1, 4))
+        if kind == "padic":
+            return PadicNumber.zero(q, prec, zero_prec)
+        return LaurentSeries.zero(ff_ctx_q(q), prec, zero_prec)
+    val = draw(st.integers(-1, 2))
+    if kind == "padic":
+        unit = draw(st.integers(1, 2 * q ** prec).filter(lambda u: u % q))
+        return PadicNumber(q, prec, val, unit)
+    base = ff_ctx_q(q)
+    exps = [draw(st.integers(0, 2 * q))]
+    exps += draw(st.lists(st.none() | st.integers(0, 2 * q),
+                          max_size=prec - 1))
+    return LaurentSeries(base, prec, val, [
+        base.zero() if e is None else base.from_exp(e) for e in exps])
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_key_equal_exactly_when_serialize_equal(data):
+    kind, q = data.draw(st.sampled_from(KEY_RINGS))
+    xs = data.draw(st.lists(local_elements(kind, q), min_size=2, max_size=8))
+    for a in xs:
+        hash(a.key())
+        for b in xs:
+            assert (a.key() == b.key()) == (a.serialize() == b.serialize())

@@ -1,9 +1,11 @@
 """Local-field K-theory: tame symbol, mod-m maps, certificates, Hilbert pairing."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milnorforge import localk
 from milnorforge.arith.local import laurent_ctx, padic_ctx
@@ -154,6 +156,55 @@ def test_witness_pays_the_order_relator():
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4def06d0825c63064536ae4422522faef67d6ac47b62b5679c70413e47fa5c68")
+
+
+PIN_RINGS = ([(padic_ctx, p) for p in (2, 3, 5, 7)]
+             + [(laurent_ctx, q) for q in (3, 4, 8, 9)])
+
+
+def test_certificate_texts_are_pinned():
+    # a seeded grid: 8 rings, precisions 1, 2, 8 and 16, degrees 2 and 3,
+    # the first two of ell = 2, 3, 5, 7 coprime to p; digest taken before
+    # the roots of principal units and the replay keys were rewritten
+    h = hashlib.sha256()
+    for make, q in PIN_RINGS:
+        for prec in (1, 2, 8, 16):
+            ctx = make(q, prec)
+            ells = [ell for ell in (2, 3, 5, 7) if ell % ctx.p][:2]
+            for degree in (2, 3):
+                for ell in ells:
+                    rng = random.Random(f"{ctx!r} {degree} {ell}")
+                    a = (symbol(ctx, [ctx.random_unit(rng)
+                                      for _ in range(degree)])
+                         + symbol(ctx, [ctx.random_unit(rng)
+                                        for _ in range(degree)]).scale(2))
+                    cert = divisibility_witness(ctx, a, ell)
+                    h.update(serialize_certificate(cert).encode())
+    assert h.hexdigest() == (
+        "5e083a1fc50177f031f70e2002feb81831fae4f6cbab94b2619680a4f3b45d95")
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_formal_sum_items_follow_serialized_order(data):
+    # terms keyed by key() come out as the serialization-keyed sum had them
+    ctx = data.draw(st.sampled_from([padic_ctx(3, 2), laurent_ctx(4, 2)]))
+    pool = [ctx.one(), ctx.minus_one(), ctx.uniformizer(), ctx.from_int(2),
+            ctx.from_int(2).truncate(1), ctx.zero(), ctx.one().truncate(1),
+            ctx.uniformizer() + ctx.one()]
+    acc, ref = localk._FormalSum(), {}
+    for _ in range(data.draw(st.integers(0, 30))):
+        c = data.draw(st.integers(-2, 2))
+        ent = tuple(data.draw(st.sampled_from(pool)) for _ in range(2))
+        acc.add(c, ent)
+        k = tuple(e.serialize() for e in ent)
+        ref[k] = ref.get(k, 0) + c
+    want = sorted((k, c) for k, c in ref.items() if c)
+    got = [(tuple(e.serialize() for e in ent), c) for c, ent in acc.items()]
+    assert got == want
+    assert acc.is_zero() == (not want)
+    for ent in itertools.product(pool, repeat=2):
+        assert acc.coeff(ent) == ref.get(tuple(e.serialize() for e in ent), 0)
 
 
 def test_certificate_serialization_round_trip():
