@@ -105,17 +105,7 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     rng = random.Random(FACTOR_SEED)
     monic = f.monic()
     distinct = _factor_squarefree(_distinct_part(monic), rng)
-    out = []
-    for irr in distinct:
-        mult = 0
-        g = monic
-        while True:
-            quot, rem = divmod(g, irr)
-            if not rem.is_zero():
-                break
-            mult += 1
-            g = quot
-        out.append((irr, mult))
+    out = [(irr, monic.strip(irr)[0]) for irr in distinct]
     out.sort(key=lambda pm: _sort_key(pm[0]))
     # exactness guard: re-multiply
     check = Poly.const(f.ctx, f.lc)

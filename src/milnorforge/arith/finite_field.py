@@ -18,7 +18,9 @@ characteristic 2).  For p^f <= 2^16 exp/log tables and a Zech table
 zech[k] = log(1 + g^k) are built once, so addition works on exponents too:
 g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
 IEEE Trans. IT 36(4), 1990).  Larger fields add encodings and fall back to
-square-and-multiply and baby-step/giant-step discrete logs.
+square-and-multiply and baby-step/giant-step discrete logs.  No field has
+more than FIELD_BOUND elements.  ``_extension_points`` is the one walk over
+F_q and its small extensions that every specialization test consumes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .factor import is_irreducible
 from .poly import Poly, _power
 
 TABLE_BOUND = 1 << 16
-DEFAULT_FIELD_BOUND = 1 << 20
+FIELD_BOUND = 1 << 20
+MAX_EXTENSION_DEGREE = 3
 
 _ctx_cache: dict[tuple[int, int], "FiniteFieldCtx"] = {}
 
@@ -82,12 +85,12 @@ def _digits_enc(digits: list[int], p: int) -> int:
 class FiniteFieldCtx:
     """Deterministic context for F_{p^f}; construct via ff_ctx()."""
 
-    def __init__(self, p: int, f: int, bound: int = DEFAULT_FIELD_BOUND):
+    def __init__(self, p: int, f: int):
         if f < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** f
-        if q > bound:  # before the trial divisions, which are slow past it
-            raise FieldTooLarge(f"p^f = {q} exceeds bound {bound}")
+        if q > FIELD_BOUND:  # before the trial divisions, slow past it
+            raise FieldTooLarge(f"p^f = {q} exceeds bound {FIELD_BOUND}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
@@ -325,10 +328,6 @@ class FiniteFieldCtx:
         for e in range(self.q - 1):
             yield FFElement(self, e)
 
-    def nonzero_elements(self):
-        for e in range(self.q - 1):
-            yield FFElement(self, e)
-
     def random_nonzero(self, rng) -> "FFElement":
         return FFElement(self, rng.randrange(self.q - 1))
 
@@ -348,26 +347,24 @@ class FiniteFieldCtx:
         return hash(("ffctx", self.p, self.f))
 
 
-def ff_ctx(p: int, f: int = 1, bound: int = DEFAULT_FIELD_BOUND) -> FiniteFieldCtx:
+def ff_ctx(p: int, f: int = 1) -> FiniteFieldCtx:
+    # one context per (p, f): LocalFieldCtx compares residue fields by identity
     key = (p, f)
     ctx = _ctx_cache.get(key)
     if ctx is None:
-        ctx = FiniteFieldCtx(p, f, bound=bound)
-        _ctx_cache[key] = ctx
-    elif ctx.q > bound:
-        raise FieldTooLarge(f"p^f = {ctx.q} exceeds bound {bound}")
+        ctx = _ctx_cache[key] = FiniteFieldCtx(p, f)
     return ctx
 
 
-def ff_ctx_q(q: int, bound: int = DEFAULT_FIELD_BOUND) -> FiniteFieldCtx:
+def ff_ctx_q(q: int) -> FiniteFieldCtx:
     """Context from a prime power q."""
-    if q > bound:  # the message FiniteFieldCtx gives for a prime power
-        raise FieldTooLarge(f"p^f = {q} exceeds bound {bound}")
+    if q > FIELD_BOUND:  # the message FiniteFieldCtx gives for a prime power
+        raise FieldTooLarge(f"p^f = {q} exceeds bound {FIELD_BOUND}")
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
     ((p, f),) = fac.items()
-    return ff_ctx(p, f, bound=bound)
+    return ff_ctx(p, f)
 
 
 _embed_cache: dict[tuple, object] = {}
@@ -415,6 +412,19 @@ def ff_embedding(small: FiniteFieldCtx, big: FiniteFieldCtx):
             return acc
     _embed_cache[key] = fn
     return fn
+
+
+def _extension_points(k: FiniteFieldCtx):
+    """Lazily, (F_{q^j}, the embedding of k = F_q, c) for j = 1, ...,
+    MAX_EXTENSION_DEGREE and each c of F_{q^j} in no smaller F_{q^i}, i | j:
+    zero first, then in exponent order.  Each point comes once."""
+    for j in range(1, MAX_EXTENSION_DEGREE + 1):
+        big = ff_ctx(k.p, k.f * j)
+        emb = ff_embedding(k, big)
+        subfield_qs = [k.q ** i for i in range(1, j) if j % i == 0]
+        for c in big.elements():
+            if not any(c ** s == c for s in subfield_qs):
+                yield big, emb, c
 
 
 class FFElement:

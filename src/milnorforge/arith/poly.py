@@ -9,14 +9,15 @@ F_q[[t]], which keeps gcds and resultants uniform across the package.
 ``_power`` is the package's one square-and-multiply: the powers of
 polynomials (also mod a polynomial), of Laurent series, of quotient-field
 elements and of finite-field encodings, and the three powers inside
-``Poly.resultant``, all go through it.
+``Poly.resultant``, all go through it.  ``Poly.strip`` is the one loop that
+peels powers of a divisor: valuations at places and factor multiplicities.
 """
 
 from __future__ import annotations
 
 import operator
 
-from ..errors import ZeroPolynomial
+from ..errors import BadInput, ZeroPolynomial
 
 
 def _power(x, k: int, one, mul=operator.mul):
@@ -163,6 +164,20 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
+
+    def strip(self, d: "Poly"):
+        """(v, self / d^v) for the largest power d^v dividing self, by
+        repeated division until a remainder is nonzero."""
+        if self.is_zero():
+            raise ZeroPolynomial("every power divides the zero polynomial")
+        if d.degree < 1:
+            raise BadInput(f"cannot strip a divisor of degree {d.degree}")
+        v, p = 0, self
+        while True:
+            q, r = divmod(p, d)
+            if not r.is_zero():
+                return v, p
+            v, p = v + 1, q
 
     def __pow__(self, k: int) -> "Poly":
         return _power(self, k, lambda: Poly.one(self.ctx))

@@ -16,7 +16,6 @@ the norm along a linear pi = X - a is the identity.
 
 from __future__ import annotations
 
-from .arith.factor import is_irreducible
 from .arith.finite_field import FiniteFieldCtx
 from .arith.poly import Poly
 from .errors import (
@@ -30,14 +29,16 @@ from .errors import (
     SelfCheckFailed,
 )
 from .ratfunc import (
+    MAX_ROOT_SEARCH_DEGREE,
     Place,
     QuotCtx,
     RatFuncCtx,
+    irreducible_by_specialization,
     irreducible_over,
     support,
     tame_at,
 )
-from .symbols import MilnorClass, SymbolTerm, symbol
+from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
 
 NORM_SIGN = -1
 
@@ -273,7 +274,6 @@ def k_equal(a: MilnorClass, b: MilnorClass) -> bool:
     if a.degree == 0:
         return sum(t.coeff for t in diff.terms) == 0
     if isinstance(ctx, FiniteFieldCtx):
-        from .symbols import ff_kgroup
         return ff_kgroup(ctx.q, a.degree).image_is_zero(diff)
     if a.degree == 1 and isinstance(ctx, (RatFuncCtx, QuotCtx)):
         return class_to_unit(diff).is_one()
@@ -328,13 +328,11 @@ def composite_minimal_poly(pi1: Poly, pi2: Poly) -> Poly:
     mu = res.num.monic()
     if mu.degree != d1 * pi2.degree:
         raise EliminationFailed("composite polynomial has wrong degree")
-    if isinstance(k_ctx, FiniteFieldCtx):
-        irr = is_irreducible(mu)
-    elif mu.degree <= 3:
+    if (isinstance(k_ctx, FiniteFieldCtx)
+            or mu.degree <= MAX_ROOT_SEARCH_DEGREE):
         irr = irreducible_over(mu)
     else:
         # beyond the root search: accept only a specialization certificate
-        from .ratfunc import irreducible_by_specialization
         irr = irreducible_by_specialization(mu)
     if not irr:
         raise NotIrreducible("composite polynomial not certified irreducible")

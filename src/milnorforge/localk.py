@@ -20,6 +20,8 @@ from .arith.local import (
     LAURENT,
     PADIC,
     LocalFieldCtx,
+    laurent_ctx,
+    padic_ctx,
     principal_unit_root,
     teichmuller,
     unit_decompose,
@@ -644,8 +646,6 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
     """Read serialize_certificate's text.  Any line that does not fit the
     format, or the shape its step kind needs, raises PatternMismatch naming
     the line, so the verifier only ever sees well-formed steps."""
-    from .arith.local import laurent_ctx, padic_ctx
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "divcert v1":
         raise PatternMismatch("not a certificate file")

@@ -6,13 +6,14 @@ F = F_q(t).  QuotCtx is the quotient field F[X]/(pi).  Places of a
 rational function field (monic irreducibles plus infinity) come with
 valuations, residue maps, and the tame symbol at each place (through the
 shared symbols.tame_rewrite), which is everything the Bass-Tate
-constructions consume.
+constructions consume.  Valuations peel powers through Poly.strip; the
+specialization certificate walks finite_field._extension_points.
 """
 
 from __future__ import annotations
 
 from .arith.factor import is_irreducible, poly_factor
-from .arith.finite_field import FiniteFieldCtx
+from .arith.finite_field import FiniteFieldCtx, _extension_points
 from .arith.poly import Poly, _power
 from .errors import (
     BadInput,
@@ -414,13 +415,7 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
             if r is None:
                 break
             lin = Poly(ctx, [-r, ctx.one()])
-            mult = 0
-            while True:
-                q, rem = divmod(g, lin)
-                if not rem.is_zero():
-                    break
-                g = q
-                mult += 1
+            mult, g = g.strip(lin)
             record(lin, mult)
         if g.degree < 1:
             return
@@ -447,37 +442,30 @@ def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
     return res
 
 
-MAX_SPECIALIZATION_EXT = 3
-
-
 def irreducible_by_specialization(f: Poly) -> bool:
     """Certify irreducibility over F_q(t) by specializing t into F_{q^j}.
 
     An irreducible specialization of a monic polynomial (at a point where
     no coefficient denominator vanishes) forces irreducibility over
     F_q(t); a reducible one proves nothing, so False means "no
-    certificate found", not "reducible".
+    certificate found", not "reducible".  A subfield point is tried only
+    at its own level: reducible there, it stays reducible further up.
     """
-    from .arith.finite_field import ff_ctx, ff_embedding
     ctx: RatFuncCtx = f.ctx
-    base = ctx.base
     if not f.is_monic():
         f = f.monic()
-    for j in range(1, MAX_SPECIALIZATION_EXT + 1):
-        big = ff_ctx(base.p, base.f * j)
-        emb = ff_embedding(base, big)
-        for t0 in big.elements():
-            spec = []
-            for c in f.coeffs:
-                d = c.den.map_coeffs(emb, big).eval(t0)
-                if d.is_zero():
-                    break
-                n = c.num.map_coeffs(emb, big).eval(t0)
-                spec.append(n * d.inverse())
-            else:
-                fb = Poly(big, spec)
-                if fb.degree == f.degree and is_irreducible(fb):
-                    return True
+    for big, emb, t0 in _extension_points(ctx.base):
+        spec = []
+        for c in f.coeffs:
+            d = c.den.map_coeffs(emb, big).eval(t0)
+            if d.is_zero():
+                break
+            n = c.num.map_coeffs(emb, big).eval(t0)
+            spec.append(n * d.inverse())
+        else:
+            fb = Poly(big, spec)
+            if fb.degree == f.degree and is_irreducible(fb):
+                return True
     return False
 
 
@@ -547,16 +535,6 @@ class Place:
 
     # -- valuation / residue ----------------------------------------------
 
-    def _strip(self, p: Poly):
-        """(v, p / P^v) for the largest power P^v dividing p."""
-        v = 0
-        while True:
-            q, r = divmod(p, self.poly)
-            if not r.is_zero():
-                return v, p
-            p = q
-            v += 1
-
     def _is_pi(self, x: RatFuncElem) -> bool:
         return x.den.is_one() and x.num == self.poly
 
@@ -567,7 +545,7 @@ class Place:
             return x.den.degree - x.num.degree
         if self._is_pi(x):
             return 1  # the uniformizer itself: no division needed
-        return self._strip(x.num)[0] - self._strip(x.den)[0]
+        return x.num.strip(self.poly)[0] - x.den.strip(self.poly)[0]
 
     def uniformizer(self) -> RatFuncElem:
         F = self.F
@@ -600,8 +578,8 @@ class Place:
             shift = Poly.x(self.F.base) ** abs(k)
             num, den = (x.num * shift, x.den) if k > 0 else (x.num, x.den * shift)
         else:
-            a, num = self._strip(x.num)
-            b, den = self._strip(x.den)
+            a, num = x.num.strip(self.poly)
+            b, den = x.den.strip(self.poly)
             k = a - b
         return (0, x) if k == 0 else (k, RatFuncElem(self.F, num, den))
 

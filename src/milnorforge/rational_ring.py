@@ -22,10 +22,13 @@ k <= 2 only: one variable for A(t), two for the delta test's target.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .arith.factor import is_irreducible
-from .arith.finite_field import ff_ctx, ff_embedding
+from .arith.finite_field import _extension_points
 from .arith.local import LocalFieldCtx
 from .arith.poly import Poly, _exact_zero
+from .bass_tate import k_equal
 from .errors import (
     BadInput,
     ContextMismatch,
@@ -43,7 +46,6 @@ from .symbols import MilnorClass, SymbolTerm
 
 MAX_VARIABLES = 2
 DELTA_SAMPLE_POINTS = 16
-DELTA_MAX_EXT = 3
 
 
 # --------------------------------------------------------------------------
@@ -305,31 +307,13 @@ def residue_map(x: RationalRingElem):
 # --------------------------------------------------------------------------
 
 
-def _specialization_points(kappa, count: int):
-    """(embedding, point) pairs with points outside {0, 1} and outside
-    proper subfields, drawn from kappa and small extensions."""
-    out = []
-    for j in range(1, DELTA_MAX_EXT + 1):
-        big = ff_ctx(kappa.p, kappa.f * j)
-        emb = ff_embedding(kappa, big)
-        for c in big.nonzero_elements():
-            if c.is_one():
-                continue
-            if j > 1 and any(c ** (kappa.p ** (kappa.f * i)) == c
-                             for i in range(1, j) if j % i == 0):
-                continue
-            out.append((big, emb, c))
-            if len(out) >= count:
-                return out
-    return out
-
-
 def delta_kernel_check(s: MilnorClass) -> bool:
     """Sampled test of delta(s) = s(t1) - s(t2) = 0 over A(t1, t2).
 
     Sound necessary condition: reduce entries to kappa(t), specialize
     t2 to sampled constants c, and decide s(t) - s(c) = 0 in Milnor
-    K-theory of kappa(t).  Exact for classes with constant entries.
+    K-theory of kappa(t).  Exact for classes with constant entries.  The c
+    are the first DELTA_SAMPLE_POINTS points other than 0, 1 of the walk.
     """
     if s.is_zero():
         return True
@@ -349,9 +333,10 @@ def delta_kernel_check(s: MilnorClass) -> bool:
         # residues of every kappa_P are trivial above K_1, so the
         # canonical forms cannot separate anything: vacuously true
         return True
-    from .bass_tate import k_equal
     kappa = s.terms[0].entries[0].A.residue_field
-    for big, emb, c in _specialization_points(kappa, DELTA_SAMPLE_POINTS):
+    points = ((big, emb, c) for big, emb, c in _extension_points(kappa)
+              if not (c.is_zero() or c.is_one()))
+    for big, emb, c in islice(points, DELTA_SAMPLE_POINTS):
         F = RatFuncCtx(big, "t")
         terms_t = []
         terms_c = []

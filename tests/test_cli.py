@@ -416,15 +416,16 @@ RECORDS_RUNS = [
 
 def test_suite_and_check_records_are_pinned(capsys):
     # the five suites, gersten-check, the check verbs in characteristic 2
-    # (where check-tower finds no certified tower) and the sampled
-    # base-change-check; digest taken before the power routines and the
-    # root search over F_q(t) were rewritten
+    # (where check-tower refuses its inseparable towers with BadInput) and
+    # the sampled base-change-check; digest taken before the power routines
+    # and the root search over F_q(t) were rewritten, and retaken when only
+    # the four characteristic-2 check-tower records changed
     h = hashlib.sha256()
     for argv in RECORDS_RUNS:
         _, out = run(capsys, ["--format", "records"] + argv)
         h.update(out.encode())
     assert h.hexdigest() == (
-        "d5d98f61eb8ac3d4fca0b0e154e24d8869fbaec668e8315cf410d0a710359114")
+        "9cd56a05f12ac79a8273384a06b819a8c9a09b08bf206cc2479aa1b3a143ec33")
 
 
 def test_norm_along_reducible_pi_fails(capsys):
@@ -482,6 +483,51 @@ def test_bad_bounds_give_fail_record(capsys, monkeypatch, raw):
                            "hilbert", "3", "5"])
     assert rc == 1
     assert "error=BadInput" in out and "ok=false" in out
+
+
+_OVER_DEGREE = ";".join(["1"] * (cli.MAX_POLY_DEGREE + 2))
+
+
+@pytest.mark.parametrize("argv", [
+    # a dense list of 10^9 coefficients was once built for this
+    ["--field", "ratfunc:3", "residues", "{t^999999999,t}"],
+    ["--field", "ratfunc:3", "residues", "{t^20*t^20,t}"],  # accumulated
+    ["--field", "ratfunc:3", "section", "{(1)/(t^33+1),t}"],
+    ["--field", "ratfunc:3", "norm", f"--pi={_OVER_DEGREE}", "{0;1}"],
+    ["--field", "ratfunc:3", "norm", "--pi=-1*t;0;1", f"{{{_OVER_DEGREE}}}"],
+    ["--field", "padic:5", "s-member", "1+t^999999999"],
+    ["--field", "padic:5", "s-member", "--vars", "2", "1+t1*t2^99999"],
+    ["--field", "laurent:3", "delta-check", "{1+t^33}"],
+])
+def test_polynomial_above_the_degree_bound_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    rc, out = run(capsys, ["--format", "records"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert "error=BadInput" in out and "exceeds bound" in out
+
+
+def test_polynomial_at_the_degree_bound_is_accepted(capsys):
+    d = cli.MAX_POLY_DEGREE
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "residues", f"{{t^{d}+t+1,t^{d}+1}}"])
+    assert rc == 0, out
+    pi = ";".join(["-1*t"] + ["0"] * (d - 1) + ["1"])
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "norm", f"--pi={pi}", "{0;1}"])
+    assert "exceeds bound" not in out
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_check_tower_refuses_characteristic_two(capsys, q):
+    # X^2 + c*t and Y^2 - (theta + s) are inseparable when p = 2: the
+    # sampler once spent up to 1.3 s on 50 futile draws
+    start = time.perf_counter()
+    rc, out = run(capsys, ["--format", "records", "--field", f"ratfunc:{q}",
+                           "check-tower", "--samples", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1
+    assert "error=BadInput" in out and "inseparable" in out
 
 
 @pytest.mark.parametrize("argv", [

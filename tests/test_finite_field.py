@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import milnorforge
-from milnorforge.arith.finite_field import TABLE_BOUND, ff_ctx, ff_ctx_q, ff_embedding
+from milnorforge.arith.finite_field import (
+    MAX_EXTENSION_DEGREE,
+    TABLE_BOUND,
+    _extension_points,
+    ff_ctx,
+    ff_ctx_q,
+    ff_embedding,
+)
 from milnorforge.errors import FieldTooLarge, MilnorForgeError, NotAUnit
 
 
@@ -135,11 +142,36 @@ def test_untabled_field_arithmetic_on_sample_pairs(q):
             assert (x - y).as_int() == (a - b) % q
 
 
-def test_ff_ctx_enforces_bound_on_cache_hit():
-    assert ff_ctx(2, 10).q == 1024
+def test_ff_ctx_is_one_object_per_field_and_q_is_bounded():
+    # LocalFieldCtx compares residue fields by identity, so ff_ctx(3) and
+    # ff_ctx(3, 1) must be one object
+    assert ff_ctx(2, 10) is ff_ctx(2, 10) is ff_ctx_q(1024)
+    assert ff_ctx(3) is ff_ctx(3, 1)
     with pytest.raises(FieldTooLarge):
-        ff_ctx(2, 10, bound=16)
-    assert ff_ctx(2, 10, bound=1024).q == 1024
+        ff_ctx_q(2 ** 21)
+    with pytest.raises(FieldTooLarge):
+        ff_ctx(2, 21)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_extension_points_walk_each_point_once_in_order(q):
+    k = ff_ctx_q(q)
+    points = list(_extension_points(k))
+    assert len(points) == q + (q ** 2 - q) + (q ** 3 - q)
+    levels = [big.f // k.f for big, _, _ in points]
+    assert levels == sorted(levels)
+    assert set(levels) == set(range(1, MAX_EXTENSION_DEGREE + 1))
+    for j in range(1, MAX_EXTENSION_DEGREE + 1):
+        big = ff_ctx(k.p, k.f * j)
+        level = [(b, e, c) for b, e, c in points if b.f == big.f]
+        assert all(b is big and e is ff_embedding(k, big) for b, e, _ in level)
+        # g^e lies in F_{q^i} exactly when (q^j - 1)/(q^i - 1) divides e;
+        # zero (None) lies in F_q only
+        cofactors = [(q ** j - 1) // (q ** i - 1)
+                     for i in range(1, j) if j % i == 0]
+        expected = ([None] if j == 1 else []) + [
+            e for e in range(q ** j - 1) if all(e % m for m in cofactors)]
+        assert [c.e for _, _, c in level] == expected
 
 
 # (p, f) -> (modulus, generator_enc) as first published; every ff(p,f):g^e

@@ -322,7 +322,7 @@ def test_hensel_rejects_singular_start():
 @pytest.mark.parametrize("ctx", [padic_ctx(5, 8), laurent_ctx(7, 8), laurent_ctx(4, 6)])
 def test_teichmuller_is_root_of_unity_lifting_residue(ctx):
     q = ctx.q
-    for c in ctx.residue_field.nonzero_elements():
+    for c in list(ctx.residue_field.elements())[1:]:  # zero comes first
         w = teichmuller(ctx, ctx.lift_residue(c))
         assert ctx.residue(w) == c
         assert (w ** (q - 1)).is_one()

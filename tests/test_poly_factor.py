@@ -10,7 +10,7 @@ from milnorforge.arith.factor import is_irreducible, poly_factor
 from milnorforge.arith.finite_field import ff_ctx
 from milnorforge.arith.local import laurent_ctx
 from milnorforge.arith.poly import Poly, _power
-from milnorforge.errors import ZeroPolynomial
+from milnorforge.errors import MilnorForgeError, ZeroPolynomial
 from milnorforge.ratfunc import QuotCtx, RatFuncCtx
 
 
@@ -198,3 +198,45 @@ def test_power_agrees_with_repeated_products():
         # product per further set bit, so x ** 1 costs none
         assert len(products) == (k.bit_length() - 1 + bin(k).count("1") - 1
                                  if k else 0)
+
+
+def _strip_by_divmod(p, d):
+    # the loop Poly.strip replaced, at each of its three call sites
+    v = 0
+    while True:
+        q, r = divmod(p, d)
+        if not r.is_zero():
+            return v, p
+        p, v = q, v + 1
+
+
+def test_strip_agrees_with_repeated_divmod():
+    rng = random.Random(14)
+    F = RatFuncCtx(ff_ctx(3))
+    for k in (ff_ctx(2), ff_ctx(3), ff_ctx(2, 2), ff_ctx(5), F):
+        for _ in range(12):
+            d = Poly(k, [k.random_element(rng) for _ in range(rng.randint(1, 2))]
+                     + [k.random_nonzero(rng)])
+            u = Poly(k, [k.random_element(rng) for _ in range(rng.randint(0, 3))]
+                     + [k.random_nonzero(rng)])
+            for p in (u, d ** rng.randint(1, 3) * u):  # d may not divide u
+                v, rest = p.strip(d)
+                assert (v, rest) == _strip_by_divmod(p, d)
+                assert d ** v * rest == p and not (rest % d).is_zero()
+        # self = d^k * u with d prime to u: exactly k comes off
+        x = Poly.x(k)
+        u = x + Poly.one(k)
+        assert (x ** 3 * u).strip(x) == (3, u)
+        assert u.strip(x) == (0, u)
+
+
+def test_strip_rejects_zero_and_constant_inputs():
+    # both once looped forever: every power divides 0, and a constant
+    # divides everything
+    k = ff_ctx(3)
+    x = Poly.x(k)
+    with pytest.raises(ZeroPolynomial):
+        Poly.zero(k).strip(x)
+    for d in (Poly.zero(k), Poly.one(k), P(k, [2])):
+        with pytest.raises(MilnorForgeError):
+            x.strip(d)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.factor import is_irreducible
+from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q, ff_embedding
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import NotAUnit, NotMonic
 from milnorforge.ratfunc import (
@@ -166,6 +167,47 @@ def test_irreducibility_over_function_field():
     assert irreducible_over(Poly(F, [-t, F.zero(), F.one()]))       # X^2 - t
     assert not irreducible_over(Poly(F, [-t * t, F.zero(), F.one()]))  # X^2 - t^2
     assert irreducible_by_specialization(Poly(F, [-t, F.zero(), F.one()]))
+
+
+def _old_irreducible_by_specialization(f):
+    # the certificate loop before the walk over F_q and its extensions
+    # moved into finite_field: every point of every level, subfield points
+    # included
+    base = f.ctx.base
+    f = f.monic()
+    for j in range(1, 4):
+        big = ff_ctx(base.p, base.f * j)
+        emb = ff_embedding(base, big)
+        for t0 in big.elements():
+            spec = []
+            for c in f.coeffs:
+                d = c.den.map_coeffs(emb, big).eval(t0)
+                if d.is_zero():
+                    break
+                spec.append(c.num.map_coeffs(emb, big).eval(t0) * d.inverse())
+            else:
+                fb = Poly(big, spec)
+                if fb.degree == f.degree and is_irreducible(fb):
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_specialization_certificate_agrees_with_the_old_loop(q):
+    F = RatFuncCtx(ff_ctx_q(q))
+    rng = random.Random(100 + q)
+    t = F.gen()
+    polys = [Poly(F, [-t, F.zero(), F.one()]),                  # X^2 - t
+             Poly(F, [-t * t, F.zero(), F.one()]),              # X^2 - t^2
+             Poly(F, [-t, F.zero(), F.zero(), F.zero(), F.one()])]  # X^4 - t
+    for _ in range(8):
+        d = rng.randint(2, 4)
+        polys.append(Poly(F, [F.random_nonzero(rng, 1) for _ in range(d)]
+                          + [F.one()]))
+    polys.append(polys[-1] * polys[-2])  # reducible: neither certifies
+    found = [irreducible_by_specialization(f) for f in polys]
+    assert found == [_old_irreducible_by_specialization(f) for f in polys]
+    assert True in found and False in found
 
 
 def test_square_roots():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from milnorforge.arith.finite_field import ff_ctx, ff_embedding
 from milnorforge.arith.local import laurent_ctx, padic_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import (
@@ -125,6 +126,46 @@ def test_delta_vacuous_above_degree_two():
     tvar = RationalRingElem(A, 1, mp(A, [(0, 1), (1, 1)]), mp(A, [(0, 1)]))
     c = RationalRingElem.const(A, 1, A.from_int(2))
     assert delta_kernel_check(symbol(A, [tvar, c, c]))
+
+
+def _old_specialization_points(kappa, count):
+    # the delta test's point list before the walk over F_q and its
+    # extensions moved into finite_field
+    out = []
+    for j in range(1, 4):
+        big = ff_ctx(kappa.p, kappa.f * j)
+        emb = ff_embedding(kappa, big)
+        for c in list(big.elements())[1:]:  # the nonzero elements
+            if c.is_one():
+                continue
+            if j > 1 and any(c ** (kappa.p ** (kappa.f * i)) == c
+                             for i in range(1, j) if j % i == 0):
+                continue
+            out.append((big, emb, c))
+            if len(out) >= count:
+                return out
+    return out
+
+
+@pytest.mark.parametrize("A", [padic_ctx(2, 4), padic_ctx(3, 4),
+                               laurent_ctx(4, 4), padic_ctx(5, 4),
+                               laurent_ctx(9, 4), padic_ctx(17, 4),
+                               padic_ctx(19, 4)])
+def test_delta_specializes_at_the_old_points(monkeypatch, A):
+    # {t} specializes to {c}: a k_equal that records c and answers True
+    # lets the test visit every point it samples
+    seen = []
+
+    def spy(a, b):
+        seen.append((a.ctx.base, b.terms[0].entries[0].num.lc))
+        return True
+
+    monkeypatch.setattr(rational_ring, "k_equal", spy)
+    tvar = RationalRingElem(A, 1, mp(A, [(1, 1)]), mp(A, [(0, 1)]))
+    assert delta_kernel_check(symbol(A, [tvar]))
+    old = _old_specialization_points(A.residue_field,
+                                     rational_ring.DELTA_SAMPLE_POINTS)
+    assert seen == [(big, c) for big, _, c in old]
 
 
 # --- base change ----------------------------------------------------------
