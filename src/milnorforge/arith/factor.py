@@ -3,6 +3,8 @@
 Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
 splitting.  The equal-degree stage is randomized but driven by a seeded
 generator, so identical inputs and seeds factor identically.
+_distinct_degree is the one distinct-degree walk: poly_factor splits each
+of its pairs further, and is_irreducible reads only its first pair.
 """
 
 from __future__ import annotations
@@ -66,26 +68,32 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-def _factor_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
-    """Irreducible factors of a squarefree monic polynomial."""
-    ctx = f.ctx
-    q = ctx.q
-    out: list[Poly] = []
-    x = Poly.x(ctx)
+def _distinct_degree(f: Poly):
+    """For d = 1, 2, ... while 2d <= deg r, r the part of monic f not yet
+    split off: (d, g) for each g = gcd(x^(q^d) - x, r) other than 1; then
+    (deg r, r).  For squarefree f, g is the product of the irreducible
+    factors of degree d, and the last r is irreducible."""
+    q = f.ctx.q
+    x = Poly.x(f.ctx)
     h = x
     d = 0
     while f.degree > 0:
         d += 1
         if 2 * d > f.degree:
-            out.append(f)
-            break
+            yield f.degree, f
+            return
         h = h.pow_mod(q, f)
         g = f.gcd(h - x)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
+            yield d, g
             f = f // g
             h = h % f
-    return out
+
+
+def _factor_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
+    """Irreducible factors of a squarefree monic polynomial."""
+    return [irr for d, g in _distinct_degree(f)
+            for irr in _equal_degree_split(g, d, rng)]
 
 
 def _sort_key(p: Poly):
@@ -117,10 +125,10 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over the finite field of the coefficients."""
+    """Irreducibility over the finite field of the coefficients, by Ben-Or's
+    test: f, squarefree or not, is reducible iff it has an irreducible
+    factor of degree d <= deg f / 2, where the distinct-degree walk stops."""
     if f.degree <= 0:
         return False
-    if f.degree == 1:
-        return True
-    facs = poly_factor(f)
-    return len(facs) == 1 and facs[0][1] == 1
+    d, _ = next(_distinct_degree(f.monic()))
+    return d == f.degree

@@ -5,9 +5,9 @@ A field context fixes, deterministically for every (p, f):
 * the modulus: the monic irreducible of degree f over F_p whose coefficient
   encoding c0 + c1*p + ... is smallest.  Candidates are tried in order of
   encoding with factor.is_irreducible over F_p, the prime field's own
-  context (distinct-degree then equal-degree factorization, von zur Gathen
-  and Gerhard, "Modern Computer Algebra", ch. 14); the field keeps no
-  polynomial arithmetic of its own beyond encodings,
+  context: Ben-Or's test, the distinct-degree walk up to degree f/2 with
+  no factor split off (Ben-Or, FOCS 1981); the field keeps no polynomial
+  arithmetic of its own beyond encodings,
 * the generator: the primitive element with smallest encoding.
 
 Elements are stored as ZERO or as an exponent e of the generator.  Nonzero
@@ -20,7 +20,8 @@ g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
 IEEE Trans. IT 36(4), 1990).  Larger fields add encodings and fall back to
 square-and-multiply and baby-step/giant-step discrete logs.  No field has
 more than FIELD_BOUND elements.  ``_extension_points`` is the one walk over
-F_q and its small extensions that every specialization test consumes.
+F_q and its small extensions that every specialization test consumes;
+ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
 """
 
 from __future__ import annotations
@@ -36,21 +37,6 @@ FIELD_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 3
 
 _ctx_cache: dict[tuple[int, int], "FiniteFieldCtx"] = {}
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -91,7 +77,7 @@ class FiniteFieldCtx:
         q = p ** f
         if q > FIELD_BOUND:  # before the trial divisions, slow past it
             raise FieldTooLarge(f"p^f = {q} exceeds bound {FIELD_BOUND}")
-        if not is_prime(p):
+        if factorize(p) != {p: 1}:
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.f = f
@@ -220,8 +206,6 @@ class FiniteFieldCtx:
         return True
 
     def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
         factors = factorize(self.q - 1)
         for enc in range(1, self.q):
             if self._order_is_full(enc, factors):
@@ -373,8 +357,10 @@ _embed_cache: dict[tuple, object] = {}
 def ff_embedding(small: FiniteFieldCtx, big: FiniteFieldCtx):
     """A field embedding F_{p^f1} -> F_{p^f2} (f1 | f2), as a function.
 
-    Picks a root h of the small field's modulus inside the big field and
-    sends sum a_i g^i (in the F_p-basis of encodings) to sum a_i h^i.
+    Picks a root h of the small modulus in the big field (h = 1 when f1 = 1,
+    whose generator is a constant) and evaluates the small generator's
+    encoding polynomial at h: that is its image gamma, and a field map is
+    fixed by it, so g^e -> gamma^e is the map X -> h on every element.
     """
     if small.p != big.p or big.f % small.f:
         raise ValueError("no embedding between these fields")
@@ -383,33 +369,22 @@ def ff_embedding(small: FiniteFieldCtx, big: FiniteFieldCtx):
     if fn is not None:
         return fn
     if small.f == 1:
-        def fn(x):
-            return big.from_int(x.as_int())
+        h = big.one()
     else:
         # roots of the small modulus live in the order-(q1-1) subgroup
         step = (big.q - 1) // (small.q - 1)
-        h = None
+        modulus = Poly.from_ints(big, small.modulus)
         for i in range(small.q - 1):
-            cand = big.from_exp(step * i)
-            acc = big.zero()
-            for c in reversed(small.modulus):
-                acc = acc * cand + big.from_int(c)
-            if acc.is_zero():
-                h = cand
+            h = big.from_exp(step * i)
+            if modulus.eval(h).is_zero():
                 break
-        if h is None:
+        else:
             raise SelfCheckFailed("modulus has no root in the big field")
-        powers = [big.one()]
-        for _ in range(small.f - 1):
-            powers.append(powers[-1] * h)
+    gamma = Poly.from_ints(
+        big, _enc_digits(small.generator_enc, small.p, small.f)).eval(h)
 
-        def fn(x):
-            digits = _enc_digits(x.enc, small.p, small.f)
-            acc = big.zero()
-            for d, hp in zip(digits, powers):
-                if d:
-                    acc = acc + hp * big.from_int(d)
-            return acc
+    def fn(x):
+        return big.zero() if x.e is None else gamma ** x.e
     _embed_cache[key] = fn
     return fn
 
@@ -434,7 +409,7 @@ class FFElement:
 
     def __init__(self, ctx: FiniteFieldCtx, e: int | None):
         self.ctx = ctx
-        self.e = e if e is None else e % (ctx.q - 1) if ctx.q > 2 else 0
+        self.e = e if e is None else e % (ctx.q - 1)
 
     # predicates
     def is_zero(self) -> bool:

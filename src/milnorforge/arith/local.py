@@ -24,7 +24,7 @@ from ..errors import (
     ZeroElement,
 )
 from .finite_field import (FIELD_BOUND, FFElement, FiniteFieldCtx,
-                           ff_ctx, ff_ctx_q, is_prime)
+                           factorize, ff_ctx, ff_ctx_q)
 from .laurent import LaurentSeries
 from .padic import PadicNumber
 from .poly import Poly
@@ -213,7 +213,7 @@ class LocalFieldCtx:
 @lru_cache(maxsize=None)
 def padic_ctx(p: int, prec: int) -> LocalFieldCtx:
     # above the field bound ff_ctx refuses p before any trial division
-    if p <= FIELD_BOUND and not is_prime(p):
+    if p <= FIELD_BOUND and factorize(p) != {p: 1}:
         raise BadPrime(f"{p} is not prime")
     return LocalFieldCtx(PADIC, ff_ctx(p, 1), prec)
 

@@ -25,7 +25,6 @@ from .errors import (
     EliminationFailed,
     NotIrreducible,
     NotMonic,
-    PrecisionExhausted,
     SelfCheckFailed,
 )
 from .ratfunc import (
@@ -38,12 +37,13 @@ from .ratfunc import (
     support,
     tame_at,
 )
-from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
+from .symbols import MilnorClass, SymbolTerm, ff_congruent, symbol
 
 NORM_SIGN = -1
 
-# total place degree one section or norm may spend on corrections
-BT_CORRECTION_BUDGET = 64
+# total place degree one section or norm may spend on corrections; the
+# sections of degree <= 32 measured over F_q, q <= 125, spent at most 137
+BT_CORRECTION_BUDGET = 256
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +172,8 @@ def _correction_sweep(out: MilnorClass, targets: dict, lift,
             continue
         budget -= place.degree
         if budget <= 0:
-            raise PrecisionExhausted(f"{what} correction budget exhausted")
+            raise DegreeTooLarge(f"{what} corrections exceed the budget of "
+                                 f"{BT_CORRECTION_BUDGET} in place degree")
         out = out + term
         for P, r in _finite_residues(term, skip=place).items():
             targets[P] = targets[P] - r if P in targets else -r
@@ -264,17 +265,17 @@ def k_equal(a: MilnorClass, b: MilnorClass) -> bool:
     """Decide a = b in K_n of a finite field, of F_q(t) or of a residue
     field F_q[t]/(P), n <= 2.
 
-    Over F_q this is the finite presentation; degree 1 is the unit group;
+    Over F_q this is symbols.ff_congruent; degree 1 is the unit group;
     K_2(F_q(t)) injects into its finite residues.
     """
     if a.ctx != b.ctx or a.degree != b.degree:
         raise ContextMismatch("comparison needs one context and degree")
     ctx = a.ctx
+    if isinstance(ctx, FiniteFieldCtx):
+        return ff_congruent(a, b)
     diff = a - b
     if a.degree == 0:
         return sum(t.coeff for t in diff.terms) == 0
-    if isinstance(ctx, FiniteFieldCtx):
-        return ff_kgroup(ctx.q, a.degree).image_is_zero(diff)
     if a.degree == 1 and isinstance(ctx, (RatFuncCtx, QuotCtx)):
         return class_to_unit(diff).is_one()
     if a.degree == 2 and isinstance(ctx, RatFuncCtx):

@@ -37,7 +37,6 @@ from .errors import (
     BadInput,
     DegreeTooLarge,
     MilnorForgeError,
-    ResidueReducible,
     SelfCheckFailed,
 )
 from .localk import (
@@ -56,10 +55,10 @@ from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
 from .rational_ring import (
     MultiPoly,
     RationalRingElem,
+    _random_local_pi,
     base_change_roundtrip,
     delta_kernel_check,
     is_unit,
-    random_integral,
     residue_map,
     s_member,
 )
@@ -485,7 +484,7 @@ def _sample_quot_field(F: RatFuncCtx, rng, degree: int) -> QuotCtx | None:
     None for a pi it rejects or cannot decide."""
     base = F.base
     coeffs = [F.random_nonzero(rng, 1) if rng.random() < 0.5
-              else F.from_const(base.from_exp(rng.randrange(base.q - 1)))
+              else F.from_const(base.random_nonzero(rng))
               for _ in range(degree)] + [F.one()]
     if all(c.den.is_one() and c.num.degree <= 1 for c in coeffs):
         B = QuotCtx(F, Poly(F, coeffs))
@@ -538,7 +537,7 @@ def cmd_check_tower(args, rep: Report):
                        "when p = 2")
 
     def unit():
-        return F.from_const(base.from_exp(rng.randrange(base.q - 1)))
+        return F.from_const(base.random_nonzero(rng))
 
     def draw():
         # X^2 + c0*t is Eisenstein at t; norm decides it once anyway
@@ -617,13 +616,13 @@ def cmd_base_change_check(args, rep: Report):
         return
 
     def draw():
-        d = 2 + rng.randrange(2)
-        pi = Poly(A, [random_integral(A, rng) for _ in range(d)] + [A.one()])
-        # ResidueReducible: B would not be local, so draw another pi
+        pi = _random_local_pi(A, rng)
+        if pi is None:
+            return None
         return base_change_roundtrip(A, pi, rng), lambda: pi.serialize("X")
 
     _sampled_checks(rep, "base_change_roundtrip", args.samples,
-                    "local extensions", draw, ResidueReducible)
+                    "local extensions", draw)
 
 
 # --------------------------------------------------------------------------

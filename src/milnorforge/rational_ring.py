@@ -569,6 +569,22 @@ def random_integral(A, rng):
     return A.random_unit(rng) * A.uniformizer() ** k
 
 
+def _random_local_pi(A, rng):
+    """A monic pi of degree 2 or 3 over A whose residue, drawn first, is
+    irreducible; None when that residue is reducible (B = A[X]/pi would not
+    be local).  Each lower coefficient is the lift of its residue plus the
+    uniformizer times random_integral."""
+    kappa = A.residue_field
+    d = 2 + rng.randrange(2)
+    pibar = Poly(kappa, [kappa.random_element(rng) for _ in range(d)]
+                 + [kappa.one()])
+    if not is_irreducible(pibar):
+        return None
+    return Poly(A, [(A.zero() if c.is_zero() else A.lift_residue(c))
+                    + A.uniformizer() * random_integral(A, rng)
+                    for c in pibar.coeffs[:d]] + [A.one()])
+
+
 def random_multipoly(A, k: int, rng, max_deg: int = 2,
                      ensure_s: bool = False) -> MultiPoly:
     coeffs = {}

@@ -6,24 +6,13 @@ relation integers.  Construction runs Euclid down that column and keeps
 the gcd g with a sparse Bezout row u, sum u_i * r_i = g.  The pair is its
 own certificate: g >= 0, g == sum u_i * r_i and g divides every r_i make g
 the gcd, and construction raises SelfCheckFailed unless all three hold
-(so the check also runs under python -O).
+(so the check also runs under python -O); express_in_relators raises it
+too, for a vector outside the relator span: there is no sentinel result.
 """
 
 from __future__ import annotations
 
 from .errors import SelfCheckFailed
-
-
-class NotInSubgroup:
-    """Sentinel result: the vector is not an integer combination of rows."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NotInSubgroup"
-
-
-NOT_IN_SUBGROUP = NotInSubgroup()
 
 
 def _column_gcd(col) -> tuple[int, dict[int, int]]:
@@ -89,16 +78,13 @@ class AbGroupPresentation:
         (v,) = vec
         return [v % self.gcd if self.gcd else v]
 
-    def is_trivial_element(self, vec) -> bool:
-        return self.coordinates(vec) == [0]
-
     def express_in_relators(self, vec):
-        """Coefficients c with sum c_i * r_i = v for vec = [v], or
-        NOT_IN_SUBGROUP: the Bezout row scaled by v / g."""
+        """Coefficients c with sum c_i * r_i = v for vec = [v]: the Bezout
+        row scaled by v / g; SelfCheckFailed when g does not divide v."""
         (v,) = vec
         g = self.gcd
         if v % g if g else v:
-            return NOT_IN_SUBGROUP
+            raise SelfCheckFailed(f"[{v}] is not in the span of the relators")
         scale = v // g if g else 0
         combo = [scale * self.bezout.get(i, 0)
                  for i in range(len(self.relations))]

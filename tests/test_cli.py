@@ -11,7 +11,7 @@ import time
 import pytest
 
 import milnorforge
-from milnorforge import cli, rational_ring
+from milnorforge import bass_tate, cli, rational_ring
 from milnorforge.cli import main, make_field, read_bounds
 from milnorforge.errors import BadInput, SelfCheckFailed
 from milnorforge.rational_ring import MultiPoly
@@ -232,13 +232,48 @@ def test_sampled_base_change_check_passes(capsys, field):
     assert out.count("op=base_change_roundtrip") == 2
 
 
-def test_sampled_base_change_check_reports_a_shortfall(capsys):
-    # all 50 draws of this seed have a reducible residue: no silent pass
+def test_sampled_base_change_check_reports_a_shortfall(capsys, monkeypatch):
+    # every residue drawn is rejected, so all 50 draws fail: no silent pass
+    monkeypatch.setattr(rational_ring, "is_irreducible", lambda f: False)
     rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
-                           "--seed", "74", "base-change-check",
-                           "--samples", "1"])
+                           "base-change-check", "--samples", "1"])
     assert rc == 1
     assert "counterexample='only 0 local extensions sampled' ok=false" in out
+
+
+@pytest.mark.parametrize("seed", [74, 85, 91])
+def test_sampled_base_change_over_padic_2_draws_the_residue_first(capsys,
+                                                                  seed):
+    # these seeds drew 50 reducible residues in a row when pi's
+    # coefficients were drawn before its residue
+    start = time.perf_counter()
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
+                           "--seed", str(seed), "base-change-check",
+                           "--samples", "1"])
+    assert time.perf_counter() - start < 10
+    assert rc == 0, out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 25, 125])
+def test_degree_32_sections_fit_the_correction_budget(capsys, q):
+    # the worst of a grid of degree-32 sections spent 137 of the 256 place
+    # degrees; at a budget of 64 the sections over F_3, F_5, F_7, F_9,
+    # F_25 and F_125 failed
+    for cls in ("{t^32+t+1,t^32+1}", "{t^32+t^3+2,t^32+t}"):
+        start = time.perf_counter()
+        rc, out = run(capsys, ["--format", "records", "--field",
+                               f"ratfunc:{q}", "section", cls])
+        assert time.perf_counter() - start < 20
+        assert rc == 0 and "finite_round_trip=true" in out, out
+
+
+def test_correction_budget_exhaustion_names_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(bass_tate, "BT_CORRECTION_BUDGET", 64)
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "section", "{t^32+t+1,t^32+1}"])
+    assert rc == 1
+    assert ("error=DegreeTooLarge counterexample='section corrections "
+            "exceed the budget of 64 in place degree'") in out
 
 
 def test_check_projection_sampler_is_bounded(capsys, monkeypatch):

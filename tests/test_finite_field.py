@@ -13,12 +13,23 @@ import milnorforge
 from milnorforge.arith.finite_field import (
     MAX_EXTENSION_DEGREE,
     TABLE_BOUND,
+    FFElement,
+    _enc_digits,
     _extension_points,
+    factorize,
     ff_ctx,
     ff_ctx_q,
     ff_embedding,
 )
-from milnorforge.errors import FieldTooLarge, MilnorForgeError, NotAUnit
+from milnorforge.arith.local import padic_ctx
+from milnorforge.errors import (
+    BadPrime,
+    FieldTooLarge,
+    MilnorForgeError,
+    NotAUnit,
+    NotPrime,
+)
+from milnorforge.symbols import ff_kgroup, symbol
 
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -87,6 +98,65 @@ def test_embedding_f2_into_f4_is_a_ring_map():
             assert emb(a + b) == emb(a) + emb(b)
             assert emb(a * b) == emb(a) * emb(b)
     assert emb(small.one()).is_one()
+
+
+def _digit_embedding(small, big):
+    """The embedding formula ff_embedding replaced: sum a_i X^i -> sum a_i
+    h^i, digit by digit, for the first root h of the small modulus."""
+    if small.f == 1:
+        return lambda x: big.from_int(x.as_int())
+    step = (big.q - 1) // (small.q - 1)
+    for i in range(small.q - 1):
+        h = big.from_exp(step * i)
+        acc = big.zero()
+        for c in reversed(small.modulus):
+            acc = acc * h + big.from_int(c)
+        if acc.is_zero():
+            break
+    powers = [big.one()]
+    for _ in range(small.f - 1):
+        powers.append(powers[-1] * h)
+
+    def fn(x):
+        acc = big.zero()
+        for d, hp in zip(_enc_digits(x.enc, small.p, small.f), powers):
+            acc = acc + hp * big.from_int(d)
+        return acc
+    return fn
+
+
+def test_embedding_equals_the_digit_formula_up_to_4096():
+    # every pair F_{p^f1} -> F_{p^f2}, f1 | f2, p^f2 <= 4096 with p <= 64;
+    # a larger prime has only the pair F_p -> F_p
+    pairs = [(p, f1, f2) for p in range(2, 65) if factorize(p) == {p: 1}
+             for f2 in range(1, 13) if p ** f2 <= 4096
+             for f1 in range(1, f2 + 1) if f2 % f1 == 0]
+    assert len(pairs) == 115
+    for p, f1, f2 in pairs:
+        small, big = ff_ctx(p, f1), ff_ctx(p, f2)
+        emb, ref = ff_embedding(small, big), _digit_embedding(small, big)
+        assert all(emb(x) == ref(x) for x in small.elements()), (p, f1, f2)
+
+
+def test_f2_needs_no_branch_of_its_own():
+    # q - 1 = 1: every exponent is 0, the generator is 1, and the K-group
+    # vector of any class is [0]
+    k = ff_ctx(2)
+    assert k.generator_enc == 1 and k.gen().is_one()
+    assert [FFElement(k, e).e for e in (-3, 0, 1, 5)] == [0] * 4
+    assert [x.e for x in k.elements()] == [None, 0]
+    for n in range(1, 5):
+        assert ff_kgroup(2, n).vector_of(symbol(k, [k.one()] * n)) == [0]
+        assert ff_kgroup(2, n).invariant_factors == []
+    assert ff_kgroup(2, 0).invariant_factors == [0]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, -5])
+def test_non_primes_are_refused(p):
+    with pytest.raises(NotPrime):
+        ff_ctx(p)
+    with pytest.raises(BadPrime):
+        padic_ctx(p, 8)
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))

@@ -24,6 +24,7 @@ from milnorforge.localk import (
     VerifyResult,
     divisibility_witness,
     generator_form,
+    gersten_check,
     hilbert,
     lift_mod_m,
     parse_certificate,
@@ -104,6 +105,20 @@ def test_reduce_rejects_modulus_divisible_by_p():
     a = symbol(ctx, [ctx.from_int(2), ctx.from_int(3)])
     with pytest.raises(BadModulus):
         reduce_mod_m(ctx, a, 10)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1, 5, 10])
+def test_every_modulus_entry_point_raises_bad_modulus(m):
+    # reduce, lift, gersten-check's m and the certificates' ell share one
+    # check: m >= 2 and coprime to p
+    ctx = laurent_ctx(5, 8)
+    a = symbol(ctx, [ctx.from_int(2), ctx.from_int(3)])
+    for call in (lambda: reduce_mod_m(ctx, a, m),
+                 lambda: lift_mod_m(ctx, reduce_mod_m(ctx, a, 2), m),
+                 lambda: gersten_check(ctx, 2, m, 1, random.Random(0)),
+                 lambda: divisibility_witness(ctx, a, m)):
+        with pytest.raises(BadModulus, match="coprime to p = 5"):
+            call()
 
 
 # --- divisibility certificates --------------------------------------------

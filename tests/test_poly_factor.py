@@ -1,5 +1,6 @@
 """Univariate polynomials and factorization over finite fields."""
 
+import itertools
 import operator
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorforge.arith.factor import is_irreducible, poly_factor
-from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q
 from milnorforge.arith.local import laurent_ctx
 from milnorforge.arith.poly import Poly, _power
 from milnorforge.errors import MilnorForgeError, ZeroPolynomial
@@ -94,6 +95,63 @@ def test_irreducibility_over_f2(ints, expect):
     assert is_irreducible(P(k, ints)) is expect
 
 
+def _factorization_irreducible(f):
+    """The factorization-based test is_irreducible replaced: one factor of
+    multiplicity one."""
+    if f.degree <= 0:
+        return False
+    if f.degree == 1:
+        return True
+    facs = poly_factor(f)
+    return len(facs) == 1 and facs[0][1] == 1
+
+
+def _monics(k, d):
+    for low in itertools.product(list(k.elements()), repeat=d):
+        yield Poly(k, list(low) + [k.one()])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_is_irreducible_on_every_monic_up_to_degree_6(q):
+    # a monic is reducible iff it is a product of two monics of degree >= 1;
+    # the factorization-based test is compared on all of them for q <= 3
+    # and on a seeded sample for q = 4, 5, where it takes half a minute
+    k = ff_ctx_q(q)
+    by_degree = {d: list(_monics(k, d)) for d in range(1, 7)}
+    products = {(g * h).coeffs for da in range(1, 4)
+                for db in range(da, 7 - da)
+                for g in by_degree[da] for h in by_degree[db]}
+    rng = random.Random(q)
+    for d, fs in by_degree.items():
+        for f in fs:
+            irreducible = is_irreducible(f)
+            assert irreducible is (f.coeffs not in products), f
+            if q <= 3 or rng.random() < 0.02:
+                assert irreducible is _factorization_irreducible(f), f
+
+
+def test_is_irreducible_agrees_with_factorization_over_f9():
+    k = ff_ctx_q(9)
+    rng = random.Random(9)
+    for _ in range(60):
+        d = rng.randint(1, 10)
+        f = Poly(k, [k.random_element(rng) for _ in range(d)]
+                 + [k.random_nonzero(rng)])  # not monic in general
+        assert is_irreducible(f) is _factorization_irreducible(f), f
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_squares_and_equal_degree_products_are_reducible(q):
+    # g*h with deg g = deg h = n/2 meets the walk's first gcd at d = n/2
+    # with the whole of f: is_irreducible compares d with deg f, not deg g
+    k = ff_ctx_q(q)
+    for d in (1, 2, 3):
+        irr = [f for f in _monics(k, d) if _factorization_irreducible(f)][:4]
+        for g, h in itertools.combinations_with_replacement(irr, 2):
+            assert not is_irreducible(g * h), (g, h)
+            assert not _factorization_irreducible(g * h), (g, h)
+
+
 def test_factorization_reassembles_and_respects_multiplicity():
     rng = random.Random(11)
     k = ff_ctx(3)
@@ -136,7 +194,7 @@ def test_eval_and_compose_agree():
 _LOSE_A_FACTOR = """
 import traceback
 from milnorforge.arith import factor
-from milnorforge.arith.finite_field import ff_ctx
+from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import SelfCheckFailed
 real = factor._factor_squarefree
