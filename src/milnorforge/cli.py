@@ -348,14 +348,15 @@ def cmd_reduce(args, rep: Report):
 def cmd_lift(args, rep: Report):
     ctx = _local_ctx(args)
     kappa = ctx.residue_field
-    a = parse_class(kappa, args.symbol, lambda e: kappa.from_int(int(e))
-                    if e.lstrip("-").isdigit() else _parse_ff(kappa, e))
+    a = parse_class(kappa, args.symbol, lambda e: _parse_ff(kappa, e))
     rep.add(True, op="lift_mod_m", m=args.m,
             output=repr(lift_mod_m(ctx, a, args.m).serialize()))
 
 
 def _parse_ff(kappa, s: str):
     s = s.strip()
+    if s.lstrip("-").isdigit():  # '²' and 5,000 digits pass isdigit
+        return kappa.from_int(parse_int(s, "residue-field element"))
     if s.startswith(f"ff({kappa.p},{kappa.f}):"):
         tail = s.split(":", 1)[1]
         if tail == "0":

@@ -133,6 +133,7 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
     if n not in (1, 2, 3):
         raise BadInput(f"gersten-check covers degrees 1, 2 and 3, got {n}")
     kappa = ctx.residue_field
+    ff_kgroup(kappa.q, n)  # refuses a field without Zech tables up front
     out = []
     for i in range(samples):
         # leg 1: tame o iota = 0 on unit symbols
@@ -400,14 +401,24 @@ class _WitnessBuilder:
         self.apply(CertStep(HENSEL_ROOT, mult, entries, pos, (root,)))
 
     def expand_power(self, mult, entries, pos, base, e):
-        """Replace mult*[..,base^e,..] by e*mult*[..,base,..] (e >= 1)."""
-        cur = e
+        """Replace mult*[..,base^e,..] by e*mult*[..,base,..] (e >= 1)
+        along the binary chain: an even exponent splits base^e into two
+        equal halves and doubles mult, an odd one peels off one base.  At
+        most 2*floor(log2 e) steps (Knuth, TAOCP vol. 2, 4.6.3)."""
+        ks = [e]  # the chain e -> ... -> 1, then base^k along it bottom-up
+        while ks[-1] > 1:
+            ks.append(ks[-1] - 1 if ks[-1] % 2 else ks[-1] // 2)
+        pows = [base]
+        for k in ks[-2:0:-1]:
+            pows.append(pows[-1] * (base if k % 2 else pows[-1]))
         ent = entries
-        while cur > 1:
-            lower = base ** (cur - 1)
-            self.expand(mult, ent, pos, base, lower)
+        for k, lower in zip(ks[:-1], reversed(pows)):
+            if k % 2:
+                self.expand(mult, ent, pos, base, lower)
+            else:
+                self.expand(mult, ent, pos, lower, lower)
+                mult *= 2
             ent = ent[:pos] + (lower,) + ent[pos + 1:]
-            cur -= 1
 
     def contract_power(self, mult, entries_with_base, pos, base, e):
         """Inverse move: e*mult*[..,base,..] becomes mult*[..,base^e,..]."""
@@ -426,9 +437,12 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     computes each root exactly, by one power over F_q[[t]] and by integer
     Newton steps over Z_p), and discharge the residual Teichmuller class
     against the finite-field Steinberg relators, each lifted to O by
-    u^{-1}-scaling.  The residual formal sum is keyed by the entries'
-    digit keys; beta's terms come out in the order of their serialized
-    entries.
+    u^{-1}-scaling: the row i*j of ff_kgroup is [g^i,g^j,g,..,g].  Powers
+    of g expand and contract along binary chains (expand_power), so a
+    certificate has O(n log q) steps; a field ff_kgroup refuses fails
+    before any arithmetic.  The residual formal sum is keyed by the
+    entries' digit keys; beta's terms come out in the order of their
+    serialized entries.
     """
     n = a.degree
     if n < 2:
@@ -442,6 +456,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
 
     kappa = ctx.residue_field
     q = kappa.q
+    kg = ff_kgroup(q, n)  # refuses a field without Zech tables up front
     g_lift = teichmuller(ctx, ctx.lift_residue(kappa.gen()))
     b = _WitnessBuilder(ctx, ell)
     b.acc.add_class(1, a)
@@ -494,35 +509,19 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
         return c * (q - 1)
 
     # 3) discharge v_total*{g,..,g} against the kappa Steinberg relators
-    if v_total:
-        kg = ff_kgroup(q, n)
-        combo = kg.presentation.express_in_relators([v_total])
-        for c_r, meta in zip(combo, kg.relator_meta):
-            if c_r == 0:
-                continue
-            if meta[0] == "order":
-                v_total -= pay_order(c_r)
-            else:
-                _, i, j, ks = meta
-                full = i * j
-                for k in ks:
-                    full *= k
-                row = full % (q - 1)
-                # contract full*[g,..,g] down to [g^i, g^j, g^k3, ...]
-                exps = (i, j) + tuple(ks)
-                cur = gens
-                mult = c_r * full
-                for pos in range(n - 1, -1, -1):
-                    mult //= exps[pos]
-                    b.contract_power(mult, cur, pos, g_lift, exps[pos])
-                    cur = cur[:pos] + (g_lift ** exps[pos],) + cur[pos + 1:]
-                _discharge_steinberg_pair(b, cur)
-                v_total -= c_r * full
-                # the stored relator row was reduced mod q-1; pay the
-                # difference with extra applications of the order relator
-                extra = (full - row) // (q - 1)
-                if extra:
-                    v_total -= pay_order(-c_r * extra)
+    combo = kg.presentation.express_in_relators([v_total])
+    for c_r, meta in zip(combo, kg.relator_meta):
+        if c_r == 0:
+            continue
+        if meta[0] == "order":
+            v_total -= pay_order(c_r)
+            continue
+        _, i, j = meta
+        b.contract_power(c_r * i, gens, 1, g_lift, j)
+        cur = (g_lift, g_lift ** j) + gens[2:]
+        b.contract_power(c_r, cur, 0, g_lift, i)
+        _discharge_steinberg_pair(b, (g_lift ** i,) + cur[1:])
+        v_total -= c_r * i * j
     if v_total != 0:
         raise SelfCheckFailed(f"relator bookkeeping left {v_total}")
 
@@ -624,6 +623,7 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
         raise PatternMismatch("not a certificate file")
     ctx = ell = degree = None
     alpha_terms, beta_terms, steps = [], [], []
+    parsed = {}  # stripped entry text -> its (immutable, shared) element
     for ln in lines[1:]:
         kind, _, rest = ln.partition(" ")
         rest = rest.strip()
@@ -638,13 +638,16 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
                 raise bad(f"{field.strip()!r} is not an integer") from None
 
         def entries(field, count):
-            parts = field.split("|")
+            parts = [e.strip() for e in field.split("|")]
             if len(parts) != count:
                 raise bad(f"{len(parts)} entries where {count} belong")
             try:
-                return [ctx.parse(e) for e in parts]
+                for e in parts:
+                    if e not in parsed:
+                        parsed[e] = ctx.parse(e)
             except PatternMismatch as e:
                 raise bad(str(e)) from None
+            return [parsed[e] for e in parts]
 
         if kind in ("ctx", "ell", "degree"):
             if {"ctx": ctx, "ell": ell, "degree": degree}[kind] is not None:

@@ -13,10 +13,10 @@ valuation.  It is the one engine behind localk.tame and ratfunc.tame_at.
 
 ff_kgroup presents K^M_n of a finite field on one generator: T_n(F_q^x)
 is cyclic of order q-1 generated by g x...x g, and each Steinberg pair
-g^i + g^j = 1 contributes the relation i*j*k_3*...*k_n once the remaining
-slots run over all exponents.  The group is cyclic, so the gcd of the
-relations is its order (snf.AbGroupPresentation).  ff_congruent is the
-one equality test in K_n(F_q) and its quotients K_n(F_q)/m: the tame
+g^i + g^j = 1 gives the relation i*j: 0 = {g^i,g^j,g,...,g} = i*j*{g,...,g}.
+The gcd of the relations is the order (snf.AbGroupPresentation); for
+n >= 2 the first few pairs bring it to 1 (Milnor 1970).  ff_congruent is
+the one equality test in K_n(F_q) and its quotients K_n(F_q)/m: the tame
 sequence's checks and the Bass-Tate comparisons over F_q both use it.
 """
 
@@ -25,19 +25,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith.finite_field import ff_ctx_q
+from .arith.finite_field import TABLE_BOUND, ff_ctx_q
 from .errors import (
     BadInput,
     ContextMismatch,
-    DegreeTooLarge,
     FieldTooLarge,
     PatternMismatch,
     ZeroEntry,
 )
 from .snf import AbGroupPresentation
-
-FF_KGROUP_BOUND = 1 << 10
-FF_KGROUP_MAX_DEGREE = 4
 
 
 class SymbolTerm:
@@ -232,8 +228,8 @@ class FFKGroup:
     """K^M_n(F_q) presented on the single generator {g,...,g}.
 
     relator_meta[i] describes relation i of the presentation:
-    ("order",) for the group order q-1, or ("steinberg", i, j, ks) for the
-    relation coming from g^i + g^j = 1 padded with exponents ks.
+    ("order",) for the group order q-1, or ("steinberg", i, j) for the
+    relation i*j coming from g^i + g^j = 1.
     """
 
     __slots__ = ("q", "n", "presentation", "relator_meta")
@@ -269,47 +265,26 @@ class FFKGroup:
 
 @lru_cache(maxsize=None)
 def ff_kgroup(q: int, n: int) -> FFKGroup:
-    """Present K^M_n(F_q) and compute its invariant factors."""
-    if q > FF_KGROUP_BOUND:
-        raise FieldTooLarge(f"q = {q} above bound {FF_KGROUP_BOUND}")
-    if n > FF_KGROUP_MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {n} above bound {FF_KGROUP_MAX_DEGREE}")
+    """Present K^M_n(F_q): the order q-1 and, for n >= 2, the Steinberg
+    rows i*j of g^i + g^j = 1 for i = 1, 2, ... until the gcd is 1, left
+    unreduced mod q-1 for the certificates.  Fields above TABLE_BOUND,
+    which have no Zech tables, are refused."""
+    if n < 0:
+        raise BadInput(f"K_n needs degree n >= 0, got {n}")
+    if q > TABLE_BOUND:
+        raise FieldTooLarge(f"q = {q} above bound {TABLE_BOUND}")
     field = ff_ctx_q(q)
-    m = q - 1
     if n == 0:
         # K_0 = Z: one free generator
         return FFKGroup(q, n, AbGroupPresentation([]), [])
-    rows = [m]
-    meta = [("order",)]
-    if n >= 2:
-        seen = {0}
-        g = field.gen()
-        for i in range(1, m):
-            if len(seen) == m:
-                break  # every residue has its row: later pairs add none
-            s = field.one() - g ** i
-            if s.is_zero():
-                continue
-            j = s.dlog()
-            if j == 0:
-                continue
-            base = (i * j) % m
-            if n == 2:
-                if base not in seen:
-                    seen.add(base)
-                    rows.append(base)
-                    meta.append(("steinberg", i, j, ()))
-                continue
-            # pad with the remaining n-2 exponents, one representative per
-            # residue mod q-1: every product base*k_3*...*k_n is already
-            # base*k for some k in 1..m, first reached at pads (1,...,1,k)
-            ones = (1,) * (n - 3)
-            for k in range(1, m + 1):
-                r = (base * k) % m
-                if r not in seen:
-                    seen.add(r)
-                    rows.append(r)
-                    meta.append(("steinberg", i, j, ones + (k,)))
+    rows, meta = [q - 1], [("order",)]
+    d, i, g = q - 1, 0, field.gen()
+    while n >= 2 and d != 1:
+        i += 1  # 1 <= i <= q-2 until d = 1, so 1 - g^i and j are nonzero
+        j = (field.one() - g ** i).dlog()
+        rows.append(i * j)
+        meta.append(("steinberg", i, j))
+        d = math.gcd(d, i * j)
     return FFKGroup(q, n, AbGroupPresentation(rows), meta)
 
 

@@ -56,6 +56,18 @@ def test_ff_kgroup_verb(capsys):
     assert rc == 0 and "[6]" in out
     rc, out = run(capsys, ["ff-kgroup", "--q", "7", "--n", "2"])
     assert rc == 0 and "[]" in out
+    rc, out = run(capsys, ["ff-kgroup", "--q", "9", "--n", "7"])
+    assert rc == 0 and "[]" in out
+
+
+def test_ff_kgroup_refuses_a_negative_degree(capsys):
+    # K_{-1} does not exist; it once printed invariants=[8] ok=true
+    rc, out = run(capsys, ["--format", "records", "ff-kgroup", "--q", "9",
+                           "--n", "-1"])
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "record cmd=ff-kgroup seed=0 op=ff-kgroup error=BadInput "
+        "counterexample='K_n needs degree n >= 0, got -1' ok=false")
 
 
 def test_tame_verb_frozen(capsys):
@@ -133,11 +145,22 @@ def test_divide_rejects_degree_one_class_under_python_O():
 
 
 def test_ff_kgroup_at_its_bound():
-    # q = FF_KGROUP_BOUND at the largest degree finishes in seconds
+    # q = TABLE_BOUND, the largest field with Zech tables, in seconds
     out = _cli_subprocess(["--format", "records", "ff-kgroup",
-                           "--q", "1024", "--n", "4"], timeout=60)
+                           "--q", "65536", "--n", "4"], timeout=60)
     assert out.returncode == 0, out.stderr
     assert "invariants=[]" in out.stdout
+
+
+def test_divide_at_the_table_bound():
+    # certificates have O(n log q) steps, so the largest tabled residue
+    # field builds and replays one in seconds
+    unit = "laurent(65536,8):t^0*(3,5,7,1,9)"
+    out = _cli_subprocess(["--format", "records", "--field", "laurent:65536",
+                           "divide", "--ell", "3", f"{{{unit},{unit}}}"],
+                          timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "verified=true ok=true" in out.stdout
 
 
 def test_hilbert_and_oracle_agree(capsys):
@@ -617,6 +640,20 @@ _OVERSIZED = {
     "laurent_q_above_field_bound": (
         ["--field", "laurent:1000000000000000000000000000057", "tame",
          "{2,3}"], None, "FieldTooLarge"),
+    # a residue field above TABLE_BOUND has no Zech tables: refused before
+    # the certificate or the samples are built
+    "ff_kgroup_q_above_table_bound": (
+        ["ff-kgroup", "--q", "65537", "--n", "2"], None, "FieldTooLarge"),
+    "divide_q_above_table_bound": (
+        ["--field", "laurent:65537", "divide", "--ell", "2",
+         "{laurent(65537,8):t^0*(3,5),laurent(65537,8):t^0*(6,1)}"], None,
+        "FieldTooLarge"),
+    "gersten_check_q_above_table_bound": (
+        ["--field", "laurent:65537", "gersten-check", "--n", "3", "--m", "2"],
+        None, "FieldTooLarge"),
+    "lift_entry_digits": (
+        ["--field", "padic:5", "lift", "--m", "2", f"{{{_DIGITS},1}}"], None,
+        "BadInput"),
     "certificate_ctx_digits": (
         ["verify-cert"], f"divcert v1\nctx padic(5,{_DIGITS})\nell 3\n"
         "degree 2\n", "PatternMismatch"),
@@ -674,6 +711,8 @@ _BAD_ARGUMENTS = [
     ["--precision", "0", "--field", "padic:5", "tame", "{2,3}"],
     ["--precision", "-3", "--field", "laurent:3", "tame", "deg:2 {pi,2}"],
     ["--field", "padic:3", "s-member", "1*t^x"],
+    # '²' passes str.isdigit but not int()
+    ["--field", "padic:5", "lift", "--m", "2", "{²,1}"],
     # classes of a degree the operation does not accept
     ["--field", "padic:5", "tame", "deg:0 0"],
     ["--field", "ratfunc:3", "residues", "deg:0 0"],

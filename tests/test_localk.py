@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -179,8 +180,8 @@ PIN_RINGS = ([(padic_ctx, p) for p in (2, 3, 5, 7)]
 
 def test_certificate_texts_are_pinned():
     # a seeded grid: 8 rings, precisions 1, 2, 8 and 16, degrees 2 and 3,
-    # the first two of ell = 2, 3, 5, 7 coprime to p; digest taken before
-    # the roots of principal units and the replay keys were rewritten
+    # the first two of ell = 2, 3, 5, 7 coprime to p; digest taken once
+    # powers followed binary chains and the rows were the first pairs' i*j
     h = hashlib.sha256()
     for make, q in PIN_RINGS:
         for prec in (1, 2, 8, 16):
@@ -194,9 +195,40 @@ def test_certificate_texts_are_pinned():
                          + symbol(ctx, [ctx.random_unit(rng)
                                         for _ in range(degree)]).scale(2))
                     cert = divisibility_witness(ctx, a, ell)
-                    h.update(serialize_certificate(cert).encode())
+                    text = serialize_certificate(cert)
+                    assert verify_certificate(parse_certificate(text)).ok
+                    h.update(text.encode())
     assert h.hexdigest() == (
-        "5e083a1fc50177f031f70e2002feb81831fae4f6cbab94b2619680a4f3b45d95")
+        "f1d7ff0d00546b37aadefb768e855acf0877bbfa1463c54b253870faa1e158d9")
+
+
+def test_certificate_with_linear_chains_still_replays():
+    # written by the builder that expanded g^e in e - 1 steps and padded
+    # the degree-3 Steinberg rows; the verifier's vocabulary is unchanged
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "divcert_f9_degree3_v1.cert")
+    with open(path) as f:
+        text = f.read()
+    cert = parse_certificate(text)
+    assert len(cert.steps) == 46 and verify_certificate(cert).ok
+    assert serialize_certificate(cert) == text
+    fresh = divisibility_witness(cert.ctx, cert.alpha, cert.ell)
+    assert verify_certificate(fresh).ok and len(fresh.steps) < 46
+
+
+@pytest.mark.parametrize("ctx", [padic_ctx(7, 4), laurent_ctx(9, 4)])
+def test_expand_power_follows_the_binary_chain(ctx):
+    # mult*[base^e, y] becomes e*mult*[base, y] in at most 2*floor(log2 e)
+    # steps, the residual tracked by the builder's own formal sum
+    g = localk.teichmuller(ctx, ctx.lift_residue(ctx.residue_field.gen()))
+    y = ctx.from_int(3)
+    for e in range(1, 301):
+        b = localk._WitnessBuilder(ctx, 2)
+        b.acc.add(5, (g ** e, y))
+        b.expand_power(5, (g ** e, y), 0, g, e)
+        assert len(b.steps) <= 2 * (e.bit_length() - 1), e
+        assert [(c, tuple(x.key() for x in ent)) for c, ent in b.acc.items()] \
+            == [(5 * e, (g.key(), y.key()))], e
 
 
 @settings(max_examples=100)

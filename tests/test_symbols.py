@@ -16,7 +16,6 @@ from milnorforge.localk import (
     SWAP,
     CertStep,
 )
-from milnorforge.snf import AbGroupPresentation
 from milnorforge.symbols import (
     MilnorClass,
     SymbolTerm,
@@ -210,42 +209,7 @@ def test_serialize_parseable_shape():
     assert "{" in s and "}" in s
 
 
-# --- the Steinberg pad sweep against the nested pad loop it replaced --------
-
-def nested_pad_presentation(q, n):
-    """Test-only copy of the relations built by padding every slot in turn."""
-    field = ff_ctx_q(q)
-    m = q - 1
-    rows, meta, seen = [m], [("order",)], {0}
-    g = field.gen()
-    for i in range(1, m):
-        s = field.one() - g ** i
-        if s.is_zero():
-            continue
-        j = s.dlog()
-        if j == 0:
-            continue
-        base = (i * j) % m
-        pads = [()]
-        for _ in range(n - 2):
-            pads = [ks + (k,) for ks in pads for k in range(1, m + 1)]
-            pruned = {}
-            for ks in pads:
-                r = base
-                for k in ks:
-                    r = (r * k) % m
-                pruned.setdefault(r, ks)
-            pads = list(pruned.values())
-        for ks in pads:
-            r = base
-            for k in ks:
-                r = (r * k) % m
-            if r not in seen:
-                seen.add(r)
-                rows.append(r)
-                meta.append(("steinberg", i, j, ks))
-    return rows, meta
-
+# --- the Steinberg rows of K^M_n(F_q) --------------------------------------
 
 PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                       31, 32]
@@ -253,12 +217,30 @@ PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
 @pytest.mark.parametrize("n", [3, 4])
-def test_pad_sweep_matches_nested_pad_loop(q, n):
-    rows, meta = nested_pad_presentation(q, n)
+def test_steinberg_rows_stop_when_the_gcd_reaches_one(q, n):
+    # each row i*j comes from g^i + g^j = 1, unreduced mod q - 1, and the
+    # rows stop at the first one that brings the gcd to 1
+    k = ff_ctx_q(q)
+    g = k.gen()
     G = ff_kgroup(q, n)
-    assert G.presentation.relations == rows
-    assert G.relator_meta == meta
-    assert G.presentation.bezout == AbGroupPresentation(rows).bezout
+    rows, meta = G.presentation.relations, G.relator_meta
+    assert rows[0] == q - 1 and meta[0] == ("order",)
+    gcds = [q - 1]
+    for row, (kind, i, j) in zip(rows[1:], meta[1:]):
+        assert kind == "steinberg" and 1 <= i <= q - 2
+        assert (g ** i + g ** j).is_one()
+        assert row == i * j
+        gcds.append(math.gcd(gcds[-1], row))
+    assert gcds[-1] == 1 and 1 not in gcds[:-1]
+    assert [m[1] for m in meta[1:]] == list(range(1, len(rows)))
+    assert G.invariant_factors == []
+
+
+def test_steinberg_rows_do_not_depend_on_the_degree():
+    for q in (2, 9, 1024):
+        G2 = ff_kgroup(q, 2)
+        for n in (3, 4, 7):
+            assert ff_kgroup(q, n).relator_meta == G2.relator_meta
 
 
 # --- certificate combinations and the order of K^M_n(F_q) -------------------
@@ -271,9 +253,11 @@ PRIME_POWERS_TO_256 = [
 
 def test_certificate_combinations_are_pinned():
     # the coefficient lists certificates discharge against: any change in
-    # the pivot order of the gcd would change every certificate's text
+    # the pivot order of the gcd would change every certificate's text;
+    # digest taken once the rows became the unreduced i*j of the first pairs
     G = ff_kgroup(9, 3)
-    assert G.presentation.express_in_relators([1]) == [0, 0, 0, 0, 0, 1, 0, 0]
+    assert G.presentation.relations == [8, 2, 2, 18, 16, 35]
+    assert G.presentation.express_in_relators([1]) == [0, -17, 0, 0, 0, 1]
     combos = []
     for q in PRIME_POWERS_TO_256:
         for n in (1, 2, 3, 4):
@@ -284,7 +268,7 @@ def test_certificate_combinations_are_pinned():
                     c = None
                 combos.append((q, n, v, c))
     assert hashlib.sha256(repr(combos).encode()).hexdigest() == (
-        "e38d97fde5b4196ca7c8d5d4f5b9ce6aeee476ff01a5f4980f471ffb6adf7d6c")
+        "f91e2692bb165ecc7268cf8c4cbe765002449ed23e8cdad32becefcb81028ac5")
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
