@@ -18,8 +18,12 @@ characteristic 2).  For p^f <= 2^16 exp/log tables and a Zech table
 zech[k] = log(1 + g^k) are built once, so addition works on exponents too:
 g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
 IEEE Trans. IT 36(4), 1990).  Larger fields add encodings and fall back to
-square-and-multiply and baby-step/giant-step discrete logs.  No field has
-more than FIELD_BOUND elements.  ``_extension_points`` is the one walk over
+square-and-multiply and baby-step/giant-step discrete logs.  Laurent
+series keep their coefficients as encodings and never build an FFElement:
+mul_trunc, add_vec, neg_vec and inv_enc are their kernels, with plain
+integer arithmetic mod p in prime fields, the tables where they exist and
+add_enc/mul_enc above TABLE_BOUND.  No field has more than FIELD_BOUND
+elements.  ``_extension_points`` is the one walk over
 F_q and its small extensions that every specialization test consumes;
 ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
 """
@@ -83,6 +87,9 @@ class FiniteFieldCtx:
         self.f = f
         self.q = q
         self.modulus = self._find_modulus()
+        # X^f .. X^(2f-2) mod the modulus, as encodings: mul_trunc folds by them
+        self._fold = tuple(self._reduce_enc([0] * k + [1])
+                           for k in range(f, 2 * f - 1))
         # exponent of -1: (q-1)/2 for odd p, 0 in characteristic 2
         self.half = (q - 1) // 2 if p != 2 else 0
         self.exp: list[int] | None = None
@@ -136,9 +143,10 @@ class FiniteFieldCtx:
                     res[i - f + j] -= c * mod[j]
         return enc
 
-    def mul_trunc(self, a, b, n: int) -> list["FFElement"]:
+    def mul_trunc(self, a, b, n: int) -> list[int]:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for lists
-        of elements a and b, by Kronecker substitution.
+        of encodings a and b, as a list of n encodings, by Kronecker
+        substitution.
 
         Each coefficient of t^i is written as its F_p digit vector
         d_0 + d_1 X + ... + d_{f-1} X^(f-1), digits in [0, p).  Digit k goes
@@ -148,46 +156,90 @@ class FiniteFieldCtx:
         d_k(a_i) d_l(b_j) over i + j = m and k + l = s, as long as no slot
         overflows into the next.  Only i, j < n matter, so the operands are
         cut to n terms first; then at most min(len a, len b) pairs (i, j)
-        and at most f pairs (k, l) meet in a slot, each at most (p-1)^2,
-        and w = bit length of min(len a, len b) * f * (p-1)^2 holds the sum.
-        The 2f-1 slots of each t-degree below n are read off and reduced mod
-        p and mod the field modulus into one encoding.
+        and at most f pairs (k, l) meet in a slot, each at most (p-1)^2, so
+        a slot holds at most V = min(len a, len b) * f * (p-1)^2.
+
+        For f > 1 the X-degrees f..2f-2 are folded down on the whole product
+        at once: slot k of every t-degree is masked out, shifted to slot 0
+        and multiplied by the packed digits of X^k mod the modulus, so
+        slot s < f ends up holding the unreduced digit s of each product
+        coefficient.  That adds at most (f-1)(p-1) times V to a slot, and w
+        is the bit length of V * (1 + (f-1)(p-1)).  Only the f low slots of
+        each t-degree below n are then read and reduced mod p.
         """
         a, b = a[:n], b[:n]
         p, f = self.p, self.f
-        w = (min(len(a), len(b)) * f * (p - 1) ** 2).bit_length()
+        bound = min(len(a), len(b)) * f * (p - 1) ** 2
+        w = (bound * (1 + (f - 1) * (p - 1))).bit_length()
         slots = 2 * f - 1
         prod = self._pack(a, w, slots) * self._pack(b, w, slots)
         mask = (1 << w) - 1
         if f == 1:  # one slot per t-degree and no X-power to fold
-            encs = [(prod >> i * w & mask) % p for i in range(n)]
-        else:
-            vals = [prod >> i * w & mask for i in range(n * slots)]
-            encs = [self._reduce_enc(vals[i:i + slots])
-                    for i in range(0, n * slots, slots)]
-        log = self.log  # from_enc and enc_of_exp, inlined for the tables
-        if log is None:
-            return [self.from_enc(e) for e in encs]
-        zero = FFElement(self, None)
-        return [FFElement(self, log[e]) if e else zero for e in encs]
+            return [(prod >> i * w & mask) % p for i in range(n)]
+        step = slots * w
+        lowest = ((1 << n * step) - 1) // ((1 << step) - 1)  # bit 0 of t^0..t^(n-1)
+        low = prod & lowest * ((1 << f * w) - 1)
+        high = prod >> f * w
+        for k, r in enumerate(self._fold):
+            low += (high >> k * w & lowest * mask) * self._pack((r,), w, slots)
+        # Horner in p over the digit slots f-1 .. 0 of every t-degree
+        out = [(low >> s & mask) % p for s in range((f - 1) * w, n * step, step)]
+        for j in range(f - 2, -1, -1):
+            out = [e * p + (low >> s & mask) % p
+                   for e, s in zip(out, range(j * w, n * step, step))]
+        return out
 
     def _pack(self, xs, w: int, slots: int) -> int:
-        """sum over i, k of digit k of xs[i] shifted to bit (i*slots + k)*w."""
+        """sum over i, k of digit k of encoding xs[i] at bit (i*slots + k)*w."""
         p, step = self.p, slots * w
-        exp = self.exp
         acc = 0
-        for c in reversed(xs):
+        for enc in reversed(xs):
             acc <<= step
-            e = c.e
-            if e is not None:
-                enc = exp[e] if exp is not None else self.enc_of_exp(e)
-                shift = 0
-                while enc >= p:
-                    enc, d = divmod(enc, p)
-                    acc |= d << shift
-                    shift += w
-                acc |= enc << shift
+            shift = 0
+            while enc >= p:
+                enc, d = divmod(enc, p)
+                acc |= d << shift
+                shift += w
+            acc |= enc << shift
         return acc
+
+    def add_vec(self, a, b) -> list[int]:
+        """Coefficientwise sums of two encoding lists of one length."""
+        p = self.p
+        if self.f == 1:
+            return [(x + y) % p for x, y in zip(a, b)]
+        log = self.log
+        if log is None:
+            return [self.add_enc(x, y) for x, y in zip(a, b)]
+        exp, zech, n = self.exp, self.zech, self.q - 1
+        out = []
+        for x, y in zip(a, b):
+            if x and y:  # g^a + g^b = g^(a + zech[b - a])
+                lx = log[x]
+                z = zech[log[y] - lx]
+                out.append(0 if z is None else exp[(lx + z) % n])
+            else:
+                out.append(x or y)
+        return out
+
+    def neg_vec(self, a) -> list[int]:
+        """Coefficientwise negatives of an encoding list."""
+        p = self.p
+        if self.f == 1:
+            return [-x % p for x in a]
+        log = self.log
+        if log is None:  # times the encoding p - 1 of -1
+            return [self.mul_enc(x, p - 1) for x in a]
+        exp, half, n = self.exp, self.half, self.q - 1
+        return [exp[(log[x] + half) % n] if x else 0 for x in a]
+
+    def inv_enc(self, a: int) -> int:
+        """Inverse of a nonzero encoding."""
+        if self.f == 1:
+            return pow(a, -1, self.p)
+        if self.log is not None:
+            return self.exp[-self.log[a] % (self.q - 1)]
+        return self.pow_enc(a, self.q - 2)
 
     def add_enc(self, a: int, b: int) -> int:
         p, f = self.p, self.f

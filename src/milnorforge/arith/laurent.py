@@ -1,21 +1,25 @@
 """Truncated Laurent series over a finite field.
 
 A nonzero element is t^val * (c0 + c1 t + ... + c_{N-1} t^{N-1}) with
-c0 != 0 and N the relative precision.  Zeros and precision follow the
-model shared with p-adic numbers (localnum.LocalNumber); this class keeps
-the digit arithmetic on coefficient vectors.
+c0 != 0 and N = prec the relative precision.  The unit is stored as the
+tuple of exactly N integer encodings of c0, ..., c_{N-1} (the digits
+d_0 + d_1 p + ... of each coefficient's representing polynomial, the
+numbers serialize() prints), so key() is the stored tuple and no FFElement
+is built inside the arithmetic.  FFElement objects appear only at the API
+edge: the public constructor and constant() take them, and
+LocalFieldCtx.residue returns one.  Zeros and precision follow the model
+shared with p-adic numbers (localnum.LocalNumber); this class keeps the
+digit arithmetic on encoding vectors.
 
-Products and inverses go through one kernel, ``FiniteFieldCtx.mul_trunc``
-(Kronecker substitution; Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).  It writes
-the F_p digits of each coefficient of t^i into w-bit slots i*(2f-1) .. of
-one integer, multiplies two such integers once, and reads the product's
-slots back.  2f-1 slots per t-degree leave room for every X-degree of a
-product of two digit vectors, and w is the bit length of
-min(len a, len b, n) * f * (p-1)^2: a slot of the product is a sum of at
-most that many nonnegative digit products, so it never carries into the
-next.  Each slot is then reduced mod p and each t-coefficient mod the field
-modulus.  ``inverse`` is a Newton iteration on the same kernel.
+All of it runs on the encoding kernels of FiniteFieldCtx: add_vec and
+neg_vec for sums and negation, inv_enc for a leading coefficient, and
+mul_trunc for products (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput. 44,
+2009).  mul_trunc writes the F_p digits of each coefficient of t^i into
+w-bit slots i*(2f-1) .. of one integer, multiplies two such integers once,
+folds the X-degrees f..2f-2 of every slot group down at once and reads the
+low f slots of each t-degree back mod p.  ``inverse`` is a Newton
+iteration on the same kernel.
 """
 
 from __future__ import annotations
@@ -31,21 +35,31 @@ class LaurentSeries(LocalNumber):
 
     def __init__(self, base: FiniteFieldCtx, prec: int, val: int | None, coeffs,
                  zero_prec: int | None = None):
+        """coeffs: the FFElement coefficients of t^val, t^(val+1), ..., the
+        first nonzero, cut or padded with zeros to prec."""
         self.base = base
         self.prec = prec
+        self.val = val
         if val is None:
-            self.val = None
             self.coeffs = ()
             self.zero_prec = zero_prec
         else:
             self.zero_prec = None
-            coeffs = tuple(coeffs)
-            if not coeffs or coeffs[0].e is None:
+            encs = tuple(c.enc for c in coeffs)[:prec]
+            if not encs or not encs[0]:
                 raise BadInput("leading coefficient must be nonzero")
-            self.val = val
-            self.coeffs = coeffs[:prec]
+            self.coeffs = encs + (0,) * (prec - len(encs))
 
     # --- constructors and hooks -------------------------------------------
+
+    @classmethod
+    def from_encs(cls, base: FiniteFieldCtx, prec: int, val: int,
+                  encs: tuple) -> "LaurentSeries":
+        """t^val * sum encs[i] t^i, for a tuple of exactly prec encodings
+        with encs[0] != 0.  Unchecked: internal results are built so."""
+        x = cls.__new__(cls)
+        x.base, x.prec, x.val, x.coeffs, x.zero_prec = base, prec, val, encs, None
+        return x
 
     @classmethod
     def zero(cls, base: FiniteFieldCtx, prec: int,
@@ -53,27 +67,30 @@ class LaurentSeries(LocalNumber):
         return cls(base, prec, None, (), zero_prec)
 
     @classmethod
-    def make(cls, base: FiniteFieldCtx, prec: int, val: int, coeffs) -> "LaurentSeries":
-        """Normalize a raw coefficient window starting at t^val."""
-        coeffs = list(coeffs)
-        shift = 0
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            shift += 1
-        if not coeffs:
+    def make(cls, base: FiniteFieldCtx, prec: int, val: int, encs) -> "LaurentSeries":
+        """Normalize a raw window of encodings starting at t^val: leading
+        zeros raise the valuation, and the rest is cut or padded to prec."""
+        for shift, c in enumerate(encs):
+            if c:
+                encs = tuple(encs[shift:shift + prec])
+                return cls.from_encs(base, prec, val + shift,
+                                     encs + (0,) * (prec - len(encs)))
+        return cls.zero(base, prec)
+
+    @classmethod
+    def constant_enc(cls, base: FiniteFieldCtx, enc: int,
+                     prec: int) -> "LaurentSeries":
+        if enc == 0:
             return cls.zero(base, prec)
-        return cls(base, prec, val + shift, coeffs)
+        return cls.from_encs(base, prec, 0, (enc,) + (0,) * (prec - 1))
 
     @classmethod
     def constant(cls, c: FFElement, prec: int) -> "LaurentSeries":
-        if c.is_zero():
-            return cls.zero(c.ctx, prec)
-        pad = [c.ctx.zero()] * (prec - 1)
-        return cls(c.ctx, prec, 0, [c] + pad)
+        return cls.constant_enc(c.ctx, c.enc, prec)
 
     @classmethod
     def from_int(cls, base: FiniteFieldCtx, prec: int, n: int) -> "LaurentSeries":
-        return cls.constant(base.from_int(n), prec)
+        return cls.constant_enc(base, n % base.p, prec)
 
     def ring(self):
         return self.base
@@ -82,20 +99,14 @@ class LaurentSeries(LocalNumber):
         return LaurentSeries(self.base, prec, None, (), zero_prec)
 
     def truncate(self, prec: int) -> "LaurentSeries":
-        return LaurentSeries(self.base, prec, self.val, self.coeffs)
-
-    def coeff_window(self, length: int):
-        """Coefficients of t^val .. t^(val+length-1), padded with zeros."""
-        zero = self.base.zero()
-        out = list(self.coeffs[:length])
-        out.extend([zero] * (length - len(out)))
-        return out
+        encs = self.coeffs[:prec]
+        return LaurentSeries.from_encs(self.base, prec, self.val,
+                                       encs + (0,) * (prec - len(encs)))
 
     # --- queries ----------------------------------------------------------
 
     def is_one(self) -> bool:
-        return (self.val == 0 and self.coeffs[0].is_one()
-                and all(c.is_zero() for c in self.coeffs[1:]))
+        return self.val == 0 and self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     # --- arithmetic -------------------------------------------------------
 
@@ -104,7 +115,8 @@ class LaurentSeries(LocalNumber):
             return self._zero_product(other)
         prec = min(self.prec, other.prec)
         out = self.base.mul_trunc(self.coeffs, other.coeffs, prec)
-        return LaurentSeries(self.base, prec, self.val + other.val, out)
+        return LaurentSeries.from_encs(self.base, prec, self.val + other.val,
+                                       tuple(out))
 
     def inverse(self) -> "LaurentSeries":
         """Newton iteration x <- x + x(1 - a x), doubling the correct terms.
@@ -114,46 +126,40 @@ class LaurentSeries(LocalNumber):
         """
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
-        prec, base = self.prec, self.base
-        a = self.coeff_window(prec)
-        x = [self.coeffs[0].inverse()]
+        prec, base, a = self.prec, self.base, self.coeffs
+        x = [base.inv_enc(a[0])]
         k = 1
         while k < prec:
             k2 = min(2 * k, prec)
             r = base.mul_trunc(a, x, k2)[k:]
-            x.extend(-c for c in base.mul_trunc(x, r, k2 - k))
+            x.extend(base.neg_vec(base.mul_trunc(x, r, k2 - k)))
             k = k2
-        return LaurentSeries(base, prec, -self.val, x)
+        return LaurentSeries.from_encs(base, prec, -self.val, tuple(x))
 
     def __neg__(self) -> "LaurentSeries":
         if self.is_zero():
             return self
-        return LaurentSeries(self.base, self.prec, self.val,
-                             [-c for c in self.coeffs])
+        return LaurentSeries.from_encs(self.base, self.prec, self.val,
+                                       tuple(self.base.neg_vec(self.coeffs)))
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if self.val is None or other.val is None:
             return self._zero_sum(other)
-        prec = min(self.prec, other.prec)
         abs_prec = min(self.val + self.prec, other.val + other.prec)
         base_val = min(self.val, other.val)
-        length = abs_prec - base_val
-        if length <= 0:
-            return self.zero_like(prec, abs_prec)
-        zero = self.base.zero()
-        out = [zero] * length
-        for src in (self, other):
-            off = src.val - base_val
-            for i, c in enumerate(src.coeffs):
-                if off + i < length:
-                    out[off + i] = out[off + i] + c
-        # relative precision of the sum comes from the shared absolute
-        # precision, not from min(operand precs): valuations may differ
-        summed = LaurentSeries.make(self.base, length, base_val, out)
-        if summed.is_zero():
-            return self.zero_like(prec, abs_prec)
-        rel = abs_prec - summed.val
-        return summed if rel >= summed.prec else summed.truncate(rel)
+        length = abs_prec - base_val  # >= 1: each operand has prec >= 1
+        a, b = (((0,) * min(x.val - base_val, length) + x.coeffs)[:length]
+                for x in (self, other))
+        out = self.base.add_vec(a, b)
+        for shift, c in enumerate(out):
+            if c:
+                # relative precision of the sum comes from the shared
+                # absolute precision, not from min(operand precs):
+                # valuations may differ
+                return LaurentSeries.from_encs(self.base, length - shift,
+                                               base_val + shift,
+                                               tuple(out[shift:]))
+        return self.zero_like(min(self.prec, other.prec), abs_prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -161,18 +167,17 @@ class LaurentSeries(LocalNumber):
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, lambda: LaurentSeries.constant(
-            self.base.one(), self.prec))
+        return _power(self, k, lambda: LaurentSeries.constant_enc(
+            self.base, 1, self.prec))
 
     def key(self) -> tuple:
-        """(prec, val, coefficient exponents padded with None to prec):
-        equal exactly when serialize() is."""
-        exps = tuple(c.e for c in self.coeffs)
-        return (self.prec, self.val, exps + (None,) * (self.prec - len(exps)))
+        """(prec, val, the stored encodings): equal exactly when
+        serialize() is."""
+        return (self.prec, self.val, self.coeffs)
 
     def serialize(self) -> str:
         q = self.base.q
         if self.is_zero():
             return f"laurent({q},{self.prec}):0"
-        digits = ",".join(str(c.enc) for c in self.coeff_window(self.prec))
+        digits = ",".join(map(str, self.coeffs))
         return f"laurent({q},{self.prec}):t^{self.val}*({digits})"

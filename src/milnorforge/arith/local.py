@@ -48,7 +48,7 @@ def unit_decompose(x):
         return 0, x
     if isinstance(x, PadicNumber):
         return x.val, PadicNumber(x.p, x.prec, 0, x.unit)
-    return x.val, LaurentSeries(x.base, x.prec, 0, x.coeffs)
+    return x.val, LaurentSeries.from_encs(x.base, x.prec, 0, x.coeffs)
 
 
 class LocalFieldCtx:
@@ -116,9 +116,8 @@ class LocalFieldCtx:
     def uniformizer(self):
         if self.model == PADIC:
             return PadicNumber(self.p, self.prec, 1, 1)
-        return LaurentSeries(self.residue_field, self.prec, 1,
-                             [self.residue_field.one()]
-                             + [self.residue_field.zero()] * (self.prec - 1))
+        return LaurentSeries.from_encs(self.residue_field, self.prec, 1,
+                                       (1,) + (0,) * (self.prec - 1))
 
     @staticmethod
     def extend(x, prec: int):
@@ -149,7 +148,7 @@ class LocalFieldCtx:
             raise NotAUnit("residue map needs a unit")
         if self.model == PADIC:
             return self.residue_field.from_int(x.unit % self.p)
-        return x.coeffs[0]
+        return self.residue_field.from_enc(x.coeffs[0])
 
     def lift_residue(self, c: FFElement):
         """Tautological lift kappa^x -> O^x (integer rep / constant series)."""
@@ -204,9 +203,8 @@ class LocalFieldCtx:
             encs = [int(d) for d in m.group(4).split(",")]
             if max(encs) >= q:
                 raise PatternMismatch(f"a coefficient of {s!r} is {q} or more")
-            base = self.residue_field
-            coeffs = [base.from_enc(e) for e in encs]
-            return LaurentSeries.make(base, prec, int(m.group(3)), coeffs[:prec])
+            return LaurentSeries.make(self.residue_field, prec,
+                                      int(m.group(3)), encs[:prec])
         raise PatternMismatch(f"cannot parse local element {s!r}")
 
 
@@ -277,7 +275,7 @@ def teichmuller(ctx: LocalFieldCtx, x):
     if x.is_zero() or x.val != 0:
         raise NotAUnit("Teichmuller representative needs a unit")
     if ctx.model == LAURENT:
-        return LaurentSeries.constant(x.coeffs[0], x.prec)
+        return LaurentSeries.constant_enc(x.base, x.coeffs[0], x.prec)
     # omega = lim x^(p^k); each Frobenius step fixes one more digit
     y = x
     for _ in range(x.prec):

@@ -20,6 +20,8 @@ the same nonzero value cut (or padded with zero digits) to prec digits;
 key(), an exact hashable digit tuple, equal for two elements of one ring
 exactly when their serialize() strings are (the certificate replay keys
 its formal sums by it, where __hash__ would put every entry in one bucket).
+Both subclasses store their digits in that form, (prec, val, unit) and
+(prec, val, the prec coefficient encodings), so key() builds nothing.
 """
 
 from __future__ import annotations

@@ -240,46 +240,57 @@ class CertStep:
         self.pos = pos
         self.aux = tuple(aux)
 
-    def relator(self, ctx: LocalFieldCtx, ell: int):
-        """The formal sum this step claims to be zero, or None + reason."""
+    def violation(self, ell: int) -> str:
+        """Why the step's side condition fails, or "" when it holds."""
         e = self.entries
         if self.kind == BILINEAR_EXPAND:
             y, z = self.aux
-            if not (y * z) == e[self.pos]:
-                return None, "y*z does not match the expanded entry"
-            e1 = e[:self.pos] + (y,) + e[self.pos + 1:]
-            e2 = e[:self.pos] + (z,) + e[self.pos + 1:]
-            return [(1, e), (-1, e1), (-1, e2)], ""
+            return "" if y * z == e[self.pos] else \
+                "y*z does not match the expanded entry"
         if self.kind == SWAP:
             i, j = self.pos
-            if i == j:
-                return None, "swap of equal positions"
-            sw = list(e)
-            sw[i], sw[j] = sw[j], sw[i]
-            return [(1, e), (1, tuple(sw))], ""
+            return "" if i != j else "swap of equal positions"
         if self.kind == STEINBERG_ZERO:
             i, j = self.pos
-            if i == j or not (e[i] + e[j]).is_one():
-                return None, "entries do not sum to 1"
-            return [(1, e)], ""
+            return "" if i != j and (e[i] + e[j]).is_one() else \
+                "entries do not sum to 1"
         if self.kind == MINUS_SELF:
             i = self.pos
-            if not (e[i] + e[i + 1]).is_zero():
-                return None, "entries are not (x, -x)"
-            return [(1, e)], ""
+            return "" if (e[i] + e[i + 1]).is_zero() else \
+                "entries are not (x, -x)"
         if self.kind == SELF_TO_MINUS_ONE:
             i = self.pos
-            if not (e[i] - e[i + 1]).is_zero():
-                return None, "entries are not (x, x)"
-            e2 = e[:i + 1] + (ctx.minus_one(),) + e[i + 2:]
-            return [(1, e), (-1, e2)], ""
+            return "" if (e[i] - e[i + 1]).is_zero() else \
+                "entries are not (x, x)"
         if self.kind == HENSEL_ROOT:
             (root,) = self.aux
-            if not (root ** ell) == e[self.pos]:
-                return None, f"root^{ell} does not reproduce the entry"
-            e2 = e[:self.pos] + (root,) + e[self.pos + 1:]
-            return [(1, e), (-ell, e2)], ""
-        return None, f"unknown step kind {self.kind!r}"
+            return "" if root ** ell == e[self.pos] else \
+                f"root^{ell} does not reproduce the entry"
+        return f"unknown step kind {self.kind!r}"
+
+    def relator(self, ctx: LocalFieldCtx, ell: int):
+        """The formal sum this step claims to be zero, as (coefficient,
+        entries) pairs.  It is zero in K^M only when violation() is ""."""
+        e = self.entries
+        if self.kind == BILINEAR_EXPAND:
+            y, z = self.aux
+            e1 = e[:self.pos] + (y,) + e[self.pos + 1:]
+            e2 = e[:self.pos] + (z,) + e[self.pos + 1:]
+            return [(1, e), (-1, e1), (-1, e2)]
+        if self.kind == SWAP:
+            i, j = self.pos
+            sw = list(e)
+            sw[i], sw[j] = sw[j], sw[i]
+            return [(1, e), (1, tuple(sw))]
+        if self.kind in (STEINBERG_ZERO, MINUS_SELF):
+            return [(1, e)]
+        if self.kind == SELF_TO_MINUS_ONE:
+            i = self.pos
+            return [(1, e), (-1, e[:i + 1] + (ctx.minus_one(),) + e[i + 2:])]
+        if self.kind == HENSEL_ROOT:
+            (root,) = self.aux
+            return [(1, e), (-ell, e[:self.pos] + (root,) + e[self.pos + 1:])]
+        raise BadInput(f"unknown step kind {self.kind!r}")
 
 
 class DivisibilityCertificate:
@@ -321,7 +332,7 @@ class _FormalSum:
     def add(self, c: int, entries):
         if c == 0:
             return
-        k = tuple(e.key() for e in entries)
+        k = tuple([e.key() for e in entries])
         if k in self.coeffs:
             old, ent = self.coeffs[k]
             if old + c == 0:
@@ -337,7 +348,7 @@ class _FormalSum:
 
     def coeff(self, entries) -> int:
         """The coefficient currently on the entry tuple (0 if absent)."""
-        return self.coeffs.get(tuple(e.key() for e in entries), (0,))[0]
+        return self.coeffs.get(tuple([e.key() for e in entries]), (0,))[0]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -356,10 +367,10 @@ def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
     acc.add_class(1, cert.alpha)
     acc.add_class(-cert.ell, cert.beta)
     for idx, step in enumerate(cert.steps):
-        rel, why = step.relator(cert.ctx, cert.ell)
-        if rel is None:
+        why = step.violation(cert.ell)
+        if why:
             return VerifyResult(False, f"step {idx} ({step.kind}): {why}")
-        for c, ent in rel:
+        for c, ent in step.relator(cert.ctx, cert.ell):
             acc.add(-step.mult * c, ent)
     if not acc.is_zero():
         return VerifyResult(False, "residual formal sum is nonzero")
@@ -376,13 +387,11 @@ class _WitnessBuilder:
         self.steps: list[CertStep] = []
 
     def apply(self, step: CertStep):
-        """Record the step and subtract mult*relator from the residual."""
-        rel, why = step.relator(self.ctx, self.ell)
-        if rel is None:
-            raise SelfCheckFailed(f"witness builder emitted a bad {step.kind} "
-                                  f"step: {why}")
+        """Record the step and subtract mult*relator from the residual.
+        Side conditions are not checked here: the replay of the finished
+        certificate in divisibility_witness checks each one once."""
         self.steps.append(step)
-        for c, ent in rel:
+        for c, ent in step.relator(self.ctx, self.ell):
             self.acc.add(-step.mult * c, ent)
 
     # -- move emitters -----------------------------------------------------
@@ -442,7 +451,9 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     certificate has O(n log q) steps; a field ff_kgroup refuses fails
     before any arithmetic.  The residual formal sum is keyed by the
     entries' digit keys; beta's terms come out in the order of their
-    serialized entries.
+    serialized entries.  The builder books each step's formal sum only;
+    the replay of the finished certificate (verify_certificate) checks
+    every side condition once and raises SelfCheckFailed on a bad step.
     """
     n = a.degree
     if n < 2:

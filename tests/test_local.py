@@ -197,6 +197,12 @@ TABLED_Q = (2, 3, 4, 8, 9, 25, 27, 243, 256)
 UNTABLED_Q = (3 ** 11, 65537)  # above TABLE_BOUND: no exp/log/Zech tables
 
 
+def encs(xs):
+    """The encodings of a list of FFElements: mul_trunc's and a Laurent
+    series' coefficient form."""
+    return [c.enc for c in xs]
+
+
 def _random_coeffs(base, rng, length, zero_share):
     return [base.zero() if rng.random() < zero_share
             else base.random_nonzero(rng) for _ in range(length)]
@@ -221,8 +227,8 @@ def test_mul_trunc_matches_schoolbook(q):
         for zero_share in (0.0, 0.5, 1.0):
             a = _random_coeffs(base, rng, la, zero_share)
             b = _random_coeffs(base, rng, lb, zero_share)
-            assert base.mul_trunc(a, b, n) == schoolbook_mul(base, a, b, n), \
-                (q, la, lb, n, zero_share)
+            assert base.mul_trunc(encs(a), encs(b), n) == \
+                encs(schoolbook_mul(base, a, b, n)), (q, la, lb, n, zero_share)
 
 
 @pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
@@ -239,10 +245,155 @@ def test_laurent_mul_and_inverse_match_schoolbook(q):
         prod = x * y
         n = min(pa, pb)
         assert prod.prec == n and prod.val == x.val + y.val
-        assert list(prod.coeffs) == schoolbook_mul(base, ca, cb, n)
+        assert list(prod.coeffs) == encs(schoolbook_mul(base, ca, cb, n))
         inv = x.inverse()
         assert inv.prec == pa and inv.val == -x.val
-        assert list(inv.coeffs) == recurrence_inverse(base, ca, pa)
+        assert list(inv.coeffs) == encs(recurrence_inverse(base, ca, pa))
+
+
+# A reference series is (prec, val, FFElement coefficients of t^val ..
+# t^(val+prec-1), zero_prec), with val None and no coefficients for a zero.
+# The references below restate the precision model coefficient by
+# coefficient on FFElement arithmetic, independently of the encoding
+# kernels and of localnum.LocalNumber.
+
+
+def ref_zero(prec, zero_prec=None):
+    return (prec, None, [], zero_prec)
+
+
+def ref_cut(base, r, prec):
+    """A nonzero reference cut or padded with zeros to prec digits."""
+    cs = r[2][:prec]
+    return (prec, r[1], cs + [base.zero()] * (prec - len(cs)), None)
+
+
+def ref_make(base, prec, val, coeffs):
+    for shift, c in enumerate(coeffs):
+        if not c.is_zero():
+            return ref_cut(base, (prec, val + shift, coeffs[shift:], None), prec)
+    return ref_zero(prec)
+
+
+def ref_neg(r):
+    return r if r[1] is None else (r[0], r[1], [-c for c in r[2]], None)
+
+
+def ref_add(base, x, y):
+    prec = min(x[0], y[0])
+    if x[1] is None and y[1] is None:
+        bounds = [b for b in (x[3], y[3]) if b is not None]
+        return ref_zero(prec, min(bounds) if bounds else None)
+    if x[1] is None or y[1] is None:
+        z, v = (x, y) if x[1] is None else (y, x)
+        if z[3] is None:
+            return ref_cut(base, v, prec)
+        if v[1] >= z[3]:
+            return ref_zero(prec, z[3])
+        return ref_cut(base, v, min(z[3] - v[1], prec))
+    abs_prec = min(x[1] + x[0], y[1] + y[0])
+    lo = min(x[1], y[1])
+    digits = [base.zero()] * (abs_prec - lo)
+    for r in (x, y):
+        for i, c in enumerate(r[2]):
+            if r[1] + i < abs_prec:
+                digits[r[1] + i - lo] = digits[r[1] + i - lo] + c
+    for shift, c in enumerate(digits):
+        if not c.is_zero():
+            return (len(digits) - shift, lo + shift, digits[shift:], None)
+    return ref_zero(prec, abs_prec)
+
+
+def ref_mul(base, x, y):
+    prec = min(x[0], y[0])
+    if x[1] is None or y[1] is None:
+        if (x[1] is None and x[3] is None) or (y[1] is None and y[3] is None):
+            return ref_zero(prec)
+        if x[1] is None and y[1] is None:
+            return ref_zero(prec, x[3] + y[3])
+        z, v = (x, y) if x[1] is None else (y, x)
+        return ref_zero(prec, z[3] + v[1])
+    return (prec, x[1] + y[1], schoolbook_mul(base, x[2], y[2], prec), None)
+
+
+def ref_pow(base, x, k):
+    if k < 0:
+        x = (x[0], -x[1], recurrence_inverse(base, x[2], x[0]), None)
+        k = -k
+    out = ref_cut(base, (x[0], 0, [base.one()], None), x[0])
+    for _ in range(k):
+        out = ref_mul(base, out, x)
+    return out
+
+
+def ref_serialize(q, r):
+    if r[1] is None:
+        return f"laurent({q},{r[0]}):0"
+    digits = ",".join(str(c.enc) for c in r[2])
+    return f"laurent({q},{r[0]}):t^{r[1]}*({digits})"
+
+
+def assert_matches(base, x, r):
+    """Every observable of a LaurentSeries against its reference."""
+    prec, val, coeffs, zero_prec = r
+    assert (x.prec, x.val, x.zero_prec) == (prec, val, zero_prec)
+    assert x.coeffs == tuple(encs(coeffs))
+    assert x.key() == (prec, val, tuple(encs(coeffs)))
+    assert x.serialize() == ref_serialize(base.q, r)
+
+
+def _random_refs(base, rng, count, max_prec):
+    """Nonzero references (valuations -3..3 and one far off), exact and
+    approximate zeros, and a near-negation whose sum with its partner
+    cancels the leading coefficient."""
+    refs = []
+    for _ in range(count):
+        prec = rng.randint(1, max_prec)
+        refs.append((prec, rng.randint(-3, 3), [base.random_nonzero(rng)]
+                     + _random_coeffs(base, rng, prec - 1, 0.3), None))
+    x = refs[0]
+    refs.append((x[0], x[1] + 40, x[2], None))
+    if x[0] > 1:
+        refs.append((x[0], x[1], [-x[2][0]]
+                     + _random_coeffs(base, rng, x[0] - 1, 0.3), None))
+    refs += [ref_zero(rng.randint(1, max_prec)),
+             ref_zero(rng.randint(1, max_prec), rng.randint(-2, 6)),
+             ref_zero(rng.randint(1, max_prec), rng.randint(-2, 6))]
+    return refs
+
+
+def _series(base, r):
+    if r[1] is None:
+        return LaurentSeries.zero(base, r[0], r[3])
+    return LaurentSeries(base, r[0], r[1], r[2])
+
+
+@pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
+def test_laurent_operations_match_references(q):
+    base = ff_ctx_q(q)
+    rng = random.Random(2000 + q)
+    tabled = q in TABLED_Q
+    refs = _random_refs(base, rng, 5 if tabled else 2, 9 if tabled else 3)
+    xs = [_series(base, r) for r in refs]
+    for x, r in zip(xs, refs):
+        assert_matches(base, x, r)
+        assert_matches(base, -x, ref_neg(r))
+        for k in ((0, 1, 2, 3, -1, -2) if r[1] is not None else (0, 1, 3)):
+            assert_matches(base, x ** k, ref_pow(base, r, k))
+        if r[1] is not None:
+            for prec in (1, r[0] - 1, r[0] + 2):
+                if prec >= 1:
+                    assert_matches(base, x.truncate(prec),
+                                   ref_cut(base, r, prec))
+        for y, s in zip(xs, refs):
+            assert_matches(base, x + y, ref_add(base, r, s))
+            assert_matches(base, x - y, ref_add(base, r, ref_neg(s)))
+            assert_matches(base, x * y, ref_mul(base, r, s))
+    for _ in range(6 if tabled else 2):
+        prec, val = rng.randint(1, 6), rng.randint(-3, 3)
+        window = _random_coeffs(base, rng, rng.randint(1, 8), 0.5)
+        assert_matches(base, LaurentSeries.make(base, prec, val, encs(window)),
+                       ref_make(base, prec, val, window))
 
 
 def test_laurent_mul_by_approximate_zero_keeps_its_bound():
@@ -281,6 +432,20 @@ def test_laurent_parse_serialize_round_trip():
     L = laurent_ctx(3, 5)
     x = L.from_int(2) * L.uniformizer() ** -2 + L.one()
     assert L.parse(x.serialize()) == x
+
+
+@pytest.mark.parametrize("ctx,text,expected", [
+    # only the first min(text prec, ctx prec) digits are read, before the
+    # leading zeros are dropped
+    (laurent_ctx(9, 8), "laurent(9,2):t^0*(0,1,2)", "laurent(9,2):t^1*(1,0)"),
+    (laurent_ctx(9, 2), "laurent(9,4):t^0*(0,1,2,3)",
+     "laurent(9,2):t^1*(1,0)"),
+    (laurent_ctx(3, 3), "laurent(3,5):t^-1*(0,0,2,1,1)",
+     "laurent(3,3):t^1*(2,0,0)"),
+    (laurent_ctx(3, 8), "laurent(3,2):t^0*(0,0,1)", "laurent(3,2):0"),
+])
+def test_laurent_parse_reads_only_the_precision_window(ctx, text, expected):
+    assert ctx.parse(text).serialize() == expected
 
 
 def test_padic_parse_serialize_round_trip():

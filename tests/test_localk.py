@@ -348,6 +348,38 @@ def test_witness_self_check_raises_under_python_O(monkeypatch):
         divisibility_witness(ctx, a - back, 3)
 
 
+def _book_then_negate_first_y(real_apply, tampered):
+    """A builder apply that books each step's true formal sum and then
+    replaces y by -y in the first BILINEAR_EXPAND step it recorded, so the
+    residual bookkeeping stays consistent and only the replay can notice."""
+    def apply(self, step):
+        real_apply(self, step)
+        if step.kind == localk.BILINEAR_EXPAND and not tampered:
+            y, z = step.aux
+            step.aux = (-y, z)
+            tampered.append(step)
+    return apply
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS)
+def test_wrong_builder_step_fails_in_the_replay(ctx, monkeypatch):
+    # the builder checks no side condition; the final replay checks each
+    ell = 5 if ctx.p == 3 else 3
+    rng = random.Random(37)
+    a = symbol(ctx, [ctx.random_unit(rng), ctx.random_unit(rng)])
+    back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
+    tampered = []
+    monkeypatch.setattr(localk._WitnessBuilder, "apply",
+                        _book_then_negate_first_y(
+                            localk._WitnessBuilder.apply, tampered))
+    with pytest.raises(SelfCheckFailed,
+                       match=r"^freshly built certificate failed: step \d+ "
+                             r"\(BILINEAR_EXPAND\): y\*z does not match the "
+                             r"expanded entry$"):
+        divisibility_witness(ctx, a - back, ell)
+    assert len(tampered) == 1
+
+
 _SELF_CHECKS = """
 from milnorforge import ratfunc
 from milnorforge.arith.finite_field import ff_ctx
@@ -355,8 +387,7 @@ from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import padic_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import BadInput, SelfCheckFailed
-from milnorforge.localk import (
-    BILINEAR_EXPAND, CertStep, _WitnessBuilder, _discharge_steinberg_pair)
+from milnorforge.localk import _WitnessBuilder, _discharge_steinberg_pair
 
 if __debug__:
     raise SystemExit("not running under python -O")
@@ -387,8 +418,6 @@ ratfunc.poly_factor = real
 ctx = padic_ctx(5, 8)
 two, three = ctx.from_int(2), ctx.from_int(3)
 b = _WitnessBuilder(ctx, 3)
-expect("builder step", SelfCheckFailed, lambda: b.apply(
-    CertStep(BILINEAR_EXPAND, 1, (two, three), 0, (three, three))))
 expect("builder 1-entry", SelfCheckFailed,
        lambda: b.kill_one_entry(1, (two, three), 0))
 b.acc.add(1, (two, two))  # 2 + 2 = 4 is no principal unit

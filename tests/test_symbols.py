@@ -35,11 +35,12 @@ def move(a, kind, pos, aux=()):
     term's coefficient times the move's relator.  None when the move's
     side condition fails."""
     t = single_term(a)
-    rel, _ = CertStep(kind, t.coeff, t.entries, pos, aux).relator(a.ctx, 2)
-    if rel is None:
+    step = CertStep(kind, t.coeff, t.entries, pos, aux)
+    if step.violation(2):
         return None
     return a - MilnorClass(a.ctx, a.degree,
-                           [SymbolTerm(t.coeff * c, e) for c, e in rel])
+                           [SymbolTerm(t.coeff * c, e)
+                            for c, e in step.relator(a.ctx, 2)])
 
 
 def test_symbol_entries_must_be_nonzero():
