@@ -2,7 +2,10 @@
 
 Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
 splitting.  The equal-degree stage is randomized but driven by a seeded
-generator, so identical inputs and seeds factor identically.
+generator, so identical inputs and seeds factor identically.  Everything
+runs on the int encodings a Poly over a finite field stores: the random
+splitting polynomials are drawn as encodings, factors sort by degree and
+encodings, and the re-multiply guard starts from the leading encoding.
 _distinct_degree is the one distinct-degree walk: poly_factor splits each
 of its pairs further, and is_irreducible reads only its first pair.
 """
@@ -21,12 +24,9 @@ FACTOR_SEED = 0x5EED
 def _pth_root_poly(f: Poly) -> Poly:
     """For f with zero derivative over F_q, the g with g^p = f."""
     ctx = f.ctx
-    p = ctx.p
-    root_exp = p ** (ctx.f - 1)  # a -> a^(q/p) is the inverse Frobenius
-    coeffs = []
-    for i in range(0, len(f.coeffs), p):
-        coeffs.append(f.coeffs[i] ** root_exp)
-    return Poly(ctx, coeffs)
+    root_exp = ctx.q // ctx.p  # a -> a^(q/p) is the inverse Frobenius
+    return Poly.from_encs(ctx, [ctx.pow_enc(c, root_exp)
+                                for c in f.coeffs[::ctx.p]])
 
 
 def _distinct_part(f: Poly) -> Poly:
@@ -50,7 +50,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     q = ctx.q
     n = f.degree
     while True:
-        r = Poly(ctx, [ctx.random_element(rng) for _ in range(n)])
+        r = Poly.from_encs(ctx, [rng.randrange(q) for _ in range(n)])
         if r.degree < 1:
             continue
         if ctx.p == 2:
@@ -97,7 +97,7 @@ def _factor_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
 
 
 def _sort_key(p: Poly):
-    return (p.degree, tuple(c.enc for c in p.coeffs))
+    return (p.degree, p.coeffs)
 
 
 def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
@@ -116,7 +116,7 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     out = [(irr, monic.strip(irr)[0]) for irr in distinct]
     out.sort(key=lambda pm: _sort_key(pm[0]))
     # exactness guard: re-multiply
-    check = Poly.const(f.ctx, f.lc)
+    check = Poly.from_encs(f.ctx, f.coeffs[-1:])
     for irr, m in out:
         check = check * irr ** m
     if check != f:

@@ -17,12 +17,19 @@ negation work on exponents (-1 = g^((q-1)/2) for odd p, -1 = 1 in
 characteristic 2).  For p^f <= 2^16 exp/log tables and a Zech table
 zech[k] = log(1 + g^k) are built once, so addition works on exponents too:
 g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
-IEEE Trans. IT 36(4), 1990).  Larger fields add encodings and fall back to
-square-and-multiply and baby-step/giant-step discrete logs.  Laurent
-series keep their coefficients as encodings and never build an FFElement:
-mul_trunc, add_vec, neg_vec and inv_enc are their kernels, with plain
-integer arithmetic mod p in prime fields, the tables where they exist and
-add_enc/mul_enc above TABLE_BOUND.  No field has more than FIELD_BOUND
+IEEE Trans. IT 36(4), 1990).  Larger fields add encodings digit by digit,
+multiply them as digit polynomials and take baby-step/giant-step discrete
+logs, whose baby steps are built once per field.
+
+Laurent series and polynomials over the field keep their coefficients as
+encodings and build FFElements only at their API edge.  The kernels on
+lists of encodings are theirs: add_vec, neg_vec, scale_vec, mul_trunc and
+mul_vec for products, divmod_vec and gcd_vec (schoolbook division and
+Euclid's remainders; von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 2-3), eval_enc, and the scalars inv_enc, mul_enc and pow_enc.  They
+use plain integer arithmetic mod p in prime fields, the tables where they
+exist, and add_enc and the digit product above TABLE_BOUND, so no sum
+costs a discrete log.  No field has more than FIELD_BOUND
 elements.  ``_extension_points`` is the one walk over
 F_q and its small extensions that every specialization test consumes;
 ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
@@ -37,6 +44,13 @@ from .factor import is_irreducible
 from .poly import Poly, _power
 
 TABLE_BOUND = 1 << 16
+# mul_vec multiplies schoolbook while one factor has at most this many
+# coefficients times f, by Kronecker substitution above: the packing grows
+# with f, the Zech schoolbook does not.  Equal-length crossovers measured at
+# 6-16 coefficients for f = 1 (p from 2 to 2^20-3), 8-20 for f = 2 (q = 4,
+# 9, 25, 49), 24 for q = 27, 32 for q = 16 and 32, and above 64 for
+# q = 243, above 96 for q = 256, above 128 for q = 3^10 and 2^16
+SCHOOLBOOK_LEN = 8
 FIELD_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 3
 
@@ -75,6 +89,8 @@ def _digits_enc(digits: list[int], p: int) -> int:
 class FiniteFieldCtx:
     """Deterministic context for F_{p^f}; construct via ff_ctx()."""
 
+    encoded = True  # a Poly over this field stores int encodings
+
     def __init__(self, p: int, f: int):
         if f < 1:
             raise ValueError("extension degree must be >= 1")
@@ -87,6 +103,7 @@ class FiniteFieldCtx:
         self.f = f
         self.q = q
         self.modulus = self._find_modulus()
+        self._low_terms = [(j, m) for j, m in enumerate(self.modulus[:f]) if m]
         # X^f .. X^(2f-2) mod the modulus, as encodings: mul_trunc folds by them
         self._fold = tuple(self._reduce_enc([0] * k + [1])
                            for k in range(f, 2 * f - 1))
@@ -95,6 +112,7 @@ class FiniteFieldCtx:
         self.exp: list[int] | None = None
         self.log: dict[int, int] | None = None
         self.zech: list[int | None] | None = None
+        self._baby: tuple[dict[int, int], int, int] | None = None
         self.generator_enc = self._find_generator()
         if self.q <= TABLE_BOUND:
             self._build_tables()
@@ -115,32 +133,43 @@ class FiniteFieldCtx:
         raise SelfCheckFailed(f"no irreducible polynomial of degree {f} over F_{p}")
 
     def mul_enc(self, a: int, b: int) -> int:
-        """Multiply two encodings."""
-        p, f = self.p, self.f
+        """Multiply two encodings: mod p in a prime field, through the
+        exp/log tables where they exist, digit by digit above them."""
         if a == 0 or b == 0:
             return 0
-        da = _enc_digits(a, p, f)
-        db = _enc_digits(b, p, f)
+        if self.f == 1:
+            return a * b % self.p
+        log = self.log
+        if log is not None:
+            return self.exp[(log[a] + log[b]) % (self.q - 1)]
+        return self._mul_digits(a, b)
+
+    def _mul_digits(self, a: int, b: int) -> int:
+        """Multiply two nonzero encodings as digit polynomials mod the
+        modulus: the product the tables are built from and checked by."""
+        p, f = self.p, self.f
+        db = [(j, d) for j, d in enumerate(_enc_digits(b, p, f)) if d]
         res = [0] * (2 * f - 1)
-        for i, ai in enumerate(da):
+        for i, ai in enumerate(_enc_digits(a, p, f)):
             if ai:
-                for j, bj in enumerate(db):
+                for j, bj in db:
                     res[i + j] += ai * bj
         return self._reduce_enc(res)
 
     def _reduce_enc(self, res: list[int]) -> int:
         """Encoding of sum res[i] X^i mod p and the modulus, for any integers
         res[i] (the list is rewritten): X^f = -(m_0 + ... + m_{f-1} X^(f-1))
-        folds each X^i with i >= f down, top first."""
-        p, f, mod = self.p, self.f, self.modulus
-        enc = 0
-        for i in range(len(res) - 1, -1, -1):
+        folds each X^i with i >= f down, top first, through the nonzero
+        m_j only."""
+        p, f = self.p, self.f
+        for i in range(len(res) - 1, f - 1, -1):
             c = res[i] % p
-            if i < f:
-                enc = enc * p + c
-            elif c:
-                for j in range(f):
-                    res[i - f + j] -= c * mod[j]
+            if c:
+                for j, m in self._low_terms:
+                    res[i - f + j] -= c * m
+        enc = 0
+        for i in range(min(len(res), f) - 1, -1, -1):
+            enc = enc * p + res[i] % p
         return enc
 
     def mul_trunc(self, a, b, n: int) -> list[int]:
@@ -204,7 +233,8 @@ class FiniteFieldCtx:
         return acc
 
     def add_vec(self, a, b) -> list[int]:
-        """Coefficientwise sums of two encoding lists of one length."""
+        """Coefficientwise sums of two encoding lists, as long as the
+        shorter one."""
         p = self.p
         if self.f == 1:
             return [(x + y) % p for x, y in zip(a, b)]
@@ -248,7 +278,110 @@ class FiniteFieldCtx:
         return _digits_enc([(x + y) % p for x, y in zip(da, db)], p)
 
     def pow_enc(self, a: int, k: int) -> int:
+        if a and self.log is not None:
+            return self.exp[self.log[a] * k % (self.q - 1)]
         return _power(a, k, lambda: 1, self.mul_enc)
+
+    # --- Poly kernels: encoding lists, lowest degree first ----------------
+
+    def scale_vec(self, a, c: int) -> list[int]:
+        """Every encoding of a times the encoding c."""
+        if not c:
+            return [0] * len(a)
+        if self.f == 1:
+            p = self.p
+            return [x * c % p for x in a]
+        log = self.log
+        if log is None:
+            return [self.mul_enc(x, c) for x in a]
+        exp, n, lc = self.exp, self.q - 1, log[c]
+        return [exp[(log[x] + lc) % n] if x else 0 for x in a]
+
+    def mul_vec(self, a, b) -> list[int]:
+        """The product of two nonempty coefficient lists: schoolbook on
+        integers mod p or on discrete logs when one factor is short,
+        mul_trunc's Kronecker product otherwise and above the tables."""
+        n = len(a) + len(b) - 1
+        if min(len(a), len(b)) > SCHOOLBOOK_LEN * self.f:
+            return self.mul_trunc(a, b, n)
+        if self.f == 1:
+            p = self.p
+            out = [0] * n
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return [c % p for c in out]
+        log = self.log
+        if log is None:
+            return self.mul_trunc(a, b, n)
+        # sums of logs, accumulated in log form by Zech: None is zero
+        exp, zech, m = self.exp, self.zech, self.q - 1
+        lb = [log[y] if y else None for y in b]
+        acc = [None] * n
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            lx = log[x]
+            for j, y in enumerate(lb, i):
+                if y is not None:
+                    c = acc[j]
+                    if c is None:
+                        acc[j] = lx + y
+                    else:
+                        z = zech[(lx + y - c) % m]
+                        acc[j] = None if z is None else c + z
+        return [0 if c is None else exp[c % m] for c in acc]
+
+    def divmod_vec(self, a, b) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of schoolbook division of a by b, for
+        len(a) >= len(b) and b[-1] != 0; the remainder has len(b) - 1
+        entries, trailing zeros included."""
+        db = len(b) - 1
+        rem = list(a)
+        quot = [0] * (len(a) - db)
+        inv = self.inv_enc(b[-1])
+        if self.f == 1:  # lazy: only the leading remainder is reduced
+            p = self.p
+            low = b[:db]
+            for i in range(len(quot) - 1, -1, -1):
+                c = rem[i + db] * inv % p
+                if c:
+                    quot[i] = c
+                    for j, y in enumerate(low, i):
+                        rem[j] -= c * y
+            return quot, [x % p for x in rem[:db]]
+        neg_low = self.neg_vec(b[:db])
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db]
+            if c:
+                c = quot[i] = self.mul_enc(c, inv)
+                rem[i:i + db] = self.add_vec(rem[i:i + db],
+                                             self.scale_vec(neg_low, c))
+        return quot, rem[:db]
+
+    def gcd_vec(self, a, b) -> list[int]:
+        """The monic gcd of two coefficient lists without trailing zeros
+        (empty for zero), by Euclid's remainders."""
+        while b:
+            if len(a) >= len(b):
+                a = self.divmod_vec(a, b)[1]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        return self.scale_vec(a, self.inv_enc(a[-1])) if a else []
+
+    def eval_enc(self, a, x: int) -> int:
+        """Horner's value at the encoding x of the coefficient list a."""
+        acc = 0
+        if self.f == 1:
+            p = self.p
+            for c in reversed(a):
+                acc = (acc * x + c) % p
+            return acc
+        for c in reversed(a):
+            acc = self.add_enc(self.mul_enc(acc, x), c)
+        return acc
 
     def _order_is_full(self, enc: int, factors: dict[int, int]) -> bool:
         n = self.q - 1
@@ -271,7 +404,7 @@ class FiniteFieldCtx:
         cur = 1
         for e in range(n):
             exp[e] = cur
-            cur = self.mul_enc(cur, g)
+            cur = self._mul_digits(cur, g)
         self.exp = exp
         log = self.log = {enc: e for e, enc in enumerate(exp)}
         # 1 + x changes only digit 0 of x's encoding; log.get(0) is None
@@ -283,7 +416,7 @@ class FiniteFieldCtx:
         """Raise SelfCheckFailed unless exp/log/zech describe a cyclic group
         of order q-1 in which 1 + g^k = 0 exactly for g^k = -1."""
         n = self.q - 1
-        if self.mul_enc(self.exp[-1], self.generator_enc) != 1:
+        if self._mul_digits(self.exp[-1], self.generator_enc) != 1:
             raise SelfCheckFailed("generator order mismatch")
         if len(self.log) != n:
             raise SelfCheckFailed("exp table repeats an element")
@@ -304,16 +437,18 @@ class FiniteFieldCtx:
             raise ZeroElement("dlog of zero")
         if self.log is not None:
             return self.log[enc]
-        # baby-step/giant-step
+        # baby-step/giant-step; the baby steps g^j, j < m, and the giant
+        # factor g^-m are built on the first call and kept
         n = self.q - 1
-        m = math.isqrt(n) + 1
-        baby = {}
-        cur = 1
-        for j in range(m):
-            baby.setdefault(cur, j)
-            cur = self.mul_enc(cur, self.generator_enc)
-        # giant factor g^{-m}
-        gm_inv = self.pow_enc(self.generator_enc, n - (m % n))
+        if self._baby is None:
+            m = math.isqrt(n) + 1
+            baby = {}
+            cur = 1
+            for j in range(m):
+                baby.setdefault(cur, j)
+                cur = self.mul_enc(cur, self.generator_enc)
+            self._baby = baby, m, self.pow_enc(self.generator_enc, n - (m % n))
+        baby, m, gm_inv = self._baby
         cur = enc
         for i in range(m + 1):
             if cur in baby:

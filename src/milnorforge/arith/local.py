@@ -60,6 +60,7 @@ class LocalFieldCtx:
     """
 
     __slots__ = ("model", "prec", "residue_field")
+    encoded = False  # a Poly over O stores local numbers
 
     def __init__(self, model: str, residue_field: FiniteFieldCtx, prec: int):
         if model not in (PADIC, LAURENT):
@@ -146,9 +147,14 @@ class LocalFieldCtx:
         """Image of a unit in the residue field kappa."""
         if x.is_zero() or x.val != 0:
             raise NotAUnit("residue map needs a unit")
+        return self.residue_field.from_enc(self.residue_enc(x))
+
+    def residue_enc(self, x) -> int:
+        """The encoding of the image in kappa of a unit x, read off its
+        first digit; the caller checks that x is a unit."""
         if self.model == PADIC:
-            return self.residue_field.from_int(x.unit % self.p)
-        return self.residue_field.from_enc(x.coeffs[0])
+            return x.unit % self.p
+        return x.coeffs[0]
 
     def lift_residue(self, c: FFElement):
         """Tautological lift kappa^x -> O^x (integer rep / constant series)."""

@@ -1,10 +1,20 @@
 """Univariate polynomials over an arbitrary exact coefficient field.
 
-The coefficient context only needs zero()/one() factories and elements with
-+, -, *, inverse(), is_zero(), is_one() and a hash that agrees with their
-==.  This single class serves polynomials over finite fields, over rational
+This single class serves polynomials over finite fields, over rational
 function fields and over quotient fields, and the Hensel path over Z_p and
-F_q[[t]], which keeps gcds and resultants uniform across the package.
+F_q[[t]], which keeps gcds and resultants uniform across the package.  It
+has two stored forms, chosen by the context's ``encoded`` flag:
+
+* over a finite field (FiniteFieldCtx) the coefficients are int encodings
+  c0 + c1 p + ..., the numbers LaurentSeries and serialize() use, and the
+  ring operations run on the field's encoding kernels (add_vec, mul_vec,
+  divmod_vec, gcd_vec, ...).  FFElements appear only at the API edge: the
+  constructor takes them, and coeff(), lc, eval() and serialize() give
+  them.  A polynomial hashes from its field and its encodings;
+* over any other context the coefficients are the context's elements,
+  which need +, -, *, inverse(), is_zero(), is_one() and a hash that agrees
+  with their ==, and the context needs zero()/one() factories.  Their
+  approximate zeros (a finite ``zero_prec``) are kept, never stripped.
 
 ``_power`` is the package's one square-and-multiply: the powers of
 polynomials (also mod a polynomial), of Laurent series, of quotient-field
@@ -40,20 +50,41 @@ def _exact_zero(c) -> bool:
 
 
 class Poly:
-    """Coefficients stored low-degree first, no trailing zeros; () is zero."""
+    """Coefficients stored low-degree first, no trailing zeros; () is zero.
+    They are int encodings over a finite field and the context's elements
+    otherwise (see the module docstring)."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        # Approximate zeros (inexact coefficients known to vanish only up to
-        # a finite precision, marked by a non-None ``zero_prec``) must be
-        # retained: dropping one would silently promote it to an exact zero.
-        while coeffs and _exact_zero(coeffs[-1]):
-            coeffs = coeffs[:-1]
+        if ctx.encoded:  # FFElements in, their encodings stored
+            coeffs = [c.enc for c in coeffs]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+        else:
+            # Approximate zeros (inexact coefficients known to vanish only
+            # up to a finite precision, marked by a non-None ``zero_prec``)
+            # must be retained: dropping one would silently promote it to
+            # an exact zero.
+            while coeffs and _exact_zero(coeffs[-1]):
+                coeffs = coeffs[:-1]
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
 
     # --- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_encs(cls, ctx, encs) -> "Poly":
+        """sum encs[i] X^i over a finite field, from a list or tuple of int
+        encodings; trailing zeros are dropped."""
+        if encs and not encs[-1]:
+            encs = list(encs)
+            while encs and not encs[-1]:
+                encs.pop()
+        x = cls.__new__(cls)
+        x.ctx = ctx
+        x.coeffs = tuple(encs)
+        return x
 
     @classmethod
     def zero(cls, ctx) -> "Poly":
@@ -65,14 +96,21 @@ class Poly:
 
     @classmethod
     def one(cls, ctx) -> "Poly":
+        if ctx.encoded:
+            return cls.from_encs(ctx, (1,))
         return cls(ctx, (ctx.one(),))
 
     @classmethod
     def x(cls, ctx) -> "Poly":
+        if ctx.encoded:
+            return cls.from_encs(ctx, (0, 1))
         return cls(ctx, (ctx.zero(), ctx.one()))
 
     @classmethod
     def from_ints(cls, ctx, ints) -> "Poly":
+        """Integer coefficients, embedded through the prime subfield."""
+        if ctx.encoded:
+            return cls.from_encs(ctx, [n % ctx.p for n in ints])
         return cls(ctx, [ctx.from_int(n) for n in ints])
 
     # --- basic queries ----------------------------------------------------
@@ -85,6 +123,8 @@ class Poly:
         return not self.coeffs
 
     def is_one(self) -> bool:
+        if self.ctx.encoded:
+            return self.coeffs == (1,)
         return len(self.coeffs) == 1 and self.coeffs[0].is_one()
 
     def is_const(self) -> bool:
@@ -94,15 +134,20 @@ class Poly:
     def lc(self):
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        if self.ctx.encoded:
+            return self.ctx.from_enc(self.coeffs[-1])
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
+        if self.ctx.encoded:
+            return bool(self.coeffs) and self.coeffs[-1] == 1
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
     def coeff(self, i: int):
+        ctx = self.ctx
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero()
+            return ctx.from_enc(self.coeffs[i]) if ctx.encoded else self.coeffs[i]
+        return ctx.zero()
 
     # --- ring operations --------------------------------------------------
 
@@ -110,21 +155,30 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        ctx = self.ctx
+        if ctx.encoded:
+            return Poly.from_encs(ctx, ctx.add_vec(a, b) + list(a[len(b):]))
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.ctx, out)
+        return Poly(ctx, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        ctx = self.ctx
+        if ctx.encoded:
+            return Poly.from_encs(ctx, ctx.neg_vec(self.coeffs))
+        return Poly(ctx, [-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ctx)
-        zero = self.ctx.zero()
+        ctx = self.ctx
+        if not self.coeffs or not other.coeffs:
+            return Poly.zero(ctx)
+        if ctx.encoded:
+            return Poly.from_encs(ctx, ctx.mul_vec(self.coeffs, other.coeffs))
+        zero = ctx.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if _exact_zero(a):
@@ -132,32 +186,50 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 if not _exact_zero(b):
                     out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        return Poly(ctx, out)
 
     def scale(self, c) -> "Poly":
-        return Poly(self.ctx, [a * c for a in self.coeffs])
+        ctx = self.ctx
+        if ctx.encoded:
+            return Poly.from_encs(ctx, ctx.scale_vec(self.coeffs, c.enc))
+        return Poly(ctx, [a * c for a in self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.lc.inverse())
+        return self.monic_with(Poly.zero(self.ctx))[0]
+
+    def monic_with(self, other: "Poly"):
+        """(self / lc(self), other / lc(self)) for nonzero self: a fraction
+        other/self rewritten over a monic denominator."""
+        ctx = self.ctx
+        if ctx.encoded:
+            inv = ctx.inv_enc(self.coeffs[-1])
+            return (Poly.from_encs(ctx, ctx.scale_vec(self.coeffs, inv)),
+                    Poly.from_encs(ctx, ctx.scale_vec(other.coeffs, inv)))
+        inv = self.lc.inverse()
+        return self.scale(inv), other.scale(inv)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        if self.degree < other.degree:
-            return Poly.zero(self.ctx), self
+        ctx = self.ctx
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly.zero(ctx), self
+        if ctx.encoded:
+            quot, rem = ctx.divmod_vec(self.coeffs, other.coeffs)
+            return Poly.from_encs(ctx, quot), Poly.from_encs(ctx, rem)
         inv_lc = other.lc.inverse()
         rem = list(self.coeffs)
         dq = self.degree - other.degree
-        quot = [self.ctx.zero()] * (dq + 1)
+        quot = [ctx.zero()] * (dq + 1)
         for i in range(dq, -1, -1):
             c = rem[other.degree + i] * inv_lc
             quot[i] = c
             if not _exact_zero(c):
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = rem[i + j] - c * b
-        return Poly(self.ctx, quot), Poly(self.ctx, rem[: other.degree])
+        return Poly(ctx, quot), Poly(ctx, rem[: other.degree])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -187,27 +259,42 @@ class Poly:
                       lambda a, b: a * b % mod)
 
     def derivative(self) -> "Poly":
+        ctx = self.ctx
+        if ctx.encoded:  # i * c is (i mod p) * c
+            p = ctx.p
+            return Poly.from_encs(ctx, [ctx.mul_enc(c, i % p) for i, c
+                                        in enumerate(self.coeffs[1:], 1)])
         out = []
         for i in range(1, len(self.coeffs)):
             c = self.coeffs[i]
-            acc = self.ctx.zero()
+            acc = ctx.zero()
             for _ in range(i):  # i * c without assuming an int action
                 acc = acc + c
             out.append(acc)
-        return Poly(self.ctx, out)
+        return Poly(ctx, out)
 
     def eval(self, x):
-        acc = self.ctx.zero()
+        ctx = self.ctx
+        if ctx.encoded:
+            return ctx.from_enc(ctx.eval_enc(self.coeffs, x.enc))
+        acc = ctx.zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def map_coeffs(self, fn, new_ctx=None) -> "Poly":
-        return Poly(new_ctx or self.ctx, [fn(c) for c in self.coeffs])
+        """fn applied to every coefficient as an element (an FFElement over
+        a finite field)."""
+        ctx = self.ctx
+        src = map(ctx.from_enc, self.coeffs) if ctx.encoded else self.coeffs
+        return Poly(new_ctx or ctx, [fn(c) for c in src])
 
     # --- gcd / resultant --------------------------------------------------
 
     def gcd(self, other: "Poly") -> "Poly":
+        ctx = self.ctx
+        if ctx.encoded:
+            return Poly.from_encs(ctx, ctx.gcd_vec(self.coeffs, other.coeffs))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -215,9 +302,10 @@ class Poly:
 
     def xgcd(self, other: "Poly"):
         """Return (g, s, t) with s*self + t*other = g, g monic (or zero)."""
+        ctx = self.ctx
         a, b = self, other
-        sa, sb = Poly.one(self.ctx), Poly.zero(self.ctx)
-        ta, tb = Poly.zero(self.ctx), Poly.one(self.ctx)
+        sa, sb = Poly.one(ctx), Poly.zero(ctx)
+        ta, tb = Poly.zero(ctx), Poly.one(ctx)
         while not b.is_zero():
             q, r = divmod(a, b)
             a, b = b, r
@@ -225,8 +313,11 @@ class Poly:
             ta, tb = tb, ta - q * tb
         if a.is_zero():
             return a, sa, ta
+        if ctx.encoded:
+            cinv = Poly.from_encs(ctx, (ctx.inv_enc(a.coeffs[-1]),))
+            return a * cinv, sa * cinv, ta * cinv
         inv = a.lc.inverse()
-        cinv = Poly.const(self.ctx, inv)
+        cinv = Poly.const(ctx, inv)
         return a.scale(inv), sa * cinv, ta * cinv
 
     def resultant(self, other: "Poly"):
@@ -235,37 +326,54 @@ class Poly:
         a, b = self, other
         if a.is_zero() or b.is_zero():
             return ctx.zero()
-        res = ctx.one()
+        if ctx.encoded:  # on encodings, one FFElement at the end
+            one, mul = (lambda: 1), ctx.mul_enc
+            neg, out = (lambda c: ctx.neg_vec((c,))[0]), ctx.from_enc
+        else:
+            one, mul = ctx.one, operator.mul
+            neg, out = operator.neg, (lambda c: c)
+        res = one()
         while True:
             if b.degree == 0:
                 # Res(a, c) = c^deg(a)
-                return res * _power(b.coeffs[0], a.degree, ctx.one)
+                return out(mul(res, _power(b.coeffs[0], a.degree, one, mul)))
             r = a % b
             if r.is_zero():
                 if a.degree == 0:
-                    return res * _power(a.coeffs[0], b.degree, ctx.one)
+                    return out(mul(res, _power(a.coeffs[0], b.degree, one, mul)))
                 return ctx.zero()
             # Res(a,b) = (-1)^{da db} lc(b)^{da - dr} Res(b, r)
-            res = res * _power(b.lc, a.degree - r.degree, ctx.one)
+            res = mul(res, _power(b.coeffs[-1], a.degree - r.degree, one, mul))
             if a.degree * b.degree % 2:
-                res = -res
+                res = neg(res)
             a, b = b, r
 
     # --- identity ---------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if not isinstance(other, Poly) or self.coeffs != other.coeffs:
+            return False
+        # an encoding names an element only together with its field
+        return (not (self.ctx.encoded or other.ctx.encoded)
+                or self.ctx == other.ctx)
 
     def __hash__(self):
+        if self.ctx.encoded:  # the field and the encodings
+            return hash((self.ctx.q, self.coeffs))
         # from the coefficients' own hashes, which agree with their ==
         return hash(self.coeffs)
 
     def serialize(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
+        ctx = self.ctx
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if ctx.encoded:
+                if not c:
+                    continue
+                c = ctx.from_enc(c)
+            elif c.is_zero():
                 continue
             cs = c.serialize() if hasattr(c, "serialize") else str(c)
             if i == 0:

@@ -34,6 +34,7 @@ class RatFuncCtx:
     """Field of fractions of base[var]; base is any exact field context."""
 
     __slots__ = ("base", "var")
+    encoded = False  # a Poly over F(var) stores RatFuncElems
 
     def __init__(self, base, var: str = "t"):
         self.base = base
@@ -102,9 +103,7 @@ class RatFuncElem:
             num = num // g
             den = den // g
         if not den.is_monic():
-            c = den.lc.inverse()
-            num = num.scale(c)
-            den = den.scale(c)
+            den, num = den.monic_with(num)
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -171,6 +170,7 @@ class QuotCtx:
     """
 
     __slots__ = ("field", "pi", "_irreducible")
+    encoded = False  # a Poly over F[X]/(pi) stores QuotElems
 
     def __init__(self, field, pi: Poly):
         if not pi.is_monic():
@@ -525,10 +525,10 @@ class Place:
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.F == other.F \
-            and self.key() == other.key()
+            and self.poly == other.poly
 
     def __hash__(self):
-        return hash(("place", self.key()))
+        return hash(("place", self.poly))
 
     def __repr__(self):
         return f"Place({self.key()})"
@@ -557,8 +557,8 @@ class Place:
         """Image of a valuation-0 element in kappa(P)."""
         if self.valuation(x) != 0:
             raise NotAUnit("residue needs a place-unit")
-        if self.is_infinite:
-            return x.num.lc * x.den.lc.inverse()
+        if self.is_infinite:  # den is monic and of num's degree
+            return x.num.lc
         k = self.residue_ctx()
         return k.from_poly(x.num) * k.from_poly(x.den).inverse()
 

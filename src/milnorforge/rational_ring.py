@@ -79,14 +79,22 @@ def _coeff_close(a, b, floor: int) -> bool:
     return _coeff_negligible(a - b, floor)
 
 
-def _coeff_residue(A: LocalFieldCtx, c):
-    """Reduction A -> kappa, sending the maximal ideal to 0."""
-    kappa = A.residue_field
+def _coeff_residue(A: LocalFieldCtx, c) -> int:
+    """Reduction A -> kappa, sending the maximal ideal to 0, as the
+    encoding of the image."""
     if c.is_zero() or c.val > 0:
-        return kappa.zero()
+        return 0
     if c.val < 0:
         raise PrecisionTooLowToReduce("coefficient is not integral")
-    return A.residue(c)
+    return A.residue_enc(c)
+
+
+def _residue_poly(A: LocalFieldCtx, f: "MultiPoly") -> Poly:
+    """Coefficientwise reduction of a one-variable f, a Poly over kappa."""
+    encs = [0] * (max((e[0] for e in f.coeffs), default=-1) + 1)
+    for (i,), c in f.coeffs.items():
+        encs[i] = _coeff_residue(A, c)
+    return Poly.from_encs(A.residue_field, encs)
 
 
 # --------------------------------------------------------------------------
@@ -176,14 +184,6 @@ class MultiPoly:
             elif not _coeff_close(a, b, floor):
                 return False
         return True
-
-    def to_poly(self):
-        """One-variable view as a Poly over the coefficient ring."""
-        if self.k != 1:
-            raise BadInput(f"a {self.k}-variable polynomial has no Poly view")
-        deg = max((e[0] for e in self.coeffs), default=-1)
-        return Poly(self.ctx, [self.coeffs.get((i,), self.ctx.zero())
-                               for i in range(deg + 1)])
 
     def serialize(self) -> str:
         if not self.coeffs:
@@ -294,12 +294,12 @@ def residue_map(x: RationalRingElem):
     polynomials over kappa (k = 2, returned unreduced)."""
     A = x.A
     kappa = A.residue_field
-    num = x.num.map_coeffs(lambda c: _coeff_residue(A, c), kappa)
-    den = x.den.map_coeffs(lambda c: _coeff_residue(A, c), kappa)
     if x.k == 1:
-        F = RatFuncCtx(kappa, "t")
-        return RatFuncElem(F, num.to_poly(), den.to_poly())
-    return (num, den)
+        return RatFuncElem(RatFuncCtx(kappa, "t"), _residue_poly(A, x.num),
+                           _residue_poly(A, x.den))
+    return tuple(f.map_coeffs(
+        lambda c: kappa.from_enc(_coeff_residue(A, c)), kappa)
+        for f in (x.num, x.den))
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +373,8 @@ def delta_kernel_check(s: MilnorClass) -> bool:
 def _check_residue_irreducible(A: LocalFieldCtx, pi: Poly):
     if not pi.is_monic():
         raise NotMonic("pi must be monic")
-    pibar = pi.map_coeffs(lambda c: _coeff_residue(A, c), A.residue_field)
+    pibar = Poly.from_encs(A.residue_field,
+                           [_coeff_residue(A, c) for c in pi.coeffs])
     if pibar.degree != pi.degree or not is_irreducible(pibar):
         raise ResidueReducible("pi is reducible over the residue field")
 
@@ -582,7 +583,7 @@ def _random_local_pi(A, rng):
         return None
     return Poly(A, [(A.zero() if c.is_zero() else A.lift_residue(c))
                     + A.uniformizer() * random_integral(A, rng)
-                    for c in pibar.coeffs[:d]] + [A.one()])
+                    for c in map(pibar.coeff, range(d))] + [A.one()])
 
 
 def random_multipoly(A, k: int, rng, max_deg: int = 2,

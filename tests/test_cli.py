@@ -163,6 +163,18 @@ def test_divide_at_the_table_bound():
     assert "verified=true ok=true" in out.stdout
 
 
+def test_residues_above_the_table_bound():
+    # F_{2^20} has no Zech tables: polynomial sums run digitwise on
+    # encodings, and the discrete logs of the printed residues share one
+    # baby-step table.  0.8 s on a 2-core Xeon VM; the limit sits below
+    # the 12.9 s it took when every sum cost a discrete log
+    out = _cli_subprocess(["--format", "records", "--field", "ratfunc:1048576",
+                           "residues", "{t^2+t+1,t^2+1}"], timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert "{ff(2,20):g^349525}" in out.stdout
+    assert "{ff(2,20):g^699050}" in out.stdout
+
+
 def test_hilbert_and_oracle_agree(capsys):
     rc, h_out = run(capsys, ["--field", "padic:2", "hilbert", "-1", "-1"])
     assert rc == 0 and "1" in h_out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorforge.arith.factor import is_irreducible, poly_factor
-from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q
+from milnorforge.arith.finite_field import SCHOOLBOOK_LEN, ff_ctx, ff_ctx_q
 from milnorforge.arith.local import laurent_ctx
 from milnorforge.arith.poly import Poly, _power
 from milnorforge.errors import MilnorForgeError, ZeroPolynomial
@@ -184,8 +184,8 @@ def test_eval_and_compose_agree():
     f = P(k, [1, 2, 3])
     g = P(k, [4, 5])
     h = Poly.zero(k)  # f(g) by Horner's rule on polynomials
-    for c in reversed(f.coeffs):
-        h = h * g + Poly.const(k, c)
+    for i in range(f.degree, -1, -1):
+        h = h * g + Poly.const(k, f.coeff(i))
     for n in range(7):
         x = k.from_int(n)
         assert h.eval(x) == f.eval(g.eval(x))
@@ -298,3 +298,227 @@ def test_strip_rejects_zero_and_constant_inputs():
     for d in (Poly.zero(k), Poly.one(k), P(k, [2])):
         with pytest.raises(MilnorForgeError):
             x.strip(d)
+
+
+# --- encoded Poly against coefficientwise FFElement references -------------
+#
+# A reference polynomial is a list of FFElement coefficients, lowest degree
+# first, without trailing zeros.  The references restate each operation
+# coefficient by coefficient on FFElement arithmetic, independently of the
+# encoding kernels that a Poly over a finite field runs on.
+
+POLY_Q = (2, 3, 4, 8, 9, 25, 243, 256, 3 ** 11, 65537, 2 ** 20)
+UNTABLED_POLY_Q = (3 ** 11, 65537, 2 ** 20)  # above TABLE_BOUND
+
+
+def ref_trim(r):
+    r = list(r)
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
+
+
+def ref_add(k, r, s):
+    n = max(len(r), len(s))
+    pad = [k.zero()] * n
+    return ref_trim([a + b for a, b in zip((r + pad)[:n], (s + pad)[:n])])
+
+
+def ref_neg(r):
+    return [-a for a in r]
+
+
+def ref_mul(k, r, s):
+    if not r or not s:
+        return []
+    out = [k.zero()] * (len(r) + len(s) - 1)
+    for i, a in enumerate(r):
+        for j, b in enumerate(s):
+            out[i + j] = out[i + j] + a * b
+    return ref_trim(out)
+
+
+def ref_divmod(k, r, s):
+    rem, quot = list(r), [k.zero()] * max(len(r) - len(s) + 1, 0)
+    inv = s[-1].inverse()
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(s) - 1] * inv
+        quot[i] = c
+        for j, b in enumerate(s):
+            rem[i + j] = rem[i + j] - c * b
+    return ref_trim(quot), ref_trim(rem[:len(s) - 1] if quot else rem)
+
+
+def ref_monic(r):
+    if not r:
+        return r
+    inv = r[-1].inverse()
+    return [a * inv for a in r]
+
+
+def ref_xgcd(k, r, s):
+    a, b = r, s
+    sa, sb, ta, tb = [k.one()], [], [], [k.one()]
+    while b:
+        q, rem = ref_divmod(k, a, b)
+        a, b = b, rem
+        sa, sb = sb, ref_add(k, sa, ref_neg(ref_mul(k, q, sb)))
+        ta, tb = tb, ref_add(k, ta, ref_neg(ref_mul(k, q, tb)))
+    if not a:
+        return a, sa, ta
+    c = [a[-1].inverse()]
+    return ref_monic(a), ref_mul(k, sa, c), ref_mul(k, ta, c)
+
+
+def ref_det(k, rows):
+    """Determinant by Gaussian elimination over the field."""
+    rows = [list(row) for row in rows]
+    det = k.one()
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows))
+                    if not rows[i][col].is_zero()), None)
+        if piv is None:
+            return k.zero()
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+def ref_resultant(k, r, s):
+    """The determinant of the Sylvester matrix (rows high degree first)."""
+    if not r or not s:
+        return k.zero()
+    m, n = len(r) - 1, len(s) - 1
+    ra, sb = r[::-1], s[::-1]
+    z = [k.zero()]
+    return ref_det(k, [z * i + ra + z * (n - 1 - i) for i in range(n)]
+                   + [z * i + sb + z * (m - 1 - i) for i in range(m)])
+
+
+def ref_eval(k, r, x):
+    acc = k.zero()
+    for a in reversed(r):
+        acc = acc * x + a
+    return acc
+
+
+def ref_derivative(k, r):
+    out = []
+    for i, a in enumerate(r[1:], 1):
+        acc = k.zero()
+        for _ in range(i):
+            acc = acc + a
+        out.append(acc)
+    return ref_trim(out)
+
+
+def ref_serialize(r):
+    if not r:
+        return "0"
+    return " + ".join(a.serialize() if i == 0 else f"{a.serialize()}*t^{i}"
+                      for i, a in enumerate(r) if not a.is_zero())
+
+
+def _ref_polys(k, rng, count, max_deg):
+    """Zero, a constant, random references with zero coefficients, and a
+    product with a repeated factor, so gcds and strips are nontrivial."""
+    def rand(deg):
+        return [k.random_element(rng) for _ in range(deg)] \
+            + [k.random_nonzero(rng)]
+    refs = [[], rand(0)] + [rand(rng.randint(1, max_deg)) for _ in range(count)]
+    common = rand(1)
+    refs.append(ref_mul(k, ref_mul(k, refs[-1], common), common))
+    refs.append(ref_mul(k, rand(1), common))
+    return refs
+
+
+def assert_poly(k, f, r):
+    assert f.coeffs == tuple(a.enc for a in r)
+    assert f == Poly(k, r)
+
+
+@pytest.mark.parametrize("q", POLY_Q)
+def test_poly_operations_match_references(q):
+    k = ff_ctx_q(q)
+    rng = random.Random(4000 + q)
+    small = q in UNTABLED_POLY_Q  # every FFElement sum there costs a dlog
+    refs = _ref_polys(k, rng, 1 if small else 3, 2 if small else 5)
+    if small:
+        refs = refs[:1] + refs[2:]
+    polys = [Poly(k, r) for r in refs]
+    points = [k.zero(), k.one(), k.random_nonzero(rng)]
+    for f, r in zip(polys, refs):
+        assert_poly(k, f, r)
+        assert_poly(k, -f, ref_neg(r))
+        assert_poly(k, f.derivative(), ref_derivative(k, r))
+        assert_poly(k, f.monic(), ref_monic(r))
+        assert f.serialize() == ref_serialize(r)
+        assert [f.coeff(i) for i in range(len(r) + 1)] == r + [k.zero()]
+        for x in points:
+            assert f.eval(x) == ref_eval(k, r, x)
+        if r:
+            assert f.lc == r[-1]
+            c = k.random_nonzero(rng)
+            assert_poly(k, f.scale(c), ref_mul(k, r, [c]))
+        for g, s in zip(polys, refs):
+            assert_poly(k, f + g, ref_add(k, r, s))
+            assert_poly(k, f - g, ref_add(k, r, ref_neg(s)))
+            assert_poly(k, f * g, ref_mul(k, r, s))
+            assert_poly(k, f.gcd(g), ref_xgcd(k, r, s)[0])
+            for got, want in zip(f.xgcd(g), ref_xgcd(k, r, s)):
+                assert_poly(k, got, want)
+            assert f.resultant(g) == ref_resultant(k, r, s)
+            if not s:
+                continue
+            quot, rem = divmod(f, g)
+            want_q, want_r = ref_divmod(k, r, s)
+            assert_poly(k, quot, want_q)
+            assert_poly(k, rem, want_r)
+            for e in (0, 1, 3):
+                want = [k.one()]
+                for _ in range(e):
+                    want = ref_divmod(k, ref_mul(k, want, r), s)[1]
+                assert_poly(k, f.pow_mod(e, g), want)
+            if r and len(s) > 1:
+                v, rest = 0, r
+                while True:
+                    quot_r, rem_r = ref_divmod(k, rest, s)
+                    if rem_r:
+                        break
+                    v, rest = v + 1, quot_r
+                got_v, got_rest = f.strip(g)
+                assert got_v == v
+                assert_poly(k, got_rest, rest)
+
+
+@pytest.mark.parametrize("q", POLY_Q)
+def test_poly_products_match_references_across_the_schoolbook_bound(q):
+    # mul_vec multiplies schoolbook up to SCHOOLBOOK_LEN * f coefficients
+    # and by Kronecker substitution above; untabled extension fields always
+    # take the Kronecker product
+    k = ff_ctx_q(q)
+    rng = random.Random(5000 + q)
+    edge = SCHOOLBOOK_LEN * k.f
+    lengths = (1, 3) if q in UNTABLED_POLY_Q else (1, 3, edge, edge + 1)
+    for la in lengths:
+        for lb in lengths:
+            r, s = ([k.random_element(rng) for _ in range(n - 1)]
+                    + [k.random_nonzero(rng)] for n in (la, lb))
+            assert_poly(k, Poly(k, r) * Poly(k, s), ref_mul(k, r, s))
+
+
+def test_poly_equality_tells_fields_apart():
+    # equal encodings over different fields: (1, 1) is 1 + t over F_3 and
+    # over F_9, two different polynomials
+    a, b = Poly.from_ints(ff_ctx(3), [1, 1]), Poly.from_ints(ff_ctx(3, 2), [1, 1])
+    assert a.coeffs == b.coeffs
+    assert a != b and b != a
+    assert len({a, b}) == 2
+    assert a == Poly.from_ints(ff_ctx(3), [4, 1])
+    assert len({a, Poly.from_ints(ff_ctx(3), [4, 1])}) == 1

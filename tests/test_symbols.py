@@ -331,8 +331,6 @@ A = padic_ctx(5, 8)
 expect("variable count", BadInput, lambda: MultiPoly(A, 3, {}))
 expect("exponent length", BadInput,
        lambda: MultiPoly(A, 1, {(1, 2): A.one()}))
-expect("Poly view", BadInput,
-       lambda: MultiPoly(A, 2, {(1, 0): A.one()}).to_poly())
 expect("local model", BadInput, lambda: LocalFieldCtx("real", k, 8))
 
 bad = copy.copy(k)

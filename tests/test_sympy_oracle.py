@@ -25,12 +25,12 @@ MAX_DEGREE = 8
 
 
 def to_sympy(f: Poly, p: int):
-    return sympy.Poly([c.as_int() for c in reversed(f.coeffs)], X,
-                      modulus=p)
+    return sympy.Poly(list(reversed(f.coeffs)), X, modulus=p)
 
 
 def ints(f: Poly) -> list:
-    return [c.as_int() for c in f.coeffs]
+    # over F_p a Poly stores its coefficients as their integers 0..p-1
+    return list(f.coeffs)
 
 
 def sympy_ints(g, p: int) -> list:
