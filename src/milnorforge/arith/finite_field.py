@@ -1,4 +1,4 @@
-"""Finite fields F_{p^f} with elements kept in discrete-log form.
+"""Finite fields F_{p^f}, their elements stored as integer encodings.
 
 A field context fixes, deterministically for every (p, f):
 
@@ -10,20 +10,20 @@ A field context fixes, deterministically for every (p, f):
   arithmetic of its own beyond encodings,
 * the generator: the primitive element with smallest encoding.
 
-Elements are stored as ZERO or as an exponent e of the generator.  Nonzero
-elements also have an "encoding", the integer c0 + c1*p + ... of the
-coefficient vector of the representing polynomial.  Multiplication and
-negation work on exponents (-1 = g^((q-1)/2) for odd p, -1 = 1 in
-characteristic 2).  For p^f <= 2^16 exp/log tables and a Zech table
-zech[k] = log(1 + g^k) are built once, so addition works on exponents too:
-g^a + g^b = g^(a + zech[b - a]) (Huber, "Some comments on Zech's logarithms",
-IEEE Trans. IT 36(4), 1990).  Larger fields add encodings digit by digit,
-multiply them as digit polynomials and take baby-step/giant-step discrete
-logs, whose baby steps are built once per field.
+An element is its "encoding", the integer c0 + c1*p + ... of the
+coefficient vector of its representing polynomial, 0 for zero.  An
+FFElement is a view over one encoding, and serialize() prints it as g^e,
+its discrete log.  For p^f <= 2^16 exp/log tables and a Zech table
+zech[k] = log(1 + g^k) are built once, so products and sums of encodings
+go through exponents: g^a + g^b = g^(a + zech[b - a]) (Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990); -1 is
+g^((q-1)/2) for odd p and 1 in characteristic 2.  Larger fields add
+encodings digit by digit, multiply them as digit polynomials and take
+baby-step/giant-step discrete logs, whose baby steps are built once per
+field.
 
-Laurent series and polynomials over the field keep their coefficients as
-encodings and build FFElements only at their API edge.  The kernels on
-lists of encodings are theirs: add_vec, neg_vec, scale_vec, mul_trunc and
+FFElements, Laurent series and polynomials over the field all run on its
+kernels on encodings: add_vec, neg_vec, scale_vec, mul_trunc and
 mul_vec for products, divmod_vec and gcd_vec (schoolbook division and
 Euclid's remainders; von zur Gathen and Gerhard, Modern Computer Algebra,
 ch. 2-3), eval_enc, and the scalars inv_enc, mul_enc and pow_enc.  They
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import FieldTooLarge, NotAUnit, NotPrime, SelfCheckFailed, ZeroElement
+from ..errors import FieldTooLarge, NotAUnit, NotPrime, SelfCheckFailed
 from .factor import is_irreducible
 from .poly import Poly, _power
 
@@ -424,17 +424,10 @@ class FiniteFieldCtx:
         if len(zech) != n or zech.count(None) != 1 or zech[self.half] is not None:
             raise SelfCheckFailed("Zech table has 1 + g^k = 0 away from g^k = -1")
 
-    # --- encoding <-> exponent ------------------------------------------
-
-    def enc_of_exp(self, e: int) -> int:
-        if self.exp is not None:
-            return self.exp[e % (self.q - 1)]
-        return self.pow_enc(self.generator_enc, e % (self.q - 1))
+    # --- discrete logs ---------------------------------------------------
 
     def dlog_enc(self, enc: int) -> int:
         """Discrete log of a nonzero encoding."""
-        if enc == 0:
-            raise ZeroElement("dlog of zero")
         if self.log is not None:
             return self.log[enc]
         # baby-step/giant-step; the baby steps g^j, j < m, and the giant
@@ -456,55 +449,46 @@ class FiniteFieldCtx:
             cur = self.mul_enc(cur, gm_inv)
         raise SelfCheckFailed(f"no discrete log of {enc} in F_{self.q}^x")
 
-    def add_exp(self, a: int | None, b: int | None) -> "FFElement":
-        """g^a + g^b for exponents in [0, q-2], None standing for zero."""
-        if a is None:
-            return FFElement(self, b)
-        if b is None:
-            return FFElement(self, a)
-        zech = self.zech
-        if zech is None:
-            return self.from_enc(self.add_enc(self.enc_of_exp(a), self.enc_of_exp(b)))
-        z = zech[b - a]  # b - a in (-(q-1), q-1): a negative index wraps mod q-1
-        return FFElement(self, None if z is None else a + z)
-
     # --- element factories ----------------------------------------------
 
     def zero(self) -> "FFElement":
-        return FFElement(self, None)
-
-    def one(self) -> "FFElement":
         return FFElement(self, 0)
 
+    def one(self) -> "FFElement":
+        return FFElement(self, 1)
+
     def gen(self) -> "FFElement":
-        return FFElement(self, 1 % (self.q - 1))
+        return FFElement(self, self.generator_enc)
 
     def minus_one(self) -> "FFElement":
-        return FFElement(self, self.half)
+        return FFElement(self, self.p - 1)  # digit 0 is p - 1, the rest 0
 
     def from_enc(self, enc: int) -> "FFElement":
-        if enc == 0:
-            return self.zero()
-        return FFElement(self, self.dlog_enc(enc))
+        return FFElement(self, enc)
 
     def from_int(self, n: int) -> "FFElement":
         """Embed an integer via the prime subfield."""
-        return self.from_enc(n % self.p)
+        return FFElement(self, n % self.p)
 
     def from_exp(self, e: int) -> "FFElement":
-        return FFElement(self, e % (self.q - 1))
+        """g^e, for any integer e."""
+        e %= self.q - 1
+        return FFElement(self, self.pow_enc(self.generator_enc, e))
 
     def elements(self):
+        """Zero, then g^0, g^1, ..., g^(q-2)."""
         yield self.zero()
-        for e in range(self.q - 1):
-            yield FFElement(self, e)
+        cur = 1
+        for _ in range(self.q - 1):
+            yield FFElement(self, cur)
+            cur = self.mul_enc(cur, self.generator_enc)
 
     def random_nonzero(self, rng) -> "FFElement":
-        return FFElement(self, rng.randrange(self.q - 1))
+        return self.from_exp(rng.randrange(self.q - 1))
 
     def random_element(self, rng) -> "FFElement":
         k = rng.randrange(self.q)
-        return self.zero() if k == 0 else FFElement(self, k - 1)
+        return self.zero() if k == 0 else self.from_exp(k - 1)
 
     # --- misc -------------------------------------------------------------
 
@@ -571,7 +555,7 @@ def ff_embedding(small: FiniteFieldCtx, big: FiniteFieldCtx):
         big, _enc_digits(small.generator_enc, small.p, small.f)).eval(h)
 
     def fn(x):
-        return big.zero() if x.e is None else gamma ** x.e
+        return big.zero() if x.is_zero() else gamma ** x.dlog()
     _embed_cache[key] = fn
     return fn
 
@@ -590,86 +574,73 @@ def _extension_points(k: FiniteFieldCtx):
 
 
 class FFElement:
-    """Element of F_{p^f}: zero, or generator^e with 0 <= e <= q-2."""
+    """Element of F_{p^f}, a view over its encoding (0 for zero); each
+    operation is one call to the field's encoding kernels."""
 
-    __slots__ = ("ctx", "e")
+    __slots__ = ("ctx", "enc")
 
-    def __init__(self, ctx: FiniteFieldCtx, e: int | None):
+    def __init__(self, ctx: FiniteFieldCtx, enc: int):
         self.ctx = ctx
-        self.e = e if e is None else e % (ctx.q - 1)
+        self.enc = enc
 
     # predicates
     def is_zero(self) -> bool:
-        return self.e is None
+        return not self.enc
 
     def is_one(self) -> bool:
-        return self.e == 0
-
-    @property
-    def enc(self) -> int:
-        if self.e is None:
-            return 0
-        return self.ctx.enc_of_exp(self.e)
+        return self.enc == 1
 
     # arithmetic
     def __add__(self, other: "FFElement") -> "FFElement":
-        return self.ctx.add_exp(self.e, other.e)
+        (enc,) = self.ctx.add_vec((self.enc,), (other.enc,))
+        return FFElement(self.ctx, enc)
 
     def __sub__(self, other: "FFElement") -> "FFElement":
         ctx = self.ctx
-        b = other.e
-        if b is not None:
-            b = (b + ctx.half) % (ctx.q - 1)
-        return ctx.add_exp(self.e, b)
+        (enc,) = ctx.add_vec((self.enc,), ctx.neg_vec((other.enc,)))
+        return FFElement(ctx, enc)
 
     def __neg__(self) -> "FFElement":
-        e = self.e
-        return FFElement(self.ctx, None if e is None else e + self.ctx.half)
+        return FFElement(self.ctx, self.ctx.neg_vec((self.enc,))[0])
 
     def __mul__(self, other: "FFElement") -> "FFElement":
-        if self.e is None or other.e is None:
-            return self.ctx.zero()
-        return FFElement(self.ctx, self.e + other.e)
+        return FFElement(self.ctx, self.ctx.mul_enc(self.enc, other.enc))
 
     def __truediv__(self, other: "FFElement") -> "FFElement":
         return self * other.inverse()
 
     def inverse(self) -> "FFElement":
-        if self.e is None:
+        if not self.enc:
             raise NotAUnit("zero has no inverse")
-        return FFElement(self.ctx, -self.e)
+        return FFElement(self.ctx, self.ctx.inv_enc(self.enc))
 
     def __pow__(self, k: int) -> "FFElement":
-        if self.e is None:
-            if k == 0:
-                return self.ctx.one()
-            if k < 0:
-                raise NotAUnit("zero has no inverse")
-            return self.ctx.zero()
-        return FFElement(self.ctx, self.e * k)
+        if k < 0:
+            return self.inverse() ** -k
+        return FFElement(self.ctx, self.ctx.pow_enc(self.enc, k))
 
     def dlog(self) -> int:
-        """Exponent with generator^dlog = self (elements store it directly)."""
-        if self.e is None:
+        """The e in [0, q-2] with generator^e = self."""
+        if not self.enc:
             raise NotAUnit("zero has no discrete logarithm")
-        return self.e
+        return self.ctx.dlog_enc(self.enc)
 
     # identity / hashing
     def __eq__(self, other):
         return (
             isinstance(other, FFElement)
+            and self.enc == other.enc
             and self.ctx == other.ctx
-            and self.e == other.e
         )
 
     def __hash__(self):
-        return hash(("ff", self.ctx.p, self.ctx.f, self.e))
+        return hash(("ff", self.ctx.p, self.ctx.f, self.enc))
 
     def serialize(self) -> str:
         ctx = self.ctx
-        if self.e is None:
+        if not self.enc:
             return f"ff({ctx.p},{ctx.f}):0"
-        return f"ff({ctx.p},{ctx.f}):g^{self.e}"
+        return f"ff({ctx.p},{ctx.f}):g^{self.dlog()}"
 
     def __repr__(self):
         return self.serialize()

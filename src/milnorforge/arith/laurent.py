@@ -4,12 +4,12 @@ A nonzero element is t^val * (c0 + c1 t + ... + c_{N-1} t^{N-1}) with
 c0 != 0 and N = prec the relative precision.  The unit is stored as the
 tuple of exactly N integer encodings of c0, ..., c_{N-1} (the digits
 d_0 + d_1 p + ... of each coefficient's representing polynomial, the
-numbers serialize() prints), so key() is the stored tuple and no FFElement
-is built inside the arithmetic.  FFElement objects appear only at the API
-edge: the public constructor and constant() take them, and
-LocalFieldCtx.residue returns one.  Zeros and precision follow the model
-shared with p-adic numbers (localnum.LocalNumber); this class keeps the
-digit arithmetic on encoding vectors.
+numbers serialize() prints and an FFElement stores), so key() is the
+stored tuple.  The public constructor and constant() take FFElements and
+keep their encodings, and LocalFieldCtx.residue wraps one.  Zeros and
+precision follow the model shared with p-adic numbers
+(localnum.LocalNumber); this class keeps the digit arithmetic on encoding
+vectors.
 
 All of it runs on the encoding kernels of FiniteFieldCtx: add_vec and
 neg_vec for sums and negation, inv_enc for a leading coefficient, and
@@ -78,19 +78,14 @@ class LaurentSeries(LocalNumber):
         return cls.zero(base, prec)
 
     @classmethod
-    def constant_enc(cls, base: FiniteFieldCtx, enc: int,
-                     prec: int) -> "LaurentSeries":
-        if enc == 0:
-            return cls.zero(base, prec)
-        return cls.from_encs(base, prec, 0, (enc,) + (0,) * (prec - 1))
-
-    @classmethod
     def constant(cls, c: FFElement, prec: int) -> "LaurentSeries":
-        return cls.constant_enc(c.ctx, c.enc, prec)
+        if c.is_zero():
+            return cls.zero(c.ctx, prec)
+        return cls.from_encs(c.ctx, prec, 0, (c.enc,) + (0,) * (prec - 1))
 
     @classmethod
     def from_int(cls, base: FiniteFieldCtx, prec: int, n: int) -> "LaurentSeries":
-        return cls.constant_enc(base, n % base.p, prec)
+        return cls.constant(base.from_int(n), prec)
 
     def ring(self):
         return self.base
@@ -167,8 +162,8 @@ class LaurentSeries(LocalNumber):
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, lambda: LaurentSeries.constant_enc(
-            self.base, 1, self.prec))
+        return _power(self, k, lambda: LaurentSeries.constant(
+            self.base.one(), self.prec))
 
     def key(self) -> tuple:
         """(prec, val, the stored encodings): equal exactly when

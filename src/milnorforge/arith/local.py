@@ -281,7 +281,7 @@ def teichmuller(ctx: LocalFieldCtx, x):
     if x.is_zero() or x.val != 0:
         raise NotAUnit("Teichmuller representative needs a unit")
     if ctx.model == LAURENT:
-        return LaurentSeries.constant_enc(x.base, x.coeffs[0], x.prec)
+        return LaurentSeries.constant(ctx.residue(x), x.prec)
     # omega = lim x^(p^k); each Frobenius step fixes one more digit
     y = x
     for _ in range(x.prec):

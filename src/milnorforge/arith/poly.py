@@ -6,11 +6,12 @@ F_q[[t]], which keeps gcds and resultants uniform across the package.  It
 has two stored forms, chosen by the context's ``encoded`` flag:
 
 * over a finite field (FiniteFieldCtx) the coefficients are int encodings
-  c0 + c1 p + ..., the numbers LaurentSeries and serialize() use, and the
-  ring operations run on the field's encoding kernels (add_vec, mul_vec,
-  divmod_vec, gcd_vec, ...).  FFElements appear only at the API edge: the
-  constructor takes them, and coeff(), lc, eval() and serialize() give
-  them.  A polynomial hashes from its field and its encodings;
+  c0 + c1 p + ..., the numbers an FFElement stores, and the ring
+  operations run on the field's encoding kernels (add_vec, mul_vec,
+  divmod_vec, gcd_vec, ...).  The constructor takes FFElements and keeps
+  their encodings; coeff(), lc and eval() wrap an encoding back in one.
+  The rest is written once for every field.  A polynomial hashes from its
+  field and its encodings;
 * over any other context the coefficients are the context's elements,
   which need +, -, *, inverse(), is_zero(), is_one() and a hash that agrees
   with their ==, and the context needs zero()/one() factories.  Their
@@ -18,9 +19,9 @@ has two stored forms, chosen by the context's ``encoded`` flag:
 
 ``_power`` is the package's one square-and-multiply: the powers of
 polynomials (also mod a polynomial), of Laurent series, of quotient-field
-elements and of finite-field encodings, and the three powers inside
-``Poly.resultant``, all go through it.  ``Poly.strip`` is the one loop that
-peels powers of a divisor: valuations at places and factor multiplicities.
+elements and of finite-field encodings all go through it.  ``Poly.strip``
+is the one loop that peels powers of a divisor: valuations at places and
+factor multiplicities.
 """
 
 from __future__ import annotations
@@ -96,21 +97,15 @@ class Poly:
 
     @classmethod
     def one(cls, ctx) -> "Poly":
-        if ctx.encoded:
-            return cls.from_encs(ctx, (1,))
         return cls(ctx, (ctx.one(),))
 
     @classmethod
     def x(cls, ctx) -> "Poly":
-        if ctx.encoded:
-            return cls.from_encs(ctx, (0, 1))
         return cls(ctx, (ctx.zero(), ctx.one()))
 
     @classmethod
     def from_ints(cls, ctx, ints) -> "Poly":
         """Integer coefficients, embedded through the prime subfield."""
-        if ctx.encoded:
-            return cls.from_encs(ctx, [n % ctx.p for n in ints])
         return cls(ctx, [ctx.from_int(n) for n in ints])
 
     # --- basic queries ----------------------------------------------------
@@ -202,11 +197,6 @@ class Poly:
     def monic_with(self, other: "Poly"):
         """(self / lc(self), other / lc(self)) for nonzero self: a fraction
         other/self rewritten over a monic denominator."""
-        ctx = self.ctx
-        if ctx.encoded:
-            inv = ctx.inv_enc(self.coeffs[-1])
-            return (Poly.from_encs(ctx, ctx.scale_vec(self.coeffs, inv)),
-                    Poly.from_encs(ctx, ctx.scale_vec(other.coeffs, inv)))
         inv = self.lc.inverse()
         return self.scale(inv), other.scale(inv)
 
@@ -285,9 +275,8 @@ class Poly:
     def map_coeffs(self, fn, new_ctx=None) -> "Poly":
         """fn applied to every coefficient as an element (an FFElement over
         a finite field)."""
-        ctx = self.ctx
-        src = map(ctx.from_enc, self.coeffs) if ctx.encoded else self.coeffs
-        return Poly(new_ctx or ctx, [fn(c) for c in src])
+        return Poly(new_ctx or self.ctx,
+                    [fn(self.coeff(i)) for i in range(len(self.coeffs))])
 
     # --- gcd / resultant --------------------------------------------------
 
@@ -313,12 +302,8 @@ class Poly:
             ta, tb = tb, ta - q * tb
         if a.is_zero():
             return a, sa, ta
-        if ctx.encoded:
-            cinv = Poly.from_encs(ctx, (ctx.inv_enc(a.coeffs[-1]),))
-            return a * cinv, sa * cinv, ta * cinv
         inv = a.lc.inverse()
-        cinv = Poly.const(ctx, inv)
-        return a.scale(inv), sa * cinv, ta * cinv
+        return a.scale(inv), sa.scale(inv), ta.scale(inv)
 
     def resultant(self, other: "Poly"):
         """Res(self, other) as a coefficient-field element (Euclidean)."""
@@ -326,26 +311,19 @@ class Poly:
         a, b = self, other
         if a.is_zero() or b.is_zero():
             return ctx.zero()
-        if ctx.encoded:  # on encodings, one FFElement at the end
-            one, mul = (lambda: 1), ctx.mul_enc
-            neg, out = (lambda c: ctx.neg_vec((c,))[0]), ctx.from_enc
-        else:
-            one, mul = ctx.one, operator.mul
-            neg, out = operator.neg, (lambda c: c)
-        res = one()
+        res = ctx.one()
         while True:
             if b.degree == 0:
-                # Res(a, c) = c^deg(a)
-                return out(mul(res, _power(b.coeffs[0], a.degree, one, mul)))
+                return res * b.lc ** a.degree  # Res(a, c) = c^deg(a)
             r = a % b
             if r.is_zero():
                 if a.degree == 0:
-                    return out(mul(res, _power(a.coeffs[0], b.degree, one, mul)))
+                    return res * a.lc ** b.degree
                 return ctx.zero()
             # Res(a,b) = (-1)^{da db} lc(b)^{da - dr} Res(b, r)
-            res = mul(res, _power(b.coeffs[-1], a.degree - r.degree, one, mul))
+            res = res * b.lc ** (a.degree - r.degree)
             if a.degree * b.degree % 2:
-                res = neg(res)
+                res = -res
             a, b = b, r
 
     # --- identity ---------------------------------------------------------
@@ -366,14 +344,10 @@ class Poly:
     def serialize(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
-        ctx = self.ctx
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if ctx.encoded:
-                if not c:
-                    continue
-                c = ctx.from_enc(c)
-            elif c.is_zero():
+        for i in range(len(self.coeffs)):
+            c = self.coeff(i)
+            if c.is_zero():
                 continue
             cs = c.serialize() if hasattr(c, "serialize") else str(c)
             if i == 0:

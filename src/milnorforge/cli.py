@@ -357,11 +357,11 @@ def _parse_ff(kappa, s: str):
     s = s.strip()
     if s.lstrip("-").isdigit():  # '²' and 5,000 digits pass isdigit
         return kappa.from_int(parse_int(s, "residue-field element"))
-    if s.startswith(f"ff({kappa.p},{kappa.f}):"):
-        tail = s.split(":", 1)[1]
-        if tail == "0":
-            return kappa.zero()
-        return kappa.from_exp(parse_int(tail[2:], f"element {s!r}"))
+    head = f"ff({kappa.p},{kappa.f}):"
+    if s == head + "0":
+        return kappa.zero()
+    if s.startswith(head + "g^"):
+        return kappa.from_exp(parse_int(s[len(head) + 2:], f"element {s!r}"))
     raise BadInput(f"cannot parse residue-field element {s!r}")
 
 

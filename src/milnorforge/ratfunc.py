@@ -302,16 +302,15 @@ MAX_DIVISOR_CANDIDATES = 5000
 
 
 def ff_sqrt(e):
-    """A square root in F_q, or None; exact via discrete logs."""
+    """A square root in F_q, or None: e^(q/2) in characteristic 2, where
+    squaring is onto, and g^(d/2) for e = g^d with d even otherwise."""
     ctx = e.ctx
+    if ctx.q % 2 == 0:
+        return e ** (ctx.q // 2)
     if e.is_zero():
         return e
     d = e.dlog()
-    if d % 2 == 0:
-        return ctx.from_exp(d // 2)
-    if ctx.q % 2 == 0:  # odd group order: 2 is invertible
-        return ctx.from_exp((d * (ctx.q // 2)) % (ctx.q - 1))
-    return None
+    return ctx.from_exp(d // 2) if d % 2 == 0 else None
 
 
 def ratfunc_sqrt(x: RatFuncElem):
@@ -343,8 +342,9 @@ def _ratfunc_root(f: Poly):
 
     Linear and (odd q) quadratic cases are closed-form; otherwise a
     rational root search: clear denominators to land in F_q[t][X]; any
-    root r/s has r dividing the constant and s the leading coefficient
-    up to F_q^* scalars, all enumerable through univariate factorization.
+    root lam*r/s has monic r dividing the constant and monic s the leading
+    coefficient, all enumerable through univariate factorization, and the
+    scalars lam of each pair are roots of one polynomial over F_q.
     """
     F: RatFuncCtx = f.ctx
     base = F.base
@@ -382,18 +382,28 @@ def _ratfunc_root(f: Poly):
         return divs
 
     nums, dens = monic_divisors(ints[0]), monic_divisors(ints[-1])
-    units = [e for e in base.elements() if not e.is_zero()]
-    seen = set()
     for r in nums:
         for s in dens:
-            for lam in units:
+            for lam in _scalar_roots([a * r ** i * s ** (f.degree - i)
+                                      for i, a in enumerate(ints)]):
                 cand = RatFuncElem(F, r.scale(lam), s)
-                if cand in seen:
-                    continue
-                seen.add(cand)
                 if f.eval(cand).is_zero():
                     return cand
     return None
+
+
+def _scalar_roots(terms: list[Poly]) -> list:
+    """The lam in F_q^x with sum lam^i terms[i] = 0 in F_q[t], in dlog order.
+
+    Each t-coefficient of the sum is a polynomial in lam, so the lam are
+    the roots of their gcd, read off its linear factors; terms[0] != 0
+    keeps lam = 0 out."""
+    base = terms[0].ctx
+    g = Poly.zero(base)
+    for j in range(max(p.degree for p in terms) + 1):
+        g = g.gcd(Poly(base, [p.coeff(j) for p in terms]))
+    return sorted((-irr.coeff(0) for irr, _ in poly_factor(g)
+                   if irr.degree == 1), key=lambda lam: lam.dlog())
 
 
 def monic_irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:

@@ -1,5 +1,6 @@
 """Finite field contexts: table construction, arithmetic, discrete logs."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -33,6 +34,11 @@ from milnorforge.symbols import ff_kgroup, symbol
 
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+def exponent(x):
+    """The discrete log of x, None for zero."""
+    return None if x.is_zero() else x.dlog()
 
 
 def neg_enc(k, a: int) -> int:
@@ -143,8 +149,8 @@ def test_f2_needs_no_branch_of_its_own():
     # vector of any class is [0]
     k = ff_ctx(2)
     assert k.generator_enc == 1 and k.gen().is_one()
-    assert [FFElement(k, e).e for e in (-3, 0, 1, 5)] == [0] * 4
-    assert [x.e for x in k.elements()] == [None, 0]
+    assert [k.from_exp(e).dlog() for e in (-3, 0, 1, 5)] == [0] * 4
+    assert [exponent(x) for x in k.elements()] == [None, 0]
     for n in range(1, 5):
         assert ff_kgroup(2, n).vector_of(symbol(k, [k.one()] * n)) == [0]
         assert ff_kgroup(2, n).invariant_factors == []
@@ -212,6 +218,121 @@ def test_untabled_field_arithmetic_on_sample_pairs(q):
             assert (x - y).as_int() == (a - b) % q
 
 
+class ExponentForm:
+    """F_q in the layout FFElement once stored: None for zero, else the
+    exponent e in [0, q-2] of g^e.  Products, inverses, powers and
+    negation work on exponents (-1 = g^((q-1)/2), or 1 in characteristic
+    2).  Encodings come from square-and-multiply on digit vectors mod the
+    pinned modulus, written here, and sums are added digit by digit."""
+
+    def __init__(self, k):
+        self.k, self.n = k, k.q - 1
+        self.half = self.n // 2 if k.p != 2 else 0
+        self._digits = {}
+
+    def mul(self, a, b):
+        return None if a is None or b is None else (a + b) % self.n
+
+    def neg(self, a):
+        return None if a is None else (a + self.half) % self.n
+
+    def pow(self, a, e):
+        if a is None:
+            return 0 if e == 0 else None
+        return a * e % self.n
+
+    def _digit_mul(self, x, y):
+        p, f, m = self.k.p, self.k.f, self.k.modulus
+        res = [0] * (2 * f - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                res[i + j] += xi * yj
+        for i in range(2 * f - 2, f - 1, -1):  # X^f = -(m_0 + ... )
+            c, res[i] = res[i] % p, 0
+            for j in range(f):
+                res[i - f + j] -= c * m[j]
+        return [r % p for r in res[:f]]
+
+    def digits(self, a):
+        p, f = self.k.p, self.k.f
+        if a is None:
+            return [0] * f
+        if a not in self._digits:
+            g, acc = _enc_digits(self.k.generator_enc, p, f), [1] + [0] * (f - 1)
+            for bit in bin(a)[2:]:
+                acc = self._digit_mul(acc, acc)
+                if bit == "1":
+                    acc = self._digit_mul(acc, g)
+            self._digits[a] = acc
+        return self._digits[a]
+
+    def enc(self, a):
+        return sum(d * self.k.p ** i for i, d in enumerate(self.digits(a)))
+
+    def add_enc(self, a, b):
+        p = self.k.p
+        return sum((x + y) % p * p ** i
+                   for i, (x, y) in enumerate(zip(self.digits(a), self.digits(b))))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 243, 256, 65537, 3 ** 11, 2 ** 20])
+def test_ffelement_matches_the_exponent_form(q):
+    k = ff_ctx_q(q)
+    ref = ExponentForm(k)
+    n, p, f = ref.n, k.p, k.f
+    rng = random.Random(q)
+    if q <= 16:
+        exps = [None] + list(range(n))
+    else:
+        exps = [None, 0, 1, ref.half, n - 1] + [rng.randrange(n) for _ in range(8)]
+    elems = [k.zero() if a is None else k.from_exp(a) for a in exps]
+    for x, a in zip(elems, exps):
+        assert isinstance(x, FFElement) and x.enc == ref.enc(a)
+        assert exponent(x) == a
+        assert x.serialize() == (f"ff({p},{f}):0" if a is None
+                                 else f"ff({p},{f}):g^{a}")
+        twin = k.from_enc(ref.enc(a))
+        assert twin == x and hash(twin) == hash(x)
+        assert (-x).enc == ref.enc(ref.neg(a))
+        for e in (-5, -1, 0, 1, 2, 7, n, n + 3):
+            if a is None and e < 0:
+                with pytest.raises(NotAUnit):
+                    x ** e
+            else:
+                assert (x ** e).enc == ref.enc(ref.pow(a, e))
+        if a is None:
+            for op in (x.inverse, x.dlog, lambda: k.one() / x):
+                with pytest.raises(NotAUnit):
+                    op()
+        else:
+            assert x.inverse().enc == ref.enc(-a % n)
+            for e in (a, a - n, a - 3 * n, a + 2 * n):  # negative exponents too
+                assert k.from_exp(e) == x and k.from_exp(e).dlog() == a
+        for y, b in zip(elems, exps):
+            assert (x == y) == (a == b)
+            assert (x * y).enc == ref.enc(ref.mul(a, b))
+            assert (x + y).enc == ref.add_enc(a, b)
+            assert (x - y).enc == ref.add_enc(a, ref.neg(b))
+            assert x + y == y + x and hash(x + y) == hash(y + x)
+            if b is not None:
+                assert (x / y).enc == ref.enc(ref.mul(a, -b % n))
+    assert k.minus_one().enc == ref.enc(ref.half)
+    assert k.minus_one() == -k.one() and (k.minus_one() ** 2).is_one()
+    assert [exponent(x) for x in itertools.islice(k.elements(), 6)] == \
+        [None] + list(range(min(5, n)))
+    if q <= 256:
+        assert [exponent(x) for x in k.elements()] == [None] + list(range(n))
+    # the seeded draws of the exponent form: g^randrange(q-1), and zero
+    # for randrange(q) == 0, else g^(that - 1)
+    r1, r2 = random.Random(7), random.Random(7)
+    nonzero = [k.random_nonzero(r1) for _ in range(20)]
+    assert [x.enc for x in nonzero] == [ref.enc(r2.randrange(n)) for _ in range(20)]
+    drawn = [k.random_element(r1) for _ in range(20)]
+    want = [r2.randrange(q) for _ in range(20)]
+    assert [x.enc for x in drawn] == [ref.enc(None if w == 0 else w - 1)
+                                      for w in want]
+
+
 def test_ff_ctx_is_one_object_per_field_and_q_is_bounded():
     # LocalFieldCtx compares residue fields by identity, so ff_ctx(3) and
     # ff_ctx(3, 1) must be one object
@@ -241,7 +362,7 @@ def test_extension_points_walk_each_point_once_in_order(q):
                      for i in range(1, j) if j % i == 0]
         expected = ([None] if j == 1 else []) + [
             e for e in range(q ** j - 1) if all(e % m for m in cofactors)]
-        assert [c.e for _, _, c in level] == expected
+        assert [exponent(c) for _, _, c in level] == expected
 
 
 # (p, f) -> (modulus, generator_enc) as first published; every ff(p,f):g^e

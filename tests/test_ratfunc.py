@@ -215,6 +215,13 @@ def test_square_roots():
     F = F3t()
     t = F.gen()
     assert ff_sqrt(k.from_int(1)) == k.from_int(1)
+    for q in (2, 4, 8, 9, 25):
+        elems = list(ff_ctx_q(q).elements())
+        squares = {y * y for y in elems}
+        for x in elems:
+            r = ff_sqrt(x)
+            assert (r is None) == (x not in squares)
+            assert r is None or r * r == x
     r = ratfunc_sqrt(t * t)
     assert r * r == t * t
     assert ratfunc_sqrt(t) is None
