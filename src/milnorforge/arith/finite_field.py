@@ -23,13 +23,19 @@ baby-step/giant-step discrete logs, whose baby steps are built once per
 field.
 
 FFElements, Laurent series and polynomials over the field all run on its
-kernels on encodings: add_vec, neg_vec, scale_vec, mul_trunc and
-mul_vec for products, divmod_vec and gcd_vec (schoolbook division and
-Euclid's remainders; von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 2-3), eval_enc, and the scalars inv_enc, mul_enc and pow_enc.  They
-use plain integer arithmetic mod p in prime fields, the tables where they
-exist, and add_enc and the digit product above TABLE_BOUND, so no sum
-costs a discrete log.  No field has more than FIELD_BOUND
+kernels on encodings: add_vec, neg_vec, scale_vec, mul_trunc, divmod_vec
+and gcd_vec (schoolbook division and Euclid's remainders; von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 2-3), eval_enc, and the scalars
+inv_enc, mul_enc and pow_enc.  They use plain integer arithmetic mod p in
+prime fields, the tables where they exist, and add_enc and the digit
+product above TABLE_BOUND, so no sum costs a discrete log.  mul_trunc,
+the first n coefficients of a product, is the one product kernel: a
+Laurent product is truncated at its precision and a Poly product is the
+whole one.  It is schoolbook while one factor has at most
+SCHOOLBOOK_LEN * f nonzero terms (ch. 8 there: the classical product wins
+below a crossover) and Kronecker substitution above (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symb. Comput. 44, 2009).  No field has more than FIELD_BOUND
 elements.  ``_extension_points`` is the one walk over
 F_q and its small extensions that every specialization test consumes;
 ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
@@ -44,12 +50,18 @@ from .factor import is_irreducible
 from .poly import Poly, _power
 
 TABLE_BOUND = 1 << 16
-# mul_vec multiplies schoolbook while one factor has at most this many
-# coefficients times f, by Kronecker substitution above: the packing grows
-# with f, the Zech schoolbook does not.  Equal-length crossovers measured at
-# 6-16 coefficients for f = 1 (p from 2 to 2^20-3), 8-20 for f = 2 (q = 4,
-# 9, 25, 49), 24 for q = 27, 32 for q = 16 and 32, and above 64 for
-# q = 243, above 96 for q = 256, above 128 for q = 3^10 and 2^16
+# mul_trunc multiplies schoolbook while the operand with fewer nonzero
+# terms has at most this many times f of them, by Kronecker substitution
+# above: the packing grows with f, the Zech schoolbook does not.  Dense
+# crossovers, truncated (n = len) and full products alike: 2-4 terms for
+# f = 1 (p = 2, 3, 5, 7, 65537), 8-10 for f = 2 (q = 4, 9, 25), 14-30 for
+# f = 3 (q = 8, 27) and about 64 for q = 243; a factor with k nonzero
+# terms among 32 or 64 crosses near k = 8 for f = 1 and 12 for f = 2.  No
+# c * f fits every f: c = 8 puts f = 3 at its crossover and costs up to
+# 1.6 times the Kronecker product on dense 5-8 term products over F_p,
+# and replaying the recorded kernel calls of local_certificates,
+# rational_ring and function_fields costs the same for every c from 2 to
+# 12, within 5 %
 SCHOOLBOOK_LEN = 8
 FIELD_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 3
@@ -174,8 +186,57 @@ class FiniteFieldCtx:
 
     def mul_trunc(self, a, b, n: int) -> list[int]:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for lists
-        of encodings a and b, as a list of n encodings, by Kronecker
-        substitution.
+        of encodings a and b, as a list of n encodings: the package's one
+        product kernel (a Poly product is the case n = len a + len b - 1).
+
+        Both operands are cut to n terms.  While the one with fewer
+        nonzero terms has at most SCHOOLBOOK_LEN * f of them, the product
+        is schoolbook, truncated at n and running over that factor's
+        nonzero terms only, so a one-term factor costs O(n): on integers
+        mod p in a prime field, on discrete logs with Zech sums in a tabled
+        extension field.  (Counting nonzero terms, not length, matters for
+        a Laurent series, whose tuple is padded with zeros to prec.)
+        Otherwise, and in every extension field past the tables, it is
+        _mul_kronecker's packed product.
+        """
+        a, b = a[:n], b[:n]
+        terms_a, terms = len(a) - a.count(0), len(b) - b.count(0)
+        if terms_a < terms:
+            a, b, terms = b, a, terms_a
+        f = self.f
+        if terms > SCHOOLBOOK_LEN * f:
+            return self._mul_kronecker(a, b, n)
+        if f == 1:
+            p = self.p
+            out = [0] * n
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a[:n - j], j):
+                        out[i] += x * y
+            return [c % p for c in out]
+        log = self.log
+        if log is None:
+            return self._mul_kronecker(a, b, n)
+        # sums of logs, accumulated in log form by Zech: None is zero
+        exp, zech, m = self.exp, self.zech, self.q - 1
+        la = [log[x] if x else None for x in a]
+        acc = [None] * n
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            ly = log[y]
+            for i, x in enumerate(la[:n - j], j):
+                if x is not None:
+                    c = acc[i]
+                    if c is None:
+                        acc[i] = x + ly
+                    else:
+                        z = zech[(x + ly - c) % m]
+                        acc[i] = None if z is None else c + z
+        return [0 if c is None else exp[c % m] for c in acc]
+
+    def _mul_kronecker(self, a, b, n: int) -> list[int]:
+        """mul_trunc by Kronecker substitution, for operands cut to n terms.
 
         Each coefficient of t^i is written as its F_p digit vector
         d_0 + d_1 X + ... + d_{f-1} X^(f-1), digits in [0, p).  Digit k goes
@@ -183,8 +244,8 @@ class FiniteFieldCtx:
         2f-1 slots: room for the X-degrees 0..2f-2 of a digit product.  One
         integer product then leaves in slot m*(2f-1) + s the sum of
         d_k(a_i) d_l(b_j) over i + j = m and k + l = s, as long as no slot
-        overflows into the next.  Only i, j < n matter, so the operands are
-        cut to n terms first; then at most min(len a, len b) pairs (i, j)
+        overflows into the next.  Only i, j < n matter and the operands
+        have at most n terms, so at most min(len a, len b) pairs (i, j)
         and at most f pairs (k, l) meet in a slot, each at most (p-1)^2, so
         a slot holds at most V = min(len a, len b) * f * (p-1)^2.
 
@@ -196,7 +257,6 @@ class FiniteFieldCtx:
         is the bit length of V * (1 + (f-1)(p-1)).  Only the f low slots of
         each t-degree below n are then read and reduced mod p.
         """
-        a, b = a[:n], b[:n]
         p, f = self.p, self.f
         bound = min(len(a), len(b)) * f * (p - 1) ** 2
         w = (bound * (1 + (f - 1) * (p - 1))).bit_length()
@@ -296,42 +356,6 @@ class FiniteFieldCtx:
             return [self.mul_enc(x, c) for x in a]
         exp, n, lc = self.exp, self.q - 1, log[c]
         return [exp[(log[x] + lc) % n] if x else 0 for x in a]
-
-    def mul_vec(self, a, b) -> list[int]:
-        """The product of two nonempty coefficient lists: schoolbook on
-        integers mod p or on discrete logs when one factor is short,
-        mul_trunc's Kronecker product otherwise and above the tables."""
-        n = len(a) + len(b) - 1
-        if min(len(a), len(b)) > SCHOOLBOOK_LEN * self.f:
-            return self.mul_trunc(a, b, n)
-        if self.f == 1:
-            p = self.p
-            out = [0] * n
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            return [c % p for c in out]
-        log = self.log
-        if log is None:
-            return self.mul_trunc(a, b, n)
-        # sums of logs, accumulated in log form by Zech: None is zero
-        exp, zech, m = self.exp, self.zech, self.q - 1
-        lb = [log[y] if y else None for y in b]
-        acc = [None] * n
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            lx = log[x]
-            for j, y in enumerate(lb, i):
-                if y is not None:
-                    c = acc[j]
-                    if c is None:
-                        acc[j] = lx + y
-                    else:
-                        z = zech[(lx + y - c) % m]
-                        acc[j] = None if z is None else c + z
-        return [0 if c is None else exp[c % m] for c in acc]
 
     def divmod_vec(self, a, b) -> tuple[list[int], list[int]]:
         """(quotient, remainder) of schoolbook division of a by b, for

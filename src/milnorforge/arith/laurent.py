@@ -13,13 +13,12 @@ vectors.
 
 All of it runs on the encoding kernels of FiniteFieldCtx: add_vec and
 neg_vec for sums and negation, inv_enc for a leading coefficient, and
-mul_trunc for products (Kronecker substitution; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symb. Comput. 44,
-2009).  mul_trunc writes the F_p digits of each coefficient of t^i into
-w-bit slots i*(2f-1) .. of one integer, multiplies two such integers once,
-folds the X-degrees f..2f-2 of every slot group down at once and reads the
-low f slots of each t-degree back mod p.  ``inverse`` is a Newton
-iteration on the same kernel.
+mul_trunc, the package's one product kernel, for products truncated at
+the precision.  Most products a certificate makes have a factor with a
+single nonzero term, and mul_trunc runs short or sparse products
+schoolbook over that factor's nonzero terms, so such a product costs
+O(prec); dense long ones go through Kronecker substitution.
+``inverse`` is a Newton iteration on the same kernel.
 """
 
 from __future__ import annotations

@@ -172,9 +172,12 @@ class LocalFieldCtx:
 
     # --- parsing ----------------------------------------------------------
 
-    _PADIC_RE = re.compile(r"^padic\((\d+),(\d+)\):(?:0|(\d+)\*p\^(-?\d+))$")
+    # re.ASCII: \d would also match other scripts' digits, which int() reads
+    _PADIC_RE = re.compile(r"^padic\((\d+),(\d+)\):(?:0|(\d+)\*p\^(-?\d+))$",
+                           re.ASCII)
     _LAURENT_RE = re.compile(
-        r"^laurent\((\d+),(\d+)\):(?:0|t\^(-?\d+)\*\((\d+(?:,\d+)*)\))$")
+        r"^laurent\((\d+),(\d+)\):(?:0|t\^(-?\d+)\*\((\d+(?:,\d+)*)\))$",
+        re.ASCII)
 
     def parse(self, s: str):
         try:
@@ -282,11 +285,9 @@ def teichmuller(ctx: LocalFieldCtx, x):
         raise NotAUnit("Teichmuller representative needs a unit")
     if ctx.model == LAURENT:
         return LaurentSeries.constant(ctx.residue(x), x.prec)
-    # omega = lim x^(p^k); each Frobenius step fixes one more digit
-    y = x
-    for _ in range(x.prec):
-        y = y ** ctx.p
-    return y
+    # omega = lim x^(p^k); each Frobenius step fixes one more digit, so
+    # prec steps fix them all: one power by p^prec
+    return x ** (ctx.p ** x.prec)
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):

@@ -21,7 +21,10 @@ key(), an exact hashable digit tuple, equal for two elements of one ring
 exactly when their serialize() strings are (the certificate replay keys
 its formal sums by it, where __hash__ would put every entry in one bucket).
 Both subclasses store their digits in that form, (prec, val, unit) and
-(prec, val, the prec coefficient encodings), so key() builds nothing.
+(prec, val, the prec coefficient encodings), so key() builds nothing, and
+== compares keys when both sides are nonzero with equal valuation and
+precision: there the difference is zero exactly when the stored digits
+agree.
 """
 
 from __future__ import annotations
@@ -79,8 +82,13 @@ class LocalNumber:
         number of valuation at least its bound, so the only hash that
         agrees with it is one value per ring.
         """
-        return (type(other) is type(self) and self.ring() == other.ring()
-                and (self - other).is_zero())
+        if type(other) is not type(self) or self.ring() != other.ring():
+            return False
+        if (self.val is not None and self.val == other.val
+                and self.prec == other.prec):
+            # the difference is the digitwise one at the shared precision
+            return self.key() == other.key()
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash(self.ring())

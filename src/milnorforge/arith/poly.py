@@ -7,7 +7,7 @@ has two stored forms, chosen by the context's ``encoded`` flag:
 
 * over a finite field (FiniteFieldCtx) the coefficients are int encodings
   c0 + c1 p + ..., the numbers an FFElement stores, and the ring
-  operations run on the field's encoding kernels (add_vec, mul_vec,
+  operations run on the field's encoding kernels (add_vec, mul_trunc,
   divmod_vec, gcd_vec, ...).  The constructor takes FFElements and keeps
   their encodings; coeff(), lc and eval() wrap an encoding back in one.
   The rest is written once for every field.  A polynomial hashes from its
@@ -172,7 +172,9 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return Poly.zero(ctx)
         if ctx.encoded:
-            return Poly.from_encs(ctx, ctx.mul_vec(self.coeffs, other.coeffs))
+            a, b = self.coeffs, other.coeffs
+            return Poly.from_encs(ctx, ctx.mul_trunc(a, b,
+                                                     len(a) + len(b) - 1))
         zero = ctx.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import time
 
@@ -80,11 +81,7 @@ def read_bounds() -> dict:
         key, _, val = piece.partition("=")
         if key not in out:
             raise BadInput(f"unknown bound {key!r} in MILNOR_FORGE_BOUNDS")
-        try:
-            out[key] = int(val)
-        except ValueError:
-            raise BadInput(
-                f"bound {key!r} needs an integer, got {val!r}") from None
+        out[key] = parse_int(val, f"bound {key!r}")
     return out
 
 
@@ -93,12 +90,28 @@ def read_bounds() -> dict:
 # --------------------------------------------------------------------------
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
 def parse_int(s: str, what: str) -> int:
-    """int(s), with a BadInput naming `what` instead of a ValueError."""
+    """The integer an ASCII `-?[0-9]+` string spells, else a BadInput
+    naming `what`: int() alone also takes `_`, a `+`, surrounding spaces
+    and non-ASCII digits, and refuses more than 4300 digits."""
+    if _INT_RE.fullmatch(s):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    raise BadInput(f"{what} needs an integer, got {s!r}")
+
+
+def _option_int(s: str) -> int:
+    """argparse type of the integer options: parse_int's digits, so a
+    malformed one is a usage error."""
     try:
-        return int(s)
-    except ValueError:
-        raise BadInput(f"{what} needs an integer, got {s!r}") from None
+        return parse_int(s, "option")
+    except BadInput as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def make_field(spec: str, precision: int):
@@ -143,14 +156,13 @@ def _split_commas(s: str):
 
 
 def parse_local_element(ctx: LocalFieldCtx, s: str):
+    """`pi`, a serialized element of ctx, or else an integer."""
     s = s.strip()
-    try:
-        return ctx.from_int(int(s))
-    except ValueError:
-        pass
     if s == "pi":
         return ctx.uniformizer()
-    return ctx.parse(s)
+    if s.startswith((PADIC + "(", LAURENT + "(")):
+        return ctx.parse(s)
+    return ctx.from_int(parse_int(s, "local element"))
 
 
 def parse_class(ctx, s: str, parse_entry) -> MilnorClass:
@@ -206,10 +218,11 @@ def parse_sparse_poly(from_int, s: str, names) -> dict:
         exps = [0] * len(names)
         for factor in term.split("*"):
             factor = factor.strip()
-            var, _, exp = factor.partition("^")
+            var, caret, exp = factor.partition("^")
             if var in names:
                 i = names.index(var)
-                exps[i] += parse_int(exp, f"exponent in {term!r}") if exp else 1
+                exps[i] += (parse_int(exp, f"exponent in {term!r}")
+                            if caret else 1)
                 if exps[i] > MAX_POLY_DEGREE:
                     raise BadInput(f"degree {exps[i]} of {var} in {term!r} "
                                    f"exceeds bound {MAX_POLY_DEGREE}")
@@ -355,7 +368,7 @@ def cmd_lift(args, rep: Report):
 
 def _parse_ff(kappa, s: str):
     s = s.strip()
-    if s.lstrip("-").isdigit():  # '²' and 5,000 digits pass isdigit
+    if _INT_RE.fullmatch(s):
         return kappa.from_int(parse_int(s, "residue-field element"))
     head = f"ff({kappa.p},{kappa.f}):"
     if s == head + "0":
@@ -745,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "global function fields at desk scale.")
     p.add_argument("--field", default="padic:5",
                    help="padic:P | laurent:Q | ratfunc:Q")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision", type=_option_int, default=DEFAULT_PRECISION)
+    p.add_argument("--seed", type=_option_int, default=0)
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.add_argument("--out", default="",
                    help="write the report (or certificate) to this file")
@@ -758,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = verb("ff-kgroup", cmd_ff_kgroup, help="invariant factors of K^M_n(F_q)")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--q", type=_option_int, required=True)
+    sp.add_argument("--n", type=_option_int, required=True)
 
     for name, func, hlp in (
             ("tame", cmd_tame, "tame symbol of a class"),
@@ -771,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = verb(name, func, help=hlp)
         sp.add_argument("symbol", help="e.g. '{2,3}' or 'deg:2 {pi,2}'")
         if name == "reduce" or name == "lift":
-            sp.add_argument("--m", type=int, required=True)
+            sp.add_argument("--m", type=_option_int, required=True)
         if name == "divide":
-            sp.add_argument("--ell", type=int, required=True)
+            sp.add_argument("--ell", type=_option_int, required=True)
 
     sp = verb("verify-cert", cmd_verify_cert, help="replay a certificate file")
     sp.add_argument("file")
@@ -800,14 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
                        ("check-projection", cmd_check_projection),
                        ("check-tower", cmd_check_tower)):
         sp = verb(name, func)
-        sp.add_argument("--samples", type=int, default=20)
+        sp.add_argument("--samples", type=_option_int, default=20)
 
     sp = verb("s-member", cmd_s_member, help="S-membership of a polynomial")
     sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, default=1, choices=(1, 2))
+    sp.add_argument("--vars", type=_option_int, default=1, choices=(1, 2))
     sp = verb("ratring-unit", cmd_ratring_unit, help="unit test in A(t...)")
     sp.add_argument("elem")
-    sp.add_argument("--vars", type=int, default=1, choices=(1, 2))
+    sp.add_argument("--vars", type=_option_int, default=1, choices=(1, 2))
     sp = verb("ratring-residue", cmd_ratring_residue,
               help="residue map A(t) -> kappa(t)")
     sp.add_argument("elem")
@@ -815,12 +828,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = verb("base-change-check", cmd_base_change_check)
     sp.add_argument("--pi", default="",
                     help="`;`-separated integer coefficients, low first")
-    sp.add_argument("--samples", type=int, default=5)
+    sp.add_argument("--samples", type=_option_int, default=5)
 
     sp = verb("gersten-check", cmd_gersten_check)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--n", type=_option_int, required=True, choices=(1, 2, 3))
+    sp.add_argument("--m", type=_option_int, required=True)
+    sp.add_argument("--samples", type=_option_int, default=50)
 
     sp = verb("suite", cmd_suite)
     sp.add_argument("name", choices=list(SUITES))

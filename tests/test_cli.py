@@ -607,7 +607,8 @@ def test_oracle_precision_below_head_fails(capsys, monkeypatch):
     assert "error=PrecisionTooLow" in out and "ok=false" in out
 
 
-@pytest.mark.parametrize("raw", ["oracleprec=x", "bogus=1"])
+@pytest.mark.parametrize("raw", ["oracleprec=x", "bogus=1", "oracleprec=1_0",
+                                 "oracleprec=+8", "maxq=\u0663"])
 def test_bad_bounds_give_fail_record(capsys, monkeypatch, raw):
     monkeypatch.setenv("MILNOR_FORGE_BOUNDS", raw)
     rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
@@ -790,6 +791,21 @@ _BAD_ARGUMENTS = [
     ["--field", "padic:5", "tame", "deg:0 0"],
     ["--field", "ratfunc:3", "residues", "deg:0 0"],
     ["--field", "ratfunc:3", "section", "deg:1 {t}"],
+    # integers are ASCII -?[0-9]+: int() alone takes `_`, `+`, spaces and
+    # other scripts' digits
+    ["--field", "padic:5", "tame", "{1_0,2}"],
+    ["--field", "padic:+5", "tame", "{2,3}"],
+    ["--field", "padic: 5", "tame", "{2,3}"],
+    ["--field", "padic:5", "tame", "{\u0663,2}"],
+    ["--field", "padic:5", "tame", "{x,2}"],
+    ["--field", "laurent:3", "lift", "--m", "2", "{ff(3,1):g^1_0}"],
+    ["--field", "laurent:3", "lift", "--m", "2", "{ff(3,1):g^+1}"],
+    ["--field", "padic:5", "lift", "--m", "2", "{+2,1}"],
+    ["--field", "padic:3", "s-member", "1*t^"],
+    ["--field", "padic:3", "s-member", "1_0*t^2"],
+    ["--field", "padic:5", "tame", "deg:+2 {2,3}"],
+    ["--field", "padic:5", "tame", "+2*{2,3}"],
+    ["--field", "padic:5", "base-change-check", "--pi", "5;+1"],
 ]
 
 
@@ -798,6 +814,24 @@ def test_bad_argument_gives_fail_record(capsys, argv):
     rc, out = run(capsys, ["--format", "records"] + argv)
     assert rc == 1
     assert "error=BadInput" in out and "ok=false" in out
+
+
+@pytest.mark.parametrize("value", ["1_0", "+8", " 8", "\u0668"])
+def test_malformed_integer_option_is_a_usage_error(capsys, value):
+    # argparse reads the options, so a malformed one exits 2 with usage
+    with pytest.raises(SystemExit) as info:
+        main(["--precision", value, "--field", "padic:5", "tame", "{2,3}"])
+    assert info.value.code == 2
+    assert "needs an integer" in capsys.readouterr().err
+
+
+def test_element_digits_are_ascii(capsys):
+    # \d in a pattern also matches other scripts' digits, which int() reads
+    for entry in ("padic(5,8):\u0663*p^0", "padic(5,8):3*p^\u0660"):
+        rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                               "tame", f"{{{entry},2}}"])
+        assert rc == 1
+        assert "error=PatternMismatch" in out and "ok=false" in out
 
 
 _BAD_ARGUMENTS_SCRIPT = """

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milnorforge.arith.finite_field import ff_ctx_q
+from milnorforge.arith.finite_field import SCHOOLBOOK_LEN, ff_ctx_q
 from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import (
     hensel_lift,
@@ -195,6 +195,9 @@ def recurrence_inverse(base, coeffs, prec):
 
 TABLED_Q = (2, 3, 4, 8, 9, 25, 27, 243, 256)
 UNTABLED_Q = (3 ** 11, 65537)  # above TABLE_BOUND: no exp/log/Zech tables
+# the product kernel's edge cases run in these fields: prime, tabled
+# extension and untabled extension, with f from 1 to 20
+KERNEL_Q = (2, 3, 9, 16, 243, 3 ** 11, 65537, 2 ** 20)
 
 
 def encs(xs):
@@ -217,18 +220,52 @@ def _length_cases(rng, max_len, count):
                      rng.randint(1, max_len)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
+def _one_term(base, rng, length, pos):
+    """A coefficient list with one nonzero term, at pos."""
+    out = [base.zero()] * length
+    out[pos] = base.random_nonzero(rng)
+    return out
+
+
+def _edge_cases(base, rng):
+    """(a, b, n) at n = 1, SCHOOLBOOK_LEN * f and one more, on both sides
+    of the schoolbook bound: operands longer than n, dense, with zero
+    coefficients, and one-term factors with zeros on both sides."""
+    edge = SCHOOLBOOK_LEN * base.f
+    # the FFElement reference is slow past the tables: sparse operands there
+    shares = (0.0, 0.5) if base.log is not None or base.f == 1 else (0.9,)
+    for n in (1, edge, edge + 1):
+        for share in shares:
+            for la, lb in ((n, n), (n + 3, n + 5), (n, 2)):
+                yield (_random_coeffs(base, rng, la, share),
+                       _random_coeffs(base, rng, lb, share), n)
+        for pos in {0, n // 2, n - 1}:
+            dense = _random_coeffs(base, rng, n + 2, 0.0)
+            single = _one_term(base, rng, n + 2, pos)
+            yield dense, single, n
+            yield single, dense, n
+        # edge + 1 nonzero terms on one side, one on the other
+        yield (_random_coeffs(base, rng, edge + 1, 0.0),
+               _one_term(base, rng, 3, 1), n)
+
+
+@pytest.mark.parametrize("q", sorted(set(TABLED_Q + UNTABLED_Q + KERNEL_Q)))
 def test_mul_trunc_matches_schoolbook(q):
     base = ff_ctx_q(q)
     rng = random.Random(q)
     tabled = q in TABLED_Q
+    cases = list(_edge_cases(base, rng)) if q in KERNEL_Q else []
     for la, lb, n in _length_cases(rng, 40 if tabled else 5,
                                    30 if tabled else 4):
         for zero_share in (0.0, 0.5, 1.0):
-            a = _random_coeffs(base, rng, la, zero_share)
-            b = _random_coeffs(base, rng, lb, zero_share)
-            assert base.mul_trunc(encs(a), encs(b), n) == \
-                encs(schoolbook_mul(base, a, b, n)), (q, la, lb, n, zero_share)
+            cases.append((_random_coeffs(base, rng, la, zero_share),
+                          _random_coeffs(base, rng, lb, zero_share), n))
+    for a, b, n in cases:
+        got = base.mul_trunc(encs(a), encs(b), n)
+        assert got == encs(schoolbook_mul(base, a, b, n)), \
+            (q, len(a), len(b), n, encs(a), encs(b))
+        # a Laurent series passes its coefficients as a tuple
+        assert base.mul_trunc(tuple(encs(a)), tuple(encs(b)), n) == got
 
 
 @pytest.mark.parametrize("q", TABLED_Q + UNTABLED_Q)
@@ -610,3 +647,42 @@ def test_key_equal_exactly_when_serialize_equal(data):
         hash(a.key())
         for b in xs:
             assert (a.key() == b.key()) == (a.serialize() == b.serialize())
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_equality_agrees_with_the_difference(data):
+    # == reads digit keys when both sides are nonzero with equal (val,
+    # prec) and subtracts otherwise; both must say what the difference says
+    kind, q = data.draw(st.sampled_from(KEY_RINGS))
+    xs = data.draw(st.lists(local_elements(kind, q), min_size=2, max_size=8))
+    xs += [x.truncate(x.prec - 1) for x in xs if x.val is not None and x.prec > 1]
+    for a in xs:
+        for b in xs:
+            assert (a == b) == (a - b).is_zero(), (a, b)
+
+
+def _frobenius_teichmuller(ctx, x):
+    """The reference: prec Frobenius steps x <- x^p."""
+    y = x
+    for _ in range(x.prec):
+        y = y ** ctx.p
+    return y
+
+
+@pytest.mark.parametrize("prec", [1, 2, 16, 1365])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_padic_teichmuller_matches_repeated_frobenius(p, prec):
+    ctx = padic_ctx(p, prec)
+    rng = random.Random(100 * p + prec)
+    xs = [ctx.lift_residue(c) for c in ctx.residue_field.elements()
+          if not c.is_zero()]
+    xs += [ctx.random_unit(rng) for _ in range(3)]
+    if prec > 100:  # the reference costs a quarter second per unit here
+        xs = xs[1:2] + xs[-1:]
+    if prec > 1:  # relative precision below the context's
+        xs.append(xs[-1].truncate(prec - 1))
+    for x in xs:
+        w = teichmuller(ctx, x)
+        assert w.key() == _frobenius_teichmuller(ctx, x).key()
+        assert w ** (p - 1) == ctx.one() and ctx.residue(w) == ctx.residue(x)

@@ -499,9 +499,9 @@ def test_poly_operations_match_references(q):
 
 @pytest.mark.parametrize("q", POLY_Q)
 def test_poly_products_match_references_across_the_schoolbook_bound(q):
-    # mul_vec multiplies schoolbook up to SCHOOLBOOK_LEN * f coefficients
-    # and by Kronecker substitution above; untabled extension fields always
-    # take the Kronecker product
+    # mul_trunc multiplies schoolbook up to SCHOOLBOOK_LEN * f nonzero
+    # terms and by Kronecker substitution above; untabled extension fields
+    # always take the Kronecker product
     k = ff_ctx_q(q)
     rng = random.Random(5000 + q)
     edge = SCHOOLBOOK_LEN * k.f
