@@ -14,11 +14,23 @@ vectors.
 All of it runs on the encoding kernels of FiniteFieldCtx: add_vec and
 neg_vec for sums and negation, inv_enc for a leading coefficient, and
 mul_trunc, the package's one product kernel, for products truncated at
-the precision.  Most products a certificate makes have a factor with a
-single nonzero term, and mul_trunc runs short or sparse products
-schoolbook over that factor's nonzero terms, so such a product costs
-O(prec); dense long ones go through Kronecker substitution.
+the precision; short or sparse products run schoolbook over the sparser
+factor's nonzero terms, dense long ones through Kronecker substitution.
 ``inverse`` is a Newton iteration on the same kernel.
+
+Monomials take exact short-cuts.  A unit is a monomial c t^v at a working
+precision when its digits after the first are all zero below it
+(_monomial, the one test): Teichmuller constants, powers of t and their
+products are.  Times a monomial, the other factor's digits are scaled by
+c (scale_vec, or kept as they are for c = 1) and the valuations add; the
+inverse of c t^v is c^-1 t^-v (one inv_enc), and its k-th power c^k t^vk
+(one pow_enc).  None of them goes through mul_trunc, Newton or
+square-and-multiply, and all give the digits those would.
+
+serialize() renders the text once and keeps it in ``_text``, which every
+constructor, from_encs included, starts at None.  The memo is sound
+because no field is assigned after construction: every operation
+returns a new series.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .poly import _power
 
 
 class LaurentSeries(LocalNumber):
-    __slots__ = ("base", "prec", "val", "coeffs", "zero_prec")
+    __slots__ = ("base", "prec", "val", "coeffs", "zero_prec", "_text")
 
     def __init__(self, base: FiniteFieldCtx, prec: int, val: int | None, coeffs,
                  zero_prec: int | None = None):
@@ -39,6 +51,7 @@ class LaurentSeries(LocalNumber):
         self.base = base
         self.prec = prec
         self.val = val
+        self._text = None
         if val is None:
             self.coeffs = ()
             self.zero_prec = zero_prec
@@ -57,7 +70,8 @@ class LaurentSeries(LocalNumber):
         """t^val * sum encs[i] t^i, for a tuple of exactly prec encodings
         with encs[0] != 0.  Unchecked: internal results are built so."""
         x = cls.__new__(cls)
-        x.base, x.prec, x.val, x.coeffs, x.zero_prec = base, prec, val, encs, None
+        x.base, x.prec, x.val, x.coeffs = base, prec, val, encs
+        x.zero_prec = x._text = None
         return x
 
     @classmethod
@@ -108,19 +122,31 @@ class LaurentSeries(LocalNumber):
         if self.val is None or other.val is None:
             return self._zero_product(other)
         prec = min(self.prec, other.prec)
-        out = self.base.mul_trunc(self.coeffs, other.coeffs, prec)
+        a, b = self.coeffs, other.coeffs
+        if not _monomial(a, prec):
+            a, b = b, a
+        if _monomial(a, prec):  # c t^v times b: scale b's digits by c
+            out = b[:prec]
+            if a[0] != 1:
+                out = tuple(self.base.scale_vec(out, a[0]))
+        else:
+            out = tuple(self.base.mul_trunc(a, b, prec))
         return LaurentSeries.from_encs(self.base, prec, self.val + other.val,
-                                       tuple(out))
+                                       out)
 
     def inverse(self) -> "LaurentSeries":
         """Newton iteration x <- x + x(1 - a x), doubling the correct terms.
 
         If a x = 1 + t^k r then x + x(1 - a x) = x - t^k x r agrees with x
         below t^k, so each step only appends the next terms, those of -x r.
+        A monomial c t^v needs none: its inverse is c^-1 t^-v.
         """
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
         prec, base, a = self.prec, self.base, self.coeffs
+        if _monomial(a, prec):
+            return LaurentSeries.from_encs(base, prec, -self.val,
+                                           (base.inv_enc(a[0]),) + a[1:])
         x = [base.inv_enc(a[0])]
         k = 1
         while k < prec:
@@ -159,6 +185,13 @@ class LaurentSeries(LocalNumber):
         return self + (-other)
 
     def __pow__(self, k: int) -> "LaurentSeries":
+        a = self.coeffs
+        if self.val is not None and _monomial(a, self.prec):
+            # (c t^v)^k = c^k t^(vk), and c^(q-1) = 1 for k of either sign
+            base = self.base
+            return LaurentSeries.from_encs(
+                base, self.prec, self.val * k,
+                (base.pow_enc(a[0], k % (base.q - 1)),) + a[1:])
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k, lambda: LaurentSeries.constant(
@@ -170,8 +203,19 @@ class LaurentSeries(LocalNumber):
         return (self.prec, self.val, self.coeffs)
 
     def serialize(self) -> str:
-        q = self.base.q
-        if self.is_zero():
-            return f"laurent({q},{self.prec}):0"
-        digits = ",".join(map(str, self.coeffs))
-        return f"laurent({q},{self.prec}):t^{self.val}*({digits})"
+        text = self._text
+        if text is None:
+            q = self.base.q
+            if self.val is None:
+                text = f"laurent({q},{self.prec}):0"
+            else:
+                digits = ",".join(map(str, self.coeffs))
+                text = f"laurent({q},{self.prec}):t^{self.val}*({digits})"
+            self._text = text
+        return text
+
+
+def _monomial(coeffs: tuple, n: int) -> bool:
+    """Whether a unit's digits after the first are zero below t^n: within
+    n digits it is its leading coefficient times a power of t."""
+    return not any(coeffs[1:n])

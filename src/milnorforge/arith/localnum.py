@@ -18,13 +18,21 @@ powers, the hot paths) and four hooks: ring(), a hashable name of the
 ring; zero_like(prec, zero_prec), a zero of the same ring; truncate(prec),
 the same nonzero value cut (or padded with zero digits) to prec digits;
 key(), an exact hashable digit tuple, equal for two elements of one ring
-exactly when their serialize() strings are (the certificate replay keys
-its formal sums by it, where __hash__ would put every entry in one bucket).
-Both subclasses store their digits in that form, (prec, val, unit) and
-(prec, val, the prec coefficient encodings), so key() builds nothing, and
-== compares keys when both sides are nonzero with equal valuation and
-precision: there the difference is zero exactly when the stored digits
-agree.
+exactly when their serialize() strings are.  Both subclasses store their
+digits in that form, (prec, val, unit) and (prec, val, the prec
+coefficient encodings), so key() builds nothing, and == compares keys
+when both sides are nonzero with equal valuation and precision: there
+the difference is zero exactly when the stored digits agree.
+
+Elements are immutable: no field is assigned after construction, and
+every operation returns a new element.  Each subclass relies on that to
+memoize serialize() in a ``_text`` slot that every constructor starts at
+None, so an element is rendered at most once however often its text is
+read: the certificate builder and replay key their formal sums by these
+texts (where __hash__ would put every entry in one bucket), and so does
+MilnorClass when it merges terms.  Laurent series also take exact
+short-cuts for monomials c t^v in products, inverses and powers
+(laurent.py); a p-adic product is one integer product either way.
 """
 
 from __future__ import annotations

@@ -3,7 +3,13 @@
 A nonzero value is u * p^val with the unit u known modulo p^prec (prec =
 number of significant p-adic digits).  Zeros and precision follow the
 model shared with Laurent series (localnum.LocalNumber); this class keeps
-the digit arithmetic on the integer unit.
+the digit arithmetic on the integer unit.  A product, inverse or power
+is one integer operation mod p^prec whatever the digits of the unit, so
+the monomial short-cuts of Laurent series have no counterpart here.
+
+serialize() renders the text once and keeps it in ``_text``, which the
+constructor starts at None.  The memo is sound because no field is
+assigned after construction: every operation returns a new number.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from .localnum import LocalNumber
 
 
 class PadicNumber(LocalNumber):
-    __slots__ = ("p", "prec", "val", "unit", "zero_prec")
+    __slots__ = ("p", "prec", "val", "unit", "zero_prec", "_text")
 
     def __init__(self, p: int, prec: int, val: int | None, unit: int,
                  zero_prec: int | None = None):
         self.p = p
         self.prec = prec
+        self._text = None
         if val is None:
             self.val = None
             self.unit = 0
@@ -120,6 +127,9 @@ class PadicNumber(LocalNumber):
         return (self.prec, self.val, self.unit)
 
     def serialize(self) -> str:
-        if self.is_zero():
-            return f"padic({self.p},{self.prec}):0"
-        return f"padic({self.p},{self.prec}):{self.unit}*p^{self.val}"
+        text = self._text
+        if text is None:
+            text = self._text = (
+                f"padic({self.p},{self.prec}):0" if self.val is None
+                else f"padic({self.p},{self.prec}):{self.unit}*p^{self.val}")
+        return text

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import re
 import sys
 import time
 
@@ -41,6 +40,7 @@ from .errors import (
     SelfCheckFailed,
 )
 from .localk import (
+    INT_RE,
     divisibility_witness,
     gersten_check,
     hilbert,
@@ -90,14 +90,11 @@ def read_bounds() -> dict:
 # --------------------------------------------------------------------------
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
 def parse_int(s: str, what: str) -> int:
-    """The integer an ASCII `-?[0-9]+` string spells, else a BadInput
-    naming `what`: int() alone also takes `_`, a `+`, surrounding spaces
-    and non-ASCII digits, and refuses more than 4300 digits."""
-    if _INT_RE.fullmatch(s):
+    """The integer an ASCII `-?[0-9]+` string spells (localk.INT_RE, the
+    rule certificate numbers follow too), else a BadInput naming `what`:
+    int() alone is more lenient, and refuses more than 4300 digits."""
+    if INT_RE.fullmatch(s):
         try:
             return int(s)
         except ValueError:
@@ -368,7 +365,7 @@ def cmd_lift(args, rep: Report):
 
 def _parse_ff(kappa, s: str):
     s = s.strip()
-    if _INT_RE.fullmatch(s):
+    if INT_RE.fullmatch(s):
         return kappa.from_int(parse_int(s, "residue-field element"))
     head = f"ff({kappa.p},{kappa.f}):"
     if s == head + "0":

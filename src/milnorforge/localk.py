@@ -321,8 +321,9 @@ class VerifyResult:
 
 
 class _FormalSum:
-    """Free abelian group on entry tuples, keyed by the entries' exact
-    digit keys (``key()``, equal exactly when ``serialize()`` is)."""
+    """Free abelian group on entry tuples, keyed by the tuple of the
+    entries' texts (``serialize()``, memoized on each element), the key
+    MilnorClass.entries_key merges terms by."""
 
     __slots__ = ("coeffs",)
 
@@ -332,7 +333,7 @@ class _FormalSum:
     def add(self, c: int, entries):
         if c == 0:
             return
-        k = tuple([e.key() for e in entries])
+        k = tuple([e.serialize() for e in entries])
         if k in self.coeffs:
             old, ent = self.coeffs[k]
             if old + c == 0:
@@ -348,15 +349,15 @@ class _FormalSum:
 
     def coeff(self, entries) -> int:
         """The coefficient currently on the entry tuple (0 if absent)."""
-        return self.coeffs.get(tuple([e.key() for e in entries]), (0,))[0]
+        return self.coeffs.get(tuple([e.serialize() for e in entries]),
+                               (0,))[0]
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def items(self):
         """The surviving terms in the order of their serialized entries."""
-        return sorted(self.coeffs.values(),
-                      key=lambda t: tuple(e.serialize() for e in t[1]))
+        return [t for _, t in sorted(self.coeffs.items())]
 
 
 def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
@@ -611,7 +612,11 @@ def serialize_certificate(cert: DivisibilityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CTX_RE = re.compile(r"^(padic|laurent)\((\d+),(\d+)\)$")
+# the one integer rule of the trust boundaries: certificate numbers here,
+# CLI arguments and MILNOR_FORGE_BOUNDS in cli.parse_int.  int() alone
+# also takes `_`, a `+`, surrounding spaces and non-ASCII digits.
+INT_RE = re.compile(r"-?[0-9]+")
+_CTX_RE = re.compile(r"^(padic|laurent)\(([0-9]+),([0-9]+)\)$")
 
 # step kind -> (pos is a pair i,j, number of aux entries, entries the
 # relator reads after pos)
@@ -643,10 +648,13 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
             return PatternMismatch(f"certificate line {ln!r}: {why}")
 
         def num(field):
-            try:
-                return int(field)
-            except ValueError:  # not digits, or past Python's digit limit
-                raise bad(f"{field.strip()!r} is not an integer") from None
+            field = field.strip()
+            if INT_RE.fullmatch(field):
+                try:
+                    return int(field)
+                except ValueError:  # past Python's digit limit
+                    pass
+            raise bad(f"{field!r} is not an integer")
 
         def entries(field, count):
             parts = [e.strip() for e in field.split("|")]

@@ -686,6 +686,19 @@ def test_empty_braces_are_the_degree_zero_symbol(capsys):
     assert "output='deg:0 {}' ok=true" in out
 
 
+def test_verify_cert_lenient_number_gives_fail_record(capsys, tmp_path):
+    # int() would read `+3`; certificate numbers are ASCII -?[0-9]+ only
+    cert = tmp_path / "c.cert"
+    rc, _ = run(capsys, ["--field", "padic:5", "--out", str(cert),
+                         "divide", "--ell", "3", "{8,7}"])
+    assert rc == 0
+    cert.write_text(cert.read_text().replace("\nell 3\n", "\nell +3\n"))
+    rc, out = run(capsys, ["--format", "records", "verify-cert", str(cert)])
+    assert rc == 1
+    assert "error=PatternMismatch" in out and "'ell +3'" in out
+    assert "ok=false" in out
+
+
 def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
     rc, out = run(capsys, ["--format", "records", "verify-cert",
                            str(tmp_path / "missing.txt")])

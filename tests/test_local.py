@@ -399,6 +399,21 @@ def _random_refs(base, rng, count, max_prec):
     return refs
 
 
+def _monomial_refs(base, other):
+    """Monomials c t^v, c = 1 and c != 1 (where q > 2), v in {-2, 0, 3}, at
+    precisions below, equal to and above other's, and a unit that is a
+    monomial only below other's precision: its nonzero digits after the
+    first lie beyond the precision of its product with other."""
+    prec, zero = other[0], base.zero()
+    consts = [base.one()] + ([base.gen()] if base.q > 2 else [])
+    refs = [(p, v, [c] + [zero] * (p - 1), None)
+            for v in (-2, 0, 3) for c in consts
+            for p in (prec - 1, prec, prec + 1) if p >= 1]
+    refs.append((prec + 2, 1, [base.gen()] + [zero] * (prec - 1)
+                 + [base.gen(), base.one()], None))
+    return refs
+
+
 def _series(base, r):
     if r[1] is None:
         return LaurentSeries.zero(base, r[0], r[3])
@@ -411,10 +426,13 @@ def test_laurent_operations_match_references(q):
     rng = random.Random(2000 + q)
     tabled = q in TABLED_Q
     refs = _random_refs(base, rng, 5 if tabled else 2, 9 if tabled else 3)
+    refs += _monomial_refs(base, refs[0])
     xs = [_series(base, r) for r in refs]
     for x, r in zip(xs, refs):
         assert_matches(base, x, r)
         assert_matches(base, -x, ref_neg(r))
+        if r[1] is not None:
+            assert_matches(base, x.inverse(), ref_pow(base, r, -1))
         for k in ((0, 1, 2, 3, -1, -2) if r[1] is not None else (0, 1, 3)):
             assert_matches(base, x ** k, ref_pow(base, r, k))
         if r[1] is not None:
@@ -638,15 +656,78 @@ def local_elements(draw, kind, q):
         base.zero() if e is None else base.from_exp(e) for e in exps])
 
 
+@st.composite
+def monomials(draw, kind, q):
+    """c * pi^v, the units a Laurent series multiplies, inverts and raises
+    to powers without the generic kernels; their p-adic counterparts."""
+    prec, val = draw(st.integers(1, 3)), draw(st.integers(-2, 3))
+    c = draw(st.integers(1, q - 1))
+    if kind == "padic":
+        return PadicNumber(q, prec, val, c)
+    base = ff_ctx_q(q)
+    return LaurentSeries(base, prec, val, [base.from_exp(c)])
+
+
+def _monomial_results(ms, xs):
+    """Products of the monomials ms with xs on either side, and their
+    inverses and powers."""
+    out = []
+    for m in ms:
+        out += [m.inverse(), m ** 0, m ** 3, m ** -2]
+        for x in xs:
+            out += [m * x, x * m]
+    return out
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_key_equal_exactly_when_serialize_equal(data):
     kind, q = data.draw(st.sampled_from(KEY_RINGS))
     xs = data.draw(st.lists(local_elements(kind, q), min_size=2, max_size=8))
+    ms = data.draw(st.lists(monomials(kind, q), min_size=1, max_size=2))
+    xs += _monomial_results(ms, xs)
     for a in xs:
         hash(a.key())
         for b in xs:
             assert (a.key() == b.key()) == (a.serialize() == b.serialize())
+
+
+def _text_of_fields(x) -> str:
+    """serialize()'s text, formatted here from the stored fields."""
+    if isinstance(x, PadicNumber):
+        head, unit = f"padic({x.p},{x.prec}):", f"{x.unit}*p^{x.val}"
+    else:
+        head = f"laurent({x.base.q},{x.prec}):"
+        unit = f"t^{x.val}*({','.join(str(c) for c in x.coeffs)})"
+    return head + ("0" if x.val is None else unit)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_memoized_text_follows_the_fields(data):
+    # serialize() keeps the text it renders; every constructor starts
+    # without one, so no result shows the memoized text of an operand
+    kind, q = data.draw(st.sampled_from(KEY_RINGS))
+    ctx = padic_ctx(q, 3) if kind == "padic" else laurent_ctx(q, 3)
+    xs = data.draw(st.lists(local_elements(kind, q), min_size=2, max_size=5))
+    xs += data.draw(st.lists(monomials(kind, q), min_size=1, max_size=2))
+    for x in xs:
+        x.serialize()
+    results = []
+    for a in xs:
+        results += [-a, ctx.parse(a.serialize())]
+        if not a.is_zero():
+            results += [a.inverse(), a.truncate(1), a.truncate(a.prec + 1)]
+            results += [a ** k for k in (0, 1, 2, 3, -1, -2)]
+        for b in xs:
+            results += [a + b, a - b, a * b]
+    if kind == "laurent":
+        window = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                    max_size=5))
+        results.append(LaurentSeries.make(ff_ctx_q(q), 3, -1, window))
+    for r in results:
+        assert r.serialize() == _text_of_fields(r)
+        assert r.serialize() == _text_of_fields(r)  # the memoized text
 
 
 @settings(max_examples=150)

@@ -291,6 +291,12 @@ def _edit_line(text, kind, edit):
     ("step", lambda ln: ln.replace(" 1 0 ;", " 1 5 ;", 1)),
     ("step", lambda ln: ln.replace("BILINEAR_EXPAND", "SWAP", 1)),
     ("ctx", lambda ln: "ctx padic(5,8"),
+    # certificate numbers are ASCII -?[0-9]+, which int() alone is not
+    pytest.param("ell", lambda ln: "ell +3", id="ell-plus_sign"),
+    pytest.param("degree", lambda ln: "degree 0_2", id="degree-underscore"),
+    pytest.param("ell", lambda ln: "ell \u0663", id="ell-arabic_indic_digit"),
+    pytest.param("ctx", lambda ln: "ctx padic(\u0665,8)",
+                 id="ctx-arabic_indic_digit"),
 ])
 def test_malformed_certificate_line_is_named(kind, edit):
     text, line = _edit_line(_cert_text(), kind, edit)
