@@ -13,14 +13,15 @@ A field context fixes, deterministically for every (p, f):
 An element is its "encoding", the integer c0 + c1*p + ... of the
 coefficient vector of its representing polynomial, 0 for zero.  An
 FFElement is a view over one encoding, and serialize() prints it as g^e,
-its discrete log.  For p^f <= 2^16 exp/log tables and a Zech table
-zech[k] = log(1 + g^k) are built once, so products and sums of encodings
-go through exponents: g^a + g^b = g^(a + zech[b - a]) (Huber, "Some
-comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990); -1 is
+its discrete log.  For p^f <= TABLE_BOUND exp/log tables and a Zech
+table zech[k] = log(1 + g^k) are built once, so products and sums of
+encodings go through exponents: g^a + g^b = g^(a + zech[b - a]) (Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990); -1 is
 g^((q-1)/2) for odd p and 1 in characteristic 2.  Larger fields add
 encodings digit by digit, multiply them as digit polynomials and take
 baby-step/giant-step discrete logs, whose baby steps are built once per
-field.
+field.  TABLE_BOUND is a cost switch only: every field up to FIELD_BOUND
+gives the same results with or without tables, and no verb reads it.
 
 FFElements, Laurent series and polynomials over the field all run on its
 kernels on encodings: add_vec, neg_vec, scale_vec, mul_trunc, divmod_vec
@@ -35,10 +36,11 @@ whole one.  It is schoolbook while one factor has at most
 SCHOOLBOOK_LEN * f nonzero terms (ch. 8 there: the classical product wins
 below a crossover) and Kronecker substitution above (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution",
-J. Symb. Comput. 44, 2009).  No field has more than FIELD_BOUND
-elements.  ``_extension_points`` is the one walk over
-F_q and its small extensions that every specialization test consumes;
-ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
+J. Symb. Comput. 44, 2009).  No field has more than FIELD_BOUND elements,
+the one residue-field bound of every verb.  ``_extension_points`` is the
+one walk over F_q and its small extensions that every specialization test
+consumes; ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma
+the image of g.
 """
 
 from __future__ import annotations

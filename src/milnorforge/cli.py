@@ -67,11 +67,11 @@ from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
 
 DEFAULT_PRECISION = 8
 MAX_POLY_DEGREE = 32  # parsers build no larger polynomial; timings in README
-DEFAULT_BOUNDS = {"maxq": 16, "oracleprec": 8}
+DEFAULT_BOUNDS = {"oracleprec": 8}
 
 
 def read_bounds() -> dict:
-    """Bounds from MILNOR_FORGE_BOUNDS (`maxq=...,oracleprec=...`)."""
+    """Bounds from MILNOR_FORGE_BOUNDS (`oracleprec=...`)."""
     out = dict(DEFAULT_BOUNDS)
     raw = os.environ.get("MILNOR_FORGE_BOUNDS", "")
     for piece in raw.split(","):
@@ -718,8 +718,7 @@ def _suite_certificates(rep: Report, rng, bounds):
 
 
 def _suite_ff_kgroups(rep: Report, rng, bounds):
-    qs = [q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) if q <= bounds["maxq"]]
-    for q in qs:
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         g1 = ff_kgroup(q, 1)
         ok1 = g1.invariant_factors == ([q - 1] if q > 2 else [])
         rep.add(ok1, op="ff_kgroup", q=q, n=1,

@@ -133,7 +133,6 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
     if n not in (1, 2, 3):
         raise BadInput(f"gersten-check covers degrees 1, 2 and 3, got {n}")
     kappa = ctx.residue_field
-    ff_kgroup(kappa.q, n)  # refuses a field without Zech tables up front
     out = []
     for i in range(samples):
         # leg 1: tame o iota = 0 on unit symbols
@@ -449,9 +448,8 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     against the finite-field Steinberg relators, each lifted to O by
     u^{-1}-scaling: the row i*j of ff_kgroup is [g^i,g^j,g,..,g].  Powers
     of g expand and contract along binary chains (expand_power), so a
-    certificate has O(n log q) steps; a field ff_kgroup refuses fails
-    before any arithmetic.  The residual formal sum is keyed by the
-    entries' digit keys; beta's terms come out in the order of their
+    certificate has O(n log q) steps.  The residual formal sum is keyed
+    by the entries' texts; beta's terms come out in the order of their
     serialized entries.  The builder books each step's formal sum only;
     the replay of the finished certificate (verify_certificate) checks
     every side condition once and raises SelfCheckFailed on a bad step.
@@ -468,7 +466,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
 
     kappa = ctx.residue_field
     q = kappa.q
-    kg = ff_kgroup(q, n)  # refuses a field without Zech tables up front
+    kg = ff_kgroup(q, n)
     g_lift = teichmuller(ctx, ctx.lift_residue(kappa.gen()))
     b = _WitnessBuilder(ctx, ell)
     b.acc.add_class(1, a)

@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith.finite_field import TABLE_BOUND, ff_ctx_q
+from .arith.finite_field import ff_ctx_q
 from .errors import (
     BadInput,
     ContextMismatch,
-    FieldTooLarge,
     PatternMismatch,
     ZeroEntry,
 )
@@ -267,12 +266,9 @@ class FFKGroup:
 def ff_kgroup(q: int, n: int) -> FFKGroup:
     """Present K^M_n(F_q): the order q-1 and, for n >= 2, the Steinberg
     rows i*j of g^i + g^j = 1 for i = 1, 2, ... until the gcd is 1, left
-    unreduced mod q-1 for the certificates.  Fields above TABLE_BOUND,
-    which have no Zech tables, are refused."""
+    unreduced mod q-1 for the certificates."""
     if n < 0:
         raise BadInput(f"K_n needs degree n >= 0, got {n}")
-    if q > TABLE_BOUND:
-        raise FieldTooLarge(f"q = {q} above bound {TABLE_BOUND}")
     field = ff_ctx_q(q)
     if n == 0:
         # K_0 = Z: one free generator

@@ -40,9 +40,9 @@ def test_make_field_kinds():
 
 
 def test_bounds_env_override(monkeypatch):
-    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", "maxq=8, oracleprec=6")
+    monkeypatch.setenv("MILNOR_FORGE_BOUNDS", " oracleprec=6, ")
     b = read_bounds()
-    assert b == {"maxq": 8, "oracleprec": 6}
+    assert b == {"oracleprec": 6}
     for raw in ("nope=1", "maxdeg=3"):
         monkeypatch.setenv("MILNOR_FORGE_BOUNDS", raw)
         with pytest.raises(BadInput):
@@ -157,11 +157,28 @@ def test_divide_rejects_degree_one_class_under_python_O():
 
 
 def test_ff_kgroup_at_its_bound():
-    # q = TABLE_BOUND, the largest field with Zech tables, in seconds
-    out = _cli_subprocess(["--format", "records", "ff-kgroup",
-                           "--q", "65536", "--n", "4"], timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert "invariants=[]" in out.stdout
+    # q = FIELD_BOUND, and q = 2^16, whose table build makes it the
+    # slowest field under that bound: each in seconds
+    for q in ("65536", "1048576"):
+        out = _cli_subprocess(["--format", "records", "ff-kgroup",
+                               "--q", q, "--n", "4"], timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "invariants=[]" in out.stdout
+
+
+@pytest.mark.parametrize("q", [65537, 3 ** 11, 1048573, 1 << 20])
+def test_kgroups_and_gersten_check_past_the_tables(capsys, q):
+    # no Zech tables above 2^16, yet every verb runs up to FIELD_BOUND
+    for n in (1, 2, 3, 4):
+        rc, out = run(capsys, ["--format", "records", "ff-kgroup",
+                               "--q", str(q), "--n", str(n)])
+        want = f"[{q - 1}]" if n == 1 else "[]"
+        assert rc == 0 and f"invariants={want} ok=true" in out
+    m = "3" if q % 2 == 0 else "2"  # the modulus is prime to p
+    rc, out = run(capsys, ["--format", "records", "--field", f"laurent:{q}",
+                           "gersten-check", "--n", "3", "--m", m,
+                           "--samples", "3"])
+    assert rc == 0 and out.count(" ok=true") == 4  # 3 samples, summary
 
 
 def test_divide_at_the_table_bound():
@@ -608,7 +625,8 @@ def test_oracle_precision_below_head_fails(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("raw", ["oracleprec=x", "bogus=1", "oracleprec=1_0",
-                                 "oracleprec=+8", "maxq=\u0663"])
+                                 "oracleprec=+8", "oracleprec=\u0663",
+                                 "maxq=8"])
 def test_bad_bounds_give_fail_record(capsys, monkeypatch, raw):
     monkeypatch.setenv("MILNOR_FORGE_BOUNDS", raw)
     rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
@@ -727,17 +745,16 @@ _OVERSIZED = {
     "laurent_q_above_field_bound": (
         ["--field", "laurent:1000000000000000000000000000057", "tame",
          "{2,3}"], None, "FieldTooLarge"),
-    # a residue field above TABLE_BOUND has no Zech tables: refused before
-    # the certificate or the samples are built
-    "ff_kgroup_q_above_table_bound": (
-        ["ff-kgroup", "--q", "65537", "--n", "2"], None, "FieldTooLarge"),
-    "divide_q_above_table_bound": (
-        ["--field", "laurent:65537", "divide", "--ell", "2",
-         "{laurent(65537,8):t^0*(3,5),laurent(65537,8):t^0*(6,1)}"], None,
-        "FieldTooLarge"),
-    "gersten_check_q_above_table_bound": (
-        ["--field", "laurent:65537", "gersten-check", "--n", "3", "--m", "2"],
+    # one step past FIELD_BOUND = 2^20, the one residue-field bound
+    "ff_kgroup_q_above_field_bound": (
+        ["ff-kgroup", "--q", "1048577", "--n", "2"], None, "FieldTooLarge"),
+    "divide_q_above_field_bound": (
+        ["--field", "laurent:1048577", "divide", "--ell", "2",
+         "{laurent(1048577,8):t^0*(3,5),laurent(1048577,8):t^0*(6,1)}"],
         None, "FieldTooLarge"),
+    "gersten_check_q_above_field_bound": (
+        ["--field", "laurent:1048577", "gersten-check", "--n", "3", "--m",
+         "2"], None, "FieldTooLarge"),
     "lift_entry_digits": (
         ["--field", "padic:5", "lift", "--m", "2", f"{{{_DIGITS},1}}"], None,
         "BadInput"),

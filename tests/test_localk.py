@@ -254,10 +254,15 @@ def test_formal_sum_items_follow_serialized_order(data):
         assert acc.coeff(ent) == ref.get(tuple(e.serialize() for e in ent), 0)
 
 
-def test_certificate_serialization_round_trip():
-    ctx = padic_ctx(5, 8)
+# Z_5, and residue fields past the tables (2^16 < q <= FIELD_BOUND) in
+# both characteristics; precision 8 keeps each case well under 1 s
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("ctx", [padic_ctx(5, 8), laurent_ctx(65537, 8),
+                                 laurent_ctx(2 ** 20, 8)],
+                         ids=["padic5", "laurent65537", "laurent2^20"])
+def test_certificate_serialization_round_trip(ctx, degree):
     rng = random.Random(23)
-    a = symbol(ctx, [ctx.random_unit(rng), ctx.random_unit(rng)])
+    a = symbol(ctx, [ctx.random_unit(rng) for _ in range(degree)])
     back = lift_mod_m(ctx, reduce_mod_m(ctx, a, 3), 3)
     cert = divisibility_witness(ctx, a - back, 3)
     text = serialize_certificate(cert)
