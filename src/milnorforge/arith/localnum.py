@@ -28,9 +28,9 @@ Elements are immutable: no field is assigned after construction, and
 every operation returns a new element.  Each subclass relies on that to
 memoize serialize() in a ``_text`` slot that every constructor starts at
 None, so an element is rendered at most once however often its text is
-read: the certificate builder and replay key their formal sums by these
-texts (where __hash__ would put every entry in one bucket), and so does
-MilnorClass when it merges terms.  Laurent series also take exact
+read: MilnorClass, the formal sum the certificate replay books into,
+merges terms by these texts (where __hash__ would put every entry in one
+bucket).  Laurent series also take exact
 short-cuts for monomials c t^v in products, inverses and powers
 (laurent.py); a p-adic product is one integer product either way.
 """

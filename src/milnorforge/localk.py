@@ -4,11 +4,12 @@ machine-checkable divisibility certificates, Hilbert symbols.
 
 The divisibility certificates are the heart of the module.  A certificate
 claims alpha = ell*beta + sum of relator applications inside the free
-abelian group on symbols, where every relator application is one of a
-small fixed vocabulary of moves (bilinear expansion, swap, Steinberg,
-{x,-x}, {x,x}, Hensel root extraction).  The verifier replays the steps
-with no trust in the producer: it re-checks every side condition and the
-final formal-sum identity.
+abelian group on symbols (symbols.MilnorClass), where every relator
+application is one of a small fixed vocabulary of moves (bilinear
+expansion, swap, Steinberg, {x,-x}, {x,x}, Hensel root extraction).  The
+verifier replays the steps with no trust in the producer: it re-checks
+every side condition and the final formal-sum identity, and the builder
+self-checks by the same replay.
 """
 
 from __future__ import annotations
@@ -240,8 +241,14 @@ class CertStep:
         self.aux = tuple(aux)
 
     def violation(self, ell: int) -> str:
-        """Why the step's side condition fails, or "" when it holds."""
+        """Why the step's side condition fails, or "" when it holds.  A zero
+        entry fails every kind: a symbol has none, and y*z = 0 = e[pos]
+        would let a BILINEAR_EXPAND step cancel any symbol."""
         e = self.entries
+        for what, xs in (("entry", e), ("aux entry", self.aux)):
+            for i, x in enumerate(xs):
+                if x.is_zero():
+                    return f"{what} {i} is zero"
         if self.kind == BILINEAR_EXPAND:
             y, z = self.aux
             return "" if y * z == e[self.pos] else \
@@ -319,80 +326,44 @@ class VerifyResult:
         return "verified" if self.ok else f"FAILED: {self.failure}"
 
 
-class _FormalSum:
-    """Free abelian group on entry tuples, keyed by the tuple of the
-    entries' texts (``serialize()``, memoized on each element), the key
-    MilnorClass.entries_key merges terms by."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self):
-        self.coeffs: dict[tuple, tuple[int, tuple]] = {}
-
-    def add(self, c: int, entries):
-        if c == 0:
-            return
-        k = tuple([e.serialize() for e in entries])
-        if k in self.coeffs:
-            old, ent = self.coeffs[k]
-            if old + c == 0:
-                del self.coeffs[k]
-            else:
-                self.coeffs[k] = (old + c, ent)
-        else:
-            self.coeffs[k] = (c, tuple(entries))
-
-    def add_class(self, c: int, cls: MilnorClass):
-        for t in cls.terms:
-            self.add(c * t.coeff, t.entries)
-
-    def coeff(self, entries) -> int:
-        """The coefficient currently on the entry tuple (0 if absent)."""
-        return self.coeffs.get(tuple([e.serialize() for e in entries]),
-                               (0,))[0]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        """The surviving terms in the order of their serialized entries."""
-        return [t for _, t in sorted(self.coeffs.items())]
+def _replay(cert: DivisibilityCertificate):
+    """Check each step's side condition, then book alpha - ell*beta -
+    sum(mult*relator) as one MilnorClass.  Returns (the first failing
+    step's reason, None), or ("", that class)."""
+    ell = cert.ell
+    terms = list(cert.alpha.terms)
+    terms += [SymbolTerm(-ell * t.coeff, t.entries) for t in cert.beta.terms]
+    for idx, step in enumerate(cert.steps):
+        why = step.violation(ell)
+        if why:
+            return f"step {idx} ({step.kind}): {why}", None
+        terms += [SymbolTerm(-step.mult * c, ent)
+                  for c, ent in step.relator(cert.ctx, ell)]
+    return "", MilnorClass(cert.ctx, cert.alpha.degree, terms)
 
 
 def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
     """Replay all steps; confirm alpha - ell*beta - sum(relators) = 0."""
     if cert.ell < 2:
         return VerifyResult(False, f"divisor {cert.ell} below 2")
-    acc = _FormalSum()
-    acc.add_class(1, cert.alpha)
-    acc.add_class(-cert.ell, cert.beta)
-    for idx, step in enumerate(cert.steps):
-        why = step.violation(cert.ell)
-        if why:
-            return VerifyResult(False, f"step {idx} ({step.kind}): {why}")
-        for c, ent in step.relator(cert.ctx, cert.ell):
-            acc.add(-step.mult * c, ent)
-    if not acc.is_zero():
-        return VerifyResult(False, "residual formal sum is nonzero")
-    return VerifyResult(True)
+    why, residual = _replay(cert)
+    if not why and not residual.is_zero():
+        why = "residual formal sum is nonzero"
+    return VerifyResult(not why, why)
 
 
 class _WitnessBuilder:
-    """Drives the witness construction, tracking the residual formal sum."""
+    """Drives the witness construction: records the steps only.  Their
+    formal sum and side conditions are left to the one replay in
+    divisibility_witness."""
 
     def __init__(self, ctx: LocalFieldCtx, ell: int):
         self.ctx = ctx
         self.ell = ell
-        self.acc = _FormalSum()
         self.steps: list[CertStep] = []
 
     def apply(self, step: CertStep):
-        """Record the step and subtract mult*relator from the residual.
-        Side conditions are not checked here: the replay of the finished
-        certificate in divisibility_witness checks each one once."""
         self.steps.append(step)
-        for c, ent in step.relator(self.ctx, self.ell):
-            self.acc.add(-step.mult * c, ent)
 
     # -- move emitters -----------------------------------------------------
 
@@ -448,11 +419,11 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     against the finite-field Steinberg relators, each lifted to O by
     u^{-1}-scaling: the row i*j of ff_kgroup is [g^i,g^j,g,..,g].  Powers
     of g expand and contract along binary chains (expand_power), so a
-    certificate has O(n log q) steps.  The residual formal sum is keyed
-    by the entries' texts; beta's terms come out in the order of their
-    serialized entries.  The builder books each step's formal sum only;
-    the replay of the finished certificate (verify_certificate) checks
-    every side condition once and raises SelfCheckFailed on a bad step.
+    certificate has O(n log q) steps.  The builder records the steps
+    only.  One replay of them, the verifier's own (_replay), checks every
+    side condition, raising SelfCheckFailed on a bad step, and books alpha
+    minus the relators as one MilnorClass: that residual divided by ell
+    is beta, its terms in the order of their serialized entries.
     """
     n = a.degree
     if n < 2:
@@ -469,7 +440,6 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     kg = ff_kgroup(q, n)
     g_lift = teichmuller(ctx, ctx.lift_residue(kappa.gen()))
     b = _WitnessBuilder(ctx, ell)
-    b.acc.add_class(1, a)
 
     # 1) split every entry as (Teichmuller part) * (principal unit part)
     work = [(t.coeff, t.entries) for t in a.terms]
@@ -483,11 +453,10 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
                 e_exp = ctx.residue(x).dlog()
                 omega = g_lift ** e_exp
                 u1 = x * omega.inverse()
+                nxt.append((cc, ee[:pos] + (omega,) + ee[pos + 1:]))
                 if u1.is_one():
-                    nxt.append((cc, ee[:pos] + (omega,) + ee[pos + 1:]))
                     continue
                 b.expand(cc, ee, pos, omega, u1)
-                nxt.append((cc, ee[:pos] + (omega,) + ee[pos + 1:]))
                 # the principal-unit branch is absorbed right away
                 eu = ee[:pos] + (u1,) + ee[pos + 1:]
                 root = principal_unit_root(ctx, u1, ell)
@@ -504,19 +473,12 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
         if ones:
             b.kill_one_entry(c, ent, ones[0])
             continue
-        cur = ent
-        mult = c
+        cur, mult = ent, c
         for pos in range(n):
             b.expand_power(mult, cur, pos, g_lift, exps[pos])
             cur = cur[:pos] + (g_lift,) + cur[pos + 1:]
             mult *= exps[pos]
         v_total += mult
-
-    def pay_order(c: int) -> int:
-        # c*(q-1)*[g,..,g] = c*[g^(q-1), g,..,g] = c*[1, g,..,g] = 0
-        b.contract_power(c, gens, 0, g_lift, q - 1)
-        b.kill_one_entry(c, (ctx.one(),) + gens[1:], 0)
-        return c * (q - 1)
 
     # 3) discharge v_total*{g,..,g} against the kappa Steinberg relators
     combo = kg.presentation.express_in_relators([v_total])
@@ -524,35 +486,40 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
         if c_r == 0:
             continue
         if meta[0] == "order":
-            v_total -= pay_order(c_r)
+            # c_r*(q-1)*[g,..,g] = c_r*[g^(q-1),g,..,g] = c_r*[1,g,..,g] = 0
+            b.contract_power(c_r, gens, 0, g_lift, q - 1)
+            b.kill_one_entry(c_r, (ctx.one(),) + gens[1:], 0)
+            v_total -= c_r * (q - 1)
             continue
         _, i, j = meta
         b.contract_power(c_r * i, gens, 1, g_lift, j)
         cur = (g_lift, g_lift ** j) + gens[2:]
         b.contract_power(c_r, cur, 0, g_lift, i)
-        _discharge_steinberg_pair(b, (g_lift ** i,) + cur[1:])
+        _discharge_steinberg_pair(b, c_r, (g_lift ** i,) + cur[1:])
         v_total -= c_r * i * j
     if v_total != 0:
         raise SelfCheckFailed(f"relator bookkeeping left {v_total}")
 
-    # 4) whatever remains must be an exact multiple of ell: that is beta
+    # 4) replay the steps once: whatever remains of alpha must be an exact
+    # multiple of ell, and that is beta
+    cert = DivisibilityCertificate(ctx, ell, a, MilnorClass.zero(ctx, n),
+                                   b.steps)
+    why, remains = _replay(cert)
+    if why:
+        raise SelfCheckFailed(f"freshly built certificate failed: {why}")
     beta_terms = []
-    for c, ent in b.acc.items():
-        if c % ell != 0:
+    for t in remains.terms:
+        if t.coeff % ell != 0:
             raise SelfCheckFailed(
-                f"residual coefficient {c} not divisible by {ell}")
-        beta_terms.append(SymbolTerm(c // ell, ent))
-    beta = MilnorClass(ctx, n, beta_terms)
-    cert = DivisibilityCertificate(ctx, ell, a, beta, b.steps)
-    res = verify_certificate(cert)
-    if not res:
-        raise SelfCheckFailed(f"freshly built certificate failed: {res.failure}")
+                f"residual coefficient {t.coeff} not divisible by {ell}")
+        beta_terms.append(SymbolTerm(t.coeff // ell, t.entries))
+    cert.beta = MilnorClass(ctx, n, beta_terms)
     return cert
 
 
-def _discharge_steinberg_pair(b: _WitnessBuilder, ent):
-    """Kill c*[a,b,rest], c the residual coefficient on ent (read through
-    _FormalSum.coeff), where abar + bbar = 1 in kappa.
+def _discharge_steinberg_pair(b: _WitnessBuilder, c: int, ent):
+    """Kill c*[a,b,rest], the residual term on ent that the caller's
+    contractions left, where abar + bbar = 1 in kappa.
 
     a + b = u lies in U_1, so w = u^{-1} makes (wa) + (wb) = 1 exactly:
     [wa,wb,rest] is a Steinberg relator.  Expanding it bilinearly and
@@ -560,9 +527,6 @@ def _discharge_steinberg_pair(b: _WitnessBuilder, ent):
     steps) leaves only multiples of ell.
     """
     ctx, ell = b.ctx, b.ell
-    c = b.acc.coeff(ent)
-    if c == 0:
-        return
     x1, x2, rest = ent[0], ent[1], ent[2:]
     u = x1 + x2
     if not ctx.is_principal_unit(u):
@@ -725,7 +689,8 @@ def hilbert(ctx: LocalFieldCtx, a, b):
     eps(u)eps(v) + alpha*omega2(v) + beta*omega2(u) mod 2 for a = 2^alpha u,
     b = 2^beta v.  Odd p: returns the tame-pairing residue
     (-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)} bar as a kappa element (the group
-    (K_2 Q_p)/p is zero for odd p, so this shadow is killed by p).
+    (K_2 Q_p)/p is zero for odd p, so this shadow is killed by p), read
+    off tame({a,b}), which sends {pi,u} to ubar, the inverse.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("hilbert symbol needs nonzero arguments")
@@ -741,10 +706,10 @@ def hilbert(ctx: LocalFieldCtx, a, b):
         wu = (u.unit * u.unit - 1) // 8 % 2
         wv = (v.unit * v.unit - 1) // 8 % 2
         return (eu * ev + alpha * wv + beta * wu) % 2
-    va, ua = unit_decompose(a)
-    vb, ub = unit_decompose(b)
-    sign = ctx.residue_field.minus_one() ** (va * vb)
-    return sign * ctx.residue(ua) ** vb * ctx.residue(ub) ** (-va)
+    value = ctx.residue_field.one()
+    for t in tame(ctx, symbol(ctx, [a, b])).terms:
+        value = value * t.entries[0] ** -t.coeff
+    return value
 
 
 # largest p^B the oracle sweeps: p^B + p^(B-1) values take about a second

@@ -52,9 +52,6 @@ class SymbolTerm:
     def degree(self) -> int:
         return len(self.entries)
 
-    def entries_key(self):
-        return tuple(e.serialize() for e in self.entries)
-
     def serialize(self) -> str:
         body = "{" + ",".join(e.serialize() for e in self.entries) + "}"
         if abs(self.coeff) == 1:
@@ -67,22 +64,26 @@ class SymbolTerm:
 
 
 class MilnorClass:
-    """Normalized formal sum of same-degree symbols over one context."""
+    """Normalized formal sum of same-degree symbols over one context: the
+    one free abelian group on symbols, which the certificate replay books
+    into too.  Terms merge by their entries' serialize() texts and are kept
+    in the order of those texts; a term whose coefficient cancels goes."""
 
     __slots__ = ("ctx", "degree", "terms")
 
     def __init__(self, ctx, degree: int, terms):
         merged: dict[tuple, tuple[int, tuple]] = {}
         for t in terms:
-            if t.degree != degree:
+            ent = t.entries
+            if len(ent) != degree:
                 raise PatternMismatch(
-                    f"a degree-{t.degree} term in a degree-{degree} class")
-            k = t.entries_key()
+                    f"a degree-{len(ent)} term in a degree-{degree} class")
+            k = tuple([e.serialize() for e in ent])
             if k in merged:
-                c, ent = merged[k]
-                merged[k] = (c + t.coeff, ent)
+                c, first = merged[k]
+                merged[k] = (c + t.coeff, first)
             else:
-                merged[k] = (t.coeff, t.entries)
+                merged[k] = (t.coeff, ent)
         self.ctx = ctx
         self.degree = degree
         self.terms = tuple(SymbolTerm(c, ent)

@@ -717,6 +717,34 @@ def test_verify_cert_lenient_number_gives_fail_record(capsys, tmp_path):
     assert "ok=false" in out
 
 
+# a step with a zero entry once passed its side condition (y*z = 0 = e[pos])
+# and its relator cancelled alpha: {5,2} and {t,2} replayed as divisible
+# by 2, though hilbert 5 2 over padic:5 is the non-square g^3
+_ZERO_ENTRY_CERTS = {
+    "padic5": "ctx padic(5,8)\nell 2\ndegree 2\n"
+              "alpha 1 ; padic(5,8):1*p^1 | padic(5,8):2*p^0\n"
+              "step BILINEAR_EXPAND -1 0 ; padic(5,8):0 | padic(5,8):2*p^0 ; "
+              "padic(5,8):0 | padic(5,8):1*p^1\n",
+    "laurent3": "ctx laurent(3,4)\nell 2\ndegree 2\n"
+                "alpha 1 ; laurent(3,4):t^1*(1,0,0,0) | "
+                "laurent(3,4):t^0*(2,0,0,0)\n"
+                "step BILINEAR_EXPAND -1 0 ; laurent(3,4):0 | "
+                "laurent(3,4):t^0*(2,0,0,0) ; laurent(3,4):0 | "
+                "laurent(3,4):t^1*(1,0,0,0)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_ENTRY_CERTS))
+def test_verify_cert_zero_entry_gives_fail_record(capsys, tmp_path, case):
+    cert = tmp_path / "z.cert"
+    cert.write_text("divcert v1\n" + _ZERO_ENTRY_CERTS[case])
+    rc, out = run(capsys, ["--format", "records", "verify-cert", str(cert)])
+    assert rc == 1
+    (record,) = [ln for ln in out.splitlines() if ln.startswith("record ")]
+    assert record.endswith(" ell=2 steps=1 counterexample='step 0 "
+                           "(BILINEAR_EXPAND): entry 0 is zero' ok=false")
+
+
 def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
     rc, out = run(capsys, ["--format", "records", "verify-cert",
                            str(tmp_path / "missing.txt")])

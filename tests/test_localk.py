@@ -1,7 +1,6 @@
 """Local-field K-theory: tame symbol, mod-m maps, certificates, Hilbert pairing."""
 
 import hashlib
-import itertools
 import os
 import random
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorforge import localk
-from milnorforge.arith.local import laurent_ctx, padic_ctx
+from milnorforge.arith.local import laurent_ctx, padic_ctx, unit_decompose
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.errors import (
     BadInput,
@@ -22,7 +21,6 @@ from milnorforge.errors import (
     ZeroInput,
 )
 from milnorforge.localk import (
-    VerifyResult,
     divisibility_witness,
     generator_form,
     gersten_check,
@@ -35,7 +33,7 @@ from milnorforge.localk import (
     tame,
     verify_certificate,
 )
-from milnorforge.symbols import MilnorClass, ff_kgroup, symbol
+from milnorforge.symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
 
 
 CONTEXTS = [padic_ctx(5, 8), padic_ctx(2, 8), laurent_ctx(3, 8)]
@@ -219,39 +217,48 @@ def test_certificate_with_linear_chains_still_replays():
 @pytest.mark.parametrize("ctx", [padic_ctx(7, 4), laurent_ctx(9, 4)])
 def test_expand_power_follows_the_binary_chain(ctx):
     # mult*[base^e, y] becomes e*mult*[base, y] in at most 2*floor(log2 e)
-    # steps, the residual tracked by the builder's own formal sum
+    # steps: the replay of the recorded steps against alpha = 5*[g^e, y]
+    # leaves the residual 5e*[g, y] (y is a unit: 3 is zero in F_9[[t]],
+    # and a symbol has no zero entry)
     g = localk.teichmuller(ctx, ctx.lift_residue(ctx.residue_field.gen()))
-    y = ctx.from_int(3)
+    y = ctx.from_int(2)
     for e in range(1, 301):
         b = localk._WitnessBuilder(ctx, 2)
-        b.acc.add(5, (g ** e, y))
         b.expand_power(5, (g ** e, y), 0, g, e)
         assert len(b.steps) <= 2 * (e.bit_length() - 1), e
-        assert [(c, tuple(x.key() for x in ent)) for c, ent in b.acc.items()] \
-            == [(5 * e, (g.key(), y.key()))], e
+        alpha = symbol(ctx, [g ** e, y]).scale(5)
+        why, residual = localk._replay(localk.DivisibilityCertificate(
+            ctx, 2, alpha, MilnorClass.zero(ctx, 2), b.steps))
+        assert why == "", e
+        assert [(t.coeff, tuple(x.key() for x in t.entries))
+                for t in residual.terms] == [(5 * e, (g.key(), y.key()))], e
 
 
 @settings(max_examples=100)
 @given(st.data())
 def test_formal_sum_items_follow_serialized_order(data):
-    # terms keyed by key() come out as the serialization-keyed sum had them
+    # MilnorClass, the certificates' formal sum, merges terms by their
+    # serialized entries, lists them in that order, and is zero exactly
+    # when everything cancels
     ctx = data.draw(st.sampled_from([padic_ctx(3, 2), laurent_ctx(4, 2)]))
-    pool = [ctx.one(), ctx.minus_one(), ctx.uniformizer(), ctx.from_int(2),
-            ctx.from_int(2).truncate(1), ctx.zero(), ctx.one().truncate(1),
-            ctx.uniformizer() + ctx.one()]
-    acc, ref = localk._FormalSum(), {}
+    # nonzero entries only: 2 is zero in F_4[[t]], so the lift of the
+    # residue generator (2 in Z_3) stands in for it
+    u = ctx.lift_residue(ctx.residue_field.gen())
+    pool = [ctx.one(), ctx.minus_one(), ctx.uniformizer(), u, u.truncate(1),
+            ctx.one().truncate(1), ctx.uniformizer() + ctx.one()]
+    terms, ref = [], {}
     for _ in range(data.draw(st.integers(0, 30))):
         c = data.draw(st.integers(-2, 2))
         ent = tuple(data.draw(st.sampled_from(pool)) for _ in range(2))
-        acc.add(c, ent)
+        terms.append(SymbolTerm(c, ent))
         k = tuple(e.serialize() for e in ent)
         ref[k] = ref.get(k, 0) + c
+    acc = MilnorClass(ctx, 2, terms)
     want = sorted((k, c) for k, c in ref.items() if c)
-    got = [(tuple(e.serialize() for e in ent), c) for c, ent in acc.items()]
+    got = [(tuple(e.serialize() for e in t.entries), t.coeff)
+           for t in acc.terms]
     assert got == want
     assert acc.is_zero() == (not want)
-    for ent in itertools.product(pool, repeat=2):
-        assert acc.coeff(ent) == ref.get(tuple(e.serialize() for e in ent), 0)
 
 
 # Z_5, and residue fields past the tables (2^16 < q <= FIELD_BOUND) in
@@ -347,22 +354,80 @@ def test_tampered_step_multiplicity_is_rejected():
         assert not verify_certificate(cert).ok
 
 
+def _zero_entry_steps(ctx):
+    """One step of each kind whose side condition holds but for a zero
+    entry (or aux entry), keyed by kind."""
+    zero, two, one = ctx.zero(), ctx.from_int(2), ctx.one()
+    pi = ctx.uniformizer()
+    return {
+        # y*z = 0 = e[0]; the relator nets to -{pi, 2}
+        localk.BILINEAR_EXPAND: localk.CertStep(
+            localk.BILINEAR_EXPAND, -1, (zero, two), 0, (zero, pi)),
+        localk.SWAP: localk.CertStep(localk.SWAP, 1, (zero, two), (0, 1)),
+        localk.STEINBERG_ZERO: localk.CertStep(
+            localk.STEINBERG_ZERO, 1, (zero, one), (0, 1)),
+        localk.MINUS_SELF: localk.CertStep(
+            localk.MINUS_SELF, 1, (zero, zero), 0),
+        localk.SELF_TO_MINUS_ONE: localk.CertStep(
+            localk.SELF_TO_MINUS_ONE, 1, (zero, zero), 0),
+        localk.HENSEL_ROOT: localk.CertStep(
+            localk.HENSEL_ROOT, 1, (zero, two), 0, (zero,)),
+        # a zero aux entry alone: 0*2 = 0 misses the entry 2 too, but the
+        # zero is named first
+        "aux": localk.CertStep(
+            localk.BILINEAR_EXPAND, 1, (two, two), 0, (zero, two)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_zero_entry_steps(padic_ctx(5, 8))))
+@pytest.mark.parametrize("ctx", [padic_ctx(5, 8), laurent_ctx(3, 4)])
+def test_step_with_a_zero_entry_is_refused(ctx, kind):
+    step = _zero_entry_steps(ctx)[kind]
+    alpha = symbol(ctx, [ctx.uniformizer(), ctx.from_int(2)])
+    cert = localk.DivisibilityCertificate(
+        ctx, 2, alpha, MilnorClass.zero(ctx, 2), [step])
+    res = verify_certificate(cert)
+    assert not res.ok
+    assert res.failure.startswith(f"step 0 ({step.kind}): ")
+    assert res.failure.endswith(" is zero")
+
+
 def test_witness_self_check_raises_under_python_O(monkeypatch):
-    # the final replay of a fresh certificate is a raise, not an assert
+    # the replay of a fresh certificate is a raise, not an assert
     ctx = padic_ctx(5, 8)
     rng = random.Random(37)
     a = symbol(ctx, [ctx.random_unit(rng), ctx.random_unit(rng)])
     back = lift_mod_m(ctx, reduce_mod_m(ctx, a, 3), 3)
-    monkeypatch.setattr(localk, "verify_certificate",
-                        lambda cert: VerifyResult(False, "forced"))
-    with pytest.raises(SelfCheckFailed):
+    monkeypatch.setattr(localk.CertStep, "violation",
+                        lambda step, ell: "forced")
+    with pytest.raises(SelfCheckFailed,
+                       match=r"^freshly built certificate failed: step 0 "):
         divisibility_witness(ctx, a - back, 3)
 
 
-def _book_then_negate_first_y(real_apply, tampered):
-    """A builder apply that books each step's true formal sum and then
-    replaces y by -y in the first BILINEAR_EXPAND step it recorded, so the
-    residual bookkeeping stays consistent and only the replay can notice."""
+@pytest.mark.parametrize("ctx", CONTEXTS)
+def test_witness_books_each_relator_once(ctx, monkeypatch):
+    # the builder records steps only; the one replay books each relator
+    calls = []
+    real = localk.CertStep.relator
+
+    def counted(step, *args):
+        calls.append(step)
+        return real(step, *args)
+
+    monkeypatch.setattr(localk.CertStep, "relator", counted)
+    ell = 5 if ctx.p == 3 else 3
+    rng = random.Random(41)
+    a = symbol(ctx, [ctx.random_unit(rng) for _ in range(3)])
+    back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
+    cert = divisibility_witness(ctx, a - back, ell)
+    assert cert.steps and len(calls) == len(cert.steps)
+
+
+def _record_then_negate_first_y(real_apply, tampered):
+    """A builder apply that records each step and then replaces y by -y in
+    the first BILINEAR_EXPAND step it recorded, so only the replay's side
+    condition can notice."""
     def apply(self, step):
         real_apply(self, step)
         if step.kind == localk.BILINEAR_EXPAND and not tampered:
@@ -381,7 +446,7 @@ def test_wrong_builder_step_fails_in_the_replay(ctx, monkeypatch):
     back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
     tampered = []
     monkeypatch.setattr(localk._WitnessBuilder, "apply",
-                        _book_then_negate_first_y(
+                        _record_then_negate_first_y(
                             localk._WitnessBuilder.apply, tampered))
     with pytest.raises(SelfCheckFailed,
                        match=r"^freshly built certificate failed: step \d+ "
@@ -431,9 +496,9 @@ two, three = ctx.from_int(2), ctx.from_int(3)
 b = _WitnessBuilder(ctx, 3)
 expect("builder 1-entry", SelfCheckFailed,
        lambda: b.kill_one_entry(1, (two, three), 0))
-b.acc.add(1, (two, two))  # 2 + 2 = 4 is no principal unit
+# 2 + 2 = 4 is no principal unit
 expect("builder Steinberg pair", SelfCheckFailed,
-       lambda: _discharge_steinberg_pair(b, (two, two)))
+       lambda: _discharge_steinberg_pair(b, 1, (two, two)))
 print("ok")
 """
 
@@ -507,6 +572,30 @@ def test_hilbert_odd_p_frozen_values():
     assert hilbert(ctx, ctx.from_int(5), ctx.from_int(4)) == kappa.gen() ** 2
     # two units pair trivially
     assert hilbert(ctx, ctx.from_int(2), ctx.from_int(3)).is_one()
+
+
+def _closed_form_hilbert(ctx, a, b):
+    """The odd-p tame pairing (-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)} bar."""
+    va, ua = unit_decompose(a)
+    vb, ub = unit_decompose(b)
+    sign = ctx.residue_field.minus_one() ** (va * vb)
+    return sign * ctx.residue(ua) ** vb * ctx.residue(ub) ** (-va)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_hilbert_odd_p_matches_the_closed_formula(p):
+    # hilbert reads the value off tame; the closed formula is the reference
+    ctx = padic_ctx(p, 6)
+    pi = ctx.uniformizer()
+    rng = random.Random(p)
+
+    def draw():
+        return ctx.random_unit(rng) * pi ** rng.randint(-3, 3)
+
+    for _ in range(100):
+        a = draw()
+        for b in (draw(), a, -a):
+            assert hilbert(ctx, a, b) == _closed_form_hilbert(ctx, a, b)
 
 
 def test_hilbert_rejects_zero_input():
