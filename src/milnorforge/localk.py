@@ -329,17 +329,18 @@ class VerifyResult:
 def _replay(cert: DivisibilityCertificate):
     """Check each step's side condition, then book alpha - ell*beta -
     sum(mult*relator) as one MilnorClass.  Returns (the first failing
-    step's reason, None), or ("", that class)."""
+    step's reason, None), or ("", that class).  violation() has refused
+    every zero entry, so the relator terms are booked as they are."""
     ell = cert.ell
-    terms = list(cert.alpha.terms)
-    terms += [SymbolTerm(-ell * t.coeff, t.entries) for t in cert.beta.terms]
+    pairs = [(t.coeff, t.entries) for t in cert.alpha.terms]
+    pairs += [(-ell * t.coeff, t.entries) for t in cert.beta.terms]
     for idx, step in enumerate(cert.steps):
         why = step.violation(ell)
         if why:
             return f"step {idx} ({step.kind}): {why}", None
-        terms += [SymbolTerm(-step.mult * c, ent)
-                  for c, ent in step.relator(cert.ctx, ell)]
-    return "", MilnorClass(cert.ctx, cert.alpha.degree, terms)
+        m = -step.mult
+        pairs += [(m * c, ent) for c, ent in step.relator(cert.ctx, ell)]
+    return "", MilnorClass.from_pairs(cert.ctx, cert.alpha.degree, pairs)
 
 
 def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:

@@ -91,17 +91,25 @@ class RatFuncCtx:
 
 
 class RatFuncElem:
-    """Reduced fraction num/den with den monic and gcd(num, den) = 1."""
+    """Reduced fraction num/den with den monic and gcd(num, den) = 1.
+
+    Euclid runs only when num and den both have degree >= 1: a zero
+    numerator is 0/1, and a constant on either side already has gcd 1.
+    The lowest-terms form over a monic denominator is unique, so the
+    short-cuts give the same num and den as the gcd would."""
 
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: RatFuncCtx, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroElement("zero denominator")
-        g = num.gcd(den)
-        if not g.is_one() and not g.is_zero():
-            num = num // g
-            den = den // g
+        if num.is_zero():
+            den = Poly.one(den.ctx)
+        elif num.degree >= 1 and den.degree >= 1:
+            g = num.gcd(den)
+            if not g.is_one():
+                num = num // g
+                den = den // g
         if not den.is_monic():
             den, num = den.monic_with(num)
         self.ctx = ctx

@@ -273,6 +273,15 @@ class RationalRingElem:
         return isinstance(other, RationalRingElem) and self.same_as(other)
 
     def __hash__(self):
+        """k = 1 over A: the hash of the residue in kappa(t).  Equal elements
+        have num*den' - num'*den in pi^prec A[t] with prec >= 1, and both
+        denominators lie in S, so their residues are one fraction, which
+        RatFuncElem keeps in one normal form.  k = 2, and fractions with
+        B = A[X]/(pi) coefficients: residue_map gives no normal form (an
+        unreduced pair over kappa[t1, t2], or no kappa(t) image), so all
+        of them hash alike."""
+        if self.k == 1 and not isinstance(self.num.ctx, QuotCtx):
+            return hash(residue_map(self))
         return hash(("ratring", self.k))
 
     def serialize(self) -> str:

@@ -72,23 +72,32 @@ class MilnorClass:
     __slots__ = ("ctx", "degree", "terms")
 
     def __init__(self, ctx, degree: int, terms):
+        self._book(ctx, degree, [(t.coeff, t.entries) for t in terms])
+
+    @classmethod
+    def from_pairs(cls, ctx, degree: int, pairs) -> "MilnorClass":
+        """The class of sum c*{entries} over (c, entries) pairs whose
+        entries the caller has already checked to be nonzero."""
+        x = cls.__new__(cls)
+        x._book(ctx, degree, pairs)
+        return x
+
+    def _book(self, ctx, degree: int, pairs):
         merged: dict[tuple, tuple[int, tuple]] = {}
-        for t in terms:
-            ent = t.entries
+        for c, ent in pairs:
             if len(ent) != degree:
                 raise PatternMismatch(
                     f"a degree-{len(ent)} term in a degree-{degree} class")
             k = tuple([e.serialize() for e in ent])
             if k in merged:
-                c, first = merged[k]
-                merged[k] = (c + t.coeff, first)
+                total, first = merged[k]
+                merged[k] = (total + c, first)
             else:
-                merged[k] = (t.coeff, ent)
+                merged[k] = (c, ent)
         self.ctx = ctx
         self.degree = degree
-        self.terms = tuple(SymbolTerm(c, ent)
-                           for _, (c, ent) in sorted(merged.items())
-                           if c != 0)
+        self.terms = tuple(SymbolTerm(c, ent) for _, (c, ent) in sorted(
+            item for item in merged.items() if item[1][0] != 0))
 
     # --- constructors -----------------------------------------------------
 

@@ -576,6 +576,39 @@ def test_extension_field_records_are_pinned(capsys):
         "ccd7c893c22aa523283deabd631d77133f13208d0471ca30708c195b7d794b16")
 
 
+_RATRING_ELEMS = ["(0)/(2+1*t^1)", "(3*t^1)/(1+1*t^1)", "(2)/(2+1*t^1)",
+                  "(1+1*t^1)/(2*t^0)", "(1+2*t^1+1*t^2)/(1+1*t^1)",
+                  "(1+1*t^1+1*t^3)/(2*t^0+1*t^2)"]
+RATRING_RUNS = [
+    ["--seed", str(seed), "--field", field] + argv
+    for seed in (0, 1, 2)
+    for field in ("padic:3", "laurent:4", "laurent:9")
+    for argv in (
+        [["s-member", p] for p in ("3*t^0+1*t^1", "3*t^0+9*t^2")]
+        + [["s-member", "--vars", "2", "3+1*t1*t2"]]
+        + [["ratring-unit", e] for e in _RATRING_ELEMS[1:]]
+        + [["ratring-unit", "--vars", "2", "(1+3*t1)/(1+t2)"]]
+        + [["ratring-residue", e] for e in _RATRING_ELEMS]
+        + [["delta-check", s] for s in (
+            "{(1+1*t^1)/(1+1*t^2),2}", "{2,5}",
+            "{(1+1*t^1)/(1+1*t^2),(1+1*t^1+1*t^3)/(1+1*t^2)}",
+            "deg:1 {(1+2*t^1+1*t^2)/(1+1*t^1)}")]
+        + [["base-change-check", "--samples", "2"]])]
+
+
+def test_rational_ring_records_are_pinned(capsys):
+    # the A(t) verbs over Z_3, F_4[[t]] and F_9[[t]]: residues with zero,
+    # constant and shared-factor numerators (in characteristic 2, 2 is a
+    # zero numerator or a denominator outside S), delta checks and sampled
+    # base changes; digest taken before RatFuncElem skipped forced gcds
+    h = hashlib.sha256()
+    for argv in RATRING_RUNS:
+        _, out = run(capsys, ["--format", "records"] + argv)
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "6a527e45d940a3bc02714ba90689511a83286e7c8706a71ff48360eda87a37db")
+
+
 def test_norm_along_reducible_pi_fails(capsys):
     rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
                            "norm", "--pi=-1*t^2;0;1", "{1;1}"])

@@ -7,11 +7,12 @@ import pytest
 from milnorforge.arith.factor import is_irreducible
 from milnorforge.arith.finite_field import ff_ctx, ff_ctx_q, ff_embedding
 from milnorforge.arith.poly import Poly
-from milnorforge.errors import NotAUnit, NotMonic
+from milnorforge.errors import NotAUnit, NotMonic, ZeroElement
 from milnorforge.ratfunc import (
     Place,
     QuotCtx,
     RatFuncCtx,
+    RatFuncElem,
     ff_sqrt,
     irreducible_by_specialization,
     irreducible_over,
@@ -32,6 +33,60 @@ def test_fractions_reduce_to_lowest_terms():
     t = F.gen()
     x = (t * t - F.one()) / (t - F.one())  # (t-1)(t+1)/(t-1) = t+1
     assert x == t + F.one()
+
+
+def _reference_normal_form(num: Poly, den: Poly):
+    """Lowest terms over a monic denominator, gcd always run."""
+    if den.is_zero():
+        raise ZeroElement("zero denominator")
+    g = num.gcd(den)
+    if not g.is_one() and not g.is_zero():
+        num = num // g
+        den = den // g
+    if not den.is_monic():
+        den, num = den.monic_with(num)
+    return num, den
+
+
+NORMAL_FORM_FIELDS = {
+    "F_2": lambda: RatFuncCtx(ff_ctx(2)),
+    "F_3": lambda: RatFuncCtx(ff_ctx(3)),
+    "F_4": lambda: RatFuncCtx(ff_ctx(2, 2)),
+    "F_9": lambda: RatFuncCtx(ff_ctx(3, 2)),
+    "F_2^20": lambda: RatFuncCtx(ff_ctx(2, 20)),
+    "F_3(t)": lambda: RatFuncCtx(RatFuncCtx(ff_ctx(3)), "X"),
+}
+
+
+@pytest.mark.parametrize("name", NORMAL_FORM_FIELDS)
+def test_normal_form_matches_the_always_gcd_reference(name):
+    F = NORMAL_FORM_FIELDS[name]()
+    K = F.base
+    rng = random.Random(name)
+
+    def poly(deg, monic=False):
+        top = K.one() if monic else K.random_nonzero(rng)
+        return Poly(K, [K.random_element(rng) for _ in range(deg)] + [top])
+
+    zero = Poly.zero(K)
+    pairs = []
+    for _ in range(6):
+        c, h = poly(0), poly(1)
+        pairs += [(zero, c), (zero, poly(2)), (zero, poly(2, monic=True)),
+                  (c, poly(2)), (c, poly(0)), (poly(2), c), (poly(2), poly(3)),
+                  (poly(2) * h, poly(1) * h), (h.scale(c.lc), h),
+                  (h * h, h.scale(c.lc))]
+    shared = 0
+    for num, den in pairs:
+        want = _reference_normal_form(num, den)
+        x = RatFuncElem(F, num, den)
+        assert (x.num, x.den) == want, (num, den)
+        assert x.den.is_monic()
+        shared += not num.gcd(den).is_one()
+    assert shared >= 18  # every h above is a common factor
+    for num in (zero, poly(0), poly(2)):
+        with pytest.raises(ZeroElement):
+            RatFuncElem(F, num, zero)
 
 
 def test_field_axioms_on_random_elements():

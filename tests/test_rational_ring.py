@@ -95,6 +95,42 @@ def test_residue_map_is_multiplicative(A):
         assert residue_map(x * y) == residue_map(x) * residue_map(y)
 
 
+# --- hashing agrees with working-precision equality ----------------------
+
+@pytest.mark.parametrize("A", CONTEXTS)
+def test_equal_elements_hash_alike(A):
+    rng = random.Random(A.q + 2)
+    tiny = MultiPoly(A, 1, {(1,): A.uniformizer() ** A.prec})
+    for _ in range(20):
+        x = random_ratring_elem(A, 1, rng)
+        u = A.random_unit(rng)
+        h = random_multipoly(A, 1, rng, ensure_s=True)
+        for y in (RationalRingElem(A, 1, x.num.scale(u), x.den.scale(u)),
+                  RationalRingElem(A, 1, x.num * h, x.den * h),
+                  RationalRingElem(A, 1, x.num + tiny, x.den)):
+            assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("A", [padic_ctx(5, 8), laurent_ctx(3, 8)])
+def test_hashes_spread_over_many_buckets(A):
+    rng = random.Random(7)
+    xs = [random_ratring_elem(A, 1, rng) for _ in range(200)]
+    residues = {residue_map(x).serialize() for x in xs}
+    buckets = {hash(x) for x in xs}
+    assert len(buckets) == len(residues) >= 15
+
+
+def test_hash_without_a_residue_normal_form_is_constant():
+    A = padic_ctx(5, 8)
+    rng = random.Random(3)
+    xs = [random_ratring_elem(A, 2, rng) for _ in range(5)]
+    assert len({hash(x) for x in xs}) == 1
+    B = QuotCtx(A, Poly.from_ints(A, [2, 0, 1]))
+    z = RationalRingElem(A, 1, _random_bpoly(A, B, random.Random(1)),
+                         _random_bpoly(A, B, random.Random(2)))
+    assert hash(z) == hash(("ratring", 1))
+
+
 # --- delta-kernel test ----------------------------------------------------
 
 def test_delta_true_on_constant_entry_classes():
