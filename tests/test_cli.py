@@ -609,6 +609,60 @@ def test_rational_ring_records_are_pinned(capsys):
         "6a527e45d940a3bc02714ba90689511a83286e7c8706a71ff48360eda87a37db")
 
 
+EVERY_VERB_RUNS = [
+    ["--seed", str(seed)] + argv
+    for seed in (0, 1, 2)
+    for argv in (
+        [["ff-kgroup", "--q", "9", "--n", "1"],
+         ["ff-kgroup", "--q", "7", "--n", "2"],
+         ["--field", "padic:5", "tame", "deg:2 {pi,2}"],
+         ["--field", "padic:5", "reduce", "--m", "2", "{2,3}"],
+         ["--field", "laurent:9", "lift", "--m", "2",
+          "{ff(3,2):g^3,ff(3,2):g^5}"],
+         ["--field", "padic:5", "--out", "c.cert", "divide", "--ell", "3",
+          "{8,7}"],
+         ["verify-cert", "c.cert"],
+         ["--field", "padic:2", "hilbert", "-1", "-1"],
+         ["--field", "padic:5", "hilbert", "5", "2"],
+         ["--field", "padic:2", "qf-oracle", "2", "-1"],
+         ["--field", "ratfunc:3", "residues", "{t,1*t^1+1}"],
+         ["--field", "ratfunc:3", "section", "{t,1*t^1+1}"],
+         ["--field", "ratfunc:3", "norm", "--pi=-1*t;0;1", "{0;1,1*t^1+1;1}"],
+         ["--field", "padic:3", "s-member", "3*t^0+1*t^1"],
+         ["--field", "padic:3", "ratring-unit", "(1+1*t^1)/(2*t^0)"],
+         ["--field", "padic:3", "ratring-residue", "(3*t^1)/(1+1*t^1)"],
+         ["--field", "padic:3", "delta-check", "{2,5}"],
+         ["--field", "padic:5", "base-change-check", "--pi", "2;0;1"],
+         # above the cost bound, with and without --pi: a FAIL record
+         ["--field", "padic:5", "--precision", "16", "base-change-check",
+          "--pi=4;4;4;4;4;3;1"],
+         ["--field", "laurent:3", "--precision", "256", "base-change-check"],
+         # gersten-check refuses mixed characteristic: a FAIL record
+         ["--field", "padic:5", "gersten-check", "--n", "1", "--m", "2"]]
+        + [["--field", "laurent:3", "gersten-check", "--n", str(n), "--m", "2",
+            "--samples", "3"] for n in (1, 2, 3)]
+        + [["--field", "padic:5", "base-change-check", "--samples", "2"]]
+        # check-tower over F_2(t) refuses its inseparable towers
+        + [["--field", f"ratfunc:{q}", verb, "--samples", "2"]
+           for q in (2, 3)
+           for verb in ("check-reciprocity", "check-projection",
+                        "check-tower")]
+        + [["suite", name] for name in sorted(cli.SUITES)])]
+
+
+def test_every_verb_and_suite_records_are_pinned(capsys, monkeypatch,
+                                                 tmp_path):
+    # every verb, its FAIL paths included, and every suite at seeds 0-2;
+    # digest taken before the sampled checks left the command-line driver
+    monkeypatch.chdir(tmp_path)  # divide writes c.cert, verify-cert reads it
+    h = hashlib.sha256()
+    for argv in EVERY_VERB_RUNS:
+        _, out = run(capsys, ["--format", "records"] + argv)
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "0c30aa3caa17a8817057e548b71aa569bf6fde9d270da3b4965b236b1285039a")
+
+
 def test_norm_along_reducible_pi_fails(capsys):
     rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
                            "norm", "--pi=-1*t^2;0;1", "{1;1}"])
