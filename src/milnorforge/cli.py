@@ -1,10 +1,13 @@
 """Command-line front end: `milnor-forge`.
 
 One verb per exposed operation, plus the orchestrated `gersten-check` and
-the named invariant suites.  All randomness flows from the single --seed;
-machine-readable output (--format records) is line-delimited with stable
-field names and is byte-identical for identical (inputs, seed, config).
-Exit status is 0 only when every check in the run passed.
+the named invariant suites.  This module only parses arguments, dispatches
+and renders: the sampled checks and the suites live in `checks`, and each
+(ok, counterexample, fields) triple they give becomes one record.  All
+randomness flows from the single --seed; machine-readable output (--format
+records) is line-delimited with stable field names and is byte-identical
+for identical (inputs, seed, config).  Exit status is 0 only when every
+check in the run passed.
 """
 
 from __future__ import annotations
@@ -16,54 +19,20 @@ import sys
 import time
 
 from .arith.finite_field import ff_ctx_q
-from .arith.local import (
-    LAURENT,
-    PADIC,
-    LocalFieldCtx,
-    laurent_ctx,
-    padic_ctx,
-)
+from .arith.local import LAURENT, PADIC, LocalFieldCtx, laurent_ctx, padic_ctx
 from .arith.poly import Poly
-from .bass_tate import (
-    bt_section,
-    functoriality_check,
-    k_equal,
-    norm,
-    projection_formula_check,
-    reciprocity_check,
-    residue_vector,
-)
-from .errors import (
-    BadInput,
-    DegreeTooLarge,
-    MilnorForgeError,
-    SelfCheckFailed,
-)
-from .localk import (
-    INT_RE,
-    divisibility_witness,
-    gersten_check,
-    hilbert,
-    lift_mod_m,
-    parse_certificate,
-    qf_oracle,
-    reduce_mod_m,
-    serialize_certificate,
-    tame,
-    verify_certificate,
-)
+from .bass_tate import bt_section, norm, residue_vector
+from .checks import (SUITES, base_change_checks, kgroup_fields,
+                     projection_checks, reciprocity_checks, tower_checks)
+from .errors import BadInput, MilnorForgeError
+from .localk import (INT_RE, divisibility_witness, gersten_check, hilbert,
+                     lift_mod_m, parse_certificate, qf_oracle, reduce_mod_m,
+                     serialize_certificate, tame, verify_certificate)
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
-from .rational_ring import (
-    MultiPoly,
-    RationalRingElem,
-    _random_local_pi,
-    base_change_roundtrip,
-    delta_kernel_check,
-    is_unit,
-    residue_map,
-    s_member,
-)
-from .symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
+from .rational_ring import (MultiPoly, RationalRingElem,
+                            check_base_change_cost, delta_kernel_check,
+                            is_unit, residue_map, s_member)
+from .symbols import MilnorClass, SymbolTerm
 
 DEFAULT_PRECISION = 8
 MAX_POLY_DEGREE = 32  # parsers build no larger polynomial; timings in README
@@ -290,12 +259,13 @@ class Report:
     def add(self, ok: bool, **fields):
         self.records.append((bool(ok), fields))
 
-    def check(self, ok: bool, counterexample, **fields):
-        """Add a check's record; a failed one ends with
-        counterexample=repr(counterexample()), built only then."""
-        if not ok:
-            fields["counterexample"] = repr(counterexample())
-        self.add(ok, **fields)
+    def check(self, triples):
+        """One record per (ok, counterexample, fields) triple; a failed one
+        ends with counterexample=repr(counterexample()), built only then."""
+        for ok, counterexample, fields in triples:
+            if not ok:
+                fields = dict(fields, counterexample=repr(counterexample()))
+            self.add(ok, **fields)
 
     @property
     def ok(self) -> bool:
@@ -335,10 +305,7 @@ def _local_ctx(args) -> LocalFieldCtx:
 
 
 def cmd_ff_kgroup(args, rep: Report):
-    g = ff_kgroup(args.q, args.n)
-    inv = g.invariant_factors
-    rep.add(True, op="ff_kgroup", q=args.q, n=args.n,
-            invariants="[" + ",".join(map(str, inv)) + "]")
+    rep.add(True, **kgroup_fields(args.q, args.n)[1])
 
 
 def cmd_tame(args, rep: Report):
@@ -406,8 +373,9 @@ def cmd_verify_cert(args, rep: Report):
         raise BadInput(f"cannot read certificate {args.file!r}: {e}") from None
     cert = parse_certificate(text)
     result = verify_certificate(cert)
-    rep.check(result.ok, lambda: result.failure, op="verify_certificate",
-              file=args.file, ell=cert.ell, steps=len(cert.steps))
+    rep.check([(result.ok, lambda: result.failure,
+                dict(op="verify_certificate", file=args.file, ell=cert.ell,
+                     steps=len(cert.steps)))])
 
 
 def cmd_hilbert(args, rep: Report):
@@ -466,102 +434,9 @@ def cmd_norm(args, rep: Report):
             output=repr(norm(a).serialize()))
 
 
-def _sampled_checks(rep: Report, op: str, samples: int, what: str, draw,
-                    redraw=()):
-    """`samples` checks, each from the next draw() that returns
-    (ok, counterexample) instead of None or one of the `redraw` errors,
-    within 50 draws per sample; a shortfall is one failed record.  A
-    failed self-check always propagates."""
-    done = 0
-    for _ in range(50 * samples):
-        if done == samples:
-            return
-        try:
-            got = draw()
-        except SelfCheckFailed:
-            raise
-        except redraw:
-            continue
-        if got is not None:
-            rep.check(*got, op=op, index=done)
-            done += 1
-    if done < samples:
-        rep.add(False, op=op,
-                counterexample=repr(f"only {done} {what} sampled"))
-
-
-def _sample_quot_field(F: RatFuncCtx, rng, degree: int) -> QuotCtx | None:
-    """F[X]/(pi) for a random pi, if the context decides pi irreducible;
-    None for a pi it rejects or cannot decide."""
-    base = F.base
-    coeffs = [F.random_nonzero(rng, 1) if rng.random() < 0.5
-              else F.from_const(base.random_nonzero(rng))
-              for _ in range(degree)] + [F.one()]
-    if all(c.den.is_one() and c.num.degree <= 1 for c in coeffs):
-        B = QuotCtx(F, Poly(F, coeffs))
-        try:
-            if B.pi_is_irreducible():
-                return B
-        except DegreeTooLarge:
-            pass
-    return None
-
-
-def cmd_check_reciprocity(args, rep: Report):
-    F = _ratfunc_ctx(args)
-    for i in range(args.samples):
-        ents = [F.random_nonzero(args.rng, 2) for _ in range(2)]
-        a = symbol(F, ents)
-        ok1 = reciprocity_check(a)
-        v = residue_vector(a)
-        ok2 = residue_vector(bt_section(v)).same_finite(v)
-        rep.check(ok1 and ok2, a.serialize, reciprocity=str(ok1).lower(),
-                  section_round_trip=str(ok2).lower(),
-                  op="reciprocity_check", index=i)
-
-
-def cmd_check_projection(args, rep: Report):
-    rng = args.rng
-    F = _ratfunc_ctx(args)
-
-    def draw():
-        B = _sample_quot_field(F, rng, 2)
-        if B is None:
-            return None
-        x = symbol(F, [F.random_nonzero(rng, 1)])
-        y = symbol(B, [B.theta() if rng.random() < 0.5
-                       else QuotElem(B, Poly.const(F, F.random_nonzero(rng, 1)))])
-        return (projection_formula_check(x, y),
-                lambda: (x.serialize(), y.serialize()))
-
-    _sampled_checks(rep, "projection_formula_check", args.samples,
-                    "extensions", draw)
-
-
-def cmd_check_tower(args, rep: Report):
-    rng = args.rng
-    F = _ratfunc_ctx(args)
-    base = F.base
-    if base.p == 2:
-        raise BadInput("check-tower needs odd characteristic: its towers "
-                       "X^2 + c*t and Y^2 - (theta + s) are inseparable "
-                       "when p = 2")
-
-    def unit():
-        return F.from_const(base.random_nonzero(rng))
-
-    def draw():
-        # X^2 + c0*t is Eisenstein at t; norm decides it once anyway
-        pi1 = Poly(F, [unit() * F.gen(), F.zero(), F.one()])
-        Fp = QuotCtx(F, pi1)
-        shift = QuotElem(Fp, Poly.const(F, unit()))
-        pi2 = Poly(Fp, [-(Fp.theta() + shift), Fp.zero(), Fp.one()])
-        g = Poly(F, [F.one(), unit()])
-        return (functoriality_check(pi1, pi2, g),
-                lambda: (pi1.serialize(), g.serialize()))
-
-    _sampled_checks(rep, "functoriality_check", args.samples, "towers",
-                    draw, MilnorForgeError)
+def cmd_check(args, rep: Report):
+    """check-reciprocity, check-projection and check-tower."""
+    rep.check(args.check(_ratfunc_ctx(args), args.rng, args.samples))
 
 
 # --------------------------------------------------------------------------
@@ -597,149 +472,23 @@ def cmd_delta_check(args, rep: Report):
             in_kernel=str(delta_kernel_check(a)).lower())
 
 
-# One base-change round trip at degree d and precision N costs about
-# d^3 * (1 + (N / scale)^e), fitted to timed runs of dense pi (README).  The
-# precision term grows faster over Laurent series, whose digits are separate
-# coefficients, than over p-adic numbers, whose digits share one integer.
-_BASE_CHANGE_PRECISION_COST = {PADIC: (126, 1), LAURENT: (24, 1.5)}
-
-
-def _base_change_cost(model: str, degree: int, precision: int) -> float:
-    scale, e = _BASE_CHANGE_PRECISION_COST[model]
-    return degree ** 3 * (1 + (precision / scale) ** e)
-
-
 def cmd_base_change_check(args, rep: Report):
-    rng = args.rng
     A = _local_ctx(args)
     parts = args.pi.split(";") if args.pi else None
-    degree = len(parts) - 1 if parts else 3  # the sampler draws degree <= 3
-    if (_base_change_cost(A.model, degree, A.prec)
-            > _base_change_cost(A.model, 6, DEFAULT_PRECISION)):
-        raise BadInput(f"base change at degree {degree} and precision "
-                       f"{A.prec} costs more than degree 6 at precision "
-                       f"{DEFAULT_PRECISION}")
-    if parts:
-        pi = Poly(A, [A.from_int(parse_int(c, "--pi")) for c in parts])
-        rep.check(base_change_roundtrip(A, pi, rng),
-                  lambda: pi.serialize("X"), op="base_change_roundtrip",
-                  index=0)
-        return
-
-    def draw():
-        pi = _random_local_pi(A, rng)
-        if pi is None:
-            return None
-        return base_change_roundtrip(A, pi, rng), lambda: pi.serialize("X")
-
-    _sampled_checks(rep, "base_change_roundtrip", args.samples,
-                    "local extensions", draw)
-
-
-# --------------------------------------------------------------------------
-# gersten-check
-# --------------------------------------------------------------------------
+    # the sampler draws degree <= 3
+    check_base_change_cost(A.model, len(parts) - 1 if parts else 3, A.prec)
+    pi = (Poly(A, [A.from_int(parse_int(c, "--pi")) for c in parts])
+          if parts else None)
+    rep.check(base_change_checks(A, args.rng, args.samples, pi))
 
 
 def cmd_gersten_check(args, rep: Report):
-    ctx = _local_ctx(args)
-    results = gersten_check(ctx, args.n, args.m, args.samples, args.rng)
-    for i, leg1, leg2, leg3, kind, sample in results:
-        rep.check(leg1 and leg2 and leg3, lambda: sample, op="gersten_check",
-                  index=i, n=args.n, m=args.m, iota_killed=str(leg1).lower(),
-                  section_onto=str(leg2).lower(),
-                  kernel_pure_unit=str(leg3).lower(), kernel_witness=kind)
-
-
-# --------------------------------------------------------------------------
-# suites
-# --------------------------------------------------------------------------
-
-
-def _suite_steinberg(rep: Report, rng, bounds):
-    # residue vectors of {f, 1-f} vanish everywhere over F_q(t)
-    for q in (3, 5):
-        F = RatFuncCtx(ff_ctx_q(q), "t")
-        for i in range(20):
-            f = F.random_nonzero(rng, 2)
-            if (F.one() - f).is_zero():
-                continue
-            a = symbol(F, [f, F.one() - f])
-            rep.check(k_equal(a, MilnorClass(F, 2, [])), a.serialize,
-                      op="steinberg_residues", q=q, index=i)
-    # hilbert symbol of (a, 1-a) over Q_2
-    ctx = padic_ctx(2, DEFAULT_PRECISION)
-    for i, a_int in enumerate((-1, 2, -2, 5, 10, -4)):
-        a = ctx.from_int(a_int)
-        b = ctx.one() - a
-        rep.check(hilbert(ctx, a, b) == 0, lambda: a_int,
-                  op="hilbert_steinberg", a=a_int, index=i)
-
-
-def _suite_hilbert_table(rep: Report, rng, bounds):
-    ctx = padic_ctx(2, max(DEFAULT_PRECISION, bounds["oracleprec"]))
-    reps = [1, -1, 2, -2, 5, -5, 10, -10]
-    elems = {r: ctx.from_int(r) for r in reps}
-    image = set()
-    for a in reps:
-        for b in reps:
-            h = hilbert(ctx, elems[a], elems[b])
-            o = qf_oracle(ctx, elems[a], elems[b],
-                          search_precision=bounds["oracleprec"])
-            image.add(h)
-            ok = (h == 0) == o and h == hilbert(ctx, elems[b], elems[a])
-            rep.check(ok, lambda: (a, b, h, o), op="hilbert_vs_oracle",
-                      a=a, b=b, value=h)
-    rep.add(image == {0, 1}, op="hilbert_image",
-            size=len(image))
-
-
-def _suite_reciprocity(rep: Report, rng, bounds):
-    for q in (3, 5):
-        F = RatFuncCtx(ff_ctx_q(q), "t")
-        for i in range(25):
-            a = symbol(F, [F.random_nonzero(rng, 2),
-                           F.random_nonzero(rng, 2)])
-            rep.check(reciprocity_check(a), a.serialize,
-                      op="reciprocity_check", q=q, index=i)
-
-
-def _suite_certificates(rep: Report, rng, bounds):
-    for ctx, ells in ((padic_ctx(5, DEFAULT_PRECISION), (2, 3)),
-                      (padic_ctx(2, DEFAULT_PRECISION), (3, 7)),
-                      (laurent_ctx(3, DEFAULT_PRECISION), (2, 4))):
-        for ell in ells:
-            for i in range(10):
-                a = symbol(ctx, [ctx.random_unit(rng) for _ in range(2)])
-                lifted = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
-                divisibility_witness(ctx, a - lifted, ell)  # replays it
-                rep.add(True, op="divisibility_witness", p=ctx.p, ell=ell,
-                        index=i)
-
-
-def _suite_ff_kgroups(rep: Report, rng, bounds):
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-        g1 = ff_kgroup(q, 1)
-        ok1 = g1.invariant_factors == ([q - 1] if q > 2 else [])
-        rep.add(ok1, op="ff_kgroup", q=q, n=1,
-                invariants="[" + ",".join(map(str, g1.invariant_factors)) + "]")
-        for n in (2, 3):
-            inv = ff_kgroup(q, n).invariant_factors
-            rep.check(inv == [], lambda: inv, op="ff_kgroup", q=q, n=n,
-                      invariants="[" + ",".join(map(str, inv)) + "]")
-
-
-SUITES = {
-    "STEINBERG": _suite_steinberg,
-    "HILBERT_TABLE": _suite_hilbert_table,
-    "RECIPROCITY": _suite_reciprocity,
-    "CERTIFICATES": _suite_certificates,
-    "FF_KGROUPS": _suite_ff_kgroups,
-}
+    rep.check(gersten_check(_local_ctx(args), args.n, args.m, args.samples,
+                            args.rng))
 
 
 def cmd_suite(args, rep: Report):
-    SUITES[args.name](rep, args.rng, args.bounds)
+    rep.check(SUITES[args.name](args.rng, args.bounds["oracleprec"]))
 
 
 # --------------------------------------------------------------------------
@@ -805,10 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("symbol",
                     help="entries are X-polys: '{0;1}' is {theta}")
 
-    for name, func in (("check-reciprocity", cmd_check_reciprocity),
-                       ("check-projection", cmd_check_projection),
-                       ("check-tower", cmd_check_tower)):
-        sp = verb(name, func)
+    for name, check in (("check-reciprocity", reciprocity_checks),
+                        ("check-projection", projection_checks),
+                        ("check-tower", tower_checks)):
+        sp = verb(name, cmd_check)
+        sp.set_defaults(check=check)
         sp.add_argument("--samples", type=_option_int, default=20)
 
     sp = verb("s-member", cmd_s_member, help="S-membership of a polynomial")

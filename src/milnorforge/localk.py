@@ -124,7 +124,8 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
     """Exactness legs of 0 -> K_n(O)/m -> K_n(F)/m -> K_{n-1}(kappa)/m -> 0
     on sampled classes: tame kills unit symbols, the section hits every
     sampled kappa-class, and constructed tame-kernel classes are exhibited
-    in pure-unit form modulo m.
+    in pure-unit form modulo m.  One (ok, counterexample, fields) triple
+    per sample, as in `checks`; the counterexample is the unit symbol.
     """
     if ctx.model != LAURENT:
         raise MixedCharRejected(
@@ -147,7 +148,10 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
 
         # leg 3: a constructed tame-kernel class has pure-unit form mod m
         leg3, kernel_kind = _kernel_leg(ctx, n, m, rng)
-        out.append((i, leg1, leg2, leg3, kernel_kind, b.serialize()))
+        out.append((leg1 and leg2 and leg3, b.serialize, dict(
+            op="gersten_check", index=i, n=n, m=m,
+            iota_killed=str(leg1).lower(), section_onto=str(leg2).lower(),
+            kernel_pure_unit=str(leg3).lower(), kernel_witness=kernel_kind)))
     return out
 
 

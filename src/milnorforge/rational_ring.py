@@ -6,7 +6,8 @@ the localization at S and is again local.  The module provides
 S-membership, invertibility, the residue map to kappa(t...), a sampled
 soundness test for membership in the delta-kernel (the improved Milnor
 K-group), and round-trip checks for the base-change isomorphism
-B (x)_A A(t) = B(t) with B = A[X]/(pi).
+B (x)_A A(t) = B(t) with B = A[X]/(pi), with the cost bound that keeps
+one such round trip within seconds.
 
 B(t) has two models.  Representation 1 is the free A(t)-module on
 1, X, ..., X^(d-1): numerators N_0, ..., N_(d-1) in A[t] over one shared
@@ -26,7 +27,7 @@ from itertools import islice
 
 from .arith.factor import is_irreducible
 from .arith.finite_field import _extension_points
-from .arith.local import LocalFieldCtx
+from .arith.local import LAURENT, PADIC, LocalFieldCtx
 from .arith.poly import Poly, _exact_zero
 from .bass_tate import k_equal
 from .errors import (
@@ -300,7 +301,11 @@ def is_unit(x: RationalRingElem) -> bool:
 
 def residue_map(x: RationalRingElem):
     """Coefficientwise reduction to kappa(t) (k = 1) or to a fraction of
-    polynomials over kappa (k = 2, returned unreduced)."""
+    polynomials over kappa (k = 2, returned unreduced).  A fraction with
+    B = A[X]/(pi) coefficients has no image here: ContextMismatch."""
+    if isinstance(x.num.ctx, QuotCtx):
+        raise ContextMismatch("residue map needs A-coefficients, not "
+                              "B = A[X]/(pi)")
     A = x.A
     kappa = A.residue_field
     if x.k == 1:
@@ -614,6 +619,24 @@ def random_ratring_elem(A, k: int, rng):
     num = random_multipoly(A, k, rng)
     den = random_multipoly(A, k, rng, ensure_s=True)
     return RationalRingElem(A, k, num, den)
+
+
+# One base-change round trip at degree d and precision N costs about
+# d^3 * (1 + (N / scale)^e), fitted to timed runs of dense pi (README).  The
+# precision term grows faster over Laurent series, whose digits are separate
+# coefficients, than over p-adic numbers, whose digits share one integer.
+_BASE_CHANGE_PRECISION_COST = {PADIC: (126, 1), LAURENT: (24, 1.5)}
+
+
+def check_base_change_cost(model: str, degree: int, precision: int):
+    """BadInput when a base-change round trip at this degree and precision
+    would cost more than one at degree 6 and precision 8 over the same
+    model; needs no coefficient of pi."""
+    scale, e = _BASE_CHANGE_PRECISION_COST[model]
+    if (degree ** 3 * (1 + (precision / scale) ** e)
+            > 6 ** 3 * (1 + (8 / scale) ** e)):
+        raise BadInput(f"base change at degree {degree} and precision "
+                       f"{precision} costs more than degree 6 at precision 8")
 
 
 def base_change_roundtrip(A: LocalFieldCtx, pi: Poly, rng,

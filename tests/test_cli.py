@@ -11,7 +11,7 @@ import time
 import pytest
 
 import milnorforge
-from milnorforge import bass_tate, cli, rational_ring
+from milnorforge import bass_tate, checks, cli, rational_ring
 from milnorforge.cli import main, make_field, read_bounds
 from milnorforge.errors import BadInput, SelfCheckFailed
 from milnorforge.rational_ring import MultiPoly
@@ -291,7 +291,7 @@ def test_check_tower_sampler_reports_a_failed_self_check(capsys, monkeypatch):
     def broken(pi1, pi2, g):
         raise SelfCheckFailed("pi-residue drifted during corrections")
 
-    monkeypatch.setattr(cli, "functoriality_check", broken)
+    monkeypatch.setattr(checks, "functoriality_check", broken)
     rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
                            "check-tower", "--samples", "2"])
     assert rc == 1
@@ -351,7 +351,8 @@ def test_correction_budget_exhaustion_names_the_budget(capsys, monkeypatch):
 
 
 def test_check_projection_sampler_is_bounded(capsys, monkeypatch):
-    monkeypatch.setattr(cli.QuotCtx, "pi_is_irreducible", lambda self: False)
+    monkeypatch.setattr(checks.QuotCtx, "pi_is_irreducible",
+                        lambda self: False)
     rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
                            "check-projection", "--samples", "2"])
     assert rc == 1
@@ -363,7 +364,7 @@ def test_check_projection_sampler_reports_a_failed_self_check(capsys,
     def broken(self):
         raise SelfCheckFailed("factorization failed to re-multiply")
 
-    monkeypatch.setattr(cli.QuotCtx, "pi_is_irreducible", broken)
+    monkeypatch.setattr(checks.QuotCtx, "pi_is_irreducible", broken)
     rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
                            "check-projection", "--samples", "2"])
     assert rc == 1
@@ -381,7 +382,7 @@ def test_check_projection_sampler_reports_a_failed_self_check(capsys,
 ])
 def test_failed_check_shows_its_counterexample(capsys, monkeypatch, name,
                                                argv):
-    monkeypatch.setattr(cli, name, lambda *args: False)
+    monkeypatch.setattr(checks, name, lambda *args: False)
     rc, out = run(capsys, ["--format", "records"] + argv)
     assert rc == 1
     failed = [ln for ln in out.splitlines() if ln.startswith("record ")

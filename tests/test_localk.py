@@ -598,6 +598,52 @@ def test_hilbert_odd_p_matches_the_closed_formula(p):
             assert hilbert(ctx, a, b) == _closed_form_hilbert(ctx, a, b)
 
 
+def _prime_factors(n: int) -> list:
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _hilbert_sum_over_q(a: int, b: int) -> int:
+    """The quadratic Hilbert symbols (a, b)_v, written additively, summed
+    over the real place and every p | 2ab (the places where (a, b)_v can
+    be nontrivial), mod 2."""
+    total = int(a < 0 and b < 0)
+    for p in _prime_factors(2 * a * b):
+        ctx = padic_ctx(p, 8)
+        h = hilbert(ctx, ctx.from_int(a), ctx.from_int(b))
+        if p > 2:
+            # Euler's criterion: is the tame value a square mod p?
+            h = 0 if (h ** ((p - 1) // 2)).is_one() else 1
+        total += h
+    return total % 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1999, 1999).filter(bool),
+       st.integers(-1999, 1999).filter(bool))
+def test_hilbert_reciprocity_over_q(a, b):
+    # Hilbert reciprocity (Serre, A Course in Arithmetic, ch. III): the
+    # closed p = 2 formula is checked against the tame symbols at odd p
+    assert _hilbert_sum_over_q(a, b) == 0
+
+
+@pytest.mark.parametrize("a,b", [
+    (1048573, -1), (-1048573, -1048573), (3 * 1048573, -5 * 2 ** 40),
+    (2 ** 30, 3), (-(2 ** 25) * 7, -(2 ** 17) * 1048573),
+    (1048573 * 1048571, 2 ** 12 * 1048573),
+])
+def test_hilbert_reciprocity_at_a_large_prime_and_high_2_adic_valuation(a, b):
+    # 1048571 and 1048573 are the primes just below FIELD_BOUND = 2^20;
+    # the 2-adic valuations reach 40
+    assert _hilbert_sum_over_q(a, b) == 0
+
+
 def test_hilbert_rejects_zero_input():
     ctx = padic_ctx(2, 8)
     with pytest.raises(ZeroInput):

@@ -8,6 +8,7 @@ from milnorforge.arith.finite_field import ff_ctx, ff_embedding
 from milnorforge.arith.local import laurent_ctx, padic_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import (
+    ContextMismatch,
     EliminationFailed,
     NonUnitEntry,
     NotAUnit,
@@ -129,6 +130,19 @@ def test_hash_without_a_residue_normal_form_is_constant():
     z = RationalRingElem(A, 1, _random_bpoly(A, B, random.Random(1)),
                          _random_bpoly(A, B, random.Random(2)))
     assert hash(z) == hash(("ratring", 1))
+
+
+@pytest.mark.parametrize("A,pi", [(padic_ctx(5, 8), [2, 0, 1]),
+                                  (laurent_ctx(3, 8), [1, 0, 1])])
+def test_residue_map_refuses_b_coefficients(A, pi):
+    # a fraction over B = A[X]/(pi), as conv_to_brep builds it, has no
+    # image in kappa(t); it once raised AttributeError in _coeff_residue
+    B = QuotCtx(A, Poly.from_ints(A, pi))
+    rng = random.Random(0)
+    v = Rep1.from_fractions(A, [random_ratring_elem(A, 1, rng)
+                                for _ in range(2)])
+    with pytest.raises(ContextMismatch, match="B = A"):
+        residue_map(conv_to_brep(A, B, v))
 
 
 # --- delta-kernel test ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Differential tests of F_p polynomial arithmetic against sympy.
+"""Differential tests of F_p arithmetic against sympy.
 
 sympy is an independent implementation, so factorizations, the
 irreducibility test, gcds and resultants over F_p must agree with it on
@@ -6,7 +6,8 @@ seeded random polynomials (resultants with sympy's determinant of the
 Sylvester matrix, see sylvester_resultant).  Places of F_q(t) trust
 poly_factor's factors without testing them again; this is the check on
 those factors.  sympy prints GF(p) coefficients in the symmetric range,
-so every coefficient is compared mod p.
+so every coefficient is compared mod p.  Discrete logs in F_p^x are
+compared with sympy's discrete_log.
 """
 
 import random
@@ -124,3 +125,19 @@ def test_resultant_agrees_with_sylvester_determinant(p):
         got = a.resultant(b)
         assert (0 if got.is_zero() else got.as_int()) == \
             sylvester_resultant(a, b, p), (a, b)
+
+
+# F_3 ... F_65521 have exp/log tables; F_65537 and F_1048573 lie above
+# TABLE_BOUND and take the baby-step/giant-step path
+@pytest.mark.parametrize("p,tables", [(3, True), (5, True), (7, True),
+                                      (65521, True), (65537, False),
+                                      (1048573, False)])
+def test_dlog_enc_agrees_with_sympy_discrete_log(p, tables):
+    k = ff_ctx(p)
+    assert (k.log is not None) == tables
+    g = k.generator_enc
+    rng = random.Random(4000 + p)
+    encs = {1, g, p - 1} | {rng.randrange(1, p) for _ in range(37)}
+    for enc in sorted(encs):
+        # over F_p an element's encoding is its integer 0..p-1
+        assert k.dlog_enc(enc) == sympy.ntheory.discrete_log(p, enc, g), enc
