@@ -3,7 +3,6 @@ from .finite_field import FFElement, FiniteFieldCtx, ff_ctx, ff_ctx_q
 from .laurent import LaurentSeries
 from .local import (
     LocalFieldCtx,
-    hensel_lift,
     laurent_ctx,
     padic_ctx,
     principal_unit_root,
@@ -22,7 +21,6 @@ __all__ = [
     "Poly",
     "ff_ctx",
     "ff_ctx_q",
-    "hensel_lift",
     "is_irreducible",
     "laurent_ctx",
     "padic_ctx",

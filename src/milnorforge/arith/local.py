@@ -3,9 +3,10 @@
 Two models share one interface: p-adic integers/numbers (mixed
 characteristic, residue field F_p, uniformizer p) and truncated Laurent
 series F_q((t)) (equicharacteristic, uniformizer t).  A LocalFieldCtx
-provides element factories, residue maps, and the lifting operations
-every higher layer relies on: Newton/Hensel root finding, Teichmuller
-representatives and the u * pi^k decomposition.
+provides element factories, residue maps and the u * pi^k decomposition;
+LOCAL_CTXS builds one from its model name.  The two lifts from the
+residue field that every higher layer relies on live here once each:
+Teichmuller representatives and ell-th roots of principal units.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..errors import (
     NewtonConditionFails,
     NotAUnit,
     PatternMismatch,
-    PrecisionExhausted,
     PrecisionTooLow,
     ZeroElement,
 )
@@ -27,7 +27,6 @@ from .finite_field import (FIELD_BOUND, FFElement, FiniteFieldCtx,
                            factorize, ff_ctx, ff_ctx_q)
 from .laurent import LaurentSeries
 from .padic import PadicNumber
-from .poly import Poly
 
 PADIC = "padic"
 LAURENT = "laurent"
@@ -119,16 +118,6 @@ class LocalFieldCtx:
             return PadicNumber(self.p, self.prec, 1, 1)
         return LaurentSeries.from_encs(self.residue_field, self.prec, 1,
                                        (1,) + (0,) * (self.prec - 1))
-
-    @staticmethod
-    def extend(x, prec: int):
-        """Reinterpret x at a (possibly higher) relative precision.
-
-        The new digits are zero, and a zero becomes exact; only internal
-        iteration (Newton) should use this, and results must be
-        re-verified at the claimed precision.
-        """
-        return x.zero_like(prec, None) if x.is_zero() else x.truncate(prec)
 
     def random_unit(self, rng):
         if self.model == PADIC:
@@ -230,64 +219,22 @@ def laurent_ctx(q: int, prec: int) -> LocalFieldCtx:
     return LocalFieldCtx(LAURENT, ff_ctx_q(q), prec)
 
 
-# --- Hensel / Newton ------------------------------------------------------
+# model name -> context constructor (q, prec): the field specs of the CLI
+# and the ctx lines of certificates, which write model(q,prec) (q = p)
+LOCAL_CTXS = {PADIC: padic_ctx, LAURENT: laurent_ctx}
 
 
-def _eval_extended(ctx: LocalFieldCtx, f: Poly, x, work: int):
-    """Horner evaluation with every coefficient widened to `work` digits."""
-    acc = ctx.extend(ctx.zero(), work)
-    for c in reversed(f.coeffs):
-        acc = acc * x + ctx.extend(c, work)
-    return acc
+# --- lifts from the residue field -----------------------------------------
 
 
-def hensel_lift(ctx: LocalFieldCtx, f: Poly, x0, target_prec: int):
-    """Newton-lift a simple approximate root of f to the given precision.
-
-    Requires v(f(x0)) > 2 v(f'(x0)); the returned x satisfies
-    f(x) = 0 mod pi^target_prec and agrees with x0 where x0 was known.
-    The residual is re-evaluated before returning.
-    """
-    df = f.derivative()
-    fx = f.eval(x0)
-    dfx = df.eval(x0)
-    if dfx.is_zero():
-        raise NewtonConditionFails("derivative vanishes at the start point")
-    e = dfx.val
-    if not fx.is_zero() and fx.val <= 2 * e:
-        raise NewtonConditionFails(
-            f"v(f(x0)) = {fx.val} not above 2 v(f'(x0)) = {2 * e}")
-
-    work = target_prec + 2 * e + 1
-    x = ctx.extend(x0, work)
-    for _ in range(work + 4):
-        fx = _eval_extended(ctx, f, x, work)
-        if fx.is_zero() or fx.val >= target_prec + e:
-            break
-        dfx = _eval_extended(ctx, df, x, work)
-        x = ctx.extend(x - fx / dfx, work)
-    else:
-        raise PrecisionExhausted("Newton iteration failed to converge")
-
-    rel = target_prec - x.val
-    if rel < 1:
-        raise PrecisionExhausted("root valuation exceeds the target precision")
-    root = ctx.extend(x, rel)
-    check = _eval_extended(ctx, f, root, target_prec)
-    if not (check.is_zero() or check.val >= target_prec):
-        raise PrecisionExhausted("lifted root failed re-evaluation")
-    return root
-
-
-def teichmuller(ctx: LocalFieldCtx, x):
-    """The unique (q-1)-th root of unity congruent to the unit x mod pi."""
-    if x.is_zero() or x.val != 0:
-        raise NotAUnit("Teichmuller representative needs a unit")
-    if ctx.model == LAURENT:
-        return LaurentSeries.constant(ctx.residue(x), x.prec)
-    # omega = lim x^(p^k); each Frobenius step fixes one more digit, so
+def teichmuller(ctx: LocalFieldCtx, c: FFElement):
+    """The unique (q-1)-th root of unity in O with residue c != 0."""
+    w = ctx.lift_residue(c)
+    if ctx.model == LAURENT:  # the constants F_q^x are the roots of unity
+        return w
+    # omega = lim w^(p^k); each Frobenius step fixes one more digit, so
     # prec steps fix them all: one power by p^prec
-    return x ** (ctx.p ** x.prec)
+    return w ** (ctx.p ** ctx.prec)
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
@@ -296,9 +243,8 @@ def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
 
     U_1 is ell-divisible: X^ell - x has the simple root 1 mod pi (its
     derivative ell is a unit), so the root exists and is unique in U_1.
-    Each model finds it exactly in closed form or by integer Newton steps;
-    ``hensel_lift`` on X^ell - x gives the same root and is their test
-    reference.
+    Each model finds it exactly, in closed form or by integer Newton
+    steps; the Z_p roots are tested against sympy's nthroot_mod.
 
     Over F_q[[t]], Frobenius is additive: (1 + y)^(p^k) = 1 + y^(p^k),
     which is 1 mod t^N once p^k >= N.  So U_1 mod t^N has exponent p^k,

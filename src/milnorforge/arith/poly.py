@@ -1,8 +1,9 @@
 """Univariate polynomials over an arbitrary exact coefficient field.
 
 This single class serves polynomials over finite fields, over rational
-function fields and over quotient fields, and the Hensel path over Z_p and
-F_q[[t]], which keeps gcds and resultants uniform across the package.  It
+function fields, over quotient fields and, for the base change of the
+ring A(t), over Z_p and F_q[[t]], which keeps gcds and resultants uniform
+across the package.  It
 has two stored forms, chosen by the context's ``encoded`` flag:
 
 * over a finite field (FiniteFieldCtx) the coefficients are int encodings

@@ -19,15 +19,16 @@ import sys
 import time
 
 from .arith.finite_field import ff_ctx_q
-from .arith.local import LAURENT, PADIC, LocalFieldCtx, laurent_ctx, padic_ctx
+from .arith.local import LOCAL_CTXS, LocalFieldCtx
 from .arith.poly import Poly
 from .bass_tate import bt_section, norm, residue_vector
 from .checks import (SUITES, base_change_checks, kgroup_fields,
                      projection_checks, reciprocity_checks, tower_checks)
 from .errors import BadInput, MilnorForgeError
 from .localk import (INT_RE, divisibility_witness, gersten_check, hilbert,
-                     lift_mod_m, parse_certificate, qf_oracle, reduce_mod_m,
-                     serialize_certificate, tame, verify_certificate)
+                     lift_mod_m, parse_certificate, qf_oracle, read_int,
+                     reduce_mod_m, serialize_certificate, tame,
+                     verify_certificate)
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
 from .rational_ring import (MultiPoly, RationalRingElem,
                             check_base_change_cost, delta_kernel_check,
@@ -60,15 +61,12 @@ def read_bounds() -> dict:
 
 
 def parse_int(s: str, what: str) -> int:
-    """The integer an ASCII `-?[0-9]+` string spells (localk.INT_RE, the
-    rule certificate numbers follow too), else a BadInput naming `what`:
-    int() alone is more lenient, and refuses more than 4300 digits."""
-    if INT_RE.fullmatch(s):
-        try:
-            return int(s)
-        except ValueError:
-            pass
-    raise BadInput(f"{what} needs an integer, got {s!r}")
+    """The integer an ASCII `-?[0-9]+` string spells (localk.read_int, the
+    rule certificate numbers follow too), else a BadInput naming `what`."""
+    n = read_int(s)
+    if n is None:
+        raise BadInput(f"{what} needs an integer, got {s!r}")
+    return n
 
 
 def _option_int(s: str) -> int:
@@ -86,12 +84,10 @@ def make_field(spec: str, precision: int):
     if not arg:
         raise BadInput(f"field spec {spec!r} needs `kind:q`")
     q = parse_int(arg, f"field spec {spec!r}")
-    if kind in (PADIC, LAURENT) and precision < 1:
-        raise BadInput(f"--precision must be at least 1, got {precision}")
-    if kind == PADIC:
-        return padic_ctx(q, precision)
-    if kind == LAURENT:
-        return laurent_ctx(q, precision)
+    if kind in LOCAL_CTXS:
+        if precision < 1:
+            raise BadInput(f"--precision must be at least 1, got {precision}")
+        return LOCAL_CTXS[kind](q, precision)
     if kind == "ratfunc":
         return RatFuncCtx(ff_ctx_q(q), "t")
     raise BadInput(f"unknown field kind {kind!r}")
@@ -126,7 +122,7 @@ def parse_local_element(ctx: LocalFieldCtx, s: str):
     s = s.strip()
     if s == "pi":
         return ctx.uniformizer()
-    if s.startswith((PADIC + "(", LAURENT + "(")):
+    if s.partition("(")[0] in LOCAL_CTXS:
         return ctx.parse(s)
     return ctx.from_int(parse_int(s, "local element"))
 
@@ -420,8 +416,9 @@ def cmd_section(args, rep: Report):
     v = residue_vector(a)
     s = bt_section(v)
     round_trip = residue_vector(s).same_finite(v)
-    rep.add(round_trip, op="bt_section", output=repr(s.serialize()),
-            finite_round_trip=str(round_trip).lower())
+    rep.check([(round_trip, a.serialize, dict(
+        op="bt_section", output=repr(s.serialize()),
+        finite_round_trip=str(round_trip).lower()))])
 
 
 def cmd_norm(args, rep: Report):

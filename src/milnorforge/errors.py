@@ -27,10 +27,6 @@ class NewtonConditionFails(MilnorForgeError):
     pass
 
 
-class PrecisionExhausted(MilnorForgeError):
-    pass
-
-
 class NotAUnit(MilnorForgeError):
     pass
 

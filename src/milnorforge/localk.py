@@ -19,10 +19,9 @@ import re
 
 from .arith.local import (
     LAURENT,
+    LOCAL_CTXS,
     PADIC,
     LocalFieldCtx,
-    laurent_ctx,
-    padic_ctx,
     principal_unit_root,
     teichmuller,
     unit_decompose,
@@ -93,8 +92,7 @@ def reduce_mod_m(ctx: LocalFieldCtx, a: MilnorClass, m: int) -> MilnorClass:
 def lift_mod_m(ctx: LocalFieldCtx, b: MilnorClass, m: int) -> MilnorClass:
     """Entrywise Teichmuller lift; section of reduce_mod_m."""
     _check_modulus(ctx, m)
-    return b.map_entries(
-        lambda e: teichmuller(ctx, ctx.lift_residue(e)), new_ctx=ctx)
+    return b.map_entries(lambda e: teichmuller(ctx, e), new_ctx=ctx)
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def _section_class(ctx: LocalFieldCtx, c: MilnorClass) -> MilnorClass:
     pi = ctx.uniformizer()
     terms = []
     for t in c.terms:
-        lifts = [teichmuller(ctx, ctx.lift_residue(e)) for e in t.entries]
+        lifts = [teichmuller(ctx, e) for e in t.entries]
         terms.append(SymbolTerm(t.coeff, [pi] + lifts))
     return MilnorClass(ctx, c.degree + 1, terms)
 
@@ -182,7 +180,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
     if n == 2:
         # a = iota(b) + m*alpha*{pi, w} + {pi, principal unit}
         alpha = rng.randrange(1, 3)
-        w = teichmuller(ctx, ctx.lift_residue(kappa.random_nonzero(rng)))
+        w = teichmuller(ctx, kappa.random_nonzero(rng))
         pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
         root = principal_unit_root(ctx, pu, m)
         a = symbol(ctx, [pi, w]).scale(m * alpha) + symbol(ctx, [pi, pu])
@@ -200,7 +198,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
         kernel = ff_congruent(tame(ctx, a), MilnorClass(kappa, 2, []), m)
         return kernel and (root ** m) == pu, "hensel"
     while True:
-        x = teichmuller(ctx, ctx.lift_residue(kappa.random_nonzero(rng)))
+        x = teichmuller(ctx, kappa.random_nonzero(rng))
         y = ctx.one() - x
         if not y.is_zero():
             break
@@ -443,7 +441,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     kappa = ctx.residue_field
     q = kappa.q
     kg = ff_kgroup(q, n)
-    g_lift = teichmuller(ctx, ctx.lift_residue(kappa.gen()))
+    g_lift = teichmuller(ctx, kappa.gen())
     b = _WitnessBuilder(ctx, ell)
 
     # 1) split every entry as (Teichmuller part) * (principal unit part)
@@ -561,10 +559,8 @@ def _ser_entries(entries):
 
 def serialize_certificate(cert: DivisibilityCertificate) -> str:
     ctx = cert.ctx
-    head = (f"padic({ctx.p},{ctx.prec})" if ctx.model == PADIC
-            else f"laurent({ctx.q},{ctx.prec})")
-    lines = ["divcert v1", f"ctx {head}", f"ell {cert.ell}",
-             f"degree {cert.alpha.degree}"]
+    lines = ["divcert v1", f"ctx {ctx.model}({ctx.q},{ctx.prec})",
+             f"ell {cert.ell}", f"degree {cert.alpha.degree}"]
     for t in cert.alpha.terms:
         lines.append(f"alpha {t.coeff} ; {_ser_entries(t.entries)}")
     for t in cert.beta.terms:
@@ -579,11 +575,20 @@ def serialize_certificate(cert: DivisibilityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the one integer rule of the trust boundaries: certificate numbers here,
-# CLI arguments and MILNOR_FORGE_BOUNDS in cli.parse_int.  int() alone
-# also takes `_`, a `+`, surrounding spaces and non-ASCII digits.
 INT_RE = re.compile(r"-?[0-9]+")
 _CTX_RE = re.compile(r"^(padic|laurent)\(([0-9]+),([0-9]+)\)$")
+
+
+def read_int(s: str) -> int | None:
+    """The integer an ASCII `-?[0-9]+` string spells, else None: the one
+    integer rule of the trust boundaries (certificate numbers here, CLI
+    arguments and MILNOR_FORGE_BOUNDS in cli.parse_int), each caller
+    raising its own error.  int() alone also takes `_`, a `+`, spaces and
+    non-ASCII digits."""
+    try:
+        return int(s) if INT_RE.fullmatch(s) else None
+    except ValueError:  # past Python's 4300-digit limit
+        return None
 
 # step kind -> (pos is a pair i,j, number of aux entries, entries the
 # relator reads after pos)
@@ -616,12 +621,10 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
 
         def num(field):
             field = field.strip()
-            if INT_RE.fullmatch(field):
-                try:
-                    return int(field)
-                except ValueError:  # past Python's digit limit
-                    pass
-            raise bad(f"{field!r} is not an integer")
+            n = read_int(field)
+            if n is None:
+                raise bad(f"{field!r} is not an integer")
+            return n
 
         def entries(field, count):
             parts = [e.strip() for e in field.split("|")]
@@ -642,8 +645,7 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
                 m = _CTX_RE.match(rest)
                 if not m:
                     raise bad("needs padic(p,prec) or laurent(q,prec)")
-                make = padic_ctx if m.group(1) == PADIC else laurent_ctx
-                ctx = make(num(m.group(2)), num(m.group(3)))
+                ctx = LOCAL_CTXS[m.group(1)](num(m.group(2)), num(m.group(3)))
             elif kind == "ell":
                 ell = num(rest)
             else:

@@ -390,6 +390,20 @@ def test_failed_check_shows_its_counterexample(capsys, monkeypatch, name,
     assert failed and all(" counterexample=" in ln for ln in failed)
 
 
+def test_failed_section_round_trip_shows_its_counterexample(capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(bass_tate.ResidueVector, "same_finite",
+                        lambda self, other: False)
+    rc, out = run(capsys, ["--format", "records", "--field", "ratfunc:3",
+                           "section", "{t,t+-1}"])
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "record cmd=section seed=0 op=bt_section "
+        "output='deg:2 {ff(3,1):g^0*t^1,ff(3,1):g^1}' finite_round_trip=false "
+        "counterexample='deg:2 {ff(3,1):g^0*t^1,ff(3,1):g^1 + "
+        "ff(3,1):g^0*t^1}' ok=false")
+
+
 def test_base_change_check_degree_five_pi():
     # X^5 - X - 1 is irreducible over F_5; inverting by Gaussian
     # elimination took minutes on this pi, the norm inverse well under 60 s

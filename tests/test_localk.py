@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorforge import localk
+from milnorforge.arith.finite_field import ff_ctx_q
+from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import laurent_ctx, padic_ctx, unit_decompose
 from milnorforge.arith.padic import PadicNumber
+from milnorforge.arith.poly import Poly
 from milnorforge.errors import (
     BadInput,
     BadModulus,
@@ -33,6 +36,7 @@ from milnorforge.localk import (
     tame,
     verify_certificate,
 )
+from milnorforge.ratfunc import Place, RatFuncCtx, tame_at
 from milnorforge.symbols import MilnorClass, SymbolTerm, ff_kgroup, symbol
 
 
@@ -220,7 +224,7 @@ def test_expand_power_follows_the_binary_chain(ctx):
     # steps: the replay of the recorded steps against alpha = 5*[g^e, y]
     # leaves the residual 5e*[g, y] (y is a unit: 3 is zero in F_9[[t]],
     # and a symbol has no zero entry)
-    g = localk.teichmuller(ctx, ctx.lift_residue(ctx.residue_field.gen()))
+    g = localk.teichmuller(ctx, ctx.residue_field.gen())
     y = ctx.from_int(2)
     for e in range(1, 301):
         b = localk._WitnessBuilder(ctx, 2)
@@ -642,6 +646,44 @@ def test_hilbert_reciprocity_at_a_large_prime_and_high_2_adic_valuation(a, b):
     # 1048571 and 1048573 are the primes just below FIELD_BOUND = 2^20;
     # the 2-adic valuations reach 40
     assert _hilbert_sum_over_q(a, b) == 0
+
+
+def _laurent_expansion(ctx, f):
+    """f in F_q(t) as a series in F_q((t)) at t = 0, at ctx's precision."""
+    def series(g):
+        return LaurentSeries.make(ctx.residue_field, ctx.prec, 0, g.coeffs)
+    return series(f.num) / series(f.den)
+
+
+def _as_unit(k, c, read):
+    """The unit of F_q that a degree-1 class over a residue field of
+    degree 1 names: the product of its entries, read in k, to their
+    coefficients."""
+    out = k.one()
+    for t in c.terms:
+        out = out * read(t.entries[0]) ** t.coeff
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_tame_agrees_with_tame_at_the_place_t(q):
+    # local-global cross-check: localk.tame runs on Laurent series over
+    # F_q((t)), ratfunc.tame_at on F_q[t] at the place t; they share only
+    # symbols.tame_rewrite.  A power t^-2..t^2 times a random fraction
+    # gives each entry its own valuation at t.
+    F = RatFuncCtx(ff_ctx_q(q), "t")
+    k, t = F.base, F.gen()
+    ctx = laurent_ctx(q, 8)
+    place = Place(F, Poly.x(k))
+    rng = random.Random(5000 + q)
+    for _ in range(40):
+        a, b = (F.random_nonzero(rng, 3) * t ** rng.randrange(-2, 3)
+                for _ in range(2))
+        local = tame(ctx, symbol(ctx, [_laurent_expansion(ctx, a),
+                                       _laurent_expansion(ctx, b)]))
+        at_t = tame_at(place, symbol(F, [a, b]))
+        assert _as_unit(k, local, lambda e: e) == \
+            _as_unit(k, at_t, lambda e: e.rep.coeff(0)), (a, b)
 
 
 def test_hilbert_rejects_zero_input():

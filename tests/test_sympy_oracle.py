@@ -7,7 +7,8 @@ Sylvester matrix, see sylvester_resultant).  Places of F_q(t) trust
 poly_factor's factors without testing them again; this is the check on
 those factors.  sympy prints GF(p) coefficients in the symmetric range,
 so every coefficient is compared mod p.  Discrete logs in F_p^x are
-compared with sympy's discrete_log.
+compared with sympy's discrete_log, and ell-th roots of principal units
+of Z_p with sympy's nthroot_mod modulo p^N.
 """
 
 import random
@@ -18,7 +19,9 @@ sympy = pytest.importorskip("sympy")
 
 from milnorforge.arith.factor import is_irreducible, poly_factor  # noqa: E402
 from milnorforge.arith.finite_field import ff_ctx  # noqa: E402
+from milnorforge.arith.local import padic_ctx, principal_unit_root  # noqa: E402
 from milnorforge.arith.poly import Poly  # noqa: E402
+from test_local import ROOT_CASES, root_samples  # noqa: E402
 
 X = sympy.Symbol("x")
 PRIMES = (2, 3, 5, 7)
@@ -141,3 +144,18 @@ def test_dlog_enc_agrees_with_sympy_discrete_log(p, tables):
     for enc in sorted(encs):
         # over F_p an element's encoding is its integer 0..p-1
         assert k.dlog_enc(enc) == sympy.ntheory.discrete_log(p, enc, g), enc
+
+
+@pytest.mark.parametrize("p,prec", [(q, prec) for make, q, prec in ROOT_CASES
+                                    if make is padic_ctx])
+def test_principal_unit_root_agrees_with_sympy_nthroot_mod(p, prec):
+    # the same units as test_local's ROOT_CASES test; of the ell-th roots
+    # of u mod p^N, the one in U_1 is the one that is 1 mod p
+    ctx = padic_ctx(p, prec)
+    xs, ells = root_samples(ctx, p * 1000 + prec)
+    for x in xs:
+        mod = p ** x.prec
+        for ell in ells:
+            want = [r for r in sympy.ntheory.nthroot_mod(
+                x.unit, ell, mod, all_roots=True) if r % p == 1]
+            assert [principal_unit_root(ctx, x, ell).unit] == want, (x, ell)
