@@ -37,7 +37,7 @@ from .ratfunc import (
     support,
     tame_at,
 )
-from .symbols import MilnorClass, SymbolTerm, ff_congruent, symbol
+from .symbols import MilnorClass, ff_congruent, symbol
 
 NORM_SIGN = -1
 
@@ -207,10 +207,10 @@ def bt_section(v: ResidueVector) -> MilnorClass:
 # --------------------------------------------------------------------------
 
 
-def _lift_term(KX: RatFuncCtx, place_poly: Poly, t: SymbolTerm) -> SymbolTerm:
-    entries = (KX.from_poly(place_poly),) \
+def _lift_term(KX: RatFuncCtx, place_poly: Poly, t) -> tuple:
+    """The pair of c*{place_poly, formal lifts} for a term c*{entries}."""
+    return t.coeff, (KX.from_poly(place_poly),) \
         + tuple(KX.from_poly(e.rep) for e in t.entries)
-    return SymbolTerm(t.coeff, entries)
 
 
 def norm(xi: MilnorClass) -> MilnorClass:
@@ -230,7 +230,7 @@ def norm(xi: MilnorClass) -> MilnorClass:
     n = xi.degree
     if n == 0:
         total = sum(t.coeff for t in xi.terms)
-        return MilnorClass(k_ctx, 0, [SymbolTerm(total * pi.degree, ())])
+        return MilnorClass(k_ctx, 0, [(total * pi.degree, ())])
     if n > 2:
         raise DegreeTooLarge("norm implemented for degrees 0, 1, 2")
     xi = drop_trivial_terms(xi)

@@ -7,6 +7,7 @@ comes from the rng passed in."""
 
 from __future__ import annotations
 
+from .arith.factor import is_irreducible
 from .arith.finite_field import ff_ctx_q
 from .arith.local import laurent_ctx, padic_ctx
 from .arith.poly import Poly
@@ -17,7 +18,7 @@ from .errors import BadInput, DegreeTooLarge, MilnorForgeError, SelfCheckFailed
 from .localk import (divisibility_witness, hilbert, lift_mod_m, qf_oracle,
                      reduce_mod_m)
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx
-from .rational_ring import _random_local_pi, base_change_roundtrip
+from .rational_ring import base_change_roundtrip, random_integral
 from .symbols import MilnorClass, ff_kgroup, symbol
 
 SUITE_PRECISION = 8
@@ -27,7 +28,10 @@ def sampled_checks(op: str, samples: int, what: str, draw, redraw=()):
     """`samples` triples, each from the next draw() that returns a triple
     instead of None or one of the `redraw` errors, within 50 draws per
     sample; op and the sample's index end its fields.  A shortfall is one
-    failed triple.  A failed self-check always propagates."""
+    failed triple.  A failed self-check always propagates, and a negative
+    count is refused."""
+    if samples < 0:
+        raise BadInput(f"the sample count must be >= 0, got {samples}")
     done = 0
     for _ in range(50 * samples):
         if done == samples:
@@ -61,6 +65,22 @@ def _sample_quot_field(F: RatFuncCtx, rng, degree: int) -> QuotCtx | None:
         except DegreeTooLarge:
             pass
     return None
+
+
+def _random_local_pi(A, rng):
+    """A monic pi of degree 2 or 3 over A whose residue, drawn first, is
+    irreducible; None when that residue is reducible (B = A[X]/pi would not
+    be local).  Each lower coefficient is the lift of its residue plus the
+    uniformizer times random_integral."""
+    kappa = A.residue_field
+    d = 2 + rng.randrange(2)
+    pibar = Poly(kappa, [kappa.random_element(rng) for _ in range(d)]
+                 + [kappa.one()])
+    if not is_irreducible(pibar):
+        return None
+    return Poly(A, [(A.zero() if c.is_zero() else A.lift_residue(c))
+                    + A.uniformizer() * random_integral(A, rng)
+                    for c in map(pibar.coeff, range(d))] + [A.one()])
 
 
 def reciprocity_checks(F: RatFuncCtx, rng, samples: int):
@@ -153,7 +173,7 @@ def _steinberg(rng, oracleprec: int):
             if (F.one() - f).is_zero():
                 continue
             a = symbol(F, [f, F.one() - f])
-            yield (k_equal(a, MilnorClass(F, 2, [])), a.serialize,
+            yield (k_equal(a, MilnorClass.zero(F, 2)), a.serialize,
                    {"op": "steinberg_residues", "q": q, "index": i})
     # hilbert symbol of (a, 1-a) over Q_2
     ctx = padic_ctx(2, SUITE_PRECISION)

@@ -33,7 +33,7 @@ from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
 from .rational_ring import (MultiPoly, RationalRingElem,
                             check_base_change_cost, delta_kernel_check,
                             is_unit, residue_map, s_member)
-from .symbols import MilnorClass, SymbolTerm
+from .symbols import MilnorClass
 
 DEFAULT_PRECISION = 8
 MAX_POLY_DEGREE = 32  # parsers build no larger polynomial; timings in README
@@ -157,12 +157,12 @@ def parse_class(ctx, s: str, parse_entry) -> MilnorClass:
         if not (body.startswith("{") and body.endswith("}")):
             raise BadInput(f"cannot parse symbol term {tok!r}")
         entries = [parse_entry(e) for e in _split_commas(body[1:-1])]
-        terms.append(SymbolTerm(coeff, entries))
+        terms.append((coeff, entries))
         sign = 1
     if degree is None:
         if not terms:
             raise BadInput("class needs a deg:n prefix or at least one term")
-        degree = terms[0].degree
+        degree = len(terms[0][1])
     return MilnorClass(ctx, degree, terms)
 
 

@@ -39,8 +39,8 @@ from .errors import (
     SweepTooLarge,
     ZeroInput,
 )
-from .symbols import (MilnorClass, SymbolTerm, ff_congruent, ff_kgroup,
-                       symbol, tame_rewrite)
+from .symbols import (MilnorClass, ff_congruent, ff_kgroup, symbol,
+                      tame_rewrite)
 
 # --------------------------------------------------------------------------
 # generator form and the tame symbol
@@ -51,8 +51,7 @@ def generator_form(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
     """Rewrite a class so every term is {pi,u_2,...,u_n} or all units
     (symbols.tame_rewrite)."""
     pi_terms, unit_terms = tame_rewrite(ctx, a)
-    return MilnorClass(ctx, a.degree, [SymbolTerm(c, ent)
-                                       for c, ent in pi_terms + unit_terms])
+    return MilnorClass(ctx, a.degree, pi_terms + unit_terms)
 
 
 def tame(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
@@ -65,7 +64,7 @@ def tame(ctx: LocalFieldCtx, a: MilnorClass) -> MilnorClass:
     """
     pi_terms, _ = tame_rewrite(ctx, a)  # pure-unit terms die
     return MilnorClass(ctx.residue_field, a.degree - 1,
-                       [SymbolTerm(c, [ctx.residue(e) for e in ent[1:]])
+                       [(c, [ctx.residue(e) for e in ent[1:]])
                         for c, ent in pi_terms])
 
 
@@ -102,19 +101,8 @@ def lift_mod_m(ctx: LocalFieldCtx, b: MilnorClass, m: int) -> MilnorClass:
 
 def _random_kappa_class(kappa, degree: int, rng) -> MilnorClass:
     if degree == 0:
-        return MilnorClass(kappa, 0, [SymbolTerm(rng.randrange(1, 5), ())])
-    ents = [kappa.random_nonzero(rng) for _ in range(degree)]
-    return MilnorClass(kappa, degree, [SymbolTerm(1, ents)])
-
-
-def _section_class(ctx: LocalFieldCtx, c: MilnorClass) -> MilnorClass:
-    """s(c) = {pi} * Teichmuller lifts; a section of the tame symbol."""
-    pi = ctx.uniformizer()
-    terms = []
-    for t in c.terms:
-        lifts = [teichmuller(ctx, e) for e in t.entries]
-        terms.append(SymbolTerm(t.coeff, [pi] + lifts))
-    return MilnorClass(ctx, c.degree + 1, terms)
+        return MilnorClass(kappa, 0, [(rng.randrange(1, 5), ())])
+    return symbol(kappa, [kappa.random_nonzero(rng) for _ in range(degree)])
 
 
 def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
@@ -132,6 +120,8 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
     _check_modulus(ctx, m)
     if n not in (1, 2, 3):
         raise BadInput(f"gersten-check covers degrees 1, 2 and 3, got {n}")
+    if samples < 0:
+        raise BadInput(f"the sample count must be >= 0, got {samples}")
     kappa = ctx.residue_field
     out = []
     for i in range(samples):
@@ -139,9 +129,11 @@ def gersten_check(ctx: LocalFieldCtx, n: int, m: int, samples: int,
         b = symbol(ctx, [ctx.random_unit(rng) for _ in range(n)])
         leg1 = tame(ctx, b).is_zero()
 
-        # leg 2: the section hits the sampled kappa-class
+        # leg 2: the section s(c) = {pi} * Teichmuller lifts of c hits
+        # the sampled kappa-class
         c = _random_kappa_class(kappa, n - 1, rng)
-        sc = _section_class(ctx, c)
+        sc = symbol(ctx, [ctx.uniformizer()]) * c.map_entries(
+            lambda e: teichmuller(ctx, e), new_ctx=ctx)
         leg2 = ff_congruent(tame(ctx, sc), c, m)
 
         # leg 3: a constructed tame-kernel class has pure-unit form mod m
@@ -173,7 +165,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
             unit_ok = not unit_part
         else:
             unit_ok = len(unit_part) == 1 and unit_part[0].entries[0] == u
-        ok = (ff_congruent(tame(ctx, a), MilnorClass(kappa, 0, []), m)
+        ok = (ff_congruent(tame(ctx, a), MilnorClass.zero(kappa, 0), m)
               and unit_ok
               and sum(t.coeff for t in pi_part) == m * j)
         return ok, "valuation"
@@ -184,7 +176,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
         pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
         root = principal_unit_root(ctx, pu, m)
         a = symbol(ctx, [pi, w]).scale(m * alpha) + symbol(ctx, [pi, pu])
-        kernel = ff_congruent(tame(ctx, a), MilnorClass(kappa, 1, []), m)
+        kernel = ff_congruent(tame(ctx, a), MilnorClass.zero(kappa, 1), m)
         ok = kernel and (root ** m) == pu
         return ok, "hensel"
     # n == 3: {pi, x, 1-x} with exact Steinberg entries via Teichmuller;
@@ -195,7 +187,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
         pu = ctx.one() + ctx.uniformizer() * ctx.random_unit(rng)
         root = principal_unit_root(ctx, pu, m)
         a = symbol(ctx, [pi, u, pu])
-        kernel = ff_congruent(tame(ctx, a), MilnorClass(kappa, 2, []), m)
+        kernel = ff_congruent(tame(ctx, a), MilnorClass.zero(kappa, 2), m)
         return kernel and (root ** m) == pu, "hensel"
     while True:
         x = teichmuller(ctx, kappa.random_nonzero(rng))
@@ -204,7 +196,7 @@ def _kernel_leg(ctx: LocalFieldCtx, n: int, m: int, rng):
             break
     a = symbol(ctx, [pi, x, y])
     kernel = tame(ctx, a).is_zero() or ff_congruent(
-        tame(ctx, a), MilnorClass(kappa, 2, []), m)
+        tame(ctx, a), MilnorClass.zero(kappa, 2), m)
     steinberg = (x + y).is_one() and not y.is_zero()
     return kernel and steinberg, "steinberg"
 
@@ -331,18 +323,18 @@ class VerifyResult:
 def _replay(cert: DivisibilityCertificate):
     """Check each step's side condition, then book alpha - ell*beta -
     sum(mult*relator) as one MilnorClass.  Returns (the first failing
-    step's reason, None), or ("", that class).  violation() has refused
-    every zero entry, so the relator terms are booked as they are."""
+    step's reason, None), or ("", that class).  violation() names a zero
+    entry before the constructor's own check could refuse it."""
     ell = cert.ell
-    pairs = [(t.coeff, t.entries) for t in cert.alpha.terms]
-    pairs += [(-ell * t.coeff, t.entries) for t in cert.beta.terms]
+    pairs = list(cert.alpha.terms)
+    pairs += [(-ell * c, ent) for c, ent in cert.beta.terms]
     for idx, step in enumerate(cert.steps):
         why = step.violation(ell)
         if why:
             return f"step {idx} ({step.kind}): {why}", None
         m = -step.mult
         pairs += [(m * c, ent) for c, ent in step.relator(cert.ctx, ell)]
-    return "", MilnorClass.from_pairs(cert.ctx, cert.alpha.degree, pairs)
+    return "", MilnorClass(cert.ctx, cert.alpha.degree, pairs)
 
 
 def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
@@ -445,9 +437,8 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     b = _WitnessBuilder(ctx, ell)
 
     # 1) split every entry as (Teichmuller part) * (principal unit part)
-    work = [(t.coeff, t.entries) for t in a.terms]
     residual: list[tuple[int, tuple]] = []
-    for c, ent in work:
+    for c, ent in a.terms:
         frontier = [(c, ent)]
         for pos in range(n):
             nxt = []
@@ -511,11 +502,11 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     if why:
         raise SelfCheckFailed(f"freshly built certificate failed: {why}")
     beta_terms = []
-    for t in remains.terms:
-        if t.coeff % ell != 0:
+    for c, ent in remains.terms:
+        if c % ell != 0:
             raise SelfCheckFailed(
-                f"residual coefficient {t.coeff} not divisible by {ell}")
-        beta_terms.append(SymbolTerm(t.coeff // ell, t.entries))
+                f"residual coefficient {c} not divisible by {ell}")
+        beta_terms.append((c // ell, ent))
     cert.beta = MilnorClass(ctx, n, beta_terms)
     return cert
 
@@ -655,7 +646,7 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
             raise bad("the ctx, ell and degree lines must come first")
         if kind in ("alpha", "beta"):
             coeff_s, _, ents = rest.partition(";")
-            term = SymbolTerm(num(coeff_s), entries(ents, degree))
+            term = (num(coeff_s), entries(ents, degree))
             (alpha_terms if kind == "alpha" else beta_terms).append(term)
         elif kind == "step":
             parts = rest.split(";")

@@ -23,7 +23,7 @@ from .errors import (
     SelfCheckFailed,
     ZeroElement,
 )
-from .symbols import MilnorClass, SymbolTerm, tame_rewrite
+from .symbols import MilnorClass, tame_rewrite
 
 # --------------------------------------------------------------------------
 # field of fractions of a polynomial ring
@@ -625,5 +625,5 @@ def tame_at(place: Place, a: MilnorClass) -> MilnorClass:
     for c, ent in pi_terms:
         res = [place.residue(e) for e in ent[1:]]
         if not any(r.is_one() for r in res):
-            out.append(SymbolTerm(c, res))
+            out.append((c, res))
     return MilnorClass(kctx, a.degree - 1, out)

@@ -43,7 +43,7 @@ from .errors import (
     ZeroElement,
 )
 from .ratfunc import QuotCtx, QuotElem, RatFuncCtx, RatFuncElem
-from .symbols import MilnorClass, SymbolTerm
+from .symbols import MilnorClass
 
 MAX_VARIABLES = 2
 DELTA_SAMPLE_POINTS = 16
@@ -368,8 +368,8 @@ def delta_kernel_check(s: MilnorClass) -> bool:
                 vals.append(F.from_const(nv * dv.inverse()))
             if not usable:
                 break
-            terms_t.append(SymbolTerm(coeff, up))
-            terms_c.append(SymbolTerm(coeff, vals))
+            terms_t.append((coeff, up))
+            terms_c.append((coeff, vals))
         if not usable:
             continue
         a = MilnorClass(F, s.degree, terms_t)
@@ -582,22 +582,6 @@ def random_integral(A, rng):
     if k == 3:
         return A.zero()
     return A.random_unit(rng) * A.uniformizer() ** k
-
-
-def _random_local_pi(A, rng):
-    """A monic pi of degree 2 or 3 over A whose residue, drawn first, is
-    irreducible; None when that residue is reducible (B = A[X]/pi would not
-    be local).  Each lower coefficient is the lift of its residue plus the
-    uniformizer times random_integral."""
-    kappa = A.residue_field
-    d = 2 + rng.randrange(2)
-    pibar = Poly(kappa, [kappa.random_element(rng) for _ in range(d)]
-                 + [kappa.one()])
-    if not is_irreducible(pibar):
-        return None
-    return Poly(A, [(A.zero() if c.is_zero() else A.lift_residue(c))
-                    + A.uniformizer() * random_integral(A, rng)
-                    for c in map(pibar.coeff, range(d))] + [A.one()])
 
 
 def random_multipoly(A, k: int, rng, max_deg: int = 2,

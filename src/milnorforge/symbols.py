@@ -1,12 +1,15 @@
 """Formal Milnor symbol calculus.
 
 A MilnorClass is a finite integer combination of symbols {x_1,...,x_n}
-with nonzero entries from one field context.  No general equality test is
-offered: classes are only compared through homomorphic images (finite
-field coordinates, residue vectors, pairings).  The moves that rewrite a
-class and preserve it (bilinear expansion, swaps, the {x,-x} and {x,x}
-identities) are the step vocabulary of divisibility certificates; they
-live in localk.CertStep.
+with nonzero entries from one field context: an element of the free
+abelian group on symbols that K^M_n(F) is a quotient of (Milnor 1970).
+MilnorClass(ctx, degree, pairs) builds every class, from any iterable of
+(coeff, entries) pairs; its terms are SymbolTerm pairs.  No general
+equality test is offered: classes are only compared through homomorphic
+images (finite field coordinates, residue vectors, pairings).  The moves
+that rewrite a class and preserve it (bilinear expansion, swaps, the
+{x,-x} and {x,x} identities) are the step vocabulary of divisibility
+certificates; they live in localk.CertStep.
 
 tame_rewrite brings a class into generator form at one discrete
 valuation.  It is the one engine behind localk.tame and ratfunc.tame_at.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith.finite_field import ff_ctx_q
 from .errors import (
@@ -35,18 +39,13 @@ from .errors import (
 from .snf import AbGroupPresentation
 
 
-class SymbolTerm:
-    """One summand coeff * {entries}; degree 0 terms are plain integers."""
+class SymbolTerm(NamedTuple):
+    """One summand coeff * {entries} of a MilnorClass: a (coeff, entries)
+    pair whose entries MilnorClass has checked to be nonzero.  Only
+    MilnorClass builds one; degree 0 terms are plain integers."""
 
-    __slots__ = ("coeff", "entries")
-
-    def __init__(self, coeff: int, entries):
-        entries = tuple(entries)
-        for e in entries:
-            if e.is_zero():
-                raise ZeroEntry("symbol entries must be nonzero")
-        self.coeff = coeff
-        self.entries = entries
+    coeff: int
+    entries: tuple
 
     @property
     def degree(self) -> int:
@@ -66,34 +65,31 @@ class SymbolTerm:
 class MilnorClass:
     """Normalized formal sum of same-degree symbols over one context: the
     one free abelian group on symbols, which the certificate replay books
-    into too.  Terms merge by their entries' serialize() texts and are kept
-    in the order of those texts; a term whose coefficient cancels goes."""
+    into too.  MilnorClass(ctx, degree, pairs) is its one constructor: it
+    takes any iterable of (coeff, entries) pairs, SymbolTerms included,
+    and refuses a zero entry in any pair, even one that cancels.  Terms
+    merge by their entries' serialize() texts and are kept in the order of
+    those texts; a term whose coefficient cancels goes."""
 
     __slots__ = ("ctx", "degree", "terms")
 
-    def __init__(self, ctx, degree: int, terms):
-        self._book(ctx, degree, [(t.coeff, t.entries) for t in terms])
-
-    @classmethod
-    def from_pairs(cls, ctx, degree: int, pairs) -> "MilnorClass":
-        """The class of sum c*{entries} over (c, entries) pairs whose
-        entries the caller has already checked to be nonzero."""
-        x = cls.__new__(cls)
-        x._book(ctx, degree, pairs)
-        return x
-
-    def _book(self, ctx, degree: int, pairs):
+    def __init__(self, ctx, degree: int, pairs):
         merged: dict[tuple, tuple[int, tuple]] = {}
         for c, ent in pairs:
+            k = tuple([e.serialize() for e in ent])
+            if k in merged:
+                # equal texts are equal entries: this pair's were checked
+                total, first = merged[k]
+                merged[k] = (total + c, first)
+                continue
+            ent = tuple(ent)
+            for e in ent:
+                if e.is_zero():
+                    raise ZeroEntry("symbol entries must be nonzero")
             if len(ent) != degree:
                 raise PatternMismatch(
                     f"a degree-{len(ent)} term in a degree-{degree} class")
-            k = tuple([e.serialize() for e in ent])
-            if k in merged:
-                total, first = merged[k]
-                merged[k] = (total + c, first)
-            else:
-                merged[k] = (c, ent)
+            merged[k] = (c, ent)
         self.ctx = ctx
         self.degree = degree
         self.terms = tuple(SymbolTerm(c, ent) for _, (c, ent) in sorted(
@@ -104,11 +100,6 @@ class MilnorClass:
     @classmethod
     def zero(cls, ctx, degree: int) -> "MilnorClass":
         return cls(ctx, degree, ())
-
-    @classmethod
-    def unit(cls, ctx) -> "MilnorClass":
-        """The empty symbol: 1 in degree 0 (= Z)."""
-        return cls(ctx, 0, (SymbolTerm(1, ()),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,7 +122,7 @@ class MilnorClass:
 
     def scale(self, c: int) -> "MilnorClass":
         return MilnorClass(self.ctx, self.degree,
-                           [SymbolTerm(c * t.coeff, t.entries) for t in self.terms])
+                           [(c * t.coeff, t.entries) for t in self.terms])
 
     def _check_ctx(self, other: "MilnorClass"):
         if self.ctx != other.ctx:
@@ -142,13 +133,13 @@ class MilnorClass:
         out = []
         for s in self.terms:
             for t in other.terms:
-                out.append(SymbolTerm(s.coeff * t.coeff, s.entries + t.entries))
+                out.append((s.coeff * t.coeff, s.entries + t.entries))
         return MilnorClass(self.ctx, self.degree + other.degree, out)
 
     def map_entries(self, fn, new_ctx=None) -> "MilnorClass":
         return MilnorClass(new_ctx if new_ctx is not None else self.ctx,
                            self.degree,
-                           [SymbolTerm(t.coeff, [fn(e) for e in t.entries])
+                           [(t.coeff, [fn(e) for e in t.entries])
                             for t in self.terms])
 
     # --- io ---------------------------------------------------------------
@@ -172,7 +163,7 @@ class MilnorClass:
 def symbol(ctx, entries) -> MilnorClass:
     """The class of the single symbol {e_1,...,e_n}, coefficient 1."""
     entries = tuple(entries)
-    return MilnorClass(ctx, len(entries), (SymbolTerm(1, entries),))
+    return MilnorClass(ctx, len(entries), ((1, entries),))
 
 
 def tame_rewrite(place, a: MilnorClass):
@@ -193,7 +184,7 @@ def tame_rewrite(place, a: MilnorClass):
         raise BadInput(f"the tame symbol needs degree >= 1, got {a.degree}")
     pi = place.uniformizer()
     pi_terms, unit_terms = [], []
-    work = [(t.coeff, t.entries) for t in a.terms]
+    work = list(a.terms)
     while work:
         c, ent = work.pop()
         if c == 0 or any(e.is_one() for e in ent):

@@ -105,8 +105,8 @@ def test_norm_degree_zero_is_multiplication_by_field_degree():
     F = RatFuncCtx(ff_ctx(3))
     t = F.gen()
     B = QuotCtx(F, Poly(F, [-t, F.zero(), F.one()]))  # degree 2
-    from milnorforge.symbols import MilnorClass, SymbolTerm
-    xi = MilnorClass(B, 0, [SymbolTerm(3, ())])
+    from milnorforge.symbols import MilnorClass
+    xi = MilnorClass(B, 0, [(3, ())])
     out = norm(xi)
     assert sum(term.coeff for term in out.terms) == 6
 

@@ -76,6 +76,15 @@ def test_tame_verb_frozen(capsys):
     assert "deg:1 {ff(3,1):g^1}" in out
 
 
+def test_a_zero_entry_in_a_class_gives_fail_record(capsys):
+    # the two terms cancel, but a symbol has no zero entry: no class is
+    # built, and the run fails instead of showing the zero class
+    rc, out = run(capsys, ["--format", "records", "--field", "padic:5",
+                           "tame", "{0,2} - {0,2}"])
+    assert rc == 1
+    assert "error=ZeroEntry" in out and "ok=false" in out
+
+
 def test_reduce_and_lift_verbs(capsys):
     rc, out = run(capsys, ["--field", "padic:5", "reduce", "--m", "3",
                            "{2,3}"])
@@ -308,7 +317,7 @@ def test_sampled_base_change_check_passes(capsys, field):
 
 def test_sampled_base_change_check_reports_a_shortfall(capsys, monkeypatch):
     # every residue drawn is rejected, so all 50 draws fail: no silent pass
-    monkeypatch.setattr(rational_ring, "is_irreducible", lambda f: False)
+    monkeypatch.setattr(checks, "is_irreducible", lambda f: False)
     rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
                            "base-change-check", "--samples", "1"])
     assert rc == 1
@@ -460,6 +469,22 @@ def test_gersten_check_rejects_mixed_characteristic(capsys):
                            "--n", "1", "--m", "2", "--samples", "2"])
     assert rc == 1
     assert "MixedCharRejected" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "ratfunc:3", "check-reciprocity"],
+    ["--field", "ratfunc:3", "check-projection"],
+    ["--field", "ratfunc:3", "check-tower"],
+    ["--field", "padic:5", "base-change-check"],
+    ["--field", "laurent:3", "gersten-check", "--n", "2", "--m", "2"],
+], ids=lambda argv: argv[2])
+def test_sampled_verb_refuses_a_negative_sample_count(capsys, argv):
+    # --samples -3 once ran no check and reported checks=0 ok=true
+    rc, out = run(capsys, ["--format", "records"] + argv + ["--samples", "-3"])
+    assert rc == 1
+    assert "error=BadInput" in out and "checks=1 ok=false" in out
+    rc, out = run(capsys, ["--format", "records"] + argv + ["--samples", "0"])
+    assert rc == 0 and "checks=0 ok=true" in out
 
 
 def test_unknown_suite_rejected_by_parser(capsys):

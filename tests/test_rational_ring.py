@@ -34,7 +34,7 @@ from milnorforge.rational_ring import (
     residue_map,
     s_member,
 )
-from milnorforge.symbols import MilnorClass, SymbolTerm, symbol
+from milnorforge.symbols import symbol
 
 
 CONTEXTS = [padic_ctx(5, 8), padic_ctx(2, 8), laurent_ctx(3, 8)]

@@ -18,7 +18,6 @@ from milnorforge.localk import (
 )
 from milnorforge.symbols import (
     MilnorClass,
-    SymbolTerm,
     ff_congruent,
     ff_kgroup,
     symbol,
@@ -39,7 +38,7 @@ def move(a, kind, pos, aux=()):
     if step.violation(2):
         return None
     return a - MilnorClass(a.ctx, a.degree,
-                           [SymbolTerm(t.coeff * c, e)
+                           [(t.coeff * c, e)
                             for c, e in step.relator(a.ctx, 2)])
 
 
@@ -47,6 +46,11 @@ def test_symbol_entries_must_be_nonzero():
     k = ff_ctx(5)
     with pytest.raises(ZeroEntry):
         symbol(k, [k.one(), k.zero()])
+    # zero-entry terms that cancel are refused too, not booked as the
+    # zero class
+    z = k.zero()
+    with pytest.raises(ZeroEntry):
+        MilnorClass(k, 1, [(1, (z,)), (-1, (z,))])
 
 
 def test_class_addition_collects_matching_terms():
@@ -175,8 +179,7 @@ def _image_is_zero(a):
 
 def _random_class(k, n, rng):
     return MilnorClass(k, n, [
-        SymbolTerm(rng.randint(-3, 3), [k.random_nonzero(rng)
-                                        for _ in range(n)])
+        (rng.randint(-3, 3), [k.random_nonzero(rng) for _ in range(n)])
         for _ in range(rng.randint(0, 3))])
 
 

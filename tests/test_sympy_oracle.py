@@ -7,8 +7,9 @@ Sylvester matrix, see sylvester_resultant).  Places of F_q(t) trust
 poly_factor's factors without testing them again; this is the check on
 those factors.  sympy prints GF(p) coefficients in the symmetric range,
 so every coefficient is compared mod p.  Discrete logs in F_p^x are
-compared with sympy's discrete_log, and ell-th roots of principal units
-of Z_p with sympy's nthroot_mod modulo p^N.
+compared with sympy's discrete_log, ell-th roots of principal units
+of Z_p with sympy's nthroot_mod modulo p^N, and the odd-p Hilbert symbol,
+by Euler's criterion on its tame value, with sympy's legendre_symbol.
 """
 
 import random
@@ -21,6 +22,7 @@ from milnorforge.arith.factor import is_irreducible, poly_factor  # noqa: E402
 from milnorforge.arith.finite_field import ff_ctx  # noqa: E402
 from milnorforge.arith.local import padic_ctx, principal_unit_root  # noqa: E402
 from milnorforge.arith.poly import Poly  # noqa: E402
+from milnorforge.localk import hilbert  # noqa: E402
 from test_local import ROOT_CASES, root_samples  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -159,3 +161,32 @@ def test_principal_unit_root_agrees_with_sympy_nthroot_mod(p, prec):
             want = [r for r in sympy.ntheory.nthroot_mod(
                 x.unit, ell, mod, all_roots=True) if r % p == 1]
             assert [principal_unit_root(ctx, x, ell).unit] == want, (x, ell)
+
+
+def _split_off_p(p: int, rng):
+    """(alpha, u, p^alpha * u) for a random alpha in 0..2 and a random
+    signed u prime to p."""
+    alpha = rng.randrange(3)
+    u = 0
+    while u % p == 0:
+        u = rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6)
+    return alpha, u, p ** alpha * u
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 1048573])
+def test_odd_p_hilbert_matches_legendre_symbols(p):
+    # for a = p^alpha u and b = p^beta v, the quadratic Hilbert symbol is
+    # (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha (Serre, A Course in
+    # Arithmetic, ch. III); Euler's criterion reads it off hilbert's tame
+    # value; 1048573 is the largest prime below FIELD_BOUND = 2^20
+    ctx = padic_ctx(p, 8)
+    rng = random.Random(3000 + p)
+    for _ in range(60):
+        alpha, u, a = _split_off_p(p, rng)
+        beta, v, b = _split_off_p(p, rng)
+        h = hilbert(ctx, ctx.from_int(a), ctx.from_int(b))
+        euler = 1 if (h ** ((p - 1) // 2)).is_one() else -1
+        want = ((-1) ** (alpha * beta * (p - 1) // 2)
+                * sympy.legendre_symbol(u % p, p) ** beta
+                * sympy.legendre_symbol(v % p, p) ** alpha)
+        assert euler == want, (a, b)
