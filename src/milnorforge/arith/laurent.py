@@ -27,6 +27,17 @@ inverse of c t^v is c^-1 t^-v (one inv_enc), and its k-th power c^k t^vk
 (one pow_enc).  None of them goes through mul_trunc, Newton or
 square-and-multiply, and all give the digits those would.
 
+Frobenius takes the other powers apart.  In characteristic p, x -> x^p is
+additive, so x^(p^j) moves digit i to t^(i p^j) and raises it to the
+p^j-th power (_frobenius: no product, and no change at all in a prime
+field).  A power x^k with k >= p is prod_j Frob^j(x^(k_j)) over the
+base-p digits k_j of k.  Each distinct digit's power is square-and-multiply
+on x cut to the ceil(prec / p^j) digits that Frob^j reads.  A factor
+with j >= 1 is sparse, nonzero only at multiples of p^j, and mul_trunc's
+schoolbook product runs over those terms when they are few.  In
+characteristic 2 every digit is 1 and no squaring is left; for k < p,
+the large prime fields included, the power is plain square-and-multiply.
+
 serialize() renders the text once and keeps it in ``_text``, which every
 constructor, from_encs included, starts at None.  The memo is sound
 because no field is assigned after construction: every operation
@@ -194,8 +205,28 @@ class LaurentSeries(LocalNumber):
                 (base.pow_enc(a[0], k % (base.q - 1)),) + a[1:])
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, lambda: LaurentSeries.constant(
-            self.base.one(), self.prec))
+        base, prec = self.base, self.prec
+        p = base.p
+
+        def one():
+            return LaurentSeries.constant(base.one(), prec)
+
+        if self.val is None or k < p:
+            return _power(self, k, one)
+        # x^k = prod_j Frob^j(x^(k_j)) over the base-p digits k_j of k;
+        # Frob^j only reads the digits of x^(k_j) below ceil(prec / p^j)
+        out, powers, j = None, {}, 0
+        while k:
+            k, d = divmod(k, p)
+            if d:
+                y = powers.get(d)
+                if y is None:
+                    y = powers[d] = _power(self.truncate(-(-prec // p ** j)),
+                                           d, one)
+                factor = _frobenius(y, j, prec)
+                out = factor if out is None else out * factor
+            j += 1
+        return out
 
     def key(self) -> tuple:
         """(prec, val, the stored encodings): equal exactly when
@@ -213,6 +244,24 @@ class LaurentSeries(LocalNumber):
                 text = f"laurent({q},{self.prec}):t^{self.val}*({digits})"
             self._text = text
         return text
+
+
+def _frobenius(x: LaurentSeries, j: int, prec: int) -> LaurentSeries:
+    """x^(p^j) at relative precision prec, for a nonzero x holding at least
+    ceil(prec / p^j) digits: Frobenius is additive in characteristic p, so
+    digit i moves to t^(i p^j), raised to the p^j-th power (no change in a
+    prime field, one pow_enc in an extension), and the valuation becomes
+    v p^j.  No product."""
+    base = x.base
+    p, f = base.p, base.f
+    step = p ** j
+    digits = x.coeffs[:-(-prec // step)]
+    if j % f:  # c^(p^f) = c on F_(p^f), so only j mod f counts
+        e = p ** (j % f)
+        digits = [base.pow_enc(c, e) if c else 0 for c in digits]
+    out = [0] * prec
+    out[::step] = digits
+    return LaurentSeries.from_encs(base, prec, x.val * step, tuple(out))
 
 
 def _monomial(coeffs: tuple, n: int) -> bool:

@@ -249,7 +249,11 @@ def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
     Over F_q[[t]], Frobenius is additive: (1 + y)^(p^k) = 1 + y^(p^k),
     which is 1 mod t^N once p^k >= N.  So U_1 mod t^N has exponent p^k,
     and m = ell^-1 mod p^k, with m * ell = 1 + j p^k, gives
-    (x^m)^ell = x * (x^(p^k))^j = x: one power, O(log pN) products.
+    (x^m)^ell = x * (x^(p^k))^j = x: one power, which
+    LaurentSeries.__pow__ splits into the base-p digits of m.  Each
+    distinct nonzero digit d costs at most 2 log2 d dense products: none
+    for p = 2 and one for p = 3.  Each further nonzero digit costs one
+    product against a sparse Frobenius factor.
 
     Over Z_p, Newton's step r <- r - (r^ell - u) / (ell r^(ell-1)) on the
     integer unit u doubles the number of correct digits, since the

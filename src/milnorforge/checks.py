@@ -142,8 +142,8 @@ def tower_checks(F: RatFuncCtx, rng, samples: int):
 
 
 def base_change_checks(A, rng, samples: int, pi: Poly | None = None):
-    """The base-change round trip of rational_ring along pi, once, or
-    along `samples` random local pi of degree 2 or 3."""
+    """The base-change round trip of rational_ring along pi, once for any
+    count >= 0, or along `samples` random local pi of degree 2 or 3."""
 
     def draw():
         p = _random_local_pi(A, rng) if pi is None else pi
@@ -152,8 +152,8 @@ def base_change_checks(A, rng, samples: int, pi: Poly | None = None):
         return base_change_roundtrip(A, p, rng), lambda: p.serialize("X"), {}
 
     return sampled_checks("base_change_roundtrip",
-                          samples if pi is None else 1, "local extensions",
-                          draw)
+                          samples if pi is None or samples < 0 else 1,
+                          "local extensions", draw)
 
 
 def kgroup_fields(q: int, n: int) -> tuple[list, dict]:

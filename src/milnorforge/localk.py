@@ -597,38 +597,39 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
     """Read serialize_certificate's text.  Any line that does not fit the
     format, or the shape its step kind needs, raises PatternMismatch naming
     the line, so the verifier only ever sees well-formed steps."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != "divcert v1":
         raise PatternMismatch("not a certificate file")
     ctx = ell = degree = None
     alpha_terms, beta_terms, steps = [], [], []
     parsed = {}  # stripped entry text -> its (immutable, shared) element
+    ln = None  # the line being read: bad, num and entries name it
+
+    def bad(why):
+        return PatternMismatch(f"certificate line {ln!r}: {why}")
+
+    def num(field):
+        field = field.strip()
+        n = read_int(field)
+        if n is None:
+            raise bad(f"{field!r} is not an integer")
+        return n
+
+    def entries(field, count):
+        parts = [e.strip() for e in field.split("|")]
+        if len(parts) != count:
+            raise bad(f"{len(parts)} entries where {count} belong")
+        try:
+            for e in parts:
+                if e not in parsed:
+                    parsed[e] = ctx.parse(e)
+        except PatternMismatch as e:
+            raise bad(str(e)) from None
+        return [parsed[e] for e in parts]
+
     for ln in lines[1:]:
         kind, _, rest = ln.partition(" ")
         rest = rest.strip()
-
-        def bad(why):
-            return PatternMismatch(f"certificate line {ln!r}: {why}")
-
-        def num(field):
-            field = field.strip()
-            n = read_int(field)
-            if n is None:
-                raise bad(f"{field!r} is not an integer")
-            return n
-
-        def entries(field, count):
-            parts = [e.strip() for e in field.split("|")]
-            if len(parts) != count:
-                raise bad(f"{len(parts)} entries where {count} belong")
-            try:
-                for e in parts:
-                    if e not in parsed:
-                        parsed[e] = ctx.parse(e)
-            except PatternMismatch as e:
-                raise bad(str(e)) from None
-            return [parsed[e] for e in parts]
-
         if kind in ("ctx", "ell", "degree"):
             if {"ctx": ctx, "ell": ell, "degree": degree}[kind] is not None:
                 raise bad(f"a second {kind} line")

@@ -487,6 +487,19 @@ def test_sampled_verb_refuses_a_negative_sample_count(capsys, argv):
     assert rc == 0 and "checks=0 ok=true" in out
 
 
+def test_base_change_check_along_pi_refuses_a_negative_sample_count(capsys):
+    # with --pi the count once went unread: -3 ran the one check, ok=true
+    argv = ["--format", "records", "--field", "padic:5", "base-change-check",
+            "--pi", "2;0;1", "--samples"]
+    rc, out = run(capsys, argv + ["-3"])
+    assert rc == 1
+    assert "error=BadInput" in out and "checks=1 ok=false" in out
+    for count in ("0", "4"):  # any other count runs the one round trip
+        rc, out = run(capsys, argv + [count])
+        assert rc == 0 and "op=base_change_roundtrip index=0 ok=true" in out
+        assert "checks=1 ok=true" in out
+
+
 def test_unknown_suite_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["suite", "NOT_A_SUITE"])

@@ -7,6 +7,7 @@ become approximate zeros that remember how far they are known to vanish.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from milnorforge.arith.local import (
     unit_decompose,
 )
 from milnorforge.arith.padic import PadicNumber
-from milnorforge.arith.poly import Poly
+from milnorforge.arith.poly import Poly, _power
 from milnorforge.ratfunc import QuotCtx
 from milnorforge.errors import (NewtonConditionFails, NotAUnit, PatternMismatch,
                                ZeroElement)
@@ -428,12 +429,17 @@ def test_laurent_operations_match_references(q):
     refs = _random_refs(base, rng, 5 if tabled else 2, 9 if tabled else 3)
     refs += _monomial_refs(base, refs[0])
     xs = [_series(base, r) for r in refs]
+    # exponents with a second base-p digit, where the reference's k
+    # products stay few (not over F_65537)
+    p = base.p
+    digit_ks = tuple(k for k in (p, p + 1, 2 * p + 1, p * p) if k <= 25)
     for x, r in zip(xs, refs):
         assert_matches(base, x, r)
         assert_matches(base, -x, ref_neg(r))
         if r[1] is not None:
             assert_matches(base, x.inverse(), ref_pow(base, r, -1))
-        for k in ((0, 1, 2, 3, -1, -2) if r[1] is not None else (0, 1, 3)):
+        for k in ((0, 1, 2, 3, -1, -2) if r[1] is not None else (0, 1, 3)) \
+                + digit_ks:
             assert_matches(base, x ** k, ref_pow(base, r, k))
         if r[1] is not None:
             for prec in (1, r[0] - 1, r[0] + 2):
@@ -449,6 +455,31 @@ def test_laurent_operations_match_references(q):
         window = _random_coeffs(base, rng, rng.randint(1, 8), 0.5)
         assert_matches(base, LaurentSeries.make(base, prec, val, encs(window)),
                        ref_make(base, prec, val, window))
+
+
+def test_laurent_power_by_digits_matches_square_and_multiply():
+    # x ** k splits k >= p into base-p digits and Frobenius maps; plain
+    # square-and-multiply on the same series must give the same text
+    rng = random.Random(29)
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
+        base = ff_ctx_q(q)
+        for _ in range(40):
+            prec = rng.randint(1, 40)
+            if rng.random() < 0.15:  # exact and approximate zeros
+                x = LaurentSeries.zero(base, prec,
+                                       rng.choice((None, rng.randint(-3, 9))))
+            else:
+                x = LaurentSeries(base, prec, rng.randint(-3, 3),
+                                  [base.random_nonzero(rng)]
+                                  + _random_coeffs(base, rng, prec - 1,
+                                                   rng.choice((0.1, 0.6))))
+            k = rng.randint(0 if x.is_zero() else -300, 300)
+            one = partial(LaurentSeries.constant, base.one(), prec)
+            ref = _power(x, k, one) if k >= 0 else \
+                _power(x.inverse(), -k, one)
+            got = x ** k
+            assert (got.serialize(), got.prec, got.zero_prec) == \
+                (ref.serialize(), ref.prec, ref.zero_prec), (q, prec, k)
 
 
 def test_laurent_mul_by_approximate_zero_keeps_its_bound():
