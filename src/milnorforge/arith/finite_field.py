@@ -315,22 +315,14 @@ class FiniteFieldCtx:
         return out
 
     def neg_vec(self, a) -> list[int]:
-        """Coefficientwise negatives of an encoding list."""
-        p = self.p
-        if self.f == 1:
-            return [-x % p for x in a]
-        log = self.log
-        if log is None:  # times the encoding p - 1 of -1
-            return [self.mul_enc(x, p - 1) for x in a]
-        exp, half, n = self.exp, self.half, self.q - 1
-        return [exp[(log[x] + half) % n] if x else 0 for x in a]
+        """Coefficientwise negatives of an encoding list: times the
+        encoding p - 1 of -1."""
+        return self.scale_vec(a, self.p - 1)
 
     def inv_enc(self, a: int) -> int:
-        """Inverse of a nonzero encoding."""
+        """Inverse of a nonzero encoding: a^(q-2)."""
         if self.f == 1:
             return pow(a, -1, self.p)
-        if self.log is not None:
-            return self.exp[-self.log[a] % (self.q - 1)]
         return self.pow_enc(a, self.q - 2)
 
     def add_enc(self, a: int, b: int) -> int:

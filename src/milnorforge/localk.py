@@ -7,15 +7,18 @@ claims alpha = ell*beta + sum of relator applications inside the free
 abelian group on symbols (symbols.MilnorClass), where every relator
 application is one of a small fixed vocabulary of moves (bilinear
 expansion, swap, Steinberg, {x,-x}, {x,x}, Hensel root extraction).  The
-verifier replays the steps with no trust in the producer: it re-checks
-every side condition and the final formal-sum identity, and the builder
-self-checks by the same replay.
+table _STEP_KINDS is that vocabulary: each kind's position shape, aux
+entries, side condition and relator, read by the replay and by the text
+form alike.  The verifier replays the steps with no trust in the
+producer: it re-checks every side condition and the final formal-sum
+identity, and the builder self-checks by the same replay.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from typing import Callable, NamedTuple
 
 from .arith.local import (
     LAURENT,
@@ -213,17 +216,62 @@ SELF_TO_MINUS_ONE = "SELF_TO_MINUS_ONE"
 HENSEL_ROOT = "HENSEL_ROOT"
 
 
+def _put(entries, i, x):
+    """entries with entry i replaced by x."""
+    return entries[:i] + (x,) + entries[i + 1:]
+
+
+class _Kind(NamedTuple):
+    pair: bool  # pos is a pair (i, j), else one index i
+    n_aux: int  # aux entries the step carries
+    after: int  # entries the relator reads after pos
+    holds: Callable  # side condition on (entries, pos, aux, ell)
+    failure: str  # what violation() says when it fails; {ell} is filled in
+    relator: Callable  # (coeff, entries) pairs on (e, pos, aux, ctx, ell)
+
+
+# The step vocabulary: the only place that knows a kind.  CertStep's
+# violation and relator, parse_certificate and serialize_certificate all
+# read it.
+_STEP_KINDS = {
+    # pos, aux = (y, z) with y*z = entries[pos]
+    BILINEAR_EXPAND: _Kind(
+        False, 2, 0, lambda e, i, aux, ell: aux[0] * aux[1] == e[i],
+        "y*z does not match the expanded entry",
+        lambda e, i, aux, ctx, ell: [(1, e), (-1, _put(e, i, aux[0])),
+                                     (-1, _put(e, i, aux[1]))]),
+    # pos = (i, j)
+    SWAP: _Kind(
+        True, 0, 0, lambda e, ij, aux, ell: ij[0] != ij[1],
+        "swap of equal positions",
+        lambda e, ij, aux, ctx, ell: [
+            (1, e), (1, _put(_put(e, ij[0], e[ij[1]]), ij[1], e[ij[0]]))]),
+    # pos = (i, j) with entries[i] + entries[j] = 1
+    STEINBERG_ZERO: _Kind(
+        True, 0, 0, lambda e, ij, aux, ell:
+            ij[0] != ij[1] and (e[ij[0]] + e[ij[1]]).is_one(),
+        "entries do not sum to 1", lambda e, *_: [(1, e)]),
+    # pos = i with entries[i] + entries[i+1] = 0
+    MINUS_SELF: _Kind(
+        False, 0, 1, lambda e, i, aux, ell: (e[i] + e[i + 1]).is_zero(),
+        "entries are not (x, -x)", lambda e, *_: [(1, e)]),
+    # pos = i with entries[i] = entries[i+1]
+    SELF_TO_MINUS_ONE: _Kind(
+        False, 0, 1, lambda e, i, aux, ell: (e[i] - e[i + 1]).is_zero(),
+        "entries are not (x, x)",
+        lambda e, i, aux, ctx, ell: [(1, e),
+                                     (-1, _put(e, i + 1, ctx.minus_one()))]),
+    # pos = i, aux = (root,) with root^ell = entries[i]
+    HENSEL_ROOT: _Kind(
+        False, 1, 0, lambda e, i, aux, ell: aux[0] ** ell == e[i],
+        "root^{ell} does not reproduce the entry",
+        lambda e, i, aux, ctx, ell: [(1, e), (-ell, _put(e, i, aux[0]))]),
+}
+
+
 class CertStep:
     """One relator application: `mult` times a relator that is 0 in K^M.
-
-    kind-specific payload:
-      BILINEAR_EXPAND    pos, aux = (y, z) with y*z = entries[pos]
-      SWAP               pos = (i, j)
-      STEINBERG_ZERO     pos = (i, j) with entries[i] + entries[j] = 1
-      MINUS_SELF         pos = i with entries[i] + entries[i+1] = 0
-      SELF_TO_MINUS_ONE  pos = i with entries[i] = entries[i+1]
-      HENSEL_ROOT        pos = i, aux = (root,) with root^ell = entries[i]
-    """
+    The kind's payload (pos, aux) is described in _STEP_KINDS."""
 
     __slots__ = ("kind", "mult", "entries", "pos", "aux")
 
@@ -238,59 +286,23 @@ class CertStep:
         """Why the step's side condition fails, or "" when it holds.  A zero
         entry fails every kind: a symbol has none, and y*z = 0 = e[pos]
         would let a BILINEAR_EXPAND step cancel any symbol."""
-        e = self.entries
-        for what, xs in (("entry", e), ("aux entry", self.aux)):
-            for i, x in enumerate(xs):
-                if x.is_zero():
-                    return f"{what} {i} is zero"
-        if self.kind == BILINEAR_EXPAND:
-            y, z = self.aux
-            return "" if y * z == e[self.pos] else \
-                "y*z does not match the expanded entry"
-        if self.kind == SWAP:
-            i, j = self.pos
-            return "" if i != j else "swap of equal positions"
-        if self.kind == STEINBERG_ZERO:
-            i, j = self.pos
-            return "" if i != j and (e[i] + e[j]).is_one() else \
-                "entries do not sum to 1"
-        if self.kind == MINUS_SELF:
-            i = self.pos
-            return "" if (e[i] + e[i + 1]).is_zero() else \
-                "entries are not (x, -x)"
-        if self.kind == SELF_TO_MINUS_ONE:
-            i = self.pos
-            return "" if (e[i] - e[i + 1]).is_zero() else \
-                "entries are not (x, x)"
-        if self.kind == HENSEL_ROOT:
-            (root,) = self.aux
-            return "" if root ** ell == e[self.pos] else \
-                f"root^{ell} does not reproduce the entry"
-        return f"unknown step kind {self.kind!r}"
+        e, aux, n = self.entries, self.aux, len(self.entries)
+        for i, x in enumerate(e + aux):
+            if x.is_zero():
+                return f"entry {i} is zero" if i < n else \
+                    f"aux entry {i - n} is zero"
+        kind = _STEP_KINDS.get(self.kind)
+        if kind is None:
+            return f"unknown step kind {self.kind!r}"
+        if kind.holds(e, self.pos, aux, ell):
+            return ""
+        return kind.failure.format(ell=ell)
 
     def relator(self, ctx: LocalFieldCtx, ell: int):
         """The formal sum this step claims to be zero, as (coefficient,
         entries) pairs.  It is zero in K^M only when violation() is ""."""
-        e = self.entries
-        if self.kind == BILINEAR_EXPAND:
-            y, z = self.aux
-            e1 = e[:self.pos] + (y,) + e[self.pos + 1:]
-            e2 = e[:self.pos] + (z,) + e[self.pos + 1:]
-            return [(1, e), (-1, e1), (-1, e2)]
-        if self.kind == SWAP:
-            i, j = self.pos
-            sw = list(e)
-            sw[i], sw[j] = sw[j], sw[i]
-            return [(1, e), (1, tuple(sw))]
-        if self.kind in (STEINBERG_ZERO, MINUS_SELF):
-            return [(1, e)]
-        if self.kind == SELF_TO_MINUS_ONE:
-            i = self.pos
-            return [(1, e), (-1, e[:i + 1] + (ctx.minus_one(),) + e[i + 2:])]
-        if self.kind == HENSEL_ROOT:
-            (root,) = self.aux
-            return [(1, e), (-ell, e[:self.pos] + (root,) + e[self.pos + 1:])]
-        raise BadInput(f"unknown step kind {self.kind!r}")
+        return _STEP_KINDS[self.kind].relator(self.entries, self.pos,
+                                              self.aux, ctx, ell)
 
 
 class DivisibilityCertificate:
@@ -347,58 +359,34 @@ def verify_certificate(cert: DivisibilityCertificate) -> VerifyResult:
     return VerifyResult(not why, why)
 
 
-class _WitnessBuilder:
-    """Drives the witness construction: records the steps only.  Their
-    formal sum and side conditions are left to the one replay in
-    divisibility_witness."""
+def _kill_one_entry(steps: list, ctx: LocalFieldCtx, mult, entries, pos):
+    """Remove mult*[..,1,..]: the relator [e]-2[e] = -[e] (1 = 1*1)."""
+    one = ctx.one()
+    if not entries[pos].is_one():
+        raise SelfCheckFailed(f"entry {pos} to kill is not 1")
+    steps.append(CertStep(BILINEAR_EXPAND, -mult, entries, pos, (one, one)))
 
-    def __init__(self, ctx: LocalFieldCtx, ell: int):
-        self.ctx = ctx
-        self.ell = ell
-        self.steps: list[CertStep] = []
 
-    def apply(self, step: CertStep):
-        self.steps.append(step)
-
-    # -- move emitters -----------------------------------------------------
-
-    def expand(self, mult, entries, pos, y, z):
-        self.apply(CertStep(BILINEAR_EXPAND, mult, entries, pos, (y, z)))
-
-    def kill_one_entry(self, mult, entries, pos):
-        """Remove mult*[..,1,..]: the relator [e]-2[e] = -[e] (1 = 1*1)."""
-        one = self.ctx.one()
-        if not entries[pos].is_one():
-            raise SelfCheckFailed(f"entry {pos} to kill is not 1")
-        self.apply(CertStep(BILINEAR_EXPAND, -mult, entries, pos, (one, one)))
-
-    def hensel_step(self, mult, entries, pos, root):
-        self.apply(CertStep(HENSEL_ROOT, mult, entries, pos, (root,)))
-
-    def expand_power(self, mult, entries, pos, base, e):
-        """Replace mult*[..,base^e,..] by e*mult*[..,base,..] (e >= 1)
-        along the binary chain: an even exponent splits base^e into two
-        equal halves and doubles mult, an odd one peels off one base.  At
-        most 2*floor(log2 e) steps (Knuth, TAOCP vol. 2, 4.6.3)."""
-        ks = [e]  # the chain e -> ... -> 1, then base^k along it bottom-up
-        while ks[-1] > 1:
-            ks.append(ks[-1] - 1 if ks[-1] % 2 else ks[-1] // 2)
-        pows = [base]
-        for k in ks[-2:0:-1]:
-            pows.append(pows[-1] * (base if k % 2 else pows[-1]))
-        ent = entries
-        for k, lower in zip(ks[:-1], reversed(pows)):
-            if k % 2:
-                self.expand(mult, ent, pos, base, lower)
-            else:
-                self.expand(mult, ent, pos, lower, lower)
-                mult *= 2
-            ent = ent[:pos] + (lower,) + ent[pos + 1:]
-
-    def contract_power(self, mult, entries_with_base, pos, base, e):
-        """Inverse move: e*mult*[..,base,..] becomes mult*[..,base^e,..]."""
-        ent = entries_with_base[:pos] + (base ** e,) + entries_with_base[pos + 1:]
-        self.expand_power(-mult, ent, pos, base, e)
+def _expand_power(steps: list, mult, entries, pos, base, e):
+    """Replace mult*[..,base^e,..] by e*mult*[..,base,..] (e >= 1)
+    along the binary chain: an even exponent splits base^e into two
+    equal halves and doubles mult, an odd one peels off one base.  At
+    most 2*floor(log2 e) steps (Knuth, TAOCP vol. 2, 4.6.3).  A negative
+    mult is the inverse move, the contraction of e*(-mult)*[..,base,..]
+    into -mult*[..,base^e,..]."""
+    ks = [e]  # the chain e -> ... -> 1, then base^k along it bottom-up
+    while ks[-1] > 1:
+        ks.append(ks[-1] - 1 if ks[-1] % 2 else ks[-1] // 2)
+    pows = [base]
+    for k in ks[-2:0:-1]:
+        pows.append(pows[-1] * (base if k % 2 else pows[-1]))
+    ent = entries
+    for k, lower in zip(ks[:-1], reversed(pows)):
+        steps.append(CertStep(BILINEAR_EXPAND, mult, ent, pos,
+                              (base if k % 2 else lower, lower)))
+        if not k % 2:
+            mult *= 2
+        ent = _put(ent, pos, lower)
 
 
 def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
@@ -413,7 +401,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     Newton steps over Z_p), and discharge the residual Teichmuller class
     against the finite-field Steinberg relators, each lifted to O by
     u^{-1}-scaling: the row i*j of ff_kgroup is [g^i,g^j,g,..,g].  Powers
-    of g expand and contract along binary chains (expand_power), so a
+    of g expand and contract along binary chains (_expand_power), so a
     certificate has O(n log q) steps.  The builder records the steps
     only.  One replay of them, the verifier's own (_replay), checks every
     side condition, raising SelfCheckFailed on a bad step, and books alpha
@@ -434,7 +422,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     q = kappa.q
     kg = ff_kgroup(q, n)
     g_lift = teichmuller(ctx, kappa.gen())
-    b = _WitnessBuilder(ctx, ell)
+    steps: list[CertStep] = []
 
     # 1) split every entry as (Teichmuller part) * (principal unit part)
     residual: list[tuple[int, tuple]] = []
@@ -447,14 +435,14 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
                 e_exp = ctx.residue(x).dlog()
                 omega = g_lift ** e_exp
                 u1 = x * omega.inverse()
-                nxt.append((cc, ee[:pos] + (omega,) + ee[pos + 1:]))
+                nxt.append((cc, _put(ee, pos, omega)))
                 if u1.is_one():
                     continue
-                b.expand(cc, ee, pos, omega, u1)
                 # the principal-unit branch is absorbed right away
-                eu = ee[:pos] + (u1,) + ee[pos + 1:]
                 root = principal_unit_root(ctx, u1, ell)
-                b.hensel_step(cc, eu, pos, root)
+                steps += [
+                    CertStep(BILINEAR_EXPAND, cc, ee, pos, (omega, u1)),
+                    CertStep(HENSEL_ROOT, cc, _put(ee, pos, u1), pos, (root,))]
             frontier = nxt
         residual.extend(frontier)
 
@@ -465,31 +453,34 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
         exps = [ctx.residue(e).dlog() for e in ent]
         ones = [i for i, e in enumerate(exps) if e == 0]
         if ones:
-            b.kill_one_entry(c, ent, ones[0])
+            _kill_one_entry(steps, ctx, c, ent, ones[0])
             continue
         cur, mult = ent, c
         for pos in range(n):
-            b.expand_power(mult, cur, pos, g_lift, exps[pos])
-            cur = cur[:pos] + (g_lift,) + cur[pos + 1:]
+            _expand_power(steps, mult, cur, pos, g_lift, exps[pos])
+            cur = _put(cur, pos, g_lift)
             mult *= exps[pos]
         v_total += mult
 
-    # 3) discharge v_total*{g,..,g} against the kappa Steinberg relators
+    # 3) discharge v_total*{g,..,g} against the kappa Steinberg relators;
+    # each contraction is an _expand_power with negated mult
     combo = kg.presentation.express_in_relators([v_total])
     for c_r, meta in zip(combo, kg.relator_meta):
         if c_r == 0:
             continue
         if meta[0] == "order":
             # c_r*(q-1)*[g,..,g] = c_r*[g^(q-1),g,..,g] = c_r*[1,g,..,g] = 0
-            b.contract_power(c_r, gens, 0, g_lift, q - 1)
-            b.kill_one_entry(c_r, (ctx.one(),) + gens[1:], 0)
+            _expand_power(steps, -c_r, _put(gens, 0, g_lift ** (q - 1)), 0,
+                         g_lift, q - 1)
+            _kill_one_entry(steps, ctx, c_r, _put(gens, 0, ctx.one()), 0)
             v_total -= c_r * (q - 1)
             continue
         _, i, j = meta
-        b.contract_power(c_r * i, gens, 1, g_lift, j)
-        cur = (g_lift, g_lift ** j) + gens[2:]
-        b.contract_power(c_r, cur, 0, g_lift, i)
-        _discharge_steinberg_pair(b, c_r, (g_lift ** i,) + cur[1:])
+        cur = _put(gens, 1, g_lift ** j)
+        _expand_power(steps, -c_r * i, cur, 1, g_lift, j)
+        cur = _put(cur, 0, g_lift ** i)
+        _expand_power(steps, -c_r, cur, 0, g_lift, i)
+        _discharge_steinberg_pair(steps, ctx, ell, c_r, cur)
         v_total -= c_r * i * j
     if v_total != 0:
         raise SelfCheckFailed(f"relator bookkeeping left {v_total}")
@@ -497,7 +488,7 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     # 4) replay the steps once: whatever remains of alpha must be an exact
     # multiple of ell, and that is beta
     cert = DivisibilityCertificate(ctx, ell, a, MilnorClass.zero(ctx, n),
-                                   b.steps)
+                                   steps)
     why, remains = _replay(cert)
     if why:
         raise SelfCheckFailed(f"freshly built certificate failed: {why}")
@@ -511,7 +502,8 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     return cert
 
 
-def _discharge_steinberg_pair(b: _WitnessBuilder, c: int, ent):
+def _discharge_steinberg_pair(steps: list, ctx: LocalFieldCtx, ell: int,
+                              c: int, ent):
     """Kill c*[a,b,rest], the residual term on ent that the caller's
     contractions left, where abar + bbar = 1 in kappa.
 
@@ -520,7 +512,6 @@ def _discharge_steinberg_pair(b: _WitnessBuilder, c: int, ent):
     absorbing the two w factors by w's ell-th root (two HENSEL_ROOT
     steps) leaves only multiples of ell.
     """
-    ctx, ell = b.ctx, b.ell
     x1, x2, rest = ent[0], ent[1], ent[2:]
     u = x1 + x2
     if not ctx.is_principal_unit(u):
@@ -528,15 +519,17 @@ def _discharge_steinberg_pair(b: _WitnessBuilder, c: int, ent):
     w = u.inverse()
     wa, wb = w * x1, w * x2
     st = (wa, wb) + rest
-    b.apply(CertStep(STEINBERG_ZERO, c, st, (0, 1)))
-    # [wa, wb, rest] = [w, wb, rest] + [a, wb, rest]
-    b.expand(-c, st, 0, w, x1)
-    # [a, wb, rest] = [a, w, rest] + [a, b, rest]
-    b.expand(-c, (x1, wb) + rest, 1, w, x2)
-    # absorb the two w's by Hensel roots
     root = principal_unit_root(ctx, w, ell)
-    b.hensel_step(-c, (w, wb) + rest, 0, root)
-    b.hensel_step(-c, (x1, w) + rest, 1, root)
+    steps += [
+        CertStep(STEINBERG_ZERO, c, st, (0, 1)),
+        # [wa, wb, rest] = [w, wb, rest] + [a, wb, rest]
+        CertStep(BILINEAR_EXPAND, -c, st, 0, (w, x1)),
+        # [a, wb, rest] = [a, w, rest] + [a, b, rest]
+        CertStep(BILINEAR_EXPAND, -c, (x1, wb) + rest, 1, (w, x2)),
+        # absorb the two w's by Hensel roots
+        CertStep(HENSEL_ROOT, -c, (w, wb) + rest, 0, (root,)),
+        CertStep(HENSEL_ROOT, -c, (x1, w) + rest, 1, (root,)),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +550,7 @@ def serialize_certificate(cert: DivisibilityCertificate) -> str:
     for t in cert.beta.terms:
         lines.append(f"beta {t.coeff} ; {_ser_entries(t.entries)}")
     for s in cert.steps:
-        pos = ",".join(str(x) for x in s.pos) if isinstance(s.pos, tuple) \
+        pos = ",".join(map(str, s.pos)) if _STEP_KINDS[s.kind].pair \
             else str(s.pos)
         line = f"step {s.kind} {s.mult} {pos} ; {_ser_entries(s.entries)}"
         if s.aux:
@@ -580,17 +573,6 @@ def read_int(s: str) -> int | None:
         return int(s) if INT_RE.fullmatch(s) else None
     except ValueError:  # past Python's 4300-digit limit
         return None
-
-# step kind -> (pos is a pair i,j, number of aux entries, entries the
-# relator reads after pos)
-_STEP_SHAPES = {
-    BILINEAR_EXPAND: (False, 2, 0),
-    SWAP: (True, 0, 0),
-    STEINBERG_ZERO: (True, 0, 0),
-    MINUS_SELF: (False, 0, 1),
-    SELF_TO_MINUS_ONE: (False, 0, 1),
-    HENSEL_ROOT: (False, 1, 0),
-}
 
 
 def parse_certificate(text: str) -> DivisibilityCertificate:
@@ -652,21 +634,20 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
         elif kind == "step":
             parts = rest.split(";")
             head = parts[0].split()
-            if len(head) != 3 or head[0] not in _STEP_SHAPES:
+            if len(head) != 3 or head[0] not in _STEP_KINDS:
                 raise bad("needs `step KIND mult pos ; entries [; aux]`")
             skind, mult_s, pos_s = head
-            pair, n_aux, after = _STEP_SHAPES[skind]
+            pair, n_aux, after, _, _, _ = _STEP_KINDS[skind]
             if len(parts) != (3 if n_aux else 2):
                 raise bad(f"a {skind} step needs {1 + bool(n_aux)} entry lists")
-            pos = tuple(num(x) for x in pos_s.split(",")) if pair \
-                else (num(pos_s),)
+            pos = [num(x) for x in pos_s.split(",")] if pair else [num(pos_s)]
             if len(pos) != 1 + pair or \
-                    not all(0 <= i < degree - after for i in pos):
+                    not 0 <= min(pos) <= max(pos) < degree - after:
                 raise bad(f"position {pos_s!r} does not fit a {skind} step "
                           f"of degree {degree}")
             aux = entries(parts[2], n_aux) if n_aux else []
             steps.append(CertStep(skind, num(mult_s), entries(parts[1], degree),
-                                  pos if pair else pos[0], aux))
+                                  tuple(pos) if pair else pos[0], aux))
         else:
             raise bad("unknown line kind")
     if ctx is None or ell is None or degree is None:

@@ -9,7 +9,7 @@ equality test is offered: classes are only compared through homomorphic
 images (finite field coordinates, residue vectors, pairings).  The moves
 that rewrite a class and preserve it (bilinear expansion, swaps, the
 {x,-x} and {x,x} identities) are the step vocabulary of divisibility
-certificates; they live in localk.CertStep.
+certificates; they live in the table localk._STEP_KINDS.
 
 tame_rewrite brings a class into generator form at one discrete
 valuation.  It is the one engine behind localk.tame and ratfunc.tame_at.

@@ -227,12 +227,12 @@ def test_expand_power_follows_the_binary_chain(ctx):
     g = localk.teichmuller(ctx, ctx.residue_field.gen())
     y = ctx.from_int(2)
     for e in range(1, 301):
-        b = localk._WitnessBuilder(ctx, 2)
-        b.expand_power(5, (g ** e, y), 0, g, e)
-        assert len(b.steps) <= 2 * (e.bit_length() - 1), e
+        steps = []
+        localk._expand_power(steps, 5, (g ** e, y), 0, g, e)
+        assert len(steps) <= 2 * (e.bit_length() - 1), e
         alpha = symbol(ctx, [g ** e, y]).scale(5)
         why, residual = localk._replay(localk.DivisibilityCertificate(
-            ctx, 2, alpha, MilnorClass.zero(ctx, 2), b.steps))
+            ctx, 2, alpha, MilnorClass.zero(ctx, 2), steps))
         assert why == "", e
         assert [(t.coeff, tuple(x.key() for x in t.entries))
                 for t in residual.terms] == [(5 * e, (g.key(), y.key()))], e
@@ -396,6 +396,59 @@ def test_step_with_a_zero_entry_is_refused(ctx, kind):
     assert res.failure.endswith(" is zero")
 
 
+def _one_step_of_each_kind(ctx):
+    """Per step kind, (a step whose side condition holds, the same step
+    with its side condition broken); every entry is a nonzero unit."""
+    x = ctx.lift_residue(ctx.residue_field.gen())  # x^2 != 1, 2x != 1
+    one = ctx.one()
+    y = one + ctx.uniformizer()
+    K = localk
+    return {
+        K.BILINEAR_EXPAND: (
+            K.CertStep(K.BILINEAR_EXPAND, -2, (x * y, y), 0, (x, y)),
+            K.CertStep(K.BILINEAR_EXPAND, -2, (x * y, y), 0, (x, x))),
+        K.SWAP: (K.CertStep(K.SWAP, -2, (x, y), (0, 1)),
+                 K.CertStep(K.SWAP, -2, (x, y), (0, 0))),
+        K.STEINBERG_ZERO: (
+            K.CertStep(K.STEINBERG_ZERO, -2, (x, one - x), (1, 0)),
+            K.CertStep(K.STEINBERG_ZERO, -2, (x, x), (1, 0))),
+        K.MINUS_SELF: (K.CertStep(K.MINUS_SELF, -2, (x, -x), 0),
+                       K.CertStep(K.MINUS_SELF, -2, (x, x), 0)),
+        K.SELF_TO_MINUS_ONE: (
+            K.CertStep(K.SELF_TO_MINUS_ONE, -2, (x, x), 0),
+            K.CertStep(K.SELF_TO_MINUS_ONE, -2, (x, -x), 0)),
+        K.HENSEL_ROOT: (
+            K.CertStep(K.HENSEL_ROOT, -2, (y, x * x), 1, (x,)),
+            K.CertStep(K.HENSEL_ROOT, -2, (y, x * x), 1, (x * x,))),
+    }
+
+
+def test_every_step_kind_has_a_case():
+    assert sorted(_one_step_of_each_kind(padic_ctx(5, 8))) == \
+        sorted(localk._STEP_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(localk._STEP_KINDS))
+@pytest.mark.parametrize("ctx", [padic_ctx(5, 8), laurent_ctx(9, 4)])
+def test_every_step_kind_replays_from_its_text(ctx, kind):
+    # alpha = mult * relator: the one step cancels it, through the text
+    # form; with the side condition broken the replay names the kind
+    good, broken = _one_step_of_each_kind(ctx)[kind]
+    alpha = MilnorClass(ctx, 2, [(good.mult * c, e)
+                                 for c, e in good.relator(ctx, 2)])
+    for step, ok in ((good, True), (broken, False)):
+        cert = localk.DivisibilityCertificate(
+            ctx, 2, alpha, MilnorClass.zero(ctx, 2), [step])
+        text = serialize_certificate(cert)
+        back = parse_certificate(text)
+        assert serialize_certificate(back) == text
+        res = verify_certificate(back)
+        assert res.ok == ok, res
+        if not ok:
+            assert res.failure.startswith(f"step 0 ({kind}): ")
+            assert not res.failure.endswith(" is zero")
+
+
 def test_witness_self_check_raises_under_python_O(monkeypatch):
     # the replay of a fresh certificate is a raise, not an assert
     ctx = padic_ctx(5, 8)
@@ -428,17 +481,17 @@ def test_witness_books_each_relator_once(ctx, monkeypatch):
     assert cert.steps and len(calls) == len(cert.steps)
 
 
-def _record_then_negate_first_y(real_apply, tampered):
-    """A builder apply that records each step and then replaces y by -y in
-    the first BILINEAR_EXPAND step it recorded, so only the replay's side
-    condition can notice."""
-    def apply(self, step):
-        real_apply(self, step)
-        if step.kind == localk.BILINEAR_EXPAND and not tampered:
-            y, z = step.aux
-            step.aux = (-y, z)
-            tampered.append(step)
-    return apply
+def _negate_first_y_then_replay(real_replay, tampered):
+    """A replay that first replaces y by -y in the first BILINEAR_EXPAND
+    step the builder recorded, so only the replay's side condition can
+    notice."""
+    def replay(cert):
+        step = next(s for s in cert.steps if s.kind == localk.BILINEAR_EXPAND)
+        y, z = step.aux
+        step.aux = (-y, z)
+        tampered.append(step)
+        return real_replay(cert)
+    return replay
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS)
@@ -449,9 +502,8 @@ def test_wrong_builder_step_fails_in_the_replay(ctx, monkeypatch):
     a = symbol(ctx, [ctx.random_unit(rng), ctx.random_unit(rng)])
     back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
     tampered = []
-    monkeypatch.setattr(localk._WitnessBuilder, "apply",
-                        _record_then_negate_first_y(
-                            localk._WitnessBuilder.apply, tampered))
+    monkeypatch.setattr(localk, "_replay",
+                        _negate_first_y_then_replay(localk._replay, tampered))
     with pytest.raises(SelfCheckFailed,
                        match=r"^freshly built certificate failed: step \d+ "
                              r"\(BILINEAR_EXPAND\): y\*z does not match the "
@@ -467,7 +519,7 @@ from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import padic_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import BadInput, SelfCheckFailed
-from milnorforge.localk import _WitnessBuilder, _discharge_steinberg_pair
+from milnorforge.localk import _discharge_steinberg_pair, _kill_one_entry
 
 if __debug__:
     raise SystemExit("not running under python -O")
@@ -497,12 +549,12 @@ ratfunc.poly_factor = real
 
 ctx = padic_ctx(5, 8)
 two, three = ctx.from_int(2), ctx.from_int(3)
-b = _WitnessBuilder(ctx, 3)
+steps = []
 expect("builder 1-entry", SelfCheckFailed,
-       lambda: b.kill_one_entry(1, (two, three), 0))
+       lambda: _kill_one_entry(steps, ctx, 1, (two, three), 0))
 # 2 + 2 = 4 is no principal unit
 expect("builder Steinberg pair", SelfCheckFailed,
-       lambda: _discharge_steinberg_pair(b, 1, (two, two)))
+       lambda: _discharge_steinberg_pair(steps, ctx, 3, 1, (two, two)))
 print("ok")
 """
 
