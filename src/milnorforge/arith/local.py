@@ -229,12 +229,10 @@ LOCAL_CTXS = {PADIC: padic_ctx, LAURENT: laurent_ctx}
 
 def teichmuller(ctx: LocalFieldCtx, c: FFElement):
     """The unique (q-1)-th root of unity in O with residue c != 0."""
-    w = ctx.lift_residue(c)
-    if ctx.model == LAURENT:  # the constants F_q^x are the roots of unity
-        return w
-    # omega = lim w^(p^k); each Frobenius step fixes one more digit, so
-    # prec steps fix them all: one power by p^prec
-    return w ** (ctx.p ** ctx.prec)
+    # omega = lim w^(q^k); each Frobenius step fixes one more digit, so
+    # prec steps fix them all: one power by q^prec.  Over F_q[[t]] the
+    # constant w is already a root of unity, c^(q^prec) = c
+    return ctx.lift_residue(c) ** (ctx.q ** ctx.prec)
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
@@ -267,8 +265,6 @@ def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):
         raise NewtonConditionFails(f"exponent {ell} not coprime to p = {ctx.p}")
     prec, p = x.prec, ctx.p
     if ctx.model == LAURENT:
-        if prec == 1:
-            return x
         pk = p
         while pk < prec:
             pk *= p

@@ -560,7 +560,7 @@ def serialize_certificate(cert: DivisibilityCertificate) -> str:
 
 
 INT_RE = re.compile(r"-?[0-9]+")
-_CTX_RE = re.compile(r"^(padic|laurent)\(([0-9]+),([0-9]+)\)$")
+_CTX_RE = re.compile(rf"^({'|'.join(LOCAL_CTXS)})\(([0-9]+),([0-9]+)\)$")
 
 
 def read_int(s: str) -> int | None:

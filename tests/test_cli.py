@@ -1,5 +1,6 @@
 """Command-line driver: verbs, report formats, determinism, exit codes."""
 
+import glob
 import hashlib
 import os
 import random
@@ -147,14 +148,19 @@ def test_unwritable_out_gives_fail_record(capsys, tmp_path, argv):
     assert "error=BadInput" in out and "ok=false" in out
 
 
-def _cli_subprocess(args, timeout, optimize=False):
+def _python(args, timeout, optimize=False):
     src = os.path.dirname(os.path.dirname(milnorforge.__file__))
-    flags = ["-O"] if optimize else []
+    # under `python -O -m pytest` every subprocess runs under -O too
+    flags = ["-O"] if optimize or sys.flags.optimize else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", "milnorforge.cli", *args],
+        [sys.executable, *flags, *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _cli_subprocess(args, timeout, optimize=False):
+    return _python(["-m", "milnorforge.cli", *args], timeout, optimize)
 
 
 def test_divide_rejects_degree_one_class_under_python_O():
@@ -329,12 +335,13 @@ def test_sampled_base_change_over_padic_2_draws_the_residue_first(capsys,
                                                                   seed):
     # these seeds drew 50 reducible residues in a row when pi's
     # coefficients were drawn before its residue
-    start = time.perf_counter()
-    rc, out = run(capsys, ["--format", "records", "--field", "padic:2",
-                           "--seed", str(seed), "base-change-check",
-                           "--samples", "1"])
-    assert time.perf_counter() - start < 10
-    assert rc == 0, out
+    for fmt in ("records", "text"):
+        start = time.perf_counter()
+        rc, out = run(capsys, ["--format", fmt, "--field", "padic:2",
+                               "--seed", str(seed), "base-change-check",
+                               "--samples", "1"])
+        assert time.perf_counter() - start < 10
+        assert rc == 0, out
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 25, 125])
@@ -647,6 +654,13 @@ RATRING_RUNS = [
             "{(1+1*t^1)/(1+1*t^2),(1+1*t^1+1*t^3)/(1+1*t^2)}",
             "deg:1 {(1+2*t^1+1*t^2)/(1+1*t^1)}")]
         + [["base-change-check", "--samples", "2"]])]
+# outside the digest: a constant numerator over a denominator in S (zero
+# over F_4) and a one-sample base change, each exiting 0 within 30 s
+RATRING_PASSING_RUNS = [
+    ["--field", field] + argv
+    for field in ("laurent:4", "laurent:9")
+    for argv in (["ratring-residue", "(2)/(1+1*t^1)"],
+                 ["base-change-check", "--samples", "1"])]
 
 
 def test_rational_ring_records_are_pinned(capsys):
@@ -660,6 +674,11 @@ def test_rational_ring_records_are_pinned(capsys):
         h.update(out.encode())
     assert h.hexdigest() == (
         "6a527e45d940a3bc02714ba90689511a83286e7c8706a71ff48360eda87a37db")
+    for argv in RATRING_PASSING_RUNS:
+        start = time.perf_counter()
+        rc, out = run(capsys, ["--format", "records"] + argv)
+        assert time.perf_counter() - start < 30
+        assert rc == 0, out
 
 
 EVERY_VERB_RUNS = [
@@ -851,7 +870,9 @@ def test_verify_cert_lenient_number_gives_fail_record(capsys, tmp_path):
                          "divide", "--ell", "3", "{8,7}"])
     assert rc == 0
     cert.write_text(cert.read_text().replace("\nell 3\n", "\nell +3\n"))
+    start = time.perf_counter()
     rc, out = run(capsys, ["--format", "records", "verify-cert", str(cert)])
+    assert time.perf_counter() - start < 10
     assert rc == 1
     assert "error=PatternMismatch" in out and "'ell +3'" in out
     assert "ok=false" in out
@@ -878,11 +899,47 @@ _ZERO_ENTRY_CERTS = {
 def test_verify_cert_zero_entry_gives_fail_record(capsys, tmp_path, case):
     cert = tmp_path / "z.cert"
     cert.write_text("divcert v1\n" + _ZERO_ENTRY_CERTS[case])
+    start = time.perf_counter()
     rc, out = run(capsys, ["--format", "records", "verify-cert", str(cert)])
+    assert time.perf_counter() - start < 10
     assert rc == 1
     (record,) = [ln for ln in out.splitlines() if ln.startswith("record ")]
     assert record.endswith(" ell=2 steps=1 counterexample='step 0 "
                            "(BILINEAR_EXPAND): entry 0 is zero' ok=false")
+
+
+# the builder emits only BILINEAR_EXPAND, HENSEL_ROOT and STEINBERG_ZERO; a
+# hand-written certificate over Z_5 cancels {2,3} + {3,2} + {2,-2} + {2,2}
+# - {2,-1} by one SWAP, one MINUS_SELF and one SELF_TO_MINUS_ONE step
+_KINDS_CERT = "\n".join([
+    "divcert v1", "ctx padic(5,8)", "ell 2", "degree 2",
+    "alpha 1 ; padic(5,8):2*p^0 | padic(5,8):3*p^0",
+    "alpha 1 ; padic(5,8):3*p^0 | padic(5,8):2*p^0",
+    "alpha 1 ; padic(5,8):2*p^0 | padic(5,8):390623*p^0",
+    "alpha 1 ; padic(5,8):2*p^0 | padic(5,8):2*p^0",
+    "alpha -1 ; padic(5,8):2*p^0 | padic(5,8):390624*p^0",
+    "step SWAP 1 0,1 ; padic(5,8):2*p^0 | padic(5,8):3*p^0",
+    "step MINUS_SELF 1 0 ; padic(5,8):2*p^0 | padic(5,8):390623*p^0",
+    "step SELF_TO_MINUS_ONE 1 0 ; padic(5,8):2*p^0 | padic(5,8):2*p^0",
+]) + "\n"
+
+
+def test_every_step_kind_replays_from_a_file(tmp_path):
+    # it replays with ok=true; with the SWAP at 0,0 it ends in ok=false
+    # naming the step and exits 1, each within 10 s
+    cert = tmp_path / "kinds.cert"
+    cert.write_text(_KINDS_CERT)
+    out = _cli_subprocess(["--format", "records", "verify-cert", str(cert)],
+                          timeout=10)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "ok=true" in out.stdout
+    cert.write_text(_KINDS_CERT.replace("\nstep SWAP 1 0,1 ;",
+                                        "\nstep SWAP 1 0,0 ;"))
+    out = _cli_subprocess(["--format", "records", "verify-cert", str(cert)],
+                          timeout=10)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert ("counterexample='step 0 (SWAP): swap of equal positions'"
+            in out.stdout)
 
 
 def test_verify_cert_missing_file_gives_fail_record(capsys, tmp_path):
@@ -920,6 +977,10 @@ _OVERSIZED = {
         ["--field", "laurent:1048577", "divide", "--ell", "2",
          "{laurent(1048577,8):t^0*(3,5),laurent(1048577,8):t^0*(6,1)}"],
         None, "FieldTooLarge"),
+    "divide_ell_3_q_above_field_bound": (
+        ["--field", "laurent:1048577", "divide", "--ell", "3",
+         "{laurent(1048577,8):t^0*(3,5),laurent(1048577,8):t^0*(6,1)}"],
+        None, "FieldTooLarge"),
     "gersten_check_q_above_field_bound": (
         ["--field", "laurent:1048577", "gersten-check", "--n", "3", "--m",
          "2"], None, "FieldTooLarge"),
@@ -955,6 +1016,76 @@ def test_oversized_precision_or_integer_fails_fast(capsys, monkeypatch,
     assert f"error={error}" in out and "ok=false" in out
 
 
+# --- certificates at the precision bound and at the FIELD_BOUND edges -------
+
+def _edge_certificate(tmp_path, fmt, q, prec, sha):
+    """Build a degree-2 certificate over F_q[[t]] at precision prec by a
+    CLI `divide` within 120 s, check its pinned sha256, return its path."""
+    cert = tmp_path / "edge.cert"
+    unit = f"laurent({q},{prec}):t^0*"
+    out = _cli_subprocess(
+        fmt + ["--field", f"laurent:{q}", "--precision", str(prec),
+               "--out", str(cert), "divide", "--ell", "3",
+               f"{{{unit}(3,5,7,1,9),{unit}(6,1,0,2,11)}}"], timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == sha
+    return cert
+
+
+_RECORDS = ["--format", "records"]
+
+
+# README promises seconds at MAX_UNIT_BITS: a certificate over F_16[[t]] at
+# precision 819 is built and replayed; certificates grow as log q, so
+# F_1024[[t]] at precision 372 and F_65536[[t]] at precision 240 are built
+# too, each within 120 s.  The texts are pinned: their ell-th roots take
+# powers by base-p digits and Frobenius, which in characteristic 2 replace
+# every squaring, and must give the bytes square-and-multiply gave
+@pytest.mark.parametrize("fmt, q, prec, sha, replay", [
+    ([], 16, 819,
+     "f390e8584db8470be58318c1cf628e0fe895d13f41d2d07d6e63a8dceb7b2587",
+     True),
+    (_RECORDS, 1024, 372,
+     "f8656baab05253359c189e887c8a3d31f69383364de5029d70e25eeca7110112",
+     False),
+    (_RECORDS, 65536, 240,
+     "744e993d1a1f3016d31e64b734e969ab4089eb152995e07a4ff48ac3bb0351b0",
+     False),
+], ids=["F_16", "F_1024", "F_65536"])
+def test_certificates_at_the_precision_bound(tmp_path, fmt, q, prec, sha,
+                                             replay):
+    cert = _edge_certificate(tmp_path, fmt, q, prec, sha)
+    if replay:
+        out = _cli_subprocess(["verify-cert", str(cert)], timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_padic_certificate_at_the_precision_bound():
+    out = _cli_subprocess(["--field", "padic:5", "--precision", "1365",
+                           "divide", "--ell", "3", "{8,7,11}"], timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+# FIELD_BOUND = 2^20 is the one residue-field bound: over F_{2^20}[[t]] at
+# precision 195 and F_1048573[[t]] at precision 204 (the MAX_UNIT_BITS
+# edges), both without Zech tables, a pinned certificate is built and
+# replayed and a degree-3 gersten-check runs, each within 120 s; one step
+# past the bound is in _OVERSIZED
+@pytest.mark.parametrize("q, prec, sha", [
+    (1 << 20, 195,
+     "22c413a768773359141c632c54341a02cdca1dee39e5ec9eebd5f8505f2d53e1"),
+    (1048573, 204,
+     "c88a32048765c69278d61f135509f7dbfe70116b3ac9cd8d57345c4d3b69ecb6"),
+], ids=["F_2^20", "F_1048573"])
+def test_residue_fields_up_to_the_field_bound(tmp_path, q, prec, sha):
+    cert = _edge_certificate(tmp_path, _RECORDS, q, prec, sha)
+    for argv in (["verify-cert", str(cert)],
+                 ["--field", f"laurent:{q}", "--precision", str(prec),
+                  "gersten-check", "--n", "3", "--m", "3", "--samples", "3"]):
+        out = _cli_subprocess(_RECORDS + argv, timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr
+
+
 _WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now fails
@@ -967,12 +1098,7 @@ for argv in (["suite", "HILBERT_TABLE"],
 
 
 def test_runs_without_numpy():
-    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    out = _python(["-c", _WITHOUT_NUMPY], timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
 
 
@@ -1032,6 +1158,39 @@ def test_element_digits_are_ascii(capsys):
         assert "error=PatternMismatch" in out and "ok=false" in out
 
 
+_LOCAL_ELEMENT_REFUSALS = [
+    ("padic:5", "laurent(5,8):t^0*(1,2)",
+     "element 'laurent(5,8):t^0*(1,2)' does not live in "
+     "LocalFieldCtx(Z_5, prec=8)"),
+    ("padic:5", "padic(7,8):1*p^0",
+     "element 'padic(7,8):1*p^0' does not live in LocalFieldCtx(Z_5, prec=8)"),
+    ("laurent:5", "padic(5,8):1*p^0",
+     "element 'padic(5,8):1*p^0' does not live in "
+     "LocalFieldCtx(F_5[[t]], prec=8)"),
+    ("laurent:5", "laurent(25,8):t^0*(1,2)",
+     "element 'laurent(25,8):t^0*(1,2)' does not live in "
+     "LocalFieldCtx(F_5[[t]], prec=8)"),
+    ("padic:5", "padic(5,0):1*p^0",
+     "element 'padic(5,0):1*p^0' has no digits"),
+    ("laurent:5", "laurent(5,0):t^0*(1)",
+     "element 'laurent(5,0):t^0*(1)' has no coefficients"),
+    ("padic:5", "padic(5,8):10*p^0",
+     "unit part of 'padic(5,8):10*p^0' is divisible by 5"),
+    ("laurent:5", "laurent(5,8):t^0*(1,5)",
+     "a coefficient of 'laurent(5,8):t^0*(1,5)' is 5 or more"),
+    ("padic:5", "padic(5,8):x", "cannot parse local element 'padic(5,8):x'"),
+]
+
+
+@pytest.mark.parametrize("field, entry, reason", _LOCAL_ELEMENT_REFUSALS)
+def test_local_element_refusal_names_its_reason(capsys, field, entry, reason):
+    rc, out = run(capsys, ["--format", "records", "--field", field, "tame",
+                           f"{{{entry},2}}"])
+    assert rc == 1
+    assert (f'record cmd=tame seed=0 op=tame error=PatternMismatch '
+            f'counterexample="{reason}" ok=false\n') in out
+
+
 _BAD_ARGUMENTS_SCRIPT = """
 import contextlib, io, sys
 from milnorforge.cli import main
@@ -1053,13 +1212,8 @@ def test_bad_arguments_give_fail_records_under_python_O(run_python_O):
 def test_section_cost_does_not_grow_with_the_coefficient(capsys, big, small):
     """Residues over F_3 only see the coefficient's parity, and a huge
     coefficient costs a few squarings, not one product per unit."""
-    src = os.path.dirname(os.path.dirname(milnorforge.__file__))
     argv = ["--format", "records", "--field", "ratfunc:3", "section"]
-    out = subprocess.run(
-        [sys.executable, "-m", "milnorforge.cli"] + argv + [f"{big}*{{t,t+1}}"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=30,
-    )
+    out = _cli_subprocess(argv + [f"{big}*{{t,t+1}}"], timeout=30)
     rc, expect = run(capsys, argv + [f"{small}*{{t,t+1}}"])
     assert rc == 0 and out.returncode == 0, out.stdout + out.stderr
     assert out.stdout == expect
@@ -1127,3 +1281,16 @@ def test_mutated_certificate_fails_with_reason_or_verifies(
         assert "ok=false" in record
         assert "error=" in record or "counterexample=" in record
     assert count > 100 and failed > count // 2
+
+
+# --- demos -------------------------------------------------------------------
+
+_DEMOS = glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                             "demos", "*.py"))
+
+
+@pytest.mark.parametrize("demo", sorted(_DEMOS), ids=os.path.basename)
+def test_demo_runs(demo):
+    # each demo runs the public API end to end and must exit 0
+    out = _python([demo], timeout=60)
+    assert out.returncode == 0, out.stdout + out.stderr

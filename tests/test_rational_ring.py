@@ -12,6 +12,7 @@ from milnorforge.errors import (
     EliminationFailed,
     NonUnitEntry,
     NotAUnit,
+    PrecisionTooLowToReduce,
     ResidueReducible,
 )
 from milnorforge.ratfunc import QuotCtx
@@ -57,6 +58,17 @@ def test_construction_rejects_non_s_denominator():
     A = padic_ctx(5, 8)
     with pytest.raises(NotAUnit):
         RationalRingElem(A, 1, mp(A, [(0, 1)]), mp(A, [(0, 5), (1, 10)]))
+
+
+@pytest.mark.parametrize("A", CONTEXTS)
+def test_construction_rejects_non_integral_coefficients(A):
+    # 1/pi has valuation -1: A(t) is a ring over O, not over its fraction field
+    inv_pi = A.uniformizer().inverse()
+    num = MultiPoly(A, 1, {(0,): A.one(), (1,): inv_pi})
+    with pytest.raises(PrecisionTooLowToReduce, match="must be integral"):
+        RationalRingElem(A, 1, num, mp(A, [(0, 1)]))
+    with pytest.raises(PrecisionTooLowToReduce, match="must be integral"):
+        RationalRingElem(A, 1, mp(A, [(0, 1)]), num)
 
 
 def test_unit_iff_numerator_in_s():
