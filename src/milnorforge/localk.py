@@ -398,15 +398,19 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     entry through the Teichmuller section, absorb the principal-unit
     parts by their ell-th roots (HENSEL_ROOT steps; principal_unit_root
     computes each root exactly, by one power over F_q[[t]] and by integer
-    Newton steps over Z_p), and discharge the residual Teichmuller class
-    against the finite-field Steinberg relators, each lifted to O by
-    u^{-1}-scaling: the row i*j of ff_kgroup is [g^i,g^j,g,..,g].  Powers
-    of g expand and contract along binary chains (_expand_power), so a
-    certificate has O(n log q) steps.  The builder records the steps
-    only.  One replay of them, the verifier's own (_replay), checks every
-    side condition, raising SelfCheckFailed on a bad step, and books alpha
-    minus the relators as one MilnorClass: that residual divided by ell
-    is beta, its terms in the order of their serialized entries.
+    Newton steps over Z_p), merge the residual Teichmuller terms in the
+    free abelian group, and discharge that class against the finite-field
+    Steinberg relators, each lifted to O by u^{-1}-scaling: the row i*j of
+    ff_kgroup is [g^i,g^j,g,..,g].  Powers of g expand and contract along
+    binary chains (_expand_power), so a certificate has O(n log q) steps.
+    The Teichmuller parts of a and lift(reduce(a)) cancel before any
+    expansion, so the certificate of a - lift(reduce(a)) for a unit
+    symbol a has two steps per entry that is not its own Teichmuller
+    lift.  The builder records the steps only.  One replay of them, the
+    verifier's own (_replay), checks every side condition, raising
+    SelfCheckFailed on a bad step, and books alpha minus the relators as
+    one MilnorClass: that residual divided by ell is beta, its terms in
+    the order of their serialized entries.
     """
     n = a.degree
     if n < 2:
@@ -426,30 +430,26 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
 
     # 1) split every entry as (Teichmuller part) * (principal unit part)
     residual: list[tuple[int, tuple]] = []
-    for c, ent in a.terms:
-        frontier = [(c, ent)]
+    for c, ee in a.terms:
         for pos in range(n):
-            nxt = []
-            for cc, ee in frontier:
-                x = ee[pos]
-                e_exp = ctx.residue(x).dlog()
-                omega = g_lift ** e_exp
-                u1 = x * omega.inverse()
-                nxt.append((cc, _put(ee, pos, omega)))
-                if u1.is_one():
-                    continue
-                # the principal-unit branch is absorbed right away
+            x = ee[pos]
+            omega = g_lift ** ctx.residue(x).dlog()
+            u1 = x * omega.inverse()
+            if not u1.is_one():
+                # the principal-unit part is absorbed right away
                 root = principal_unit_root(ctx, u1, ell)
                 steps += [
-                    CertStep(BILINEAR_EXPAND, cc, ee, pos, (omega, u1)),
-                    CertStep(HENSEL_ROOT, cc, _put(ee, pos, u1), pos, (root,))]
-            frontier = nxt
-        residual.extend(frontier)
+                    CertStep(BILINEAR_EXPAND, c, ee, pos, (omega, u1)),
+                    CertStep(HENSEL_ROOT, c, _put(ee, pos, u1), pos, (root,))]
+            ee = _put(ee, pos, omega)
+        residual.append((c, ee))
 
-    # 2) all-Teichmuller residual: expand to multiples of {g,...,g}
+    # 2) all-Teichmuller residual, merged in the free abelian group first
+    # (a Teichmuller term of a and of lift(reduce(a)) cancels here): expand
+    # each term to a multiple of {g,...,g}
     v_total = 0
     gens = (g_lift,) * n
-    for c, ent in residual:
+    for c, ent in MilnorClass(ctx, n, residual).terms:
         exps = [ctx.residue(e).dlog() for e in ent]
         ones = [i for i, e in enumerate(exps) if e == 0]
         if ones:
@@ -622,8 +622,8 @@ def parse_certificate(text: str) -> DivisibilityCertificate:
                 ctx = LOCAL_CTXS[m.group(1)](num(m.group(2)), num(m.group(3)))
             elif kind == "ell":
                 ell = num(rest)
-            else:
-                degree = num(rest)
+            elif (degree := num(rest)) < 2:
+                raise bad("certificates need degree >= 2")
             continue
         if ctx is None or ell is None or degree is None:
             raise bad("the ctx, ell and degree lines must come first")

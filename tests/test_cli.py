@@ -878,6 +878,18 @@ def test_verify_cert_lenient_number_gives_fail_record(capsys, tmp_path):
     assert "ok=false" in out
 
 
+def test_verify_cert_degree_below_2_gives_fail_record(capsys, tmp_path):
+    # a certificate with no terms once replayed as ok=true in any degree
+    cert = tmp_path / "d.cert"
+    cert.write_text("divcert v1\nctx padic(5,8)\nell 3\ndegree -2\n")
+    rc, out = run(capsys, ["--format", "records", "verify-cert", str(cert)])
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "record cmd=verify-cert seed=0 op=verify-cert error=PatternMismatch "
+        "counterexample=\"certificate line 'degree -2': certificates need "
+        "degree >= 2\" ok=false")
+
+
 # a step with a zero entry once passed its side condition (y*z = 0 = e[pos])
 # and its relator cancelled alpha: {5,2} and {t,2} replayed as divisible
 # by 2, though hilbert 5 2 over padic:5 is the non-square g^3

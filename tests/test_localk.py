@@ -183,8 +183,9 @@ PIN_RINGS = ([(padic_ctx, p) for p in (2, 3, 5, 7)]
 def test_certificate_texts_are_pinned():
     # a seeded grid: 8 rings, precisions 1, 2, 8 and 16, degrees 2 and 3,
     # the first two of ell = 2, 3, 5, 7 coprime to p; digest taken once
-    # powers followed binary chains and the rows were the first pairs' i*j
-    h = hashlib.sha256()
+    # powers followed binary chains, the rows were the first pairs' i*j
+    # and the Teichmuller residual merged before it was expanded
+    h, head = hashlib.sha256(), hashlib.sha256()
     for make, q in PIN_RINGS:
         for prec in (1, 2, 8, 16):
             ctx = make(q, prec)
@@ -200,22 +201,80 @@ def test_certificate_texts_are_pinned():
                     text = serialize_certificate(cert)
                     assert verify_certificate(parse_certificate(text)).ok
                     h.update(text.encode())
+                    head.update(_non_step_lines(text).encode())
+    # the ctx, ell, degree, alpha and beta lines, pinned apart from the
+    # steps so that a change of the steps alone shows as such
+    assert head.hexdigest() == (
+        "bfb5297f5bcb38c47158bedcc6df5514c559c50b6227f6efcd236f42a2a46688")
     assert h.hexdigest() == (
-        "f1d7ff0d00546b37aadefb768e855acf0877bbfa1463c54b253870faa1e158d9")
+        "4bb9f770da288da307e6413fbee8c130a684e88790408bd26ba3c2d75b307a6f")
+
+
+def _non_step_lines(text):
+    return "".join(ln + "\n" for ln in text.splitlines()
+                   if not ln.startswith("step "))
+
+
+# certificates written by earlier builders: (file, steps, whether a fresh
+# witness of the same alpha keeps every non-step line)
+_OLD_CERTS = [
+    # expanded g^e in e - 1 steps and padded the degree-3 Steinberg rows,
+    # so its beta is not a fresh one's
+    ("divcert_f9_degree3_v1.cert", 46, False),
+    # a - lift(reduce(a)) over F_9[[t]] at precision 8: the Teichmuller
+    # parts of a and of lift(reduce(a)) were expanded before they cancelled
+    ("divcert_f9_degree3_lift_v1.cert", 28, True),
+]
 
 
 def test_certificate_with_linear_chains_still_replays():
-    # written by the builder that expanded g^e in e - 1 steps and padded
-    # the degree-3 Steinberg rows; the verifier's vocabulary is unchanged
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "divcert_f9_degree3_v1.cert")
-    with open(path) as f:
-        text = f.read()
-    cert = parse_certificate(text)
-    assert len(cert.steps) == 46 and verify_certificate(cert).ok
-    assert serialize_certificate(cert) == text
-    fresh = divisibility_witness(cert.ctx, cert.alpha, cert.ell)
-    assert verify_certificate(fresh).ok and len(fresh.steps) < 46
+    # the verifier's vocabulary is unchanged, so every old text replays
+    for name, n_steps, same_head in _OLD_CERTS:
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+        with open(path) as f:
+            text = f.read()
+        cert = parse_certificate(text)
+        assert len(cert.steps) == n_steps and verify_certificate(cert).ok
+        assert serialize_certificate(cert) == text
+        fresh = divisibility_witness(cert.ctx, cert.alpha, cert.ell)
+        assert verify_certificate(fresh).ok and len(fresh.steps) < n_steps
+        if same_head:
+            assert _non_step_lines(serialize_certificate(fresh)) == \
+                _non_step_lines(text)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 8])
+@pytest.mark.parametrize("make,q", [(padic_ctx, p) for p in (2, 3, 5, 7)]
+                         + [(laurent_ctx, q) for q in (3, 4, 9)])
+def test_lift_residual_costs_two_steps_per_non_teichmuller_entry(make, q,
+                                                                 prec):
+    # a and lift(reduce(a)) share their Teichmuller parts, which cancel
+    # before any expansion: each entry of a that is not its own
+    # Teichmuller lift costs one BILINEAR_EXPAND and one HENSEL_ROOT, and
+    # no step is emitted twice
+    ctx = make(q, prec)
+    for degree in (2, 3):
+        for ell in [ell for ell in (2, 3, 5, 7) if ell % ctx.p][:2]:
+            rng = random.Random(f"{ctx!r} {degree} {ell} lift")
+            for _ in range(5):
+                a = symbol(ctx, [ctx.random_unit(rng) for _ in range(degree)])
+                moved = sum(
+                    x != localk.teichmuller(ctx, ctx.residue(x))
+                    for x in a.terms[0].entries)
+                back = lift_mod_m(ctx, reduce_mod_m(ctx, a, ell), ell)
+                cert = divisibility_witness(ctx, a - back, ell)
+                assert verify_certificate(cert).ok
+                kinds = [s.kind for s in cert.steps]
+                assert len(kinds) == 2 * moved
+                assert kinds.count(localk.BILINEAR_EXPAND) == moved
+                assert kinds.count(localk.HENSEL_ROOT) == moved
+                keys = {(s.kind, _ser(s.entries), s.pos, _ser(s.aux))
+                        for s in cert.steps}
+                assert len(keys) == len(cert.steps)
+
+
+def _ser(entries):
+    return tuple(e.serialize() for e in entries)
 
 
 @pytest.mark.parametrize("ctx", [padic_ctx(7, 4), laurent_ctx(9, 4)])
@@ -313,6 +372,10 @@ def _edit_line(text, kind, edit):
     pytest.param("ell", lambda ln: "ell \u0663", id="ell-arabic_indic_digit"),
     pytest.param("ctx", lambda ln: "ctx padic(\u0665,8)",
                  id="ctx-arabic_indic_digit"),
+    # divisibility_witness refuses degree < 2, and so does the text form
+    pytest.param("degree", lambda ln: "degree -2", id="degree-negative"),
+    pytest.param("degree", lambda ln: "degree 0", id="degree-zero"),
+    pytest.param("degree", lambda ln: "degree 1", id="degree-one"),
 ])
 def test_malformed_certificate_line_is_named(kind, edit):
     text, line = _edit_line(_cert_text(), kind, edit)
