@@ -32,15 +32,15 @@ prime fields, the tables where they exist, and add_enc and the digit
 product above TABLE_BOUND, so no sum costs a discrete log.  mul_trunc,
 the first n coefficients of a product, is the one product kernel: a
 Laurent product is truncated at its precision and a Poly product is the
-whole one.  It is schoolbook while one factor has at most
-SCHOOLBOOK_LEN * f nonzero terms (ch. 8 there: the classical product wins
-below a crossover) and Kronecker substitution above (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution",
-J. Symb. Comput. 44, 2009).  No field has more than FIELD_BOUND elements,
-the one residue-field bound of every verb.  ``_extension_points`` is the
-one walk over F_q and its small extensions that every specialization test
-consumes; ff_embedding maps F_{p^f1} into them by g^e -> gamma^e, gamma
-the image of g.
+whole one.  It is Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+44, 2009) over byte slots in small prime fields and once both factors
+have more than SCHOOLBOOK_LEN * f nonzero terms, schoolbook otherwise
+(ch. 8 there: the classical product wins below a crossover).  No field
+has more than FIELD_BOUND elements, the one residue-field bound of every
+verb.  ``_extension_points`` is the one walk over F_q and its small
+extensions that every specialization test consumes; ff_embedding maps
+F_{p^f1} into them by g^e -> gamma^e, gamma the image of g.
 """
 
 from __future__ import annotations
@@ -52,18 +52,18 @@ from .factor import is_irreducible
 from .poly import Poly, _power
 
 TABLE_BOUND = 1 << 16
-# mul_trunc multiplies schoolbook while the operand with fewer nonzero
-# terms has at most this many times f of them, by Kronecker substitution
-# above: the packing grows with f, the Zech schoolbook does not.  Dense
-# crossovers, truncated (n = len) and full products alike: 2-4 terms for
-# f = 1 (p = 2, 3, 5, 7, 65537), 8-10 for f = 2 (q = 4, 9, 25), 14-30 for
-# f = 3 (q = 8, 27) and about 64 for q = 243; a factor with k nonzero
-# terms among 32 or 64 crosses near k = 8 for f = 1 and 12 for f = 2.  No
-# c * f fits every f: c = 8 puts f = 3 at its crossover and costs up to
-# 1.6 times the Kronecker product on dense 5-8 term products over F_p,
-# and replaying the recorded kernel calls of local_certificates,
-# rational_ring and function_fields costs the same for every c from 2 to
-# 12, within 5 %
+# Past its byte products, mul_trunc multiplies schoolbook while the
+# operand with fewer nonzero terms has at most this many times f of them,
+# by Kronecker substitution above: the packing grows with f, the Zech
+# schoolbook does not.  Dense crossovers without byte products, truncated
+# (n = len) and full alike: 2-4 terms for f = 1 (p = 2, 3, 5, 7, 65537),
+# 8-10 for f = 2 (q = 4, 9, 25), 14-30 for f = 3 (q = 8, 27) and about 64
+# for q = 243; a factor with k nonzero terms among 32 or 64 crosses near
+# k = 8 for f = 1 and 12 for f = 2.  No c * f fits every f: c = 8 puts
+# f = 3 at its crossover and costs up to 1.6 times the Kronecker product
+# on dense 5-8 term products over F_p past the byte bound, and replaying
+# the recorded kernel calls of local_certificates, rational_ring and
+# function_fields costs the same for every c from 2 to 12, within 5 %
 SCHOOLBOOK_LEN = 8
 FIELD_BOUND = 1 << 20
 MAX_EXTENSION_DEGREE = 3
@@ -121,6 +121,11 @@ class FiniteFieldCtx:
         # X^f .. X^(2f-2) mod the modulus, as encodings: mul_trunc folds by them
         self._fold = tuple(self._reduce_enc([0] * k + [1])
                            for k in range(f, 2 * f - 1))
+        # mul_trunc's byte product, prime fields only: a byte of the product
+        # sums at most terms * (p-1)^2, and translate reduces it mod p
+        self._byte_terms = 255 // (p - 1) ** 2 if f == 1 else 0
+        self._mod_p = ((bytes(range(p)) * 128)[:256] if self._byte_terms > 1
+                       else None)
         # exponent of -1: (q-1)/2 for odd p, 0 in characteristic 2
         self.half = (q - 1) // 2 if p != 2 else 0
         self.exp: list[int] | None = None
@@ -191,8 +196,12 @@ class FiniteFieldCtx:
         of encodings a and b, as a list of n encodings: the package's one
         product kernel (a Poly product is the case n = len a + len b - 1).
 
-        Both operands are cut to n terms.  While the one with fewer
-        nonzero terms has at most SCHOOLBOOK_LEN * f of them, the product
+        Both operands are cut to n terms.  In a prime field, when the one
+        with fewer nonzero terms has m >= 2 of them and m (p-1)^2 < 256,
+        each operand's bytes are its packing: every byte of the product
+        sums at most m digit products, so one integer product gives the
+        coefficients byte by byte, reduced mod p.  Otherwise, while the
+        sparser one has at most SCHOOLBOOK_LEN * f nonzero terms, the product
         is schoolbook, truncated at n and running over that factor's
         nonzero terms only, so a one-term factor costs O(n): on integers
         mod p in a prime field, on discrete logs with Zech sums in a tabled
@@ -206,6 +215,11 @@ class FiniteFieldCtx:
         if terms_a < terms:
             a, b, terms = b, a, terms_a
         f = self.f
+        if 1 < terms <= self._byte_terms:  # one byte per t-degree
+            prod = (int.from_bytes(bytes(a), "little")
+                    * int.from_bytes(bytes(b), "little"))
+            return list(prod.to_bytes(max(n, len(a) + len(b)), "little")[:n]
+                        .translate(self._mod_p))
         if terms > SCHOOLBOOK_LEN * f:
             return self._mul_kronecker(a, b, n)
         if f == 1:

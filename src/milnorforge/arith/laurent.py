@@ -14,8 +14,10 @@ vectors.
 All of it runs on the encoding kernels of FiniteFieldCtx: add_vec and
 neg_vec for sums and negation, inv_enc for a leading coefficient, and
 mul_trunc, the package's one product kernel, for products truncated at
-the precision; short or sparse products run schoolbook over the sparser
-factor's nonzero terms, dense long ones through Kronecker substitution.
+the precision: over F_2 to F_11 products whose coefficients fit a byte
+take one integer product of the digit bytes, other short or sparse
+products run schoolbook over the sparser factor's nonzero terms, and
+dense long ones go through Kronecker substitution.
 ``inverse`` is a Newton iteration on the same kernel.
 
 Monomials take exact short-cuts.  A unit is a monomial c t^v at a working
@@ -33,8 +35,8 @@ p^j-th power (_frobenius: no product, and no change at all in a prime
 field).  A power x^k with k >= p is prod_j Frob^j(x^(k_j)) over the
 base-p digits k_j of k.  Each distinct digit's power is square-and-multiply
 on x cut to the ceil(prec / p^j) digits that Frob^j reads.  A factor
-with j >= 1 is sparse, nonzero only at multiples of p^j, and mul_trunc's
-schoolbook product runs over those terms when they are few.  In
+with j >= 1 is sparse, nonzero only at multiples of p^j, and mul_trunc
+picks its product by the count of those terms, not by length.  In
 characteristic 2 every digit is 1 and no squaring is left; for k < p,
 the large prime fields included, the power is plain square-and-multiply.
 

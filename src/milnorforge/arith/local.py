@@ -58,7 +58,7 @@ class LocalFieldCtx:
     precision, the number of significant uniformizer-adic digits.
     """
 
-    __slots__ = ("model", "prec", "residue_field")
+    __slots__ = ("model", "prec", "residue_field", "_pi")
     encoded = False  # a Poly over O stores local numbers
 
     def __init__(self, model: str, residue_field: FiniteFieldCtx, prec: int):
@@ -76,6 +76,9 @@ class LocalFieldCtx:
         self.model = model
         self.residue_field = residue_field
         self.prec = prec
+        self._pi = (PadicNumber(self.p, prec, 1, 1) if model == PADIC
+                    else LaurentSeries.from_encs(residue_field, prec, 1,
+                                                 (1,) + (0,) * (prec - 1)))
 
     @property
     def p(self) -> int:
@@ -114,10 +117,8 @@ class LocalFieldCtx:
         return LaurentSeries.from_int(self.residue_field, self.prec, n)
 
     def uniformizer(self):
-        if self.model == PADIC:
-            return PadicNumber(self.p, self.prec, 1, 1)
-        return LaurentSeries.from_encs(self.residue_field, self.prec, 1,
-                                       (1,) + (0,) * (self.prec - 1))
+        """p or t, one shared element per context: elements are immutable."""
+        return self._pi
 
     def random_unit(self, rng):
         if self.model == PADIC:

@@ -23,6 +23,7 @@ k <= 2 only: one variable for A(t), two for the delta test's target.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 
 from .arith.factor import is_irreducible
@@ -92,7 +93,7 @@ def _coeff_residue(A: LocalFieldCtx, c) -> int:
 
 def _residue_poly(A: LocalFieldCtx, f: "MultiPoly") -> Poly:
     """Coefficientwise reduction of a one-variable f, a Poly over kappa."""
-    encs = [0] * (max((e[0] for e in f.coeffs), default=-1) + 1)
+    encs = [0] * (max(f.coeffs)[0] + 1) if f.coeffs else []
     for (i,), c in f.coeffs.items():
         encs[i] = _coeff_residue(A, c)
     return Poly.from_encs(A.residue_field, encs)
@@ -106,7 +107,9 @@ def _residue_poly(A: LocalFieldCtx, f: "MultiPoly") -> Poly:
 class MultiPoly:
     """Sparse polynomial in k <= 2 variables over a local coefficient ring.
 
-    coeffs maps exponent tuples of length k to nonzero coefficients.
+    coeffs maps exponent tuples of length k to coefficients, exact zeros
+    dropped.  The constructor checks k and the exponents; +, - and * check
+    that both operands share k and the ring, then build through _make.
     """
 
     __slots__ = ("ctx", "k", "coeffs")
@@ -124,6 +127,20 @@ class MultiPoly:
         self.ctx = ctx
         self.k = k
         self.coeffs = clean
+
+    @classmethod
+    def _make(cls, ctx, k: int, coeffs: dict) -> "MultiPoly":
+        """Unchecked: coeffs' keys are already k-tuples."""
+        f = cls.__new__(cls)
+        f.ctx, f.k = ctx, k
+        f.coeffs = {e: c for e, c in coeffs.items() if not _exact_zero(c)}
+        return f
+
+    def _check_operand(self, o: "MultiPoly"):
+        if o.k != self.k:
+            raise BadInput(f"{o.k}-variable operand, {self.k} expected")
+        if o.ctx is not self.ctx and o.ctx != self.ctx:
+            raise ContextMismatch(f"{o.ctx!r} operand over {self.ctx!r}")
 
     @classmethod
     def zero(cls, ctx, k: int) -> "MultiPoly":
@@ -144,26 +161,29 @@ class MultiPoly:
         return all(all(e == 0 for e in exps) for exps in self.coeffs)
 
     def __add__(self, o: "MultiPoly") -> "MultiPoly":
+        self._check_operand(o)
         out = dict(self.coeffs)
         for exps, c in o.coeffs.items():
             out[exps] = out[exps] + c if exps in out else c
-        return MultiPoly(self.ctx, self.k, out)
+        return MultiPoly._make(self.ctx, self.k, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ctx, self.k,
-                         {e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._make(self.ctx, self.k,
+                               {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, o: "MultiPoly") -> "MultiPoly":
         return self + (-o)
 
     def __mul__(self, o: "MultiPoly") -> "MultiPoly":
+        self._check_operand(o)
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in o.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = ((e1[0] + e2[0],) if self.k == 1
+                     else tuple(a + b for a, b in zip(e1, e2)))
                 prod = c1 * c2
                 out[e] = out[e] + prod if e in out else prod
-        return MultiPoly(self.ctx, self.k, out)
+        return MultiPoly._make(self.ctx, self.k, out)
 
     def scale(self, c) -> "MultiPoly":
         return MultiPoly(self.ctx, self.k,
@@ -214,9 +234,11 @@ def s_member(f: MultiPoly) -> bool:
 
 
 class RationalRingElem:
-    """Fraction num/den of multivariate polynomials with den in S."""
+    """Fraction num/den of multivariate polynomials with den in S.  Every
+    construction checks S-membership and integrality; serialize() keeps
+    its text in ``_text``, as no field changes after construction."""
 
-    __slots__ = ("A", "k", "num", "den")
+    __slots__ = ("A", "k", "num", "den", "_text")
 
     def __init__(self, A, k: int, num: MultiPoly, den: MultiPoly):
         if not s_member(den):
@@ -228,6 +250,7 @@ class RationalRingElem:
         self.k = k
         self.num = num
         self.den = den
+        self._text = None
 
     @classmethod
     def from_poly(cls, A, f: MultiPoly) -> "RationalRingElem":
@@ -271,7 +294,9 @@ class RationalRingElem:
 
     # MilnorClass entry protocol
     def __eq__(self, other):
-        return isinstance(other, RationalRingElem) and self.same_as(other)
+        # elements of another ring are unequal; same_as would refuse them
+        return (isinstance(other, RationalRingElem) and other.k == self.k
+                and other.num.ctx == self.num.ctx and self.same_as(other))
 
     def __hash__(self):
         """k = 1 over A: the hash of the residue in kappa(t).  Equal elements
@@ -286,9 +311,11 @@ class RationalRingElem:
         return hash(("ratring", self.k))
 
     def serialize(self) -> str:
-        if self.den.same_as(MultiPoly.one(self.den.ctx, self.k)):
-            return self.num.serialize()
-        return f"({self.num.serialize()})/({self.den.serialize()})"
+        if self._text is None:
+            one = MultiPoly.one(self.den.ctx, self.k)
+            self._text = (self.num.serialize() if self.den.same_as(one) else
+                          f"({self.num.serialize()})/({self.den.serialize()})")
+        return self._text
 
     def __repr__(self):
         return self.serialize()
@@ -297,6 +324,10 @@ class RationalRingElem:
 def is_unit(x: RationalRingElem) -> bool:
     """Units of the local ring A(t...): numerator in S."""
     return s_member(x.num)
+
+
+# one kappa(t) context per residue field, shared by residue_map's images
+_kappa_t = lru_cache(maxsize=None)(RatFuncCtx)
 
 
 def residue_map(x: RationalRingElem):
@@ -309,7 +340,7 @@ def residue_map(x: RationalRingElem):
     A = x.A
     kappa = A.residue_field
     if x.k == 1:
-        return RatFuncElem(RatFuncCtx(kappa, "t"), _residue_poly(A, x.num),
+        return RatFuncElem(_kappa_t(kappa, "t"), _residue_poly(A, x.num),
                            _residue_poly(A, x.den))
     return tuple(f.map_coeffs(
         lambda c: kappa.from_enc(_coeff_residue(A, c)), kappa)

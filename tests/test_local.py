@@ -199,6 +199,9 @@ UNTABLED_Q = (3 ** 11, 65537)  # above TABLE_BOUND: no exp/log/Zech tables
 # the product kernel's edge cases run in these fields: prime, tabled
 # extension and untabled extension, with f from 1 to 20
 KERNEL_Q = (2, 3, 9, 16, 243, 3 ** 11, 65537, 2 ** 20)
+# prime fields whose byte products are tested on both sides of the bound
+# m (p-1)^2 < 256; F_11 also packs (m = 2), and the sympy oracle covers it
+BYTE_Q = (2, 3, 5, 7)
 
 
 def encs(xs):
@@ -250,12 +253,41 @@ def _edge_cases(base, rng):
                _one_term(base, rng, 3, 1), n)
 
 
-@pytest.mark.parametrize("q", sorted(set(TABLED_Q + UNTABLED_Q + KERNEL_Q)))
+def _byte_edge_cases(base, rng):
+    """(a, b, n) on both sides of the byte bound of a prime field: the
+    sparser operand, cut to n, has m terms with m * (p-1)^2 = 255 at the
+    most (m = 255, 63, 15, 7 for p = 2, 3, 5, 7) or above it.  All-(p-1)
+    operands fill every byte of the product to its bound.  n runs past
+    len a + len b - 1 (zero padding) and below both lengths; operands
+    have zero tails, and one-term factors sit on either side."""
+    top = base.minus_one()
+    bound = 255 // (base.p - 1) ** 2
+    for m in (bound, bound + 1):
+        full = [top] * m
+        dense = _random_coeffs(base, rng, m, 0.0)
+        tailed = _random_coeffs(base, rng, m, 0.0) + [base.zero()] * 4
+        for n in (m, 2 * m - 1, 2 * m + 3, m // 2 + 1):
+            yield full, full, n
+            yield dense, tailed, n
+            yield tailed, _random_coeffs(base, rng, m + 5, 0.5), n
+        for pos in (0, m - 1):
+            single = _one_term(base, rng, m + 2, pos)
+            yield full, single, 2 * m
+            yield single, full, m
+    # operands past the bound that n cuts below it
+    yield [top] * (bound + 9), [top] * (bound + 9), bound
+    yield [top] * 2, [top] * 2, 3  # the smallest byte product
+
+
+@pytest.mark.parametrize("q", sorted(set(TABLED_Q + UNTABLED_Q + KERNEL_Q
+                                         + BYTE_Q)))
 def test_mul_trunc_matches_schoolbook(q):
     base = ff_ctx_q(q)
     rng = random.Random(q)
     tabled = q in TABLED_Q
     cases = list(_edge_cases(base, rng)) if q in KERNEL_Q else []
+    if q in BYTE_Q:
+        cases += _byte_edge_cases(base, rng)
     for la, lb, n in _length_cases(rng, 40 if tabled else 5,
                                    30 if tabled else 4):
         for zero_share in (0.0, 0.5, 1.0):

@@ -77,6 +77,27 @@ def test_tame_is_additive_in_valuation():
     assert (two_pi - one_pi.scale(2)).is_zero()
 
 
+@pytest.mark.parametrize("ctx", [padic_ctx(5, 8), laurent_ctx(9, 8)])
+def test_shared_uniformizer_changes_no_tame_symbol(ctx):
+    # uniformizer() hands out one element per context, which tame_rewrite
+    # skips by identity; an equal fresh pi takes the valuation path
+    shared = ctx.uniformizer()
+    assert ctx.uniformizer() is shared
+    fresh = ctx.parse(shared.serialize())
+    assert fresh is not shared and fresh == shared
+    rng = random.Random(23)
+    shapes = (["pi", 0], [0, "pi"], ["pi", "pi"], ["pi", 0, 1],
+              [0, 1, "pi"], ["pi", 0, "pi"], [0, "pi", "pi"])
+    for _ in range(4):
+        units = [ctx.random_unit(rng) for _ in range(2)]
+        for shape in shapes:
+            texts = set()
+            for pi in (shared, fresh):
+                entries = [pi if e == "pi" else units[e] for e in shape]
+                texts.add(tame(ctx, symbol(ctx, entries)).serialize())
+            assert len(texts) == 1, (shape, texts)
+
+
 # --- reduction / lifting mod m --------------------------------------------
 
 PAIRS = [(padic_ctx(5, 8), 3), (padic_ctx(5, 8), 2),

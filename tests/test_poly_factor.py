@@ -499,7 +499,10 @@ def test_poly_operations_match_references(q):
 
 @pytest.mark.parametrize("q", POLY_Q)
 def test_poly_products_match_references_across_the_schoolbook_bound(q):
-    # mul_trunc multiplies schoolbook up to SCHOOLBOOK_LEN * f nonzero
+    # mul_trunc packs a prime field's product one byte per degree while
+    # the sparser factor's nonzero terms, at least 2, times (p-1)^2 stay
+    # below 256 (F_2 to F_7 here), keeps one-term factors schoolbook, and
+    # otherwise multiplies schoolbook up to SCHOOLBOOK_LEN * f nonzero
     # terms and by Kronecker substitution above; untabled extension fields
     # always take the Kronecker product
     k = ff_ctx_q(q)

@@ -1,13 +1,15 @@
 """The local ring A(t_1,...,t_k): units, residues, delta test, base change."""
 
+import operator
 import random
 
 import pytest
 
 from milnorforge.arith.finite_field import ff_ctx, ff_embedding
-from milnorforge.arith.local import laurent_ctx, padic_ctx
+from milnorforge.arith.local import PADIC, LocalFieldCtx, laurent_ctx, padic_ctx
 from milnorforge.arith.poly import Poly
 from milnorforge.errors import (
+    BadInput,
     ContextMismatch,
     EliminationFailed,
     NonUnitEntry,
@@ -87,6 +89,129 @@ def test_random_s_members_stay_in_s_under_multiplication(A):
         g = random_multipoly(A, 1, rng, ensure_s=True)
         assert s_member(f) and s_member(g)
         assert s_member(f * g)
+
+
+# --- MultiPoly arithmetic: one ring per product, the constructor's zeros ---
+
+OPERATORS = (operator.add, operator.sub, operator.mul)
+
+
+def test_multipoly_arithmetic_refuses_mixed_variable_counts():
+    # t * t2^3 once returned t: zip dropped the second exponent
+    A = padic_ctx(5, 8)
+    t = MultiPoly(A, 1, {(1,): A.one()})
+    t2 = MultiPoly(A, 2, {(0, 3): A.one()})
+    for x, y in ((t, t2), (t2, t)):
+        for op in OPERATORS:
+            with pytest.raises(BadInput, match="variable operand"):
+                op(x, y)
+
+
+def test_multipoly_arithmetic_refuses_mixed_rings():
+    # a Z_5 polynomial times a Z_3 one once multiplied 5-adically
+    A = padic_ctx(5, 8)
+    f = mp(A, [(0, 2), (1, 1)])
+    for B in (padic_ctx(3, 8), padic_ctx(5, 16), laurent_ctx(5, 8)):
+        for x, y in ((f, mp(B, [(0, 2)])), (mp(B, [(0, 2)]), f)):
+            for op in OPERATORS:
+                with pytest.raises(ContextMismatch):
+                    op(x, y)
+    # an equal context that is another object is the same ring
+    twin = LocalFieldCtx(PADIC, ff_ctx(5), 8)
+    assert twin is not A and twin == A
+    for op in OPERATORS:
+        assert op(f, mp(twin, [(0, 3)])).serialize() == \
+            op(f, mp(A, [(0, 3)])).serialize()
+    # elements of A(t) over other rings, or in other variables, are unequal
+    x = RationalRingElem.from_poly(A, f)
+    assert x == RationalRingElem.from_poly(twin, mp(twin, [(0, 2), (1, 1)]))
+    for B in (padic_ctx(3, 8), padic_ctx(5, 16)):
+        assert x != RationalRingElem.from_poly(B, mp(B, [(0, 2), (1, 1)]))
+    assert x != RationalRingElem.const(A, 2, A.from_int(2))
+
+
+def coeff_shape(f: MultiPoly) -> dict:
+    """Each coefficient's text and zero_prec (None: not zero or exact)."""
+    return {e: (c.serialize(), getattr(c, "zero_prec", None))
+            for e, c in f.coeffs.items()}
+
+
+@pytest.mark.parametrize("A", [padic_ctx(5, 8), laurent_ctx(3, 8)])
+def test_multipoly_arithmetic_keeps_approximate_zeros(A):
+    # a coefficient that cancels is an approximate zero: its unknown tail
+    # still counts, so +, - and * keep it, as the public constructor does
+    rng = random.Random(31)
+    u, v = A.random_unit(rng), A.random_unit(rng)
+    pi = A.uniformizer()
+    f = MultiPoly(A, 1, {(0,): u, (1,): v * pi})
+    g = MultiPoly(A, 1, {(0,): -u, (2,): v})
+    total = f + g
+    assert total.coeffs[(0,)].is_zero()
+    assert total.coeffs[(0,)].zero_prec == A.prec
+    assert coeff_shape(total) == coeff_shape(MultiPoly(
+        A, 1, {(0,): u + -u, (1,): v * pi, (2,): v}))
+    diff = f - f
+    assert coeff_shape(diff) == coeff_shape(MultiPoly(
+        A, 1, {(0,): u - u, (1,): v * pi - v * pi}))
+    assert [c.zero_prec for _, c in sorted(diff.coeffs.items())] == \
+        [A.prec, A.prec + 1]
+    prod = total * MultiPoly(A, 1, {(1,): pi})
+    assert prod.coeffs[(1,)].zero_prec == A.prec + 1
+    assert coeff_shape(prod) == coeff_shape(MultiPoly(
+        A, 1, {(1,): (u + -u) * pi, (2,): v * pi * pi, (3,): v * pi}))
+    assert coeff_shape(-total) == coeff_shape(MultiPoly(
+        A, 1, {e: -c for e, c in total.coeffs.items()}))
+
+
+def test_multipoly_arithmetic_drops_exact_zeros():
+    # over an exact ring a cancelling coefficient is an exact zero, which
+    # +, - and * drop as the public constructor does
+    A = padic_ctx(5, 8)
+    assert set(MultiPoly(A, 1, {(0,): A.zero(), (1,): A.one()}).coeffs) \
+        == {(1,)}
+    k = ff_ctx(5)
+    f = MultiPoly(k, 1, {(0,): k.from_int(1), (1,): k.from_int(2)})
+    g = MultiPoly(k, 1, {(0,): k.from_int(4), (1,): k.from_int(3)})
+    assert (f + g).is_zero() and (f - f).is_zero()
+    # (1 + t)(1 - t) = 1 - t^2: the t terms cancel exactly
+    prod = (MultiPoly(k, 1, {(0,): k.one(), (1,): k.one()})
+            * MultiPoly(k, 1, {(0,): k.one(), (1,): k.minus_one()}))
+    assert coeff_shape(prod) == coeff_shape(MultiPoly(
+        k, 1, {(0,): k.one(), (1,): k.zero(), (2,): k.minus_one()}))
+    assert set(prod.coeffs) == {(0,), (2,)}
+
+
+@pytest.mark.parametrize("A", CONTEXTS)
+def test_memoized_text_matches_a_fresh_render(A):
+    rng = random.Random(A.q + 5)
+    one = MultiPoly.one(A, 1)
+    for _ in range(20):
+        x = random_ratring_elem(A, 1, rng)
+        for z in (x, x * x, RationalRingElem.from_poly(A, x.num)):
+            text = z.serialize()
+            assert z.serialize() is text
+            fresh = RationalRingElem(A, 1, z.num, z.den)
+            assert fresh.serialize() == text
+            assert text == (z.num.serialize() if z.den.same_as(one) else
+                            f"({z.num.serialize()})/({z.den.serialize()})")
+
+
+@pytest.mark.parametrize("A", CONTEXTS)
+def test_equal_elements_built_differently_merge_in_one_class(A):
+    rng = random.Random(A.q + 6)
+    for _ in range(10):
+        c = A.random_unit(rng)
+        a = RationalRingElem.const(A, 1, c)
+        b = RationalRingElem(A, 1, MultiPoly(A, 1, {(0,): c}),
+                             MultiPoly.const(A, 1, A.one()))
+        x = random_ratring_elem(A, 1, rng)
+        while x.is_zero():
+            x = random_ratring_elem(A, 1, rng)
+        y = x * RationalRingElem.const(A, 1, A.one())
+        assert a is not b and x is not y
+        a.serialize()  # one side memoized before the merge, one not
+        merged = symbol(A, [a, x]) + symbol(A, [b, y])
+        assert [t.coeff for t in merged.terms] == [2]
 
 
 # --- residue map ----------------------------------------------------------

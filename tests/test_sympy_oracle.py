@@ -8,8 +8,10 @@ poly_factor's factors without testing them again; this is the check on
 those factors.  sympy prints GF(p) coefficients in the symmetric range,
 so every coefficient is compared mod p.  Discrete logs in F_p^x are
 compared with sympy's discrete_log, ell-th roots of principal units
-of Z_p with sympy's nthroot_mod modulo p^N, and the odd-p Hilbert symbol,
-by Euler's criterion on its tame value, with sympy's legendre_symbol.
+of Z_p with sympy's nthroot_mod modulo p^N, the odd-p Hilbert symbol,
+by Euler's criterion on its tame value, with sympy's legendre_symbol, and
+truncated products of coefficient lists over F_p (mul_trunc, the one
+product kernel) with sympy's gf_mul.
 """
 
 import random
@@ -17,6 +19,8 @@ import random
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_mul  # noqa: E402
 
 from milnorforge.arith.factor import is_irreducible, poly_factor  # noqa: E402
 from milnorforge.arith.finite_field import ff_ctx  # noqa: E402
@@ -130,6 +134,24 @@ def test_resultant_agrees_with_sylvester_determinant(p):
         got = a.resultant(b)
         assert (0 if got.is_zero() else got.as_int()) == \
             sylvester_resultant(a, b, p), (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_mul_trunc_agrees_with_sympy_gf_mul(p):
+    # gf_mul lists coefficients high first and drops leading zeros; dense
+    # and half-zero operands of 1 to 70 terms cross every product path
+    # of a prime field: one-term factors, bytes, schoolbook and Kronecker
+    k = ff_ctx(p)
+    rng = random.Random(7000 + p)
+    for i in range(60):
+        a, b = ([rng.randrange(p) if i % 2 and rng.random() < 0.5
+                 else rng.randrange(1, p) for _ in range(rng.randint(1, 70))]
+                for _ in range(2))
+        n = rng.randint(1, len(a) + len(b) + 2)
+        want = gf_mul([ZZ(c) for c in reversed(a)],
+                      [ZZ(c) for c in reversed(b)], p, ZZ)[::-1]
+        want = [int(c) for c in want[:n]] + [0] * (n - len(want))
+        assert k.mul_trunc(a, b, n) == want, (p, a, b, n)
 
 
 # F_3 ... F_65521 have exp/log tables; F_65537 and F_1048573 lie above
