@@ -17,6 +17,7 @@ from functools import lru_cache
 from ..errors import (
     BadInput,
     BadPrime,
+    ContextMismatch,
     NewtonConditionFails,
     NotAUnit,
     PatternMismatch,
@@ -56,9 +57,14 @@ class LocalFieldCtx:
     model is "padic" (F = Q_p, O = Z_p) or "laurent" (F = F_q((t)),
     O = F_q[[t]]).  All elements produced by this context carry the same
     precision, the number of significant uniformizer-adic digits.
+
+    Elements are immutable, so a context hands out shared ones: the
+    uniformizer, built with the context, and the Teichmuller lifts, kept
+    in ``_teich`` by residue encoding as teichmuller() first asks for
+    each (at most q - 1 of them).
     """
 
-    __slots__ = ("model", "prec", "residue_field", "_pi")
+    __slots__ = ("model", "prec", "residue_field", "_pi", "_teich")
     encoded = False  # a Poly over O stores local numbers
 
     def __init__(self, model: str, residue_field: FiniteFieldCtx, prec: int):
@@ -79,6 +85,7 @@ class LocalFieldCtx:
         self._pi = (PadicNumber(self.p, prec, 1, 1) if model == PADIC
                     else LaurentSeries.from_encs(residue_field, prec, 1,
                                                  (1,) + (0,) * (prec - 1)))
+        self._teich = {}
 
     @property
     def p(self) -> int:
@@ -148,11 +155,17 @@ class LocalFieldCtx:
 
     def lift_residue(self, c: FFElement):
         """Tautological lift kappa^x -> O^x (integer rep / constant series)."""
-        if c.is_zero():
-            raise ZeroElement("cannot lift zero to a unit")
+        self._check_unit_residue(c)
         if self.model == PADIC:
             return PadicNumber(self.p, self.prec, 0, c.as_int())
         return LaurentSeries.constant(c, self.prec)
+
+    def _check_unit_residue(self, c: FFElement):
+        """Refuse a residue that is zero or lives in another field."""
+        if c.ctx is not self.residue_field:
+            raise ContextMismatch(f"{c!r} is not a residue of {self!r}")
+        if c.is_zero():
+            raise ZeroElement("cannot lift zero to a unit")
 
     split = staticmethod(unit_decompose)  # (v(x), u), x = u * pi^v(x)
 
@@ -229,11 +242,33 @@ LOCAL_CTXS = {PADIC: padic_ctx, LAURENT: laurent_ctx}
 
 
 def teichmuller(ctx: LocalFieldCtx, c: FFElement):
-    """The unique (q-1)-th root of unity in O with residue c != 0."""
+    """The unique (q-1)-th root of unity in O with residue c != 0, one
+    shared element per context and residue.
+
+    Every call checks that c is a nonzero residue of this context, so a
+    zero residue or one of another field raises and is never cached, and
+    then reads the context's table, keyed by the encoding of c.  A
+    missing entry is filled once.  The lifts form a cyclic group mod
+    pi^prec, the image of kappa^x, so each way of filling an entry gives
+    the same digits.
+    """
     # omega = lim w^(q^k); each Frobenius step fixes one more digit, so
-    # prec steps fix them all: one power by q^prec.  Over F_q[[t]] the
-    # constant w is already a root of unity, c^(q^prec) = c
-    return ctx.lift_residue(c) ** (ctx.q ** ctx.prec)
+    # prec steps fix them all: one power by q^prec.  Over Z_p that power
+    # is taken once per context, for the generator g; any other lift is
+    # omega(g)^dlog(c), an exponent below q - 1, read from the field's log
+    # table (baby-step/giant-step above it).  Over F_q[[t]] the constant
+    # lift of c is already a root of unity: the power is the monomial
+    # short-cut c^(q^prec) = c, and needs no discrete log
+    ctx._check_unit_residue(c)
+    omega = ctx._teich.get(c.enc)
+    if omega is None:
+        kappa = ctx.residue_field
+        if ctx.model == PADIC and c.enc != kappa.generator_enc:
+            omega = teichmuller(ctx, kappa.gen()) ** c.dlog()
+        else:
+            omega = ctx.lift_residue(c) ** (ctx.q ** ctx.prec)
+        ctx._teich[c.enc] = omega
+    return omega
 
 
 def principal_unit_root(ctx: LocalFieldCtx, x, ell: int):

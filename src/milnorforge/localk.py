@@ -395,7 +395,10 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
 
     Requires unit entries, degree >= 2, and gcd(ell, p) = 1.  The
     algorithm follows the proof of the mod-m isomorphism: split each
-    entry through the Teichmuller section, absorb the principal-unit
+    entry x through the Teichmuller section as omega * u1, where omega
+    and omega^-1 are the lifts of xbar and xbar^-1 that teichmuller reads
+    from the context's table (the lifts form a group, so omega^-1 is
+    exact and needs no inversion), absorb the principal-unit
     parts by their ell-th roots (HENSEL_ROOT steps; principal_unit_root
     computes each root exactly, by one power over F_q[[t]] and by integer
     Newton steps over Z_p), merge the residual Teichmuller terms in the
@@ -433,8 +436,9 @@ def divisibility_witness(ctx: LocalFieldCtx, a: MilnorClass, ell: int
     for c, ee in a.terms:
         for pos in range(n):
             x = ee[pos]
-            omega = g_lift ** ctx.residue(x).dlog()
-            u1 = x * omega.inverse()
+            xbar = ctx.residue(x)
+            omega = teichmuller(ctx, xbar)
+            u1 = x * teichmuller(ctx, xbar.inverse())
             if not u1.is_one():
                 # the principal-unit part is absorbed right away
                 root = principal_unit_root(ctx, u1, ell)

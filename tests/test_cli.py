@@ -1078,6 +1078,23 @@ def test_padic_certificate_at_the_precision_bound():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+# lift at the MAX_UNIT_BITS edges of Z_5 and Z_65521, each within 120 s:
+# every entry reads the context's Teichmuller table, whose first entry
+# costs the one power by q^prec; the records are pinned
+@pytest.mark.parametrize("field, prec, m, symbol, sha", [
+    ("padic:5", 1365, 3, "{2,3}",
+     "4977b7346d7de1f45a43d54d023ce8d6627affee9551549cd6eafa3ab8a923d8"),
+    ("padic:65521", 240, 2, "{3,5}",
+     "ca0137ec5bd32de308c1e963140a9b51381ea79a3a5807e1e5aaa446cd881ff0"),
+], ids=["Z_5", "Z_65521"])
+def test_padic_lift_at_the_precision_bound(field, prec, m, symbol, sha):
+    out = _cli_subprocess(_RECORDS + ["--field", field, "--precision",
+                                      str(prec), "lift", "--m", str(m),
+                                      symbol], timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == sha
+
+
 # FIELD_BOUND = 2^20 is the one residue-field bound: over F_{2^20}[[t]] at
 # precision 195 and F_1048573[[t]] at precision 204 (the MAX_UNIT_BITS
 # edges), both without Zech tables, a pinned certificate is built and

@@ -12,9 +12,12 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milnorforge.arith.finite_field import SCHOOLBOOK_LEN, ff_ctx_q
+from milnorforge.arith.finite_field import SCHOOLBOOK_LEN, ff_ctx, ff_ctx_q
 from milnorforge.arith.laurent import LaurentSeries
 from milnorforge.arith.local import (
+    LAURENT,
+    PADIC,
+    LocalFieldCtx,
     laurent_ctx,
     padic_ctx,
     principal_unit_root,
@@ -24,8 +27,8 @@ from milnorforge.arith.local import (
 from milnorforge.arith.padic import PadicNumber
 from milnorforge.arith.poly import Poly, _power
 from milnorforge.ratfunc import QuotCtx
-from milnorforge.errors import (NewtonConditionFails, NotAUnit, PatternMismatch,
-                               ZeroElement)
+from milnorforge.errors import (ContextMismatch, NewtonConditionFails, NotAUnit,
+                               PatternMismatch, ZeroElement)
 
 
 # --- p-adic ring structure ------------------------------------------------
@@ -596,6 +599,75 @@ def test_teichmuller_is_root_of_unity_lifting_residue(ctx):
         assert (w ** (q - 1)).is_one()
     with pytest.raises(ZeroElement, match="^cannot lift zero to a unit$"):
         teichmuller(ctx, ctx.residue_field.zero())
+
+
+TEICHMULLER_TABLES = [(model, q, prec)
+                      for model, qs in ((PADIC, (2, 3, 5, 7, 13)),
+                                        (LAURENT, (2, 4, 9)))
+                      for q in qs for prec in (1, 2, 8, 16)]
+
+
+@pytest.mark.parametrize("model,q,prec", TEICHMULLER_TABLES)
+def test_teichmuller_table_holds_the_power_of_every_residue(model, q, prec):
+    # a fresh context starts with an empty table; residues come in a
+    # shuffled order, so entries are filled before and after the generator
+    ctx = LocalFieldCtx(model, ff_ctx_q(q), prec)
+    kappa = ctx.residue_field
+    cs = list(kappa.elements())[1:]
+    random.Random(100 * q + prec).shuffle(cs)
+    for c in cs:
+        w = teichmuller(ctx, c)
+        assert w.key() == (ctx.lift_residue(c) ** (ctx.q ** ctx.prec)).key()
+        assert teichmuller(ctx, c) is w
+        assert teichmuller(ctx, kappa.from_enc(c.enc)) is w
+        # the builder's omega^-1: the lift of the inverse residue
+        assert (w * teichmuller(ctx, c.inverse())).key() == ctx.one().key()
+        if model == PADIC:
+            assert pow(w.unit, ctx.p - 1, ctx.p ** ctx.prec) == 1
+    assert len(ctx._teich) == q - 1
+    for _ in range(2):  # a zero residue raises on every call, uncached
+        with pytest.raises(ZeroElement, match="^cannot lift zero to a unit$"):
+            teichmuller(ctx, kappa.zero())
+    assert 0 not in ctx._teich
+
+
+def test_teichmuller_tables_are_per_context():
+    low, high = padic_ctx(5, 8), padic_ctx(5, 16)
+    for c in list(low.residue_field.elements())[1:]:
+        w_low, w_high = teichmuller(low, c), teichmuller(high, c)
+        assert (w_low.prec, w_high.prec) == (8, 16)
+        assert w_high.truncate(8).key() == w_low.key()
+    assert not ({id(w) for w in low._teich.values()}
+                & {id(w) for w in high._teich.values()})
+
+
+@pytest.mark.parametrize("ctx,c", [
+    (laurent_ctx(9, 4), ff_ctx(3).from_int(2)),
+    (laurent_ctx(9, 4), ff_ctx(3).zero()),
+    (padic_ctx(5, 8), ff_ctx_q(25).gen()),
+    (padic_ctx(5, 8), ff_ctx(7).from_int(3)),
+], ids=["F_3_in_F_9", "zero_of_F_3_in_F_9", "F_25_in_Z_5", "F_7_in_Z_5"])
+def test_teichmuller_refuses_a_residue_of_another_field(ctx, c):
+    kappa = ctx.residue_field
+    own = kappa.from_enc(c.enc) if 0 < c.enc < kappa.q else None
+    # a fresh context refuses first, then its own residue of the same
+    # encoding must still get this field's lift; a filled one refuses too
+    fresh, filled = (LocalFieldCtx(ctx.model, kappa, ctx.prec)
+                     for _ in range(2))
+    if own is not None:
+        w = teichmuller(filled, own)
+    for lctx in (fresh, filled):
+        for lift in (lctx.lift_residue, partial(teichmuller, lctx)):
+            for _ in range(2):
+                with pytest.raises(ContextMismatch,
+                                   match="is not a residue of"):
+                    lift(c)
+    if own is not None:
+        assert teichmuller(filled, own) is w
+        w = teichmuller(fresh, own)
+        assert ctx.residue(w) == own and w.ring() == ctx.one().ring()
+    else:
+        assert not fresh._teich and not filled._teich
 
 
 def test_unit_decompose_splits_valuation_and_unit():
